@@ -1,9 +1,10 @@
 """Biorthogonal eigensystems and metric operators.
 
 For a Hamiltonian H with N distinct eigenvalues the right eigenvectors
-phi_k of H and the right eigenvectors psi_k of H-dagger form a
-biorthogonal pair once matched by conjugate eigenvalue and rescaled so
-that <phi_k, psi_l> = delta_kl. The rank-one sums
+phi_k of H (the columns of Phi) have a unique dual family psi_k with
+<phi_k, psi_l> = delta_kl, the columns of inv(Phi)^†. Each psi_k is a
+right eigenvector of H-dagger with eigenvalue conj(E_k), so one
+eigensolve of H yields both families. The rank-one sums
 
     S_phi = sum_k |phi_k><phi_k|      S_psi = sum_k |psi_k><psi_k|
 
@@ -37,8 +38,8 @@ class BiorthogonalSystem:
 
     ``phi`` and ``psi`` hold the eigenvector families as columns, ordered
     to match ``eigenvalues``. ``real_spectrum`` is False when some
-    eigenvalue has a non-negligible imaginary part (pairing then uses the
-    conjugate spectrum of the adjoint).
+    eigenvalue has a non-negligible imaginary part (psi_k is then an
+    eigenvector of H-dagger for conj(E_k)).
     """
 
     dim: int
@@ -62,12 +63,13 @@ def build_biorthogonal(
     Eigenvalues must be pairwise separated by ``tol_distinct * |H|``;
     collisions raise ``DegenerateSpectrumError`` naming the first pair
     (nilpotent Hamiltonians land here by design). A spectrum with complex
-    eigenvalues is accepted with a warning, since conjugate pairing still
-    produces a biorthogonal family.
+    eigenvalues is accepted with a warning, since the dual family still
+    exists (psi_k then carries conj(E_k) as an eigenvector of H^†).
 
-    Raises ``BiorthogonalityError`` when the assembled system violates
-    the defining identities beyond ``tol_biortho``, which happens only
-    for severely ill-conditioned eigenbases.
+    Raises ``BiorthogonalityError`` when the eigenvector matrix cannot be
+    inverted or the assembled system violates the defining identities
+    beyond ``tol_biortho`` (or by a non-finite amount), which happens
+    only for severely ill-conditioned eigenbases.
     """
     hm = as_square_matrix(h, "hamiltonian")
     n = hm.shape[0]
@@ -89,33 +91,19 @@ def build_biorthogonal(
     real_spectrum = bool(np.max(np.abs(values.imag)) <= tol_distinct * scale)
     if not real_spectrum:
         warnings.warn(
-            "spectrum has complex eigenvalues; biorthogonal pairing uses "
-            "conjugation",
+            "spectrum has complex eigenvalues; the dual family carries the "
+            "conjugate spectrum",
             stacklevel=2,
         )
 
-    adj = eig_general(hm.conj().T)
-    # nearest-conjugate matching with collision detection
-    psi = np.empty_like(phi)
-    taken: set[int] = set()
-    for idx in range(n):
-        dist = np.abs(adj.eigenvalues - np.conj(values[idx]))
-        m = int(np.argmin(dist))
-        if m in taken:
-            raise DegenerateSpectrumError(
-                f"adjoint eigenvalue {adj.eigenvalues[m]:.6g} claimed twice "
-                "during conjugate pairing"
-            )
-        taken.add(m)
-        w = adj.right_vectors[:, m]
-        overlap = np.vdot(phi[:, idx], w)
-        if abs(overlap) < tol_biortho:
-            raise BiorthogonalityError(
-                f"eigenvector pair {idx + 1} is numerically orthogonal "
-                f"(overlap {abs(overlap):.3e}); eigenbasis condition "
-                f"{decomp.condition_estimate:.3e}"
-            )
-        psi[:, idx] = w / overlap
+    # the dual family is unique once phi is fixed: psi^† phi = 1
+    try:
+        psi = np.linalg.inv(phi).conj().T
+    except np.linalg.LinAlgError as exc:
+        raise BiorthogonalityError(
+            f"eigenvector matrix is singular; eigenbasis condition "
+            f"{decomp.condition_estimate:.3e}"
+        ) from exc
 
     s_phi = phi @ phi.conj().T
     s_psi = psi @ psi.conj().T
@@ -128,7 +116,7 @@ def build_biorthogonal(
             np.abs(s_phi @ s_psi - np.eye(n)).max(),
         )
     )
-    if residual > tol_biortho:
+    if not residual <= tol_biortho:  # also rejects NaN
         raise BiorthogonalityError(
             f"biorthogonality residual {residual:.3e} exceeds "
             f"{tol_biortho:.1e}; eigenbasis condition "

@@ -6,17 +6,14 @@ eigenvalue E = E_r + i E_i, the nonlinear scalar is constant,
 phase orbit psi_hat(t) = exp(-i E_r t) phi_k0, and the state-dependent
 derivation collapses to the time-independent map
 
-    eigenstate_delta(X) = delta_gamma(X) - 2 E_i X
-                        = i (H_k0^† X - X H_k0),   H_k0 = H - E.
+    delta_gamma(X) - 2 E_i X = i (H_k0^† X - X H_k0),   H_k0 = H - E,
 
-Its exponential series therefore has a closed sum: conjugation by the
-shifted evolution operators,
-
-    shifted_gamma_t(X) = exp(i H_k0^† t) X exp(-i H_k0 t),
-
-and the two agree for every observable and time. The eigenvalue is not
-assumed real; complex-eigenvalue Hamiltonians are first-class inputs
-here and do not route through the biorthogonal machinery.
+which is the gamma-derivation of the shifted Hamiltonian H_k0. Its
+exponential series therefore has a closed sum, the gamma dynamics of
+H_k0: ``gamma_series`` and ``gamma_t`` on ``ctx.shifted`` agree for
+every observable and time. The eigenvalue is not assumed real;
+complex-eigenvalue Hamiltonians are first-class inputs here and do not
+route through the biorthogonal machinery.
 """
 
 from __future__ import annotations
@@ -25,14 +22,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError
-from .gamma import MAX_SERIES_TERMS, _certified_terms
-from .linalg import as_square_matrix, eig_general, expm, op_norm
+from .errors import ConfigError
+from .gamma import GammaContext, delta_gamma, gamma_context, gamma_t
+from .linalg import as_square_matrix, eig_general
 
 
 @dataclass(frozen=True)
 class EigenstateContext:
-    """A Hamiltonian with one selected unit eigenvector and its shift."""
+    """A Hamiltonian with one selected unit eigenvector.
+
+    ``shifted`` is the gamma context of H_k0 = H - E.
+    """
 
     h: np.ndarray
     k0: int
@@ -40,7 +40,7 @@ class EigenstateContext:
     e_real: float
     e_imag: float
     phi_k0: np.ndarray
-    h_k0: np.ndarray
+    shifted: GammaContext
 
 
 def eigenstate_context(h, k0: int | None = None, tol_eig: float = 1e-10) -> EigenstateContext:
@@ -65,71 +65,21 @@ def eigenstate_context(h, k0: int | None = None, tol_eig: float = 1e-10) -> Eige
         e_real=e.real,
         e_imag=e.imag,
         phi_k0=phi,
-        h_k0=hm - e * np.eye(n, dtype=complex),
+        shifted=gamma_context(hm - e * np.eye(n, dtype=complex)),
     )
-
-
-def _check_obs(ctx: EigenstateContext, x) -> np.ndarray:
-    xm = as_square_matrix(x, "observable")
-    if xm.shape != ctx.h.shape:
-        raise DimensionError("observable and Hamiltonian dims differ")
-    return xm
-
-
-def eigenstate_delta(ctx: EigenstateContext, x) -> np.ndarray:
-    """Time-independent derivation delta_gamma(X) - 2 E_i X."""
-    xm = _check_obs(ctx, x)
-    hd = ctx.h.conj().T
-    return 1j * (hd @ xm - xm @ ctx.h) - 2.0 * ctx.e_imag * xm
-
-
-def eigenstate_series(
-    ctx: EigenstateContext,
-    x,
-    t: float,
-    tol_trunc: float = 1e-12,
-    max_terms: int = MAX_SERIES_TERMS,
-) -> np.ndarray:
-    """Partial sum of sum_k t^k eigenstate_delta^k(X) / k!.
-
-    Truncated a priori from the growth bound
-    |eigenstate_delta(X)| <= (2|H| + 2|E_i|) |X|, so the discarded tail
-    is certified below ``tol_trunc``.
-    """
-    xm = _check_obs(ctx, x)
-    if tol_trunc <= 0:
-        raise ConfigError("tol_trunc must be positive")
-    x_scale = max(op_norm(xm), np.finfo(float).tiny)
-    rate = (2.0 * op_norm(ctx.h) + 2.0 * abs(ctx.e_imag)) * abs(t)
-    terms = _certified_terms(rate, tol_trunc / x_scale, max_terms)
-
-    total = xm.copy()
-    term = xm
-    for k in range(1, terms):
-        term = (t / k) * eigenstate_delta(ctx, term)
-        total += term
-    return total
-
-
-def shifted_gamma(ctx: EigenstateContext, x, t: float) -> np.ndarray:
-    """Conjugation by the shifted evolution: e^{i H_k0^† t} X e^{-i H_k0 t}."""
-    xm = _check_obs(ctx, x)
-    left = expm(1j * ctx.h_k0.conj().T * t)
-    right = expm(-1j * ctx.h_k0 * t)
-    return left @ xm @ right
 
 
 @dataclass(frozen=True)
 class WeakIdentityReport:
     """Grid residuals of the weak identities on the identity operator.
 
-    ``identity_mean_residual`` is max_t |<phi, shifted_gamma_t(1) phi> - 1|
-    and ``delta_mean_residual`` is |<phi, eigenstate_delta(1) phi>|; both
-    vanish even though neither shifted_gamma_t(1) = 1 nor
-    eigenstate_delta(1) = 0 holds at operator level. The witness reports
-    |<phi, g_t(XY) phi> - <phi, g_t(X) g_t(Y) phi>| at the last grid
-    point for one random pair: the map fails to be multiplicative even
-    weakly once H is not Hermitian.
+    With g_t and d the gamma dynamics and derivation of H_k0,
+    ``identity_mean_residual`` is max_t |<phi, g_t(1) phi> - 1| and
+    ``delta_mean_residual`` is |<phi, d(1) phi>|; both vanish even
+    though neither g_t(1) = 1 nor d(1) = 0 holds at operator level. The
+    witness reports |<phi, g_t(XY) phi> - <phi, g_t(X) g_t(Y) phi>| at
+    the last grid point for one random pair: the map fails to be
+    multiplicative even weakly once H is not Hermitian.
     """
 
     identity_mean_residual: float
@@ -145,23 +95,24 @@ def weak_identity_report(
         raise ConfigError("t_grid is empty")
     if rng is None:
         rng = np.random.default_rng(42)
-    n = ctx.h.shape[0]
+    shifted = ctx.shifted
+    n = shifted.dim
     eye = np.eye(n, dtype=complex)
     phi = ctx.phi_k0
 
     worst_identity = 0.0
     for tj in t:
-        g1 = shifted_gamma(ctx, eye, tj)
+        g1 = gamma_t(shifted, eye, tj)
         worst_identity = max(worst_identity, abs(np.vdot(phi, g1 @ phi) - 1.0))
 
-    delta_mean = abs(np.vdot(phi, eigenstate_delta(ctx, eye) @ phi))
+    delta_mean = abs(np.vdot(phi, delta_gamma(shifted, eye) @ phi))
 
     x = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     y = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     t_last = float(t[-1])
-    gxy = shifted_gamma(ctx, x @ y, t_last)
-    gx = shifted_gamma(ctx, x, t_last)
-    gy = shifted_gamma(ctx, y, t_last)
+    gxy = gamma_t(shifted, x @ y, t_last)
+    gx = gamma_t(shifted, x, t_last)
+    gy = gamma_t(shifted, y, t_last)
     witness = abs(np.vdot(phi, gxy @ phi) - np.vdot(phi, (gx @ gy) @ phi))
 
     return WeakIdentityReport(

@@ -235,7 +235,12 @@ def classify(
         d = delta_psi_hat(hm, xm, v)
         strong = max(strong, op_norm(d))
         weak = max(weak, abs(complex(np.vdot(v, d @ v))))
+    return _threshold(name, gamma_res, strong, weak, tol_class)
 
+
+def _threshold(
+    name: str, gamma_res: float, strong: float, weak: float, tol_class: float
+) -> ClassificationReport:
     return ClassificationReport(
         observable_name=name,
         c_gamma_residual=float(gamma_res),
@@ -266,31 +271,15 @@ def classify_ensemble(
     hm = as_square_matrix(h, "hamiltonian")
     if n_states < 1:
         raise ConfigError("n_states must be >= 1")
-    worst: ClassificationReport | None = None
+    residuals = []
     for _ in range(n_states):
         v0 = rng.normal(size=hm.shape[0]) + 1j * rng.normal(size=hm.shape[0])
         v0 /= np.linalg.norm(v0)
-        report = classify(hm, x, exact_trajectory(hm, v0, t_grid), tol_class, name)
-        if worst is None:
-            worst = report
-        else:
-            worst = ClassificationReport(
-                observable_name=name,
-                c_gamma_residual=max(worst.c_gamma_residual, report.c_gamma_residual),
-                c_psi_hat_residual=max(
-                    worst.c_psi_hat_residual, report.c_psi_hat_residual
-                ),
-                c_psi_hat_weak_residual=max(
-                    worst.c_psi_hat_weak_residual, report.c_psi_hat_weak_residual
-                ),
-                in_c_gamma=worst.in_c_gamma and report.in_c_gamma,
-                in_c_psi_hat=worst.in_c_psi_hat and report.in_c_psi_hat,
-                in_c_psi_hat_weak=worst.in_c_psi_hat_weak
-                and report.in_c_psi_hat_weak,
-                tol_class=tol_class,
-            )
-    assert worst is not None
-    return worst
+        r = classify(hm, x, exact_trajectory(hm, v0, t_grid), tol_class, name)
+        residuals.append(
+            (r.c_gamma_residual, r.c_psi_hat_residual, r.c_psi_hat_weak_residual)
+        )
+    return _threshold(name, *np.max(residuals, axis=0), tol_class)
 
 
 def gamma_symmetry_decay_check(

@@ -29,6 +29,7 @@ NHDYN_MAX_DIM (default 64) caps the Hamiltonian dimension.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -38,9 +39,15 @@ import numpy as np
 
 from . import fermions, flow
 from .biortho import build_biorthogonal, verify_intertwining
-from .eigenstate import eigenstate_context, eigenstate_series, shifted_gamma, weak_identity_report
+from .eigenstate import eigenstate_context, weak_identity_report
 from .errors import ConfigError, NumericalError
-from .gamma import gamma_context, gamma_symmetry_basis, similar_norm_preserving
+from .gamma import (
+    gamma_context,
+    gamma_series,
+    gamma_symmetry_basis,
+    gamma_t,
+    similar_norm_preserving,
+)
 from .linalg import frob, op_norm
 
 DEFAULT_TOLERANCES = {
@@ -51,14 +58,6 @@ DEFAULT_TOLERANCES = {
 }
 DEFAULT_TIME = {"t_start": 0.0, "t_end": 10.0, "points": 201}
 DEFAULT_SEED = 42
-KNOWN_TASKS = (
-    "trajectory",
-    "symmetries",
-    "classify",
-    "eigenstate_case",
-    "fermion_demo",
-    "biortho",
-)
 BUILTIN_OBSERVABLES = ("identity", "H", "N", "N1", "N2", "N3")
 
 
@@ -66,16 +65,24 @@ def _fail(path: str, message: str) -> ConfigError:
     return ConfigError(f"{path} {message}")
 
 
+def _is_finite_number(value) -> bool:
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+    )
+
+
 def _parse_entry(value, path: str) -> complex:
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
+    if _is_finite_number(value):
         return complex(value)
     if (
         isinstance(value, (list, tuple))
         and len(value) == 2
-        and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)
+        and all(_is_finite_number(v) for v in value)
     ):
         return complex(value[0], value[1])
-    raise _fail(path, "must be a real number or an [re, im] pair")
+    raise _fail(path, "must be a finite real number or an [re, im] pair")
 
 
 def _parse_matrix(value, path: str) -> np.ndarray:
@@ -167,8 +174,8 @@ def _validate_hamiltonian(doc: dict, echo: dict):
             mu = float(params.get("mu", 1.0))
         except (TypeError, ValueError) as exc:
             raise _fail("hamiltonian.fermion_dm", "lambda and mu must be numbers") from exc
-        if lam <= 0 or mu <= 0:
-            raise _fail("hamiltonian.fermion_dm", "lambda and mu must be > 0")
+        if not (0 < lam < math.inf and 0 < mu < math.inf):
+            raise _fail("hamiltonian.fermion_dm", "lambda and mu must be finite and > 0")
         model = fermions.build_dm_model(lam, mu)
         h = model.h
         generator = {"fermion_dm": {"lambda": lam, "mu": mu}}
@@ -218,8 +225,10 @@ def _validate_time(doc: dict, echo: dict) -> np.ndarray:
         t_start = float(merged["t_start"])
         t_end = float(merged["t_end"])
         points = int(merged["points"])
-    except (TypeError, ValueError) as exc:
-        raise _fail("time", "fields must be numeric") from exc
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise _fail("time", "fields must be finite numbers") from exc
+    if not (math.isfinite(t_start) and math.isfinite(t_end)):
+        raise _fail("time", "fields must be finite numbers")
     if points < 2:
         raise _fail("time.points", "must be >= 2")
     if not t_end > t_start:
@@ -237,8 +246,8 @@ def _validate_tolerances(doc: dict, echo: dict) -> dict[str, float]:
         raise _fail("tolerances", f"has unknown fields {sorted(unknown)}")
     merged = {**DEFAULT_TOLERANCES, **raw}
     for key, value in merged.items():
-        if not isinstance(value, (int, float)) or isinstance(value, bool) or value <= 0:
-            raise _fail(f"tolerances.{key}", "must be a positive number")
+        if not _is_finite_number(value) or value <= 0:
+            raise _fail(f"tolerances.{key}", "must be a finite positive number")
     merged = {k: float(v) for k, v in merged.items()}
     echo["tolerances"] = dict(sorted(merged.items()))
     return merged
@@ -277,6 +286,10 @@ def _validate_observables(
             name = item["name"]
             if not isinstance(name, str) or not name:
                 raise _fail(f"{path}.name", "must be a non-empty string")
+            if set(name) & set(',"\n\r'):
+                raise _fail(
+                    f"{path}.name", "must not contain a comma, quote or line break"
+                )
             matrix = _parse_matrix(item["matrix"], f"{path}.matrix")
             if matrix.shape != (n, n):
                 raise _fail(f"{path}.matrix", f"must be {n}x{n}, got {matrix.shape}")
@@ -356,8 +369,8 @@ def parse_config(doc: dict) -> ScenarioConfig:
     echo["tasks"] = tasks
 
     seed = doc.get("seed", DEFAULT_SEED)
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise _fail("seed", "must be an integer")
+    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+        raise _fail("seed", "must be a non-negative integer")
     echo["seed"] = seed
 
     k0 = doc.get("eigenstate_k0")
@@ -450,7 +463,7 @@ class RunReport:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
 
 
-def _task_trajectory(cfg: ScenarioConfig, out_dir: Path, artifacts: list[str]) -> dict:
+def _task_trajectory(cfg: ScenarioConfig, out_dir: Path, rng) -> dict:
     traj = flow.exact_trajectory(cfg.hamiltonian, cfg.initial_state, cfg.t_grid)
     header = ["t", "norm_sq"]
     columns = [traj.t_grid, traj.norm_sq]
@@ -460,7 +473,6 @@ def _task_trajectory(cfg: ScenarioConfig, out_dir: Path, artifacts: list[str]) -
         columns += [means.real, means.imag]
     csv_name = "trajectory.csv"
     emit_csv(out_dir / csv_name, header, columns)
-    artifacts.append(csv_name)
     return {
         "csv": csv_name,
         "norm_sq_initial": float(traj.norm_sq[0]),
@@ -469,7 +481,7 @@ def _task_trajectory(cfg: ScenarioConfig, out_dir: Path, artifacts: list[str]) -
     }
 
 
-def _task_biortho(cfg: ScenarioConfig) -> dict:
+def _task_biortho(cfg: ScenarioConfig, out_dir: Path, rng) -> dict:
     system = build_biorthogonal(
         cfg.hamiltonian, tol_distinct=cfg.tolerances["tol_distinct"]
     )
@@ -483,7 +495,7 @@ def _task_biortho(cfg: ScenarioConfig) -> dict:
     }
 
 
-def _task_symmetries(cfg: ScenarioConfig) -> dict:
+def _task_symmetries(cfg: ScenarioConfig, out_dir: Path, rng) -> dict:
     basis = gamma_symmetry_basis(
         gamma_context(cfg.hamiltonian), cfg.tolerances["rank_tol_rel"]
     )
@@ -495,7 +507,7 @@ def _task_symmetries(cfg: ScenarioConfig) -> dict:
     }
 
 
-def _task_classify(cfg: ScenarioConfig) -> dict:
+def _task_classify(cfg: ScenarioConfig, out_dir: Path, rng) -> dict:
     traj = flow.exact_trajectory(cfg.hamiltonian, cfg.initial_state, cfg.t_grid)
     reports = []
     for name, matrix in cfg.observables:
@@ -516,16 +528,16 @@ def _task_classify(cfg: ScenarioConfig) -> dict:
     return {"tol_class": cfg.tolerances["tol_class"], "reports": reports}
 
 
-def _task_eigenstate(cfg: ScenarioConfig, rng: np.random.Generator) -> dict:
+def _task_eigenstate(cfg: ScenarioConfig, out_dir: Path, rng) -> dict:
     ctx = eigenstate_context(cfg.hamiltonian, cfg.eigenstate_k0)
     report = weak_identity_report(ctx, cfg.t_grid, rng)
-    n = ctx.h.shape[0]
+    n = ctx.shifted.dim
     worst = 0.0
     for _ in range(3):
         x = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         for t in (0.5, float(cfg.t_grid[-1])):
-            series = eigenstate_series(ctx, x, t, cfg.tolerances["tol_trunc"])
-            worst = max(worst, op_norm(series - shifted_gamma(ctx, x, t)))
+            series, _ = gamma_series(ctx.shifted, x, t, cfg.tolerances["tol_trunc"])
+            worst = max(worst, op_norm(series - gamma_t(ctx.shifted, x, t)))
     return {
         "k0": ctx.k0,
         "eigenvalue": complex_to_json(ctx.e_value),
@@ -536,7 +548,7 @@ def _task_eigenstate(cfg: ScenarioConfig, rng: np.random.Generator) -> dict:
     }
 
 
-def _task_fermion_demo(cfg: ScenarioConfig, out_dir: Path, artifacts: list[str]) -> dict:
+def _task_fermion_demo(cfg: ScenarioConfig, out_dir: Path, rng) -> dict:
     model = cfg.fermion_model
     assert model is not None and cfg.initial_label is not None
     run = fermions.simulate_occupations(model, cfg.initial_label, cfg.t_grid)
@@ -546,7 +558,6 @@ def _task_fermion_demo(cfg: ScenarioConfig, out_dir: Path, artifacts: list[str])
         ["t", "n1", "n2", "n3", "sum", "scalar_re", "scalar_im"],
         [run.t_grid, run.n1, run.n2, run.n3, run.total, run.scalar.real, run.scalar.imag],
     )
-    artifacts.append(csv_name)
     section = {
         "csv": csv_name,
         "total_initial": float(run.total[0]),
@@ -571,6 +582,19 @@ def _task_fermion_demo(cfg: ScenarioConfig, out_dir: Path, artifacts: list[str])
     return section
 
 
+# Every task takes (config, output directory, rng) and returns its report
+# section; a section that names a "csv" wrote that file into out_dir.
+TASKS = {
+    "trajectory": _task_trajectory,
+    "symmetries": _task_symmetries,
+    "classify": _task_classify,
+    "eigenstate_case": _task_eigenstate,
+    "fermion_demo": _task_fermion_demo,
+    "biortho": _task_biortho,
+}
+KNOWN_TASKS = tuple(TASKS)
+
+
 def run(cfg: ScenarioConfig, out_dir, seed: int | None = None) -> RunReport:
     """Execute the requested tasks and write CSVs plus report.json.
 
@@ -578,9 +602,11 @@ def run(cfg: ScenarioConfig, out_dir, seed: int | None = None) -> RunReport:
     (eigenstate-case probes). Artifact paths in the report are relative
     to ``out_dir``.
     """
+    effective_seed = cfg.seed if seed is None else int(seed)
+    if effective_seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {effective_seed}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    effective_seed = cfg.seed if seed is None else int(seed)
     echo = dict(cfg.echo)
     echo["seed"] = effective_seed
     rng = np.random.default_rng(effective_seed)
@@ -594,18 +620,9 @@ def run(cfg: ScenarioConfig, out_dir, seed: int | None = None) -> RunReport:
         }
 
     for task in cfg.tasks:
-        if task == "trajectory":
-            sections[task] = _task_trajectory(cfg, out, artifacts)
-        elif task == "biortho":
-            sections[task] = _task_biortho(cfg)
-        elif task == "symmetries":
-            sections[task] = _task_symmetries(cfg)
-        elif task == "classify":
-            sections[task] = _task_classify(cfg)
-        elif task == "eigenstate_case":
-            sections[task] = _task_eigenstate(cfg, rng)
-        elif task == "fermion_demo":
-            sections[task] = _task_fermion_demo(cfg, out, artifacts)
+        sections[task] = TASKS[task](cfg, out, rng)
+        if "csv" in sections[task]:
+            artifacts.append(sections[task]["csv"])
 
     report = RunReport(
         config_echo=echo, tasks=sections, artifacts=artifacts, exit_status=0

@@ -2,8 +2,9 @@
 
 Everything here is deliberately written without calling into nhdyn, so
 each check is a genuine second route: truncated Taylor series for the
-exponential, explicit index loops for Kronecker/vec conventions, and
-brute-force solutions of small intertwining systems.
+exponential, explicit index loops for Kronecker/vec conventions,
+brute-force solutions of small intertwining systems, and the dual
+eigenvector family from an eigensolve of the adjoint.
 """
 
 import numpy as np
@@ -79,6 +80,27 @@ def intertwiner_kernel_brute(h: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     _, sigma, vh = np.linalg.svd(system)
     keep = sigma <= tol * max(sigma[0], 1e-300)
     return vh[keep, :].conj().T
+
+
+def dual_family_by_adjoint_eig(
+    h: np.ndarray, eigenvalues: np.ndarray, phi: np.ndarray
+) -> np.ndarray:
+    """Dual family of ``phi`` from a second eigensolve, of H^†.
+
+    Each column phi_k (eigenvalue E_k of H) is paired with the adjoint
+    eigenvector whose eigenvalue lies nearest conj(E_k), rescaled so that
+    <phi_k, psi_k> = 1. Needs pairwise distinct eigenvalues.
+    """
+    values, vectors = np.linalg.eig(np.asarray(h, dtype=complex).conj().T)
+    psi = np.empty_like(phi)
+    taken = set()
+    for k in range(phi.shape[1]):
+        m = int(np.argmin(np.abs(values - np.conj(eigenvalues[k]))))
+        assert m not in taken, "adjoint eigenvalue claimed twice"
+        taken.add(m)
+        w = vectors[:, m]
+        psi[:, k] = w / np.vdot(phi[:, k], w)
+    return psi
 
 
 def projector_onto(columns: np.ndarray) -> np.ndarray:

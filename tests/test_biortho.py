@@ -1,7 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 
+from oracles import dual_family_by_adjoint_eig
+
 from nhdyn import (
+    BiorthogonalityError,
     DegenerateSpectrumError,
     build_biorthogonal,
     verify_intertwining,
@@ -121,3 +126,40 @@ def test_mutually_inverse_metrics():
     h = random_hamiltonian(5, rng, kind="real_spectrum")
     system = build_biorthogonal(h)
     assert np.abs(system.s_phi @ system.s_psi - np.eye(5)).max() < 1e-10
+
+
+@pytest.mark.parametrize("kind", ["hermitian", "real_spectrum", "complex_spectrum"])
+def test_dual_family_matches_adjoint_eigensolve_oracle(kind):
+    rng = np.random.default_rng(26)
+    for n, stretch in ((2, 1.0), (5, 1.0), (8, 4.0), (16, 4.0)):
+        h = random_hamiltonian(n, rng, kind=kind, basis_stretch=stretch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            system = build_biorthogonal(h)
+        psi = dual_family_by_adjoint_eig(h, system.eigenvalues, system.phi)
+        tol = 1e-12 * system.condition_estimate
+        assert np.abs(system.psi - psi).max() <= tol * np.abs(psi).max()
+        s_psi = psi @ psi.conj().T
+        assert np.abs(system.s_psi - s_psi).max() <= tol * np.abs(s_psi).max()
+
+
+def test_near_defective_hamiltonian_is_rejected():
+    # distinct eigenvalues 1 and 1 + 1e-7, but an eigenbasis with
+    # condition ~2e7: the dual family cannot meet the 1e-10 residual
+    with pytest.raises(BiorthogonalityError, match="residual"):
+        build_biorthogonal(np.array([[1.0, 1.0], [0.0, 1.0 + 1e-7]]))
+
+
+def test_singular_eigenvector_matrix_is_a_biorthogonality_error(monkeypatch):
+    def singular(a):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "inv", singular)
+    with pytest.raises(BiorthogonalityError, match="singular"):
+        build_biorthogonal(UPPER)
+
+
+def test_non_finite_residual_is_rejected(monkeypatch):
+    monkeypatch.setattr(np.linalg, "inv", lambda a: np.full_like(a, np.nan))
+    with pytest.raises(BiorthogonalityError, match="nan"):
+        build_biorthogonal(UPPER)

@@ -366,6 +366,35 @@ class TestClassify:
         assert ensemble.c_psi_hat_residual >= single.c_psi_hat_residual * 0.5
         assert ensemble.in_c_psi_hat_weak
 
+    def test_ensemble_equals_per_state_worst_case(self):
+        rng = np.random.default_rng(69)
+        h = random_hamiltonian(3, rng, kind="complex_spectrum")
+        x = random_matrix(3, rng)
+        t = np.linspace(0, 2, 21)
+
+        def per_state(tol):
+            draws = np.random.default_rng(6)  # the ensemble's own draw order
+            reports = []
+            for _ in range(5):
+                v0 = draws.normal(size=3) + 1j * draws.normal(size=3)
+                traj = exact_trajectory(h, v0 / np.linalg.norm(v0), t)
+                reports.append(classify(h, x, traj, tol, "x"))
+            return reports
+
+        # a threshold between the states' weak residuals mixes the verdicts
+        tol = float(np.median([r.c_psi_hat_weak_residual for r in per_state(1.0)]))
+        reports = per_state(tol)
+        assert any(r.in_c_psi_hat_weak for r in reports)
+        assert not all(r.in_c_psi_hat_weak for r in reports)
+
+        ensemble = classify_ensemble(h, x, t, 5, np.random.default_rng(6), tol, "x")
+        for field in ("c_gamma_residual", "c_psi_hat_residual", "c_psi_hat_weak_residual"):
+            assert getattr(ensemble, field) == max(getattr(r, field) for r in reports)
+        for flag in ("in_c_gamma", "in_c_psi_hat", "in_c_psi_hat_weak"):
+            assert getattr(ensemble, flag) == all(getattr(r, flag) for r in reports)
+        assert ensemble.observable_name == "x"
+        assert ensemble.tol_class == tol
+
 
 class TestDecayLaw:
     def test_hermitian_symmetry_mean_is_constant(self):

@@ -290,6 +290,57 @@ class TestCli:
         assert main(["validate", "--config", str(bad)]) == 2
         assert "not valid JSON" in capsys.readouterr().err
 
+    # json.dumps writes NaN and Infinity tokens, which json.loads accepts
+    @pytest.mark.parametrize(
+        "change, where",
+        [
+            ({"hamiltonian": [[float("nan"), 0.0], [0.0, 1.0]]}, "hamiltonian[0][0]"),
+            ({"hamiltonian": [[[1.0, float("inf")], 0.0], [0.0, 1.0]]}, "hamiltonian[0][0]"),
+            ({"hamiltonian": {"fermion_dm": {"lambda": float("nan")}}}, "fermion_dm"),
+            ({"hamiltonian": {"fermion_dm": {"mu": float("inf")}}}, "fermion_dm"),
+            ({"time": {"t_end": float("inf")}}, "time"),
+            ({"time": {"t_start": float("-inf")}}, "time"),
+            ({"time": {"points": float("inf")}}, "time"),
+            ({"tolerances": {"tol_class": float("inf")}}, "tolerances.tol_class"),
+            ({"tolerances": {"tol_trunc": float("nan")}}, "tolerances.tol_trunc"),
+        ],
+    )
+    def test_non_finite_input_exits_two(self, tmp_path, capsys, change, where):
+        doc = dict(MINIMAL_FERMION, tasks=["trajectory"], **change)
+        if isinstance(doc["hamiltonian"], list):
+            doc["initial_state"] = [1.0, 0.0]
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out-dir", str(out)]) == 2
+        assert where in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_config_seed_exits_two(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, dict(MINIMAL_FERMION, seed=-1))
+        assert main(["validate", "--config", str(cfg)]) == 2
+        assert "seed must be a non-negative integer" in capsys.readouterr().err
+
+    def test_negative_seed_override_exits_two(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, MINIMAL_FERMION)
+        out = tmp_path / "out"
+        argv = ["run", "--config", str(cfg), "--out-dir", str(out), "--seed", "-1"]
+        assert main(argv) == 2
+        assert "seed must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", ["a,b", 'a"b', "a\nb", "a\rb"])
+    def test_csv_breaking_observable_name_exits_two(self, tmp_path, capsys, name):
+        doc = {
+            "hamiltonian": NILPOTENT_JSON,
+            "initial_state": [1.0, 0.0],
+            "observables": [{"name": name, "matrix": NILPOTENT_JSON}],
+            "tasks": ["trajectory"],
+        }
+        cfg = write_config(tmp_path, doc)
+        assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
+        assert "observables[0].name" in capsys.readouterr().err
+        assert not (tmp_path / "trajectory.csv").exists()
+
 
 def test_load_config_round_trip(tmp_path):
     cfg_path = write_config(tmp_path, MINIMAL_FERMION)
