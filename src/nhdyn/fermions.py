@@ -32,8 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
-from .flow import StateTrajectory, exact_trajectory, nonhermiticity_scalar
+from .errors import ConfigError, DimensionError
+from .flow import StateTrajectory, exact_trajectory
 from .gamma import delta_gamma, gamma_context
 from .linalg import frob
 
@@ -189,6 +189,21 @@ class OccupationTrajectory:
     states: StateTrajectory
 
 
+def occupations(model: DmModel, states: StateTrajectory) -> OccupationTrajectory:
+    """Occupation numbers and nonlinear scalar read off a given trajectory."""
+    if states.dim != model.algebra.dim:
+        raise DimensionError("trajectory and model dims differ")
+    n1, n2, n3 = (
+        np.einsum("ij,jk,ik->i", states.psi_hat.conj(), nj, states.psi_hat).real
+        for nj in model.algebra.number_ops
+    )
+    anti = model.h.conj().T - model.h
+    scalar = np.array(
+        [complex(np.vdot(v, anti @ v)) for v in states.psi_hat], dtype=complex
+    )
+    return OccupationTrajectory(states.t_grid, n1, n2, n3, n1 + n2 + n3, scalar, states)
+
+
 def simulate_occupations(model: DmModel, initial, t_grid) -> OccupationTrajectory:
     """Numerical occupation numbers via the matrix-exponential trajectory.
 
@@ -197,24 +212,8 @@ def simulate_occupations(model: DmModel, initial, t_grid) -> OccupationTrajector
     propagator is also exactly 1 - iHt here (H is nilpotent), which the
     test-suite uses as an independent oracle.
     """
-    psi0 = model.algebra.basis_state(initial)
-    states = exact_trajectory(model.h, psi0, t_grid)
-    ns = []
-    for nj in model.algebra.number_ops:
-        ns.append(
-            np.einsum("ij,jk,ik->i", states.psi_hat.conj(), nj, states.psi_hat).real
-        )
-    scalar = np.array(
-        [nonhermiticity_scalar(model.h, v) for v in states.psi_hat], dtype=complex
-    )
-    return OccupationTrajectory(
-        t_grid=states.t_grid,
-        n1=ns[0],
-        n2=ns[1],
-        n3=ns[2],
-        total=ns[0] + ns[1] + ns[2],
-        scalar=scalar,
-        states=states,
+    return occupations(
+        model, exact_trajectory(model.h, model.algebra.basis_state(initial), t_grid)
     )
 
 
@@ -239,12 +238,3 @@ def delta_gamma_number_check(model: DmModel) -> float:
     lhs = delta_gamma(gamma_context(model.h), model.number_total)
     return frob(lhs - rhs)
 
-
-def scalar_term_check(model: DmModel, initial, t_grid) -> float:
-    """Max mismatch between the simulated nonlinear scalar and its closed form."""
-    occ = parse_occupation_label(initial, 3)
-    if occ not in _CLOSED_FORM_LABELS:
-        raise ConfigError(f"no closed form for initial state {occ}")
-    run = simulate_occupations(model, occ, t_grid)
-    reference = closed_form_scalar(model, occ, run.t_grid)
-    return float(np.max(np.abs(run.scalar - reference)))

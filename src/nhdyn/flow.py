@@ -32,10 +32,9 @@ import numpy as np
 
 from .errors import CertificationError, ConfigError, DimensionError, InstabilityError
 from .gamma import delta_gamma, gamma_context
-from .linalg import as_square_matrix, as_state_vector, expm, op_norm
+from .linalg import as_complex_matrix, as_square_matrix, as_state_vector, expm, op_norm
 
 DEFAULT_TOL_CLASS = 1e-8
-DEFAULT_GRID_POINTS = 201
 UNIT_NORM_TOL = 1e-10
 
 
@@ -226,16 +225,22 @@ def classify(
     """Classify one observable against one trajectory."""
     hm = as_square_matrix(h, "hamiltonian")
     xm = as_square_matrix(x, "observable")
-    ctx = gamma_context(hm)
-    gamma_res = op_norm(delta_gamma(ctx, xm))
+    # state-independent parts of delta_psi_hat, built once for the whole grid
+    dg = delta_gamma(gamma_context(hm), xm)
+    anti = hm.conj().T - hm
+    states = as_complex_matrix(trajectory.psi_hat, "psi_hat")
+    if states.shape[1] != hm.shape[0]:
+        raise DimensionError("trajectory and Hamiltonian dims differ")
+    if not np.all(np.abs(np.linalg.norm(states, axis=1) - 1.0) <= UNIT_NORM_TOL):
+        raise ConfigError("trajectory states psi_hat must be normalized")
 
     strong = 0.0
     weak = 0.0
-    for v in trajectory.psi_hat:
-        d = delta_psi_hat(hm, xm, v)
+    for v in states:
+        d = dg - 1j * complex(np.vdot(v, anti @ v)) * xm
         strong = max(strong, op_norm(d))
         weak = max(weak, abs(complex(np.vdot(v, d @ v))))
-    return _threshold(name, gamma_res, strong, weak, tol_class)
+    return _threshold(name, op_norm(dg), strong, weak, tol_class)
 
 
 def _threshold(

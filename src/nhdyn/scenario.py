@@ -29,9 +29,10 @@ NHDYN_MAX_DIM (default 64) caps the Hamiltonian dimension.
 from __future__ import annotations
 
 import json
-import math
 import os
+import sys
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Any
 
@@ -57,6 +58,7 @@ DEFAULT_TOLERANCES = {
     "tol_distinct": 1e-8,
 }
 DEFAULT_TIME = {"t_start": 0.0, "t_end": 10.0, "points": 201}
+MAX_POINTS = 100_000
 DEFAULT_SEED = 42
 BUILTIN_OBSERVABLES = ("identity", "H", "N", "N1", "N2", "N3")
 
@@ -69,7 +71,7 @@ def _is_finite_number(value) -> bool:
     return (
         isinstance(value, (int, float))
         and not isinstance(value, bool)
-        and math.isfinite(value)
+        and abs(value) <= sys.float_info.max  # false for NaN, inf and huge ints
     )
 
 
@@ -126,7 +128,6 @@ class ScenarioConfig:
     """A validated scenario with all defaults materialized."""
 
     hamiltonian: np.ndarray
-    generator: dict | None  # {"fermion_dm": ...} or {"similar": ...} or None
     initial_state: np.ndarray | None
     initial_label: str | None
     t_grid: np.ndarray
@@ -138,6 +139,11 @@ class ScenarioConfig:
     fermion_model: fermions.DmModel | None
     similar_commutator_residual: float | None
     echo: dict = field(repr=False)
+
+    @cached_property
+    def trajectory(self) -> flow.StateTrajectory:
+        """The initial state evolved over ``t_grid`` once; tasks share it read-only."""
+        return flow.exact_trajectory(self.hamiltonian, self.initial_state, self.t_grid)
 
 
 def max_dim_cap() -> int:
@@ -159,7 +165,6 @@ def _validate_hamiltonian(doc: dict, echo: dict):
     raw = doc["hamiltonian"]
     cap = max_dim_cap()
     model = None
-    generator = None
     commutator = None
 
     if isinstance(raw, dict) and set(raw) == {"fermion_dm"}:
@@ -169,17 +174,15 @@ def _validate_hamiltonian(doc: dict, echo: dict):
         unknown = set(params) - {"lambda", "mu"}
         if unknown:
             raise _fail("hamiltonian.fermion_dm", f"has unknown fields {sorted(unknown)}")
-        try:
-            lam = float(params.get("lambda", 1.0))
-            mu = float(params.get("mu", 1.0))
-        except (TypeError, ValueError) as exc:
-            raise _fail("hamiltonian.fermion_dm", "lambda and mu must be numbers") from exc
-        if not (0 < lam < math.inf and 0 < mu < math.inf):
+        lam = params.get("lambda", 1.0)
+        mu = params.get("mu", 1.0)
+        if not (
+            _is_finite_number(lam) and _is_finite_number(mu) and lam > 0 and mu > 0
+        ):
             raise _fail("hamiltonian.fermion_dm", "lambda and mu must be finite and > 0")
-        model = fermions.build_dm_model(lam, mu)
+        model = fermions.build_dm_model(float(lam), float(mu))
         h = model.h
-        generator = {"fermion_dm": {"lambda": lam, "mu": mu}}
-        echo["hamiltonian"] = generator
+        echo["hamiltonian"] = {"fermion_dm": {"lambda": model.lam, "mu": model.mu}}
     elif isinstance(raw, dict) and set(raw) == {"similar"}:
         params = raw["similar"]
         if not isinstance(params, dict) or set(params) != {"h0", "r"}:
@@ -193,8 +196,9 @@ def _validate_hamiltonian(doc: dict, echo: dict):
             raise _fail("hamiltonian.similar", str(exc)) from exc
         h = built.h
         commutator = built.commutator_residual
-        generator = {"similar": {"h0": matrix_to_json(h0), "r": matrix_to_json(r)}}
-        echo["hamiltonian"] = generator
+        echo["hamiltonian"] = {
+            "similar": {"h0": matrix_to_json(h0), "r": matrix_to_json(r)}
+        }
     elif isinstance(raw, list):
         h = _parse_matrix(raw, "hamiltonian")
         if h.shape[0] != h.shape[1]:
@@ -210,7 +214,7 @@ def _validate_hamiltonian(doc: dict, echo: dict):
         raise _fail(
             "hamiltonian", f"dimension {h.shape[0]} exceeds NHDYN_MAX_DIM={cap}"
         )
-    return h, generator, model, commutator
+    return h, model, commutator
 
 
 def _validate_time(doc: dict, echo: dict) -> np.ndarray:
@@ -221,19 +225,18 @@ def _validate_time(doc: dict, echo: dict) -> np.ndarray:
     if unknown:
         raise _fail("time", f"has unknown fields {sorted(unknown)}")
     merged = {**DEFAULT_TIME, **raw}
-    try:
-        t_start = float(merged["t_start"])
-        t_end = float(merged["t_end"])
-        points = int(merged["points"])
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise _fail("time", "fields must be finite numbers") from exc
-    if not (math.isfinite(t_start) and math.isfinite(t_end)):
+    t_start, t_end, points = merged["t_start"], merged["t_end"], merged["points"]
+    if not (_is_finite_number(t_start) and _is_finite_number(t_end)):
         raise _fail("time", "fields must be finite numbers")
+    if not isinstance(points, int) or isinstance(points, bool):
+        raise _fail("time.points", "must be an integer")
     if points < 2:
         raise _fail("time.points", "must be >= 2")
+    if points > MAX_POINTS:
+        raise _fail("time.points", f"must be <= {MAX_POINTS}")
     if not t_end > t_start:
         raise _fail("time.t_end", "must be greater than time.t_start")
-    echo["time"] = {"t_start": t_start, "t_end": t_end, "points": points}
+    echo["time"] = {"t_start": float(t_start), "t_end": float(t_end), "points": points}
     return np.linspace(t_start, t_end, points)
 
 
@@ -351,7 +354,7 @@ def parse_config(doc: dict) -> ScenarioConfig:
         raise ConfigError(f"config has unknown fields {sorted(unknown)}")
 
     echo: dict[str, Any] = {}
-    h, generator, model, commutator = _validate_hamiltonian(doc, echo)
+    h, model, commutator = _validate_hamiltonian(doc, echo)
     t_grid = _validate_time(doc, echo)
     tolerances = _validate_tolerances(doc, echo)
     observables = _validate_observables(doc, echo, h, model)
@@ -391,7 +394,6 @@ def parse_config(doc: dict) -> ScenarioConfig:
 
     return ScenarioConfig(
         hamiltonian=h,
-        generator=generator,
         initial_state=initial,
         initial_label=label,
         t_grid=t_grid,
@@ -464,7 +466,7 @@ class RunReport:
 
 
 def _task_trajectory(cfg: ScenarioConfig, out_dir: Path, rng) -> dict:
-    traj = flow.exact_trajectory(cfg.hamiltonian, cfg.initial_state, cfg.t_grid)
+    traj = cfg.trajectory
     header = ["t", "norm_sq"]
     columns = [traj.t_grid, traj.norm_sq]
     for name, matrix in cfg.observables:
@@ -508,11 +510,10 @@ def _task_symmetries(cfg: ScenarioConfig, out_dir: Path, rng) -> dict:
 
 
 def _task_classify(cfg: ScenarioConfig, out_dir: Path, rng) -> dict:
-    traj = flow.exact_trajectory(cfg.hamiltonian, cfg.initial_state, cfg.t_grid)
     reports = []
     for name, matrix in cfg.observables:
         rep = flow.classify(
-            cfg.hamiltonian, matrix, traj, cfg.tolerances["tol_class"], name
+            cfg.hamiltonian, matrix, cfg.trajectory, cfg.tolerances["tol_class"], name
         )
         reports.append(
             {
@@ -551,7 +552,8 @@ def _task_eigenstate(cfg: ScenarioConfig, out_dir: Path, rng) -> dict:
 def _task_fermion_demo(cfg: ScenarioConfig, out_dir: Path, rng) -> dict:
     model = cfg.fermion_model
     assert model is not None and cfg.initial_label is not None
-    run = fermions.simulate_occupations(model, cfg.initial_label, cfg.t_grid)
+    # parse_config built initial_state as the label's basis state of this model
+    run = fermions.occupations(model, cfg.trajectory)
     csv_name = "fermion_demo.csv"
     emit_csv(
         out_dir / csv_name,
@@ -568,15 +570,10 @@ def _task_fermion_demo(cfg: ScenarioConfig, out_dir: Path, rng) -> dict:
     try:
         ref = fermions.closed_form_occupations(model, cfg.initial_label, run.t_grid)
         section["closed_form_residual"] = float(
-            max(
-                np.max(np.abs(run.n1 - ref[0])),
-                np.max(np.abs(run.n2 - ref[1])),
-                np.max(np.abs(run.n3 - ref[2])),
-            )
+            max(np.max(np.abs(n - r)) for n, r in zip((run.n1, run.n2, run.n3), ref))
         )
-        section["scalar_residual"] = fermions.scalar_term_check(
-            model, cfg.initial_label, run.t_grid
-        )
+        scalar = fermions.closed_form_scalar(model, cfg.initial_label, run.t_grid)
+        section["scalar_residual"] = float(np.max(np.abs(run.scalar - scalar)))
     except ConfigError:
         pass  # no closed form for this label; numbers stand on their own
     return section

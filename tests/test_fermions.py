@@ -5,6 +5,7 @@ import pytest
 
 from nhdyn import (
     ConfigError,
+    DimensionError,
     build_car,
     build_dm_model,
     classify,
@@ -14,9 +15,14 @@ from nhdyn import (
     exact_trajectory,
     expm,
     mean_value,
-    scalar_term_check,
+    occupations,
     simulate_occupations,
 )
+
+
+def scalar_mismatch(model, label, t):
+    run = simulate_occupations(model, label, t)
+    return np.abs(run.scalar - closed_form_scalar(model, label, run.t_grid)).max()
 
 
 @pytest.fixture(scope="module")
@@ -190,6 +196,23 @@ class TestSimulation:
         # mode 1 already filled: H annihilates phi_111, nothing moves
         assert np.abs(run.total - 3.0).max() <= 1e-12
 
+    @pytest.mark.parametrize("label", ["011", "010", "101"])
+    def test_read_out_of_a_given_trajectory_equals_simulation(self, label):
+        model = build_dm_model(1.3, 0.7)
+        t = np.linspace(0, 6, 61)
+        states = exact_trajectory(model.h, model.algebra.basis_state(label), t)
+        read = occupations(model, states)
+        run = simulate_occupations(model, label, t)
+        for name in ("t_grid", "n1", "n2", "n3", "total", "scalar"):
+            assert np.array_equal(getattr(read, name), getattr(run, name))
+        for name in ("t_grid", "psi", "psi_hat", "norm_sq"):
+            assert np.array_equal(getattr(read.states, name), getattr(run.states, name))
+
+    def test_read_out_rejects_a_trajectory_of_another_dimension(self):
+        states = exact_trajectory(np.eye(4), np.eye(4)[0], [0.0, 1.0])
+        with pytest.raises(DimensionError):
+            occupations(build_dm_model(1.0, 1.0), states)
+
 
 class TestDerivationIdentity:
     @pytest.mark.parametrize("lam,mu", [(1.0, 1.0), (2.0, 0.5), (0.3, 2.9)])
@@ -208,7 +231,7 @@ class TestScalarTerm:
         t = np.linspace(0, 5, 51)
         scalar = closed_form_scalar(model, "011", t)
         assert np.abs(scalar[1:]).min() > 0
-        assert scalar_term_check(model, "011", t) <= 1e-11
+        assert scalar_mismatch(model, "011", t) <= 1e-11
 
     def test_values_by_hand(self):
         model = build_dm_model(2.0, 1.0)
@@ -233,11 +256,11 @@ class TestScalarTerm:
     @pytest.mark.parametrize("label", ["011", "010"])
     def test_simulated_scalar_matches_closed_form(self, label):
         model = build_dm_model(2.0, 0.5)
-        assert scalar_term_check(model, label, np.linspace(0, 8, 101)) <= 1e-11
+        assert scalar_mismatch(model, label, np.linspace(0, 8, 101)) <= 1e-11
 
     def test_unsupported_label(self):
         with pytest.raises(ConfigError):
-            scalar_term_check(build_dm_model(1.0, 1.0), "100", [0.0, 1.0])
+            scalar_mismatch(build_dm_model(1.0, 1.0), "100", [0.0, 1.0])
 
 
 class TestWeakIntegralCertification:

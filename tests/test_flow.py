@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from nhdyn import (
     CertificationError,
     ConfigError,
+    DimensionError,
     InstabilityError,
     build_dm_model,
     classify,
@@ -394,6 +396,35 @@ class TestClassify:
             assert getattr(ensemble, flag) == all(getattr(r, flag) for r in reports)
         assert ensemble.observable_name == "x"
         assert ensemble.tol_class == tol
+
+    @pytest.mark.parametrize("kind", ["hermitian", "real_spectrum", "complex_spectrum"])
+    def test_residuals_equal_the_per_point_route_exactly(self, kind):
+        rng = np.random.default_rng(70)
+        h = random_hamiltonian(6, rng, kind=kind, basis_stretch=3.0)
+        traj = exact_trajectory(h, random_unit_vector(6, rng), np.linspace(0, 4, 41))
+        for x in (np.eye(6), h, random_matrix(6, rng)):
+            strong = max(op_norm(delta_psi_hat(h, x, v)) for v in traj.psi_hat)
+            weak = max(
+                abs(complex(np.vdot(v, delta_psi_hat(h, x, v) @ v)))
+                for v in traj.psi_hat
+            )
+            report = classify(h, x, traj)
+            assert report.c_gamma_residual == op_norm(delta_gamma(gamma_context(h), x))
+            assert report.c_psi_hat_residual == strong
+            assert report.c_psi_hat_weak_residual == weak
+
+    def test_trajectory_of_another_dimension_is_rejected(self, phi011_trajectory):
+        with pytest.raises(DimensionError):
+            classify(NILPOTENT, np.eye(2), phi011_trajectory)
+
+    def test_unnormalized_trajectory_states_are_rejected(
+        self, dm_unit, phi011_trajectory
+    ):
+        scaled = dataclasses.replace(
+            phi011_trajectory, psi_hat=phi011_trajectory.psi_hat * 1.001
+        )
+        with pytest.raises(ConfigError, match="normalized"):
+            classify(dm_unit.h, dm_unit.number_total, scaled)
 
 
 class TestDecayLaw:

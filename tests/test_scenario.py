@@ -4,6 +4,8 @@ import json
 import numpy as np
 import pytest
 
+import nhdyn.fermions
+import nhdyn.flow
 from nhdyn.cli import main
 from nhdyn.errors import ConfigError
 from nhdyn.scenario import emit_csv, format_sig, load_config, parse_config, run
@@ -239,6 +241,32 @@ class TestRunner:
         again = run(parse_config(first.config_echo), tmp_path / "b")
         assert first.to_json() == again.to_json()
 
+    def test_each_run_evolves_the_initial_state_once(self, tmp_path, monkeypatch):
+        calls = []
+        original = nhdyn.flow.exact_trajectory
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        # patch every name the library reaches the propagator through
+        monkeypatch.setattr(nhdyn.flow, "exact_trajectory", counting)
+        monkeypatch.setattr(nhdyn.fermions, "exact_trajectory", counting)
+        doc = dict(
+            MINIMAL_FERMION,
+            observables=["N", "identity"],
+            tasks=["trajectory", "classify", "fermion_demo"],
+            time={"t_start": 0.0, "t_end": 4.0, "points": 41},
+        )
+        cfg = parse_config(doc)
+        first = run(cfg, tmp_path / "a")
+        assert len(calls) == 1
+        # the trajectory does not depend on the seed, so another run reuses it
+        second = run(cfg, tmp_path / "b", seed=7)
+        assert len(calls) == 1
+        assert first.tasks == second.tasks
+        assert first.tasks["fermion_demo"]["scalar_residual"] <= 1e-11
+
     def test_seed_override_changes_random_sections(self, tmp_path):
         doc = {
             "hamiltonian": [[[1.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [0.5, 1.0]]],
@@ -327,6 +355,43 @@ class TestCli:
         assert main(argv) == 2
         assert "seed must be >= 0" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"time": {"points": 2.9}}, "time.points must be an integer"),
+            ({"time": {"points": 201.0}}, "time.points must be an integer"),
+            ({"time": {"points": "201"}}, "time.points must be an integer"),
+            ({"time": {"points": True}}, "time.points must be an integer"),
+            ({"time": {"points": 100_001}}, "time.points must be <= 100000"),
+            ({"time": {"points": 10_000_000}}, "time.points must be <= 100000"),
+            ({"time": {"t_end": "5"}}, "time fields must be finite numbers"),
+            ({"time": {"t_start": True}}, "time fields must be finite numbers"),
+            ({"time": {"t_end": 10**400}}, "time fields must be finite numbers"),
+            ({"hamiltonian": {"fermion_dm": {"lambda": "2"}}}, "fermion_dm"),
+            ({"hamiltonian": {"fermion_dm": {"mu": True}}}, "fermion_dm"),
+            ({"hamiltonian": {"fermion_dm": {"mu": 10**400}}}, "fermion_dm"),
+        ],
+    )
+    def test_non_number_time_and_couplings_exit_two(
+        self, tmp_path, capsys, change, message
+    ):
+        # validate parses exactly as run does, and never starts a job
+        cfg = write_config(tmp_path, dict(MINIMAL_FERMION, **change))
+        assert main(["validate", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+
+    def test_largest_grid_is_accepted(self):
+        cfg = parse_config(dict(MINIMAL_FERMION, time={"points": 100_000}))
+        assert cfg.t_grid.size == 100_000
+
+    def test_integer_literal_beyond_float_range_exits_two(self, tmp_path, capsys):
+        doc = {"hamiltonian": [[10**400, 0], [0, 1]], "tasks": ["symmetries"]}
+        cfg = write_config(tmp_path, doc)
+        assert main(["validate", "--config", str(cfg)]) == 2
+        assert "hamiltonian[0][0]" in capsys.readouterr().err
 
     @pytest.mark.parametrize("name", ["a,b", 'a"b', "a\nb", "a\rb"])
     def test_csv_breaking_observable_name_exits_two(self, tmp_path, capsys, name):
