@@ -45,15 +45,9 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
-    except ConfigError as exc:
-        print(f"nhdyn: config error: {exc}", file=sys.stderr)
-        return 2
-
-    if args.command == "validate":
-        print(json.dumps(cfg.echo, indent=2, sort_keys=True))
-        return 0
-
-    try:
+        if args.command == "validate":
+            print(json.dumps(cfg.echo, indent=2, sort_keys=True))
+            return 0
         report = run(cfg, args.out_dir, seed=args.seed)
     except ConfigError as exc:
         print(f"nhdyn: config error: {exc}", file=sys.stderr)

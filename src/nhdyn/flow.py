@@ -30,6 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .ensembles import random_unit_vector
 from .errors import CertificationError, ConfigError, DimensionError, InstabilityError
 from .gamma import delta_gamma, gamma_context
 from .linalg import as_complex_matrix, as_square_matrix, as_state_vector, expm, op_norm
@@ -96,8 +97,7 @@ def exact_trajectory(h, psi0, t_grid) -> StateTrajectory:
 def nonhermiticity_scalar(h, psi_hat) -> complex:
     """The quadratic form <psi_hat, (H^† - H) psi_hat> (purely imaginary)."""
     hm = as_square_matrix(h, "hamiltonian")
-    v = as_state_vector(psi_hat, hm.shape[0], "psi_hat")
-    return complex(np.vdot(v, (hm.conj().T - hm) @ v))
+    return mean_value(hm.conj().T - hm, psi_hat)
 
 
 def h_nl(h, psi_hat) -> np.ndarray:
@@ -191,8 +191,7 @@ def delta_psi_hat(h, x, psi_hat) -> np.ndarray:
 
 def mean_derivative(h, x, psi_hat) -> complex:
     """Time derivative of <psi_hat, X psi_hat> expressed through the derivation."""
-    v = as_state_vector(psi_hat)
-    return complex(np.vdot(v, delta_psi_hat(h, x, v) @ v))
+    return mean_value(delta_psi_hat(h, x, psi_hat), psi_hat)
 
 
 @dataclass(frozen=True)
@@ -215,6 +214,21 @@ class ClassificationReport:
     tol_class: float
 
 
+def _unit_rows(trajectory: StateTrajectory, dim: int) -> np.ndarray:
+    """The trajectory's ``psi_hat`` rows, checked once for dimension and unit norm."""
+    states = as_complex_matrix(trajectory.psi_hat, "psi_hat")
+    if states.shape[1] != dim:
+        raise DimensionError("trajectory and Hamiltonian dims differ")
+    if not np.all(np.abs(np.linalg.norm(states, axis=1) - 1.0) <= UNIT_NORM_TOL):
+        raise ConfigError("trajectory states psi_hat must be normalized")
+    return states
+
+
+def _means(op: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """<v, op v> for every row v of ``states``."""
+    return np.einsum("ij,jk,ik->i", states.conj(), op, states)
+
+
 def classify(
     h,
     x,
@@ -228,11 +242,7 @@ def classify(
     # state-independent parts of delta_psi_hat, built once for the whole grid
     dg = delta_gamma(gamma_context(hm), xm)
     anti = hm.conj().T - hm
-    states = as_complex_matrix(trajectory.psi_hat, "psi_hat")
-    if states.shape[1] != hm.shape[0]:
-        raise DimensionError("trajectory and Hamiltonian dims differ")
-    if not np.all(np.abs(np.linalg.norm(states, axis=1) - 1.0) <= UNIT_NORM_TOL):
-        raise ConfigError("trajectory states psi_hat must be normalized")
+    states = _unit_rows(trajectory, hm.shape[0])
 
     strong = 0.0
     weak = 0.0
@@ -278,8 +288,7 @@ def classify_ensemble(
         raise ConfigError("n_states must be >= 1")
     residuals = []
     for _ in range(n_states):
-        v0 = rng.normal(size=hm.shape[0]) + 1j * rng.normal(size=hm.shape[0])
-        v0 /= np.linalg.norm(v0)
+        v0 = random_unit_vector(hm.shape[0], rng)
         r = classify(hm, x, exact_trajectory(hm, v0, t_grid), tol_class, name)
         residuals.append(
             (r.c_gamma_residual, r.c_psi_hat_residual, r.c_psi_hat_weak_residual)
@@ -310,9 +319,7 @@ def gamma_symmetry_decay_check(
     if abs(trajectory.norm_sq[0] - 1.0) > 1e-10:
         raise ConfigError("trajectory must be normalized at its first grid point")
 
-    means = np.einsum(
-        "ij,jk,ik->i", trajectory.psi_hat.conj(), xm, trajectory.psi_hat
-    )
+    means = _means(xm, trajectory.psi_hat)
     predicted = means[0] / trajectory.norm_sq * trajectory.norm_sq[0]
     return float(np.max(np.abs(means - predicted)))
 
@@ -335,20 +342,19 @@ def necessary_condition_residual(
     """Test <psi, delta_gamma(X) psi> = i x0 <psi, (H^† - H) psi> on the grid.
 
     Both sides use the un-normalized states. The identity is necessary
-    for X to be a weak integral with constant mean ``x0``; the premise is
-    re-verified and reported rather than assumed.
+    for X to be a weak integral with constant mean ``x0``; the premise,
+    ``classify``'s weak residual, is re-verified from means alone and
+    reported rather than assumed.
     """
     hm = as_square_matrix(h, "hamiltonian")
     xm = as_square_matrix(x, "observable")
-    ctx = gamma_context(hm)
-    dg = delta_gamma(ctx, xm)
+    dg = delta_gamma(gamma_context(hm), xm)
     anti = hm.conj().T - hm
 
-    premise = classify(hm, xm, trajectory, tol_class).c_psi_hat_weak_residual
-    lhs = np.einsum("ij,jk,ik->i", trajectory.psi.conj(), dg, trajectory.psi)
-    rhs = 1j * x0 * np.einsum(
-        "ij,jk,ik->i", trajectory.psi.conj(), anti, trajectory.psi
-    )
+    v = _unit_rows(trajectory, hm.shape[0])
+    premise = np.max(np.abs(_means(dg, v) - 1j * _means(anti, v) * _means(xm, v)))
+    lhs = _means(dg, trajectory.psi)
+    rhs = 1j * x0 * _means(anti, trajectory.psi)
     return NecessaryConditionResult(
         max_residual=float(np.max(np.abs(lhs - rhs))),
         premise_residual=float(premise),

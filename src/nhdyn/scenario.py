@@ -41,7 +41,7 @@ import numpy as np
 from . import fermions, flow
 from .biortho import build_biorthogonal, verify_intertwining
 from .eigenstate import eigenstate_context, weak_identity_report
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, NumericalError, NumericRangeError
 from .gamma import (
     gamma_context,
     gamma_series,
@@ -237,7 +237,7 @@ def _validate_time(doc: dict, echo: dict) -> np.ndarray:
     if not t_end > t_start:
         raise _fail("time.t_end", "must be greater than time.t_start")
     echo["time"] = {"t_start": float(t_start), "t_end": float(t_end), "points": points}
-    return np.linspace(t_start, t_end, points)
+    return np.linspace(float(t_start), float(t_end), points)  # ints beyond int64 too
 
 
 def _validate_tolerances(doc: dict, echo: dict) -> dict[str, float]:
@@ -413,11 +413,11 @@ def load_config(path) -> ScenarioConfig:
     p = Path(path)
     try:
         text = p.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {p}: {exc}") from exc
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # ValueError covers JSONDecodeError
         raise ConfigError(f"config {p} is not valid JSON: {exc}") from exc
     return parse_config(doc)
 
@@ -462,7 +462,8 @@ class RunReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+        doc = self.to_dict()  # strict JSON: a non-finite float raises ValueError
+        return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _task_trajectory(cfg: ScenarioConfig, out_dir: Path, rng) -> dict:
@@ -603,7 +604,10 @@ def run(cfg: ScenarioConfig, out_dir, seed: int | None = None) -> RunReport:
     if effective_seed < 0:
         raise ConfigError(f"seed must be >= 0, got {effective_seed}")
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out}: {exc}") from exc
     echo = dict(cfg.echo)
     echo["seed"] = effective_seed
     rng = np.random.default_rng(effective_seed)
@@ -624,5 +628,11 @@ def run(cfg: ScenarioConfig, out_dir, seed: int | None = None) -> RunReport:
     report = RunReport(
         config_echo=echo, tasks=sections, artifacts=artifacts, exit_status=0
     )
-    (out / "report.json").write_text(report.to_json(), encoding="utf-8")
+    path = out / "report.json"
+    try:  # to_json refuses a non-finite float before the file is opened
+        path.write_text(report.to_json(), encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot write report {path}: {exc}") from exc
+    except ValueError as exc:
+        raise NumericRangeError(f"report holds a non-finite number: {exc}") from exc
     return report

@@ -2,7 +2,8 @@
 
 Everything here is deliberately written without calling into nhdyn, so
 each check is a genuine second route: truncated Taylor series for the
-exponential, explicit index loops for Kronecker/vec conventions,
+exponential (summed separately on both sides of the observable
+dynamics), explicit index loops for Kronecker/vec conventions,
 brute-force solutions of small intertwining systems, and the dual
 eigenvector family from an eigensolve of the adjoint.
 """
@@ -37,6 +38,13 @@ def scaled_taylor_expm(a: np.ndarray) -> np.ndarray:
     for _ in range(squarings):
         e = e @ e
     return e
+
+
+def gamma_t_two_exponentials(h: np.ndarray, x: np.ndarray, t: float) -> np.ndarray:
+    """exp(i H^† t) X exp(-i H t), each exponential summed on its own."""
+    h = np.asarray(h, dtype=complex)
+    left = scaled_taylor_expm(1j * h.conj().T * t)
+    return left @ np.asarray(x, dtype=complex) @ scaled_taylor_expm(-1j * h * t)
 
 
 def vec_by_loops(x: np.ndarray) -> np.ndarray:

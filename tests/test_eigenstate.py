@@ -154,6 +154,14 @@ def test_weak_identities_complex_eigenvalue_holds_weakly_only():
     assert op_norm(moved - np.eye(2)) > 1e-2
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_identity_mean_stays_one_on_complex_spectra(seed):
+    # g_t(1) itself grows like exp(2 max Im(E_j - E) t); its mean must not
+    h = random_hamiltonian(8, np.random.default_rng(seed), kind="complex_spectrum")
+    report = weak_identity_report(eigenstate_context(h), np.linspace(0, 10, 41))
+    assert report.identity_mean_residual <= 1e-6
+
+
 def test_every_observable_is_a_weak_integral_from_an_eigenstate():
     rng = np.random.default_rng(78)
     h = random_hamiltonian(4, rng, kind="complex_spectrum")

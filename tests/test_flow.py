@@ -478,6 +478,39 @@ class TestNecessaryCondition:
         assert not result.premise_ok
         assert result.premise_residual > 1e-3
 
+    def test_premise_equals_the_classify_weak_residual(self, dm_unit, phi011_trajectory):
+        rng = np.random.default_rng(69)
+        h = random_hamiltonian(4, rng, kind="real_spectrum")
+        traj = exact_trajectory(h, random_unit_vector(4, rng), np.linspace(0, 3, 61))
+        traj010 = exact_trajectory(
+            dm_unit.h, dm_unit.algebra.basis_state("010"), np.linspace(0, 5, 101)
+        )
+        # the four cases above
+        cases = [
+            (h, np.eye(4), traj, 1.0),
+            (dm_unit.h, dm_unit.number_total, phi011_trajectory, 2.0),
+            (dm_unit.h, dm_unit.number_total, traj010, 1.0),
+            (dm_unit.h, dm_unit.algebra.number_ops[0], phi011_trajectory, 0.0),
+        ]
+        for h, x, traj, x0 in cases:
+            result = necessary_condition_residual(h, x, traj, x0)
+            report = classify(h, x, traj)
+            assert abs(result.premise_residual - report.c_psi_hat_weak_residual) <= 1e-13
+            assert result.premise_ok == report.in_c_psi_hat_weak
+
+    def test_trajectory_of_another_dimension_is_rejected(self, phi011_trajectory):
+        with pytest.raises(DimensionError):
+            necessary_condition_residual(NILPOTENT, np.eye(2), phi011_trajectory, 1.0)
+
+    def test_unnormalized_trajectory_states_are_rejected(
+        self, dm_unit, phi011_trajectory
+    ):
+        scaled = dataclasses.replace(
+            phi011_trajectory, psi_hat=phi011_trajectory.psi_hat * 1.001
+        )
+        with pytest.raises(ConfigError, match="normalized"):
+            necessary_condition_residual(dm_unit.h, dm_unit.number_total, scaled, 2.0)
+
 
 class TestScalar:
     def test_scalar_is_purely_imaginary(self):

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
-from oracles import intertwiner_kernel_brute, projector_onto, vec_by_loops
+from oracles import (
+    gamma_t_two_exponentials,
+    intertwiner_kernel_brute,
+    projector_onto,
+    vec_by_loops,
+)
 
 from nhdyn import (
     ConfigError,
@@ -15,7 +20,12 @@ from nhdyn import (
     op_norm,
     similar_norm_preserving,
 )
-from nhdyn.ensembles import haar_unitary, random_hamiltonian, random_matrix
+from nhdyn.ensembles import (
+    haar_unitary,
+    random_hamiltonian,
+    random_matrix,
+    random_unit_vector,
+)
 
 NILPOTENT = np.array([[0.0, 1.0], [0.0, 0.0]])
 # (1 + iH^†)(1 - iH) for the nilpotent block, multiplied out by hand
@@ -44,6 +54,17 @@ class TestGammaT:
         ctx = gamma_context(NILPOTENT)
         g = gamma_t(ctx, np.eye(2), 1.0)
         assert np.abs(g - GAMMA_ONE_NILPOTENT).max() < 1e-14
+
+    @pytest.mark.parametrize("kind", ["hermitian", "real_spectrum", "complex_spectrum"])
+    def test_one_exponential_matches_the_two_exponential_oracle(self, kind):
+        for n in (2, 5, 16):
+            rng = np.random.default_rng(100 + n)
+            h = random_hamiltonian(n, rng, kind=kind)
+            x = random_matrix(n, rng)
+            ctx = gamma_context(h)
+            for t in (0.5, 2.0):
+                ref = gamma_t_two_exponentials(h, x, t)
+                assert op_norm(gamma_t(ctx, x, t) - ref) <= 1e-12 * op_norm(ref)
 
 
 class TestDeltaGamma:
@@ -152,6 +173,19 @@ class TestIdentityNormEvolution:
         res_fine = identity_norm_evolution(ctx, psi0, np.linspace(0, 1, 101))[:, 2]
         ratio = res_coarse.max() / res_fine.max()
         assert 3.0 < ratio < 5.0
+
+    def test_non_unit_state_scales_the_unit_state_rows(self):
+        rng = np.random.default_rng(39)
+        ctx = gamma_context(random_hamiltonian(4, rng, kind="complex_spectrum"))
+        t = np.linspace(0, 3, 31)
+        for scale, v in ((2.0, np.eye(4)[0]), (3.7, random_unit_vector(4, rng))):
+            unit = identity_norm_evolution(ctx, v, t)
+            rows = identity_norm_evolution(ctx, scale * v, t)
+            assert np.array_equal(rows[:, 0], t)
+            np.testing.assert_allclose(rows[:, 1], scale**2 * unit[:, 1], rtol=1e-12)
+            np.testing.assert_allclose(
+                rows[:, 2], scale**2 * unit[:, 2], rtol=0, atol=1e-12 * scale**2
+            )
 
     def test_rejects_zero_vector_and_empty_grid(self):
         ctx = gamma_context(NILPOTENT)

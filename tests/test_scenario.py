@@ -383,6 +383,12 @@ class TestCli:
         assert message in err
         assert "Traceback" not in err
 
+    def test_time_bounds_beyond_int64_are_parsed_as_floats(self):
+        start = -(2**63) - 1
+        cfg = parse_config(dict(MINIMAL_FERMION, time={"t_start": start, "t_end": 0}))
+        assert cfg.t_grid[0] == float(start)
+        assert cfg.echo["time"]["t_start"] == float(start)
+
     def test_largest_grid_is_accepted(self):
         cfg = parse_config(dict(MINIMAL_FERMION, time={"points": 100_000}))
         assert cfg.t_grid.size == 100_000
@@ -405,6 +411,50 @@ class TestCli:
         assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
         assert "observables[0].name" in capsys.readouterr().err
         assert not (tmp_path / "trajectory.csv").exists()
+
+    @pytest.mark.parametrize("below", [None, "sub"], ids=["file", "below-file"])
+    def test_out_dir_at_or_below_a_file_exits_two(self, tmp_path, capsys, below):
+        cfg = write_config(tmp_path, MINIMAL_FERMION)
+        out = tmp_path / "blocker"
+        out.write_text("", encoding="utf-8")
+        if below:
+            out = out / below
+        assert main(["run", "--config", str(cfg), "--out-dir", str(out)]) == 2
+        assert "cannot create output directory" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (b"\xff\xfe{", "cannot read config"),
+            (b"[" * 100_000, "not valid JSON"),
+        ],
+        ids=["not-utf8", "nested-too-deep"],
+    )
+    def test_unreadable_config_bytes_exit_two(self, tmp_path, capsys, content, message):
+        cfg = tmp_path / "scenario.json"
+        cfg.write_bytes(content)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out-dir", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unwritable_report_exits_two(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, MINIMAL_FERMION)
+        out = tmp_path / "out"
+        (out / "report.json").mkdir(parents=True)
+        assert main(["run", "--config", str(cfg), "--out-dir", str(out)]) == 2
+        assert "cannot write report" in capsys.readouterr().err
+
+    def test_non_finite_report_exits_three_without_writing_it(self, tmp_path, capsys):
+        # finite input whose symmetry residuals overflow to inf
+        doc = {"hamiltonian": [[1e300, 1e300], [1e300, -1e300]], "tasks": ["symmetries"]}
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        with np.errstate(over="ignore", invalid="ignore"):
+            status = main(["run", "--config", str(cfg), "--out-dir", str(out)])
+        assert status == 3
+        assert "non-finite" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
 
 
 def test_load_config_round_trip(tmp_path):
