@@ -78,11 +78,12 @@ class WeakIdentityReport:
     ``identity_mean_residual`` is max_t |<phi, g_t(1) phi> - 1| and
     ``delta_mean_residual`` is |<phi, d(1) phi>|; both vanish even
     though neither g_t(1) = 1 nor d(1) = 0 holds at operator level. The
-    identity mean is read as |exp(-i H_k0 t) phi|^2, off the state: the
-    entries of g_t(1) grow with t on a complex spectrum and would cancel
-    in the mean. The witness reports |<phi, g_t(XY) phi> - <phi, g_t(X) g_t(Y) phi>| at
-    the last grid point for one random pair: the map fails to be
-    multiplicative even weakly once H is not Hermitian.
+    identity mean is read as |exp(-i H_k0 t) phi|^2, off the state orbit
+    from ``exact_trajectory``: the entries of g_t(1) grow with t on a
+    complex spectrum and would cancel in the mean. The witness reports
+    |<phi, g_t(XY) phi> - <phi, g_t(X) g_t(Y) phi>| at the last grid point
+    for one random pair, its three conjugations sharing one exponential:
+    the map fails to be multiplicative even weakly once H is not Hermitian.
     """
 
     identity_mean_residual: float
@@ -106,9 +107,7 @@ def weak_identity_report(
     x = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     y = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     t_last = float(orbit.t_grid[-1])
-    gxy = gamma_t(shifted, x @ y, t_last)
-    gx = gamma_t(shifted, x, t_last)
-    gy = gamma_t(shifted, y, t_last)
+    gxy, gx, gy = gamma_t(shifted, np.stack([x @ y, x, y]), t_last)
     witness = abs(np.vdot(phi, gxy @ phi) - np.vdot(phi, (gx @ gy) @ phi))
 
     return WeakIdentityReport(

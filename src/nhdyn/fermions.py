@@ -35,7 +35,7 @@ import numpy as np
 from .errors import ConfigError, DimensionError
 from .flow import StateTrajectory, exact_trajectory
 from .gamma import delta_gamma, gamma_context
-from .linalg import frob
+from .linalg import frob, mean_values
 
 MAX_MODES = 10
 
@@ -193,14 +193,8 @@ def occupations(model: DmModel, states: StateTrajectory) -> OccupationTrajectory
     """Occupation numbers and nonlinear scalar read off a given trajectory."""
     if states.dim != model.algebra.dim:
         raise DimensionError("trajectory and model dims differ")
-    n1, n2, n3 = (
-        np.einsum("ij,jk,ik->i", states.psi_hat.conj(), nj, states.psi_hat).real
-        for nj in model.algebra.number_ops
-    )
-    anti = model.h.conj().T - model.h
-    scalar = np.array(
-        [complex(np.vdot(v, anti @ v)) for v in states.psi_hat], dtype=complex
-    )
+    n1, n2, n3 = (mean_values(nj, states.psi_hat).real for nj in model.algebra.number_ops)
+    scalar = mean_values(model.h.conj().T - model.h, states.psi_hat)
     return OccupationTrajectory(states.t_grid, n1, n2, n3, n1 + n2 + n3, scalar, states)
 
 

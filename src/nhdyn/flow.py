@@ -33,10 +33,14 @@ import numpy as np
 from .ensembles import random_unit_vector
 from .errors import CertificationError, ConfigError, DimensionError, InstabilityError
 from .gamma import delta_gamma, gamma_context
-from .linalg import as_complex_matrix, as_square_matrix, as_state_vector, expm, op_norm
+from .linalg import (
+    as_complex_matrix, as_square_matrix, as_state_vector, expm, mean_values, op_norm
+)
 
 DEFAULT_TOL_CLASS = 1e-8
 UNIT_NORM_TOL = 1e-10
+ANCHOR = 25  # grid points per stepped segment of exact_trajectory
+STEP_TOL = 1e-12  # relative anchor gap above which a segment is recomputed
 
 
 @dataclass(frozen=True)
@@ -45,12 +49,16 @@ class StateTrajectory:
 
     ``psi`` and ``psi_hat`` have one state per row; ``norm_sq[j]`` equals
     ``|psi[j]|^2`` and ``psi_hat[j] = psi[j] / |psi[j]|`` to 1e-12.
+    ``anchor_gap`` and ``fallback_segments`` record the path
+    ``exact_trajectory`` took (both 0 where it did not step).
     """
 
     t_grid: np.ndarray
     psi: np.ndarray
     psi_hat: np.ndarray
     norm_sq: np.ndarray
+    anchor_gap: float = 0.0
+    fallback_segments: int = 0
 
     @property
     def dim(self) -> int:
@@ -65,33 +73,53 @@ def _unit_vector(v, dim: int | None, tol: float, name: str) -> np.ndarray:
     return w
 
 
-def _trajectory_from_states(t: np.ndarray, states: np.ndarray) -> StateTrajectory:
+def _trajectory_from_states(t, states, gap=0.0, fallbacks=0) -> StateTrajectory:
     norms = np.linalg.norm(states, axis=1)
     if np.any(norms == 0.0):
         raise InstabilityError("state norm vanished along the trajectory")
-    return StateTrajectory(
-        t_grid=t,
-        psi=states,
-        psi_hat=states / norms[:, None],
-        norm_sq=norms**2,
-    )
+    return StateTrajectory(t, states, states / norms[:, None], norms**2, gap, fallbacks)
+
+
+def _uniform_step(t: np.ndarray) -> float | None:
+    """The common step of ``t``, or None if steps differ by > 1e-12 max(|dt|, 1)."""
+    steps = np.diff(t)
+    ok = steps.size and np.max(np.abs(steps - steps[0])) <= 1e-12 * max(abs(steps[0]), 1.0)
+    return float(steps[0]) if ok else None
 
 
 def exact_trajectory(h, psi0, t_grid) -> StateTrajectory:
-    """Propagate a normalized state with the matrix exponential.
+    """Propagate a normalized state: ``psi[j] = expm(-i H t_j) psi0``.
 
-    ``psi[j] = expm(-i H t_j) psi0``; each grid point is evaluated
-    independently, so accuracy does not accumulate along the grid.
+    A uniform grid is stepped with one U = expm(-i H dt) between anchors
+    (every ``ANCHOR``-th and the last point) that take a fresh exponential.
+    Guard: the state stepped into an anchor must match it within ``STEP_TOL``
+    relative, else that segment is redone point by point, as is a non-uniform grid.
     """
     hm = as_square_matrix(h, "hamiltonian")
     v0 = _unit_vector(psi0, hm.shape[0], 1e-12, "psi0")
     t = np.asarray(t_grid, dtype=float).reshape(-1)
     if t.size == 0:
         raise ConfigError("t_grid is empty")
+    dt = _uniform_step(t)
+    # below three points every point is an anchor and there is nothing to step
+    step = None if dt is None or t.size < 3 else expm(-1j * hm * dt)
     states = np.empty((t.size, hm.shape[0]), dtype=complex)
+    worst, fallbacks, start = 0.0, 0, 0
     for j, tj in enumerate(t):
+        stepped = None if step is None or j == 0 else step @ states[j - 1]
+        if stepped is not None and j % ANCHOR and j < t.size - 1:
+            states[j] = stepped
+            continue
         states[j] = expm(-1j * hm * tj) @ v0
-    return _trajectory_from_states(t, states)
+        if stepped is not None:
+            gap = float(np.linalg.norm(stepped - states[j]) / np.linalg.norm(states[j]))
+            worst = max(worst, gap)
+            if not gap <= STEP_TOL:
+                fallbacks += 1
+                for i in range(start + 1, j):
+                    states[i] = expm(-1j * hm * t[i]) @ v0
+        start = j
+    return _trajectory_from_states(t, states, worst, fallbacks)
 
 
 def nonhermiticity_scalar(h, psi_hat) -> complex:
@@ -129,8 +157,8 @@ def integrate_nonlinear(
     t = np.asarray(t_grid, dtype=float).reshape(-1)
     if t.size < 2:
         raise ConfigError("t_grid needs at least two points")
-    steps = np.diff(t)
-    if np.max(np.abs(steps - steps[0])) > 1e-12 * max(abs(steps[0]), 1.0):
+    step = _uniform_step(t)
+    if step is None:
         raise ConfigError("t_grid must be uniform")
     if substeps < 1:
         raise ConfigError("substeps must be >= 1")
@@ -142,7 +170,7 @@ def integrate_nonlinear(
         scalar = complex(np.vdot(v, anti @ v))
         return -1j * (hm @ v + 0.5 * scalar * v)
 
-    dt = steps[0] / substeps
+    dt = step / substeps
     states = np.empty((t.size, hm.shape[0]), dtype=complex)
     states[0] = v0
     v = v0.copy()
@@ -214,19 +242,21 @@ class ClassificationReport:
     tol_class: float
 
 
-def _unit_rows(trajectory: StateTrajectory, dim: int) -> np.ndarray:
-    """The trajectory's ``psi_hat`` rows, checked once for dimension and unit norm."""
-    states = as_complex_matrix(trajectory.psi_hat, "psi_hat")
-    if states.shape[1] != dim:
+def _weak_residual(h, x, trajectory: StateTrajectory):
+    """X, D = delta_gamma(X), H^† - H, s_t = <v, (H^† - H) v> over the checked
+    ``psi_hat`` rows v, and the weak residual max_t |<v, D v> - i s_t <v, X v>|."""
+    hm = as_square_matrix(h, "hamiltonian")
+    xm = as_square_matrix(x, "observable")
+    v = as_complex_matrix(trajectory.psi_hat, "psi_hat")
+    if v.shape[1] != hm.shape[0]:
         raise DimensionError("trajectory and Hamiltonian dims differ")
-    if not np.all(np.abs(np.linalg.norm(states, axis=1) - 1.0) <= UNIT_NORM_TOL):
+    if not np.all(np.abs(np.linalg.norm(v, axis=1) - 1.0) <= UNIT_NORM_TOL):
         raise ConfigError("trajectory states psi_hat must be normalized")
-    return states
-
-
-def _means(op: np.ndarray, states: np.ndarray) -> np.ndarray:
-    """<v, op v> for every row v of ``states``."""
-    return np.einsum("ij,jk,ik->i", states.conj(), op, states)
+    dg = delta_gamma(gamma_context(hm), xm)
+    anti = hm.conj().T - hm
+    s = mean_values(anti, v)
+    weak = np.max(np.abs(mean_values(dg, v) - 1j * s * mean_values(xm, v)))
+    return xm, dg, anti, s, float(weak)
 
 
 def classify(
@@ -236,20 +266,14 @@ def classify(
     tol_class: float = DEFAULT_TOL_CLASS,
     name: str = "X",
 ) -> ClassificationReport:
-    """Classify one observable against one trajectory."""
-    hm = as_square_matrix(h, "hamiltonian")
-    xm = as_square_matrix(x, "observable")
-    # state-independent parts of delta_psi_hat, built once for the whole grid
-    dg = delta_gamma(gamma_context(hm), xm)
-    anti = hm.conj().T - hm
-    states = _unit_rows(trajectory, hm.shape[0])
+    """Classify one observable against one trajectory.
 
-    strong = 0.0
-    weak = 0.0
-    for v in states:
-        d = dg - 1j * complex(np.vdot(v, anti @ v)) * xm
-        strong = max(strong, op_norm(d))
-        weak = max(weak, abs(complex(np.vdot(v, d @ v))))
+    delta_psi_hat = D + a_t X with D = delta_gamma(X) and real
+    a_t = Im <psi_hat, (H^† - H) psi_hat>; |D + a X|_2 is convex in a, so its
+    grid maximum sits at the extreme a_t: two SVDs, not one per grid point.
+    """
+    xm, dg, _, s, weak = _weak_residual(h, x, trajectory)
+    strong = max(op_norm(dg + a * xm) for a in (s.imag.min(), s.imag.max()))
     return _threshold(name, op_norm(dg), strong, weak, tol_class)
 
 
@@ -319,7 +343,7 @@ def gamma_symmetry_decay_check(
     if abs(trajectory.norm_sq[0] - 1.0) > 1e-10:
         raise ConfigError("trajectory must be normalized at its first grid point")
 
-    means = _means(xm, trajectory.psi_hat)
+    means = mean_values(xm, trajectory.psi_hat)
     predicted = means[0] / trajectory.norm_sq * trajectory.norm_sq[0]
     return float(np.max(np.abs(means - predicted)))
 
@@ -346,17 +370,10 @@ def necessary_condition_residual(
     ``classify``'s weak residual, is re-verified from means alone and
     reported rather than assumed.
     """
-    hm = as_square_matrix(h, "hamiltonian")
-    xm = as_square_matrix(x, "observable")
-    dg = delta_gamma(gamma_context(hm), xm)
-    anti = hm.conj().T - hm
-
-    v = _unit_rows(trajectory, hm.shape[0])
-    premise = np.max(np.abs(_means(dg, v) - 1j * _means(anti, v) * _means(xm, v)))
-    lhs = _means(dg, trajectory.psi)
-    rhs = 1j * x0 * _means(anti, trajectory.psi)
+    _, dg, anti, _, premise = _weak_residual(h, x, trajectory)
+    gap = mean_values(dg, trajectory.psi) - 1j * x0 * mean_values(anti, trajectory.psi)
     return NecessaryConditionResult(
-        max_residual=float(np.max(np.abs(lhs - rhs))),
+        max_residual=float(np.max(np.abs(gap))),
         premise_residual=float(premise),
         premise_ok=bool(premise <= tol_class),
     )

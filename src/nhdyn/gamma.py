@@ -38,6 +38,7 @@ from .linalg import (
     expm,
     frob,
     kron,
+    mean_values,
     nullspace,
     op_norm,
     unvec,
@@ -73,9 +74,10 @@ def _check_dim(ctx: GammaContext, x, name: str = "observable") -> np.ndarray:
 def gamma_t(ctx: GammaContext, x, t: float) -> np.ndarray:
     """Evolve an observable: exp(i H^† t) X exp(-i H t) = U^† X U.
 
-    One exponential: exp(i H^† t) is exactly the adjoint of U = exp(-i H t).
+    One exponential: exp(i H^† t) is exactly the adjoint of U = exp(-i H t),
+    and one U serves a whole stack of observables ``x`` of shape (k, N, N).
     """
-    xm = _check_dim(ctx, x)
+    xm = np.stack([_check_dim(ctx, m) for m in x]) if np.ndim(x) == 3 else _check_dim(ctx, x)
     u = expm(-1j * ctx.h * t)
     return u.conj().T @ xm @ u
 
@@ -155,7 +157,7 @@ def identity_norm_evolution(ctx: GammaContext, psi0, t_grid) -> np.ndarray:
     traj = exact_trajectory(ctx.h, v0 / scale, t_grid)
     t, states, norms = traj.t_grid, scale * traj.psi, scale**2 * traj.norm_sq
     anti = ctx.h.conj().T - ctx.h
-    exact_rate = (1j * np.einsum("ij,jk,ik->i", states.conj(), anti, states)).real
+    exact_rate = (1j * mean_values(anti, states)).real
 
     if t.size == 1:
         fd_rate = exact_rate  # nothing to difference against

@@ -67,6 +67,11 @@ def op_norm(a) -> float:
     return float(np.linalg.norm(m, 2))
 
 
+def mean_values(op: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """<v, op v> for every row v of ``states``, as one BLAS product."""
+    return ((states.conj() @ op) * states).sum(axis=1)
+
+
 def frob(a) -> float:
     """Frobenius norm."""
     return float(np.linalg.norm(np.asarray(a)))

@@ -49,7 +49,7 @@ from .gamma import (
     gamma_t,
     similar_norm_preserving,
 )
-from .linalg import frob, op_norm
+from .linalg import frob, mean_values, op_norm
 
 DEFAULT_TOLERANCES = {
     "tol_class": 1e-8,
@@ -466,25 +466,26 @@ class RunReport:
         return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
-def _task_trajectory(cfg: ScenarioConfig, out_dir: Path, rng) -> dict:
+def _task_trajectory(cfg: ScenarioConfig, csvs: dict, rng) -> dict:
     traj = cfg.trajectory
     header = ["t", "norm_sq"]
     columns = [traj.t_grid, traj.norm_sq]
     for name, matrix in cfg.observables:
-        means = np.einsum("ij,jk,ik->i", traj.psi_hat.conj(), matrix, traj.psi_hat)
+        means = mean_values(matrix, traj.psi_hat)
         header += [f"re_{name}", f"im_{name}"]
         columns += [means.real, means.imag]
-    csv_name = "trajectory.csv"
-    emit_csv(out_dir / csv_name, header, columns)
+    csvs["trajectory.csv"] = (header, columns)
     return {
-        "csv": csv_name,
+        "csv": "trajectory.csv",
         "norm_sq_initial": float(traj.norm_sq[0]),
         "norm_sq_final": float(traj.norm_sq[-1]),
         "norm_sq_max": float(traj.norm_sq.max()),
+        "anchor_gap": traj.anchor_gap,
+        "fallback_segments": traj.fallback_segments,
     }
 
 
-def _task_biortho(cfg: ScenarioConfig, out_dir: Path, rng) -> dict:
+def _task_biortho(cfg: ScenarioConfig, csvs: dict, rng) -> dict:
     system = build_biorthogonal(
         cfg.hamiltonian, tol_distinct=cfg.tolerances["tol_distinct"]
     )
@@ -498,7 +499,7 @@ def _task_biortho(cfg: ScenarioConfig, out_dir: Path, rng) -> dict:
     }
 
 
-def _task_symmetries(cfg: ScenarioConfig, out_dir: Path, rng) -> dict:
+def _task_symmetries(cfg: ScenarioConfig, csvs: dict, rng) -> dict:
     basis = gamma_symmetry_basis(
         gamma_context(cfg.hamiltonian), cfg.tolerances["rank_tol_rel"]
     )
@@ -510,7 +511,7 @@ def _task_symmetries(cfg: ScenarioConfig, out_dir: Path, rng) -> dict:
     }
 
 
-def _task_classify(cfg: ScenarioConfig, out_dir: Path, rng) -> dict:
+def _task_classify(cfg: ScenarioConfig, csvs: dict, rng) -> dict:
     reports = []
     for name, matrix in cfg.observables:
         rep = flow.classify(
@@ -530,16 +531,16 @@ def _task_classify(cfg: ScenarioConfig, out_dir: Path, rng) -> dict:
     return {"tol_class": cfg.tolerances["tol_class"], "reports": reports}
 
 
-def _task_eigenstate(cfg: ScenarioConfig, out_dir: Path, rng) -> dict:
+def _task_eigenstate(cfg: ScenarioConfig, csvs: dict, rng) -> dict:
     ctx = eigenstate_context(cfg.hamiltonian, cfg.eigenstate_k0)
     report = weak_identity_report(ctx, cfg.t_grid, rng)
     n = ctx.shifted.dim
+    xs = np.stack([rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)) for _ in range(3)])
     worst = 0.0
-    for _ in range(3):
-        x = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        for t in (0.5, float(cfg.t_grid[-1])):
+    for t in (0.5, float(cfg.t_grid[-1])):
+        for x, conj in zip(xs, gamma_t(ctx.shifted, xs, t)):
             series, _ = gamma_series(ctx.shifted, x, t, cfg.tolerances["tol_trunc"])
-            worst = max(worst, op_norm(series - gamma_t(ctx.shifted, x, t)))
+            worst = max(worst, op_norm(series - conj))
     return {
         "k0": ctx.k0,
         "eigenvalue": complex_to_json(ctx.e_value),
@@ -550,19 +551,17 @@ def _task_eigenstate(cfg: ScenarioConfig, out_dir: Path, rng) -> dict:
     }
 
 
-def _task_fermion_demo(cfg: ScenarioConfig, out_dir: Path, rng) -> dict:
+def _task_fermion_demo(cfg: ScenarioConfig, csvs: dict, rng) -> dict:
     model = cfg.fermion_model
     assert model is not None and cfg.initial_label is not None
     # parse_config built initial_state as the label's basis state of this model
     run = fermions.occupations(model, cfg.trajectory)
-    csv_name = "fermion_demo.csv"
-    emit_csv(
-        out_dir / csv_name,
+    csvs["fermion_demo.csv"] = (
         ["t", "n1", "n2", "n3", "sum", "scalar_re", "scalar_im"],
         [run.t_grid, run.n1, run.n2, run.n3, run.total, run.scalar.real, run.scalar.imag],
     )
     section = {
-        "csv": csv_name,
+        "csv": "fermion_demo.csv",
         "total_initial": float(run.total[0]),
         "conservation_residual": float(np.max(np.abs(run.total - run.total[0]))),
         "closed_form_residual": None,
@@ -580,8 +579,8 @@ def _task_fermion_demo(cfg: ScenarioConfig, out_dir: Path, rng) -> dict:
     return section
 
 
-# Every task takes (config, output directory, rng) and returns its report
-# section; a section that names a "csv" wrote that file into out_dir.
+# Every task takes (config, csvs, rng) and returns its report section; a
+# section that names a "csv" put that file's (header, columns) into csvs.
 TASKS = {
     "trajectory": _task_trajectory,
     "symmetries": _task_symmetries,
@@ -598,7 +597,7 @@ def run(cfg: ScenarioConfig, out_dir, seed: int | None = None) -> RunReport:
 
     ``seed`` overrides the config seed for the random ingredients
     (eigenstate-case probes). Artifact paths in the report are relative
-    to ``out_dir``.
+    to ``out_dir``. No file is written before the report has serialized.
     """
     effective_seed = cfg.seed if seed is None else int(seed)
     if effective_seed < 0:
@@ -612,7 +611,7 @@ def run(cfg: ScenarioConfig, out_dir, seed: int | None = None) -> RunReport:
     echo["seed"] = effective_seed
     rng = np.random.default_rng(effective_seed)
 
-    artifacts: list[str] = []
+    csvs: dict[str, tuple] = {}
     sections: dict[str, Any] = {}
     if cfg.similar_commutator_residual is not None:
         sections["similar_construction"] = {
@@ -621,18 +620,18 @@ def run(cfg: ScenarioConfig, out_dir, seed: int | None = None) -> RunReport:
         }
 
     for task in cfg.tasks:
-        sections[task] = TASKS[task](cfg, out, rng)
-        if "csv" in sections[task]:
-            artifacts.append(sections[task]["csv"])
+        sections[task] = TASKS[task](cfg, csvs, rng)
 
-    report = RunReport(
-        config_echo=echo, tasks=sections, artifacts=artifacts, exit_status=0
-    )
-    path = out / "report.json"
-    try:  # to_json refuses a non-finite float before the file is opened
-        path.write_text(report.to_json(), encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot write report {path}: {exc}") from exc
+    report = RunReport(config_echo=echo, tasks=sections, artifacts=list(csvs))
+    try:  # strict JSON: a non-finite float raises before any file is written
+        text = report.to_json()
     except ValueError as exc:
         raise NumericRangeError(f"report holds a non-finite number: {exc}") from exc
+    for name, (header, columns) in csvs.items():
+        emit_csv(out / name, header, columns)
+    path = out / "report.json"
+    try:
+        path.write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot write report {path}: {exc}") from exc
     return report

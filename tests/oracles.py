@@ -4,11 +4,14 @@ Everything here is deliberately written without calling into nhdyn, so
 each check is a genuine second route: truncated Taylor series for the
 exponential (summed separately on both sides of the observable
 dynamics), explicit index loops for Kronecker/vec conventions,
-brute-force solutions of small intertwining systems, and the dual
-eigenvector family from an eigensolve of the adjoint.
+brute-force solutions of small intertwining systems, the dual
+eigenvector family from an eigensolve of the adjoint, and the
+per-grid-point routes that the fast trajectory and classification
+replace.
 """
 
 import numpy as np
+import scipy.linalg
 
 
 def taylor_expm(a: np.ndarray, tol: float = 1e-16, max_terms: int = 400) -> np.ndarray:
@@ -45,6 +48,35 @@ def gamma_t_two_exponentials(h: np.ndarray, x: np.ndarray, t: float) -> np.ndarr
     h = np.asarray(h, dtype=complex)
     left = scaled_taylor_expm(1j * h.conj().T * t)
     return left @ np.asarray(x, dtype=complex) @ scaled_taylor_expm(-1j * h * t)
+
+
+def trajectory_per_point(h: np.ndarray, psi0: np.ndarray, t_grid) -> np.ndarray:
+    """Rows psi(t_j) = expm(-i H t_j) psi0, one fresh exponential per grid point."""
+    h = np.asarray(h, dtype=complex)
+    return np.array([scipy.linalg.expm(-1j * h * t) @ psi0 for t in t_grid])
+
+
+def linear_propagator_states(h: np.ndarray, psi0: np.ndarray, t_grid) -> np.ndarray:
+    """Rows (1 - i H t_j) psi0: the exact propagator when H^2 = 0."""
+    hv = np.asarray(h, dtype=complex) @ psi0
+    return psi0[None, :] - 1j * np.asarray(t_grid)[:, None] * hv[None, :]
+
+
+def classify_per_point(h: np.ndarray, x: np.ndarray, psi_hat: np.ndarray):
+    """Operator and weak residuals of ``classify``, one SVD per state.
+
+    Builds delta_psi_hat(X; v) = i (H^† X - X H) - i <v,(H^† - H) v> X at
+    every row v and returns (max_t |delta_psi_hat|_2, max_t |<v, delta_psi_hat v>|).
+    """
+    h = np.asarray(h, dtype=complex)
+    x = np.asarray(x, dtype=complex)
+    hd = h.conj().T
+    strong = weak = 0.0
+    for v in psi_hat:
+        d = 1j * (hd @ x - x @ h) - 1j * np.vdot(v, (hd - h) @ v) * x
+        strong = max(strong, np.linalg.norm(d, 2))
+        weak = max(weak, abs(np.vdot(v, d @ v)))
+    return strong, weak
 
 
 def vec_by_loops(x: np.ndarray) -> np.ndarray:

@@ -27,6 +27,9 @@ from nhdyn import (
     op_norm,
 )
 from nhdyn.ensembles import random_hamiltonian, random_matrix, random_unit_vector
+from nhdyn.flow import ANCHOR, STEP_TOL
+
+from oracles import classify_per_point, linear_propagator_states, trajectory_per_point
 
 NILPOTENT = np.array([[0.0, 1.0], [0.0, 0.0]])
 
@@ -70,6 +73,70 @@ class TestExactTrajectory:
     def test_rejects_unnormalized_initial_state(self):
         with pytest.raises(ConfigError, match="normalized"):
             exact_trajectory(NILPOTENT, np.array([1.0, 1.0]), [0.0, 1.0])
+
+    @pytest.mark.parametrize("kind", ["hermitian", "real_spectrum", "complex_spectrum"])
+    @pytest.mark.parametrize("n", [8, 32, 64])
+    @pytest.mark.parametrize("stretch", [2.0, 10.0])
+    def test_stepped_trajectory_matches_per_point_oracle(self, kind, n, stretch):
+        rng = np.random.default_rng(n)
+        h = random_hamiltonian(n, rng, kind=kind, basis_stretch=stretch)
+        psi0 = random_unit_vector(n, rng)
+        t = np.linspace(0, 10, 201)
+        traj = exact_trajectory(h, psi0, t)
+        oracle = trajectory_per_point(h, psi0, t)
+        gap = np.linalg.norm(traj.psi - oracle, axis=1) / np.linalg.norm(oracle, axis=1)
+        assert gap.max() <= 1e-13
+        assert traj.anchor_gap <= STEP_TOL
+        assert traj.fallback_segments == 0
+
+    def test_guard_recomputes_segments_that_drift(self):
+        # a stretched eigenbasis makes stepping drift past STEP_TOL
+        rng = np.random.default_rng(32)
+        h = random_hamiltonian(32, rng, kind="complex_spectrum", basis_stretch=1e3)
+        psi0 = random_unit_vector(32, rng)
+        t = np.linspace(0, 10, 201)
+        traj = exact_trajectory(h, psi0, t)
+        oracle = trajectory_per_point(h, psi0, t)
+        assert traj.anchor_gap > STEP_TOL
+        assert traj.fallback_segments > 0
+        anchors = list(range(0, t.size, ANCHOR))
+        assert np.array_equal(traj.psi[anchors], oracle[anchors])
+        per_point = [
+            np.array_equal(traj.psi[a + 1 : b], oracle[a + 1 : b])
+            for a, b in zip(anchors, anchors[1:])
+        ]
+        assert sum(per_point) == traj.fallback_segments
+        # the segments left stepped passed the guard
+        gap = np.linalg.norm(traj.psi - oracle, axis=1) / np.linalg.norm(oracle, axis=1)
+        assert gap.max() <= 10 * STEP_TOL
+
+    def test_guard_recomputes_a_segment_of_one_step(self):
+        # 27 points: anchors at 0, 25 and 26, so the last segment is one step
+        rng = np.random.default_rng(3)
+        h = random_hamiltonian(8, rng, kind="complex_spectrum", basis_stretch=1e3)
+        psi0 = random_unit_vector(8, rng)
+        t = np.linspace(0, 10, 2 + ANCHOR)
+        traj = exact_trajectory(h, psi0, t)
+        assert traj.fallback_segments == 2
+        assert np.array_equal(traj.psi, trajectory_per_point(h, psi0, t))
+
+    def test_non_uniform_grid_is_evaluated_per_point(self):
+        rng = np.random.default_rng(71)
+        h = random_hamiltonian(6, rng, kind="complex_spectrum")
+        psi0 = random_unit_vector(6, rng)
+        t = np.linspace(0, 3, 61) ** 2
+        traj = exact_trajectory(h, psi0, t)
+        assert np.array_equal(traj.psi, trajectory_per_point(h, psi0, t))
+        assert (traj.anchor_gap, traj.fallback_segments) == (0.0, 0)
+
+    def test_stepped_trajectory_matches_the_nilpotent_propagator(self, dm_unit):
+        # H^2 = 0, so exp(-iHt) = 1 - iHt exactly; 40 segments of stepping
+        psi0 = dm_unit.algebra.basis_state("011")
+        t = np.linspace(0, 50, 1001)
+        traj = exact_trajectory(dm_unit.h, psi0, t)
+        exact = linear_propagator_states(dm_unit.h, psi0, t)
+        gap = np.linalg.norm(traj.psi - exact, axis=1) / np.linalg.norm(exact, axis=1)
+        assert gap.max() <= 1e-13
 
 
 class TestNonlinearHamiltonian:
@@ -398,20 +465,18 @@ class TestClassify:
         assert ensemble.tol_class == tol
 
     @pytest.mark.parametrize("kind", ["hermitian", "real_spectrum", "complex_spectrum"])
-    def test_residuals_equal_the_per_point_route_exactly(self, kind):
+    def test_residuals_match_the_per_point_oracle(self, kind):
+        # the two extreme scalars pick the same maximum as one SVD per point,
+        # up to which grid point roundoff makes the arg-max
         rng = np.random.default_rng(70)
         h = random_hamiltonian(6, rng, kind=kind, basis_stretch=3.0)
         traj = exact_trajectory(h, random_unit_vector(6, rng), np.linspace(0, 4, 41))
         for x in (np.eye(6), h, random_matrix(6, rng)):
-            strong = max(op_norm(delta_psi_hat(h, x, v)) for v in traj.psi_hat)
-            weak = max(
-                abs(complex(np.vdot(v, delta_psi_hat(h, x, v) @ v)))
-                for v in traj.psi_hat
-            )
+            strong, weak = classify_per_point(h, x, traj.psi_hat)
             report = classify(h, x, traj)
             assert report.c_gamma_residual == op_norm(delta_gamma(gamma_context(h), x))
-            assert report.c_psi_hat_residual == strong
-            assert report.c_psi_hat_weak_residual == weak
+            assert report.c_psi_hat_residual == pytest.approx(strong, rel=1e-13, abs=0)
+            assert abs(report.c_psi_hat_weak_residual - weak) <= 1e-13
 
     def test_trajectory_of_another_dimension_is_rejected(self, phi011_trajectory):
         with pytest.raises(DimensionError):

@@ -6,6 +6,7 @@ import pytest
 
 import nhdyn.fermions
 import nhdyn.flow
+import nhdyn.gamma
 from nhdyn.cli import main
 from nhdyn.errors import ConfigError
 from nhdyn.scenario import emit_csv, format_sig, load_config, parse_config, run
@@ -267,6 +268,24 @@ class TestRunner:
         assert first.tasks == second.tasks
         assert first.tasks["fermion_demo"]["scalar_residual"] <= 1e-11
 
+    def test_eigenstate_case_forms_one_exponential_per_time(self, tmp_path, monkeypatch):
+        # the witness at t_end and the probes at 0.5 and t_end: three times
+        calls = []
+        original = nhdyn.gamma.expm
+        monkeypatch.setattr(nhdyn.gamma, "expm", lambda a: calls.append(1) or original(a))
+        doc = {
+            "hamiltonian": [[[1.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [0.5, 1.0]]],
+            "tasks": ["eigenstate_case"],
+        }
+        run(parse_config(doc), tmp_path)
+        assert len(calls) == 3
+
+    def test_trajectory_section_reports_the_stepping_path(self, tmp_path):
+        doc = dict(MINIMAL_FERMION, tasks=["trajectory"])
+        section = run(parse_config(doc), tmp_path).tasks["trajectory"]
+        assert 0.0 <= section["anchor_gap"] <= nhdyn.flow.STEP_TOL
+        assert section["fallback_segments"] == 0
+
     def test_seed_override_changes_random_sections(self, tmp_path):
         doc = {
             "hamiltonian": [[[1.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [0.5, 1.0]]],
@@ -455,6 +474,22 @@ class TestCli:
         assert status == 3
         assert "non-finite" in capsys.readouterr().err
         assert not (out / "report.json").exists()
+
+    def test_numerical_failure_writes_no_files(self, tmp_path, capsys):
+        # |psi(400)|^2 = e^800 overflows although the state itself is finite
+        doc = {
+            "hamiltonian": [[[0, 1], 0], [0, 0]],
+            "initial_state": [1, 0],
+            "time": {"t_end": 400, "points": 5},
+            "tasks": ["trajectory"],
+        }
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        with np.errstate(over="ignore", invalid="ignore"):
+            status = main(["run", "--config", str(cfg), "--out-dir", str(out)])
+        assert status == 3
+        assert "non-finite" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
 
 
 def test_load_config_round_trip(tmp_path):
