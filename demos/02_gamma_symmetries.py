@@ -42,7 +42,7 @@ print(f"\nsymmetry space dimension: {len(basis.generators)}")
 for k, x in enumerate(basis.generators):
     print(f"generator {k}:\n", x)
 print("worst intertwining residual:", max(basis.residuals))
-print("chain span dimension for X H^k:", basis.chain_closure_dim)
+print("chain span dimension for S H^k, S the sum of the generators:", basis.chain_closure_dim)
 
 # each symmetry is frozen by the dynamics at any time
 for x in basis.generators:

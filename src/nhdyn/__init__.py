@@ -26,7 +26,6 @@ from .errors import (
     NhdynError,
     NumericalError,
     NumericRangeError,
-    SizeLimitError,
     TruncationError,
 )
 from .fermions import (
@@ -73,7 +72,6 @@ from .linalg import (
     Spectrum,
     eig_general,
     expm,
-    kron,
     nullspace,
     op_norm,
 )
@@ -100,7 +98,6 @@ __all__ = [
     "NumericRangeError",
     "OccupationTrajectory",
     "SimilarHamiltonian",
-    "SizeLimitError",
     "Spectrum",
     "StateTrajectory",
     "SymmetryBasis",
@@ -128,7 +125,6 @@ __all__ = [
     "h_nl",
     "identity_norm_evolution",
     "integrate_nonlinear",
-    "kron",
     "mean_derivative",
     "mean_value",
     "necessary_condition_residual",

@@ -19,10 +19,6 @@ class DimensionError(ConfigError):
     """Matrix or vector dimensions are inconsistent with the operation."""
 
 
-class SizeLimitError(ConfigError):
-    """A requested object would exceed the configured size cap."""
-
-
 class NumericalError(NhdynError):
     """Base class for runtime numerical failures."""
 

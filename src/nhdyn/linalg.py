@@ -18,12 +18,10 @@ from .errors import (
     DimensionError,
     EigensolverError,
     NumericRangeError,
-    SizeLimitError,
 )
 
 DEFAULT_RANK_TOL = 1e-10
 DEFAULT_EIG_TOL = 1e-10
-MAX_KRON_ENTRIES = 10**8
 
 
 def as_complex_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -91,6 +89,11 @@ def expm(a) -> np.ndarray:
             f"expm overflowed for input with op norm {op_norm(m):.3e}"
         )
     return e
+
+
+def schur(a) -> tuple[np.ndarray, np.ndarray]:
+    """Complex Schur form ``(T, Q)``: a = Q T Q^† with T upper triangular, Q unitary."""
+    return scipy.linalg.schur(as_square_matrix(a, "schur argument"), output="complex")
 
 
 @dataclass(frozen=True)
@@ -163,24 +166,3 @@ def nullspace(l, rank_tol_rel: float = DEFAULT_RANK_TOL) -> np.ndarray:
     keep = sigma <= rank_tol_rel * sigma[0]
     return vh[keep, :].conj().T.reshape(cols, -1)
 
-
-def kron(a, b, max_entries: int = MAX_KRON_ENTRIES) -> np.ndarray:
-    """Kronecker product with a guard on the result size."""
-    ma = as_complex_matrix(a, "kron left factor")
-    mb = as_complex_matrix(b, "kron right factor")
-    entries = ma.shape[0] * mb.shape[0] * ma.shape[1] * mb.shape[1]
-    if entries > max_entries:
-        raise SizeLimitError(
-            f"kron result would hold {entries} entries, cap is {max_entries}"
-        )
-    return np.kron(ma, mb)
-
-
-def vec(x: np.ndarray) -> np.ndarray:
-    """Column-stacking vectorization: vec(A X B) = (B^T kron A) vec(X)."""
-    return np.asarray(x).reshape(-1, order="F")
-
-
-def unvec(v: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    """Inverse of ``vec``."""
-    return np.asarray(v).reshape((rows, cols), order="F")

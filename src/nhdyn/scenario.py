@@ -22,14 +22,13 @@ Matrix entries are complex numbers written as [re, im] pairs (bare reals
 are accepted on input); every complex number in emitted JSON is a
 [re, im] pair. Absent fields get the documented defaults and the echoed
 config in the report always shows the materialized values. Reports are
-byte-stable for a fixed config and seed. The environment variable
-NHDYN_MAX_DIM (default 64) caps the Hamiltonian dimension.
+byte-stable for a fixed config and seed. The Hamiltonian dimension is
+capped at MAX_DIM = 64, the desk scale the package is built for.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import sys
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -59,6 +58,7 @@ DEFAULT_TOLERANCES = {
 }
 DEFAULT_TIME = {"t_start": 0.0, "t_end": 10.0, "points": 201}
 MAX_POINTS = 100_000
+MAX_DIM = 64
 DEFAULT_SEED = 42
 BUILTIN_OBSERVABLES = ("identity", "H", "N", "N1", "N2", "N3")
 
@@ -111,16 +111,10 @@ def _parse_vector(value, path: str) -> np.ndarray:
     )
 
 
-def complex_to_json(z: complex) -> list[float]:
-    return [float(np.real(z)), float(np.imag(z))]
-
-
-def matrix_to_json(m: np.ndarray) -> list[list[list[float]]]:
-    return [[complex_to_json(v) for v in row] for row in np.asarray(m, dtype=complex)]
-
-
-def vector_to_json(v: np.ndarray) -> list[list[float]]:
-    return [complex_to_json(z) for z in np.asarray(v, dtype=complex)]
+def complex_to_json(a) -> list:
+    """A complex scalar, vector or matrix as nested [re, im] pairs."""
+    a = np.asarray(a, dtype=complex)
+    return np.stack([a.real, a.imag], -1).tolist()
 
 
 @dataclass
@@ -146,24 +140,10 @@ class ScenarioConfig:
         return flow.exact_trajectory(self.hamiltonian, self.initial_state, self.t_grid)
 
 
-def max_dim_cap() -> int:
-    raw = os.environ.get("NHDYN_MAX_DIM", "")
-    if not raw:
-        return 64
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"NHDYN_MAX_DIM must be an integer, got {raw!r}") from exc
-    if cap < 1:
-        raise ConfigError(f"NHDYN_MAX_DIM must be positive, got {cap}")
-    return cap
-
-
 def _validate_hamiltonian(doc: dict, echo: dict):
     if "hamiltonian" not in doc:
         raise _fail("hamiltonian", "is required")
     raw = doc["hamiltonian"]
-    cap = max_dim_cap()
     model = None
     commutator = None
 
@@ -197,23 +177,21 @@ def _validate_hamiltonian(doc: dict, echo: dict):
         h = built.h
         commutator = built.commutator_residual
         echo["hamiltonian"] = {
-            "similar": {"h0": matrix_to_json(h0), "r": matrix_to_json(r)}
+            "similar": {"h0": complex_to_json(h0), "r": complex_to_json(r)}
         }
     elif isinstance(raw, list):
         h = _parse_matrix(raw, "hamiltonian")
         if h.shape[0] != h.shape[1]:
             raise _fail("hamiltonian", f"must be square, got shape {h.shape}")
-        echo["hamiltonian"] = matrix_to_json(h)
+        echo["hamiltonian"] = complex_to_json(h)
     else:
         raise _fail(
             "hamiltonian",
             "must be a matrix, {'fermion_dm': ...} or {'similar': ...}",
         )
 
-    if h.shape[0] > cap:
-        raise _fail(
-            "hamiltonian", f"dimension {h.shape[0]} exceeds NHDYN_MAX_DIM={cap}"
-        )
+    if h.shape[0] > MAX_DIM:
+        raise _fail("hamiltonian", f"dimension {h.shape[0]} exceeds {MAX_DIM}")
     return h, model, commutator
 
 
@@ -296,7 +274,7 @@ def _validate_observables(
             matrix = _parse_matrix(item["matrix"], f"{path}.matrix")
             if matrix.shape != (n, n):
                 raise _fail(f"{path}.matrix", f"must be {n}x{n}, got {matrix.shape}")
-            echoed.append({"name": name, "matrix": matrix_to_json(matrix)})
+            echoed.append({"name": name, "matrix": complex_to_json(matrix)})
         else:
             raise _fail(path, "must be a builtin name or {'name', 'matrix'}")
         if name in seen:
@@ -331,7 +309,7 @@ def _validate_initial_state(
     nrm = float(np.linalg.norm(vec))
     if abs(nrm - 1.0) > 1e-12:
         raise _fail("initial_state", f"must be normalized, got norm {nrm:.12g}")
-    echo["initial_state"] = vector_to_json(vec)
+    echo["initial_state"] = complex_to_json(vec)
     return vec, None
 
 
@@ -491,7 +469,7 @@ def _task_biortho(cfg: ScenarioConfig, csvs: dict, rng) -> dict:
     )
     r_psi, r_phi = verify_intertwining(system, cfg.hamiltonian)
     return {
-        "eigenvalues": [complex_to_json(e) for e in system.eigenvalues],
+        "eigenvalues": complex_to_json(system.eigenvalues),
         "real_spectrum": system.real_spectrum,
         "biortho_residual": system.biortho_residual,
         "condition_estimate": system.condition_estimate,
@@ -506,8 +484,8 @@ def _task_symmetries(cfg: ScenarioConfig, csvs: dict, rng) -> dict:
     return {
         "dimension": len(basis.generators),
         "chain_closure_dim": basis.chain_closure_dim,
-        "residuals": [float(r) for r in basis.residuals],
-        "generators": [matrix_to_json(g) for g in basis.generators],
+        "residuals": basis.residuals,
+        "generators": complex_to_json(basis.generators),
     }
 
 

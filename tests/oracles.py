@@ -3,7 +3,7 @@
 Everything here is deliberately written without calling into nhdyn, so
 each check is a genuine second route: truncated Taylor series for the
 exponential (summed separately on both sides of the observable
-dynamics), explicit index loops for Kronecker/vec conventions,
+dynamics), explicit index loops for the vec convention,
 brute-force solutions of small intertwining systems, the dual
 eigenvector family from an eigensolve of the adjoint, and the
 per-grid-point routes that the fast trajectory and classification
@@ -88,17 +88,6 @@ def vec_by_loops(x: np.ndarray) -> np.ndarray:
         for i in range(rows):
             out[pos] = x[i, j]
             pos += 1
-    return out
-
-
-def kron_by_loops(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product written as explicit index loops."""
-    ar, ac = a.shape
-    br, bc = b.shape
-    out = np.empty((ar * br, ac * bc), dtype=complex)
-    for i in range(ar):
-        for j in range(ac):
-            out[i * br : (i + 1) * br, j * bc : (j + 1) * bc] = a[i, j] * b
     return out
 
 

@@ -1,19 +1,18 @@
 import numpy as np
 import pytest
 
-from oracles import kron_by_loops, rotation_2x2, scaled_taylor_expm, taylor_expm, vec_by_loops
+from oracles import rotation_2x2, scaled_taylor_expm, taylor_expm
 
 from nhdyn import (
     DimensionError,
     NumericRangeError,
-    SizeLimitError,
     eig_general,
     expm,
-    kron,
     nullspace,
     op_norm,
 )
 from nhdyn.errors import ConfigError
+from nhdyn.linalg import schur
 
 
 class TestExpm:
@@ -148,36 +147,14 @@ class TestNullspace:
             nullspace(np.eye(2), rank_tol_rel=1.5)
 
 
-class TestKron:
-    def test_identity_blocks(self):
-        assert np.array_equal(kron(np.eye(2), np.eye(2)), np.eye(4))
-
-    def test_block_structure(self):
-        k = kron(np.array([[0.0, 1.0], [0.0, 0.0]]), np.eye(2))
-        expected = np.zeros((4, 4))
-        expected[0:2, 2:4] = np.eye(2)
-        assert np.array_equal(k, expected)
-
-    def test_against_loop_oracle(self):
-        rng = np.random.default_rng(14)
-        a = rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))
-        b = rng.normal(size=(2, 4)) + 1j * rng.normal(size=(2, 4))
-        assert np.array_equal(kron(a, b), kron_by_loops(a, b))
-
-    def test_vec_identity_on_random_triples(self):
-        rng = np.random.default_rng(15)
-        for _ in range(5):
-            a, x, b = (
-                rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-                for _ in range(3)
-            )
-            lhs = vec_by_loops(a @ x @ b)
-            rhs = kron(b.T, a) @ vec_by_loops(x)
-            assert np.abs(lhs - rhs).max() < 1e-13
-
-    def test_size_guard(self):
-        with pytest.raises(SizeLimitError):
-            kron(np.zeros((4000, 4000)), np.zeros((3, 3)))
+class TestSchur:
+    def test_unitary_triangular_factors_reconstruct_the_input(self):
+        rng = np.random.default_rng(16)
+        a = rng.normal(size=(6, 6))  # real input still gets the complex form
+        t, q = schur(a)
+        assert np.array_equal(t, np.triu(t))
+        assert np.abs(q.conj().T @ q - np.eye(6)).max() < 1e-14
+        assert np.abs(q @ t @ q.conj().T - a).max() < 1e-13
 
 
 class TestOpNorm:

@@ -7,12 +7,14 @@ The draws are derandomized, so every run checks the same examples.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import classify_per_point, trajectory_per_point
+from oracles import classify_per_point, intertwiner_kernel_brute, trajectory_per_point
 
 from nhdyn import (
+    build_dm_model,
     classify,
     exact_trajectory,
     gamma_context,
@@ -93,3 +95,56 @@ def test_convex_classify_equals_per_point_classify(seed, n, kind):
         scale = max(1.0, op_norm(h) * op_norm(x))
         assert abs(report.c_psi_hat_residual - strong) <= 1e-13 * scale
         assert abs(report.c_psi_hat_weak_residual - weak) <= 1e-13 * scale
+
+
+def _jordan_similar() -> np.ndarray:
+    # V J V^{-1} with two 2-blocks, on eigenvalues 1 and 2
+    rng = np.random.default_rng(7)
+    v = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    j = np.diag([1.0, 1.0, 2.0, 2.0]).astype(complex)
+    j[0, 1] = j[2, 3] = 1.0
+    return v @ j @ np.linalg.inv(v)
+
+
+def _assert_symmetries_match_oracle(h: np.ndarray) -> None:
+    n = h.shape[0]
+    basis = gamma_symmetry_basis(gamma_context(h))
+    ref = intertwiner_kernel_brute(h)  # row-major unknowns, as in g.ravel()
+    q = np.reshape(basis.generators, (-1, n * n)).T
+    assert q.shape[1] == ref.shape[1]
+    assert np.abs(q.conj().T @ q - np.eye(q.shape[1])).max(initial=0.0) <= 1e-12
+    assert op_norm(ref - q @ (q.conj().T @ ref)) <= 1e-10
+
+
+@properties
+@given(
+    seed=seeds,
+    n=st.integers(2, 8),
+    kind=st.sampled_from(KINDS),
+    stretch=st.floats(1.0, 10.0),
+)
+def test_symmetry_basis_spans_the_kronecker_kernel(seed, n, kind, stretch):
+    h, _, _ = _draw(seed, n, kind, stretch)
+    _assert_symmetries_match_oracle(h)
+
+
+@pytest.mark.parametrize(
+    "h",
+    [
+        _jordan_similar(),
+        np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex),
+        build_dm_model(1.0, 1.0).h,
+        np.zeros((3, 3), dtype=complex),
+        np.diag([1.0, 2.0]).astype(complex),
+    ],
+    ids=["jordan", "nilpotent", "fermion_dm", "zero", "diag_1_2"],
+)
+def test_symmetry_basis_on_degenerate_and_defective_cases(h):
+    _assert_symmetries_match_oracle(h)
+
+
+@properties
+@given(seed=seeds, n=st.integers(2, 8))
+def test_chain_closes_on_distinct_hermitian_spectra(seed, n):
+    h, _, _ = _draw(seed, n, "hermitian")
+    assert gamma_symmetry_basis(gamma_context(h)).chain_closure_dim == n

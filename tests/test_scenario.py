@@ -100,9 +100,11 @@ class TestValidation:
             parse_config(doc)
 
     def test_dimension_cap_from_environment(self, monkeypatch):
-        monkeypatch.setenv("NHDYN_MAX_DIM", "4")
-        with pytest.raises(ConfigError, match="NHDYN_MAX_DIM"):
-            parse_config(MINIMAL_FERMION)
+        # the cap is the fixed desk scale; no environment variable raises it
+        monkeypatch.setenv("NHDYN_MAX_DIM", "100")
+        doc = {"hamiltonian": np.zeros((65, 65)).tolist(), "tasks": ["symmetries"]}
+        with pytest.raises(ConfigError, match="exceeds 64"):
+            parse_config(doc)
 
     def test_defaults_materialized_in_echo(self):
         cfg = parse_config(MINIMAL_FERMION)
