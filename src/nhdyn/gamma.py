@@ -230,7 +230,7 @@ def gamma_symmetry_basis(
 
     return SymmetryBasis(
         generators=list(gens),
-        residuals=[float(r) for r in residuals],
+        residuals=residuals.tolist(),
         chain_closure_dim=chain_dim,
     )
 
