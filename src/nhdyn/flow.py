@@ -163,12 +163,13 @@ def integrate_nonlinear(
     if substeps < 1:
         raise ConfigError("substeps must be >= 1")
 
-    hd = hm.conj().T
-    anti = hd - hm
+    n = hm.shape[0]
+    # rows -iH over H^† - H: one matvec per stage gives -iHv and (H^† - H)v
+    stacked = np.vstack([-1j * hm, hm.conj().T - hm])
 
     def rhs(v: np.ndarray) -> np.ndarray:
-        scalar = complex(np.vdot(v, anti @ v))
-        return -1j * (hm @ v + 0.5 * scalar * v)
+        w = stacked @ v
+        return w[:n] - 0.5j * complex(np.vdot(v, w[n:])) * v
 
     dt = step / substeps
     states = np.empty((t.size, hm.shape[0]), dtype=complex)

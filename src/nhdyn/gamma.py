@@ -178,7 +178,8 @@ class SymmetryBasis:
     ``residuals`` holds |H^† X - X H|_F per generator and
     ``chain_closure_dim`` the dimension of span{S H^k, k = 0..N-1} for
     the sum S of the generators (powers beyond N-1 add nothing by
-    Hamilton-Cayley).
+    Hamilton-Cayley), counted by an Arnoldi chain that stops once the
+    new direction is below ``rank_tol_rel * |H|_2``.
     """
 
     generators: list[np.ndarray]
@@ -221,12 +222,22 @@ def gamma_symmetry_basis(
 
     chain_dim = 0
     if len(gens):
-        member, chain = gens.sum(axis=0), []
-        for _ in range(n):
-            chain.append(member.ravel())
-            member = member @ ctx.h
-        sigma = np.linalg.svd(np.array(chain), compute_uv=False)
-        chain_dim = int((sigma > rank_tol_rel * max(sigma[0], 1e-300)).sum())
+        # Arnoldi on the Frobenius inner product: the monomials S H^k are as
+        # ill-conditioned as a Vandermonde basis, so rank an orthonormal chain
+        member = gens.sum(axis=0)
+        chain = np.empty((n, n * n), dtype=complex)
+        chain[0] = member.ravel() / np.linalg.norm(member)
+        chain_dim = 1
+        while chain_dim < n:
+            w = (chain[chain_dim - 1].reshape(n, n) @ ctx.h).ravel()
+            q = chain[:chain_dim]
+            for _ in range(2):  # Gram-Schmidt twice: orthonormal to working precision
+                w -= (q @ w.conj()).conj() @ q
+            size = np.linalg.norm(w)
+            if size <= rank_tol_rel * ctx.h_norm:
+                break
+            chain[chain_dim] = w / size
+            chain_dim += 1
 
     return SymmetryBasis(
         generators=list(gens),

@@ -1,18 +1,33 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import mpmath
 import numpy as np
 import pytest
+import scipy.linalg
 
 from oracles import rotation_2x2, scaled_taylor_expm, taylor_expm
 
+import nhdyn
 from nhdyn import (
     DimensionError,
     NumericRangeError,
+    build_dm_model,
     eig_general,
     expm,
     nullspace,
     op_norm,
 )
+from nhdyn.ensembles import random_hamiltonian, random_unit_vector
 from nhdyn.errors import ConfigError
 from nhdyn.linalg import schur
+
+
+def _norm1(a: np.ndarray) -> float:
+    return float(np.abs(a).sum(axis=0).max())
 
 
 class TestExpm:
@@ -71,6 +86,85 @@ class TestExpm:
     def test_rejects_nan_entries(self):
         with pytest.raises(NumericRangeError):
             expm(np.array([[np.nan, 0.0], [0.0, 0.0]]))
+
+    @pytest.mark.parametrize(
+        "a",
+        [np.diag([1e300, 1e300]), np.full((2, 2), 1e308), 1j * np.full((2, 2), 1e200)],
+        ids=["huge_scaling", "infinite_norm", "overflowing_powers"],
+    )
+    def test_extreme_norms_raise_numeric_range_error(self, a):
+        with pytest.raises(NumericRangeError):
+            expm(a)
+
+    def test_empty_matrix(self):
+        assert expm(np.zeros((0, 0))).shape == (0, 0)
+
+    @pytest.mark.parametrize("t", [1.0, 10.0, 50.0])
+    def test_nilpotent_fermion_propagator_is_exactly_linear(self, t):
+        # H^2 = 0 makes eta 0: degree 3 without squaring, which gives 1 - iHt
+        h = build_dm_model(1.0, 1.0).h
+        exact = np.eye(h.shape[0]) - 1j * h * t
+        assert np.abs(expm(-1j * h * t) - exact).max() <= 1e-15
+
+    def test_stretched_bases_no_worse_than_scipy_against_mpmath(self):
+        # at eigenbasis stretch 1e3 both routes lose digits to conditioning and
+        # differ case by case by a factor of a few either way; over the set,
+        # neither the worst nor the mean error against 50 digits may exceed scipy's
+        ours, theirs = [], []
+        for n in (2, 4, 8):
+            for seed in range(3):
+                for kind in ("hermitian", "real_spectrum", "complex_spectrum"):
+                    rng = np.random.default_rng(seed)
+                    h = random_hamiltonian(n, rng, kind=kind, basis_stretch=1e3)
+                    for t in (3.0, 10.0):
+                        a = -1j * h * t
+                        with mpmath.workdps(50):
+                            exact = mpmath.expm(mpmath.matrix(a.tolist())).tolist()
+                        exact = np.array(exact, dtype=complex)
+                        scale = _norm1(exact)
+                        ours.append(_norm1(expm(a) - exact) / scale)
+                        theirs.append(_norm1(scipy.linalg.expm(a) - exact) / scale)
+        assert max(ours) <= max(theirs)
+        assert np.mean(ours) <= np.mean(theirs)
+
+
+RUN_AND_LIST_SCIPY = """
+import json, sys
+from nhdyn.cli import main
+status = main(["run", "--config", sys.argv[1], "--out-dir", sys.argv[2]])
+print(json.dumps([status, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
+"""
+
+
+def _run_in_fresh_interpreter(tmp_path, doc) -> tuple[int, list[str]]:
+    config = tmp_path / "scenario.json"
+    config.write_text(json.dumps(doc), encoding="utf-8")
+    src = str(Path(nhdyn.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-c", RUN_AND_LIST_SCIPY, str(config), str(tmp_path)],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    status, loaded = json.loads(out.stdout.splitlines()[-1])
+    return status, loaded
+
+
+def test_only_the_symmetries_task_loads_scipy(tmp_path):
+    rng = np.random.default_rng(5)
+    h = random_hamiltonian(6, rng, kind="complex_spectrum")
+    psi0 = random_unit_vector(6, rng)
+    pairs = lambda a: np.stack([a.real, a.imag], -1).tolist()  # noqa: E731
+    doc = {
+        "hamiltonian": pairs(h),
+        "initial_state": pairs(psi0),
+        "observables": ["identity", "H"],
+        "time": {"t_start": 0.0, "t_end": 2.0, "points": 41},
+        "tasks": ["trajectory", "classify", "biortho", "eigenstate_case"],
+    }
+    assert _run_in_fresh_interpreter(tmp_path, doc) == (0, [])
+    status, loaded = _run_in_fresh_interpreter(tmp_path, dict(doc, tasks=["symmetries"]))
+    assert status == 0
+    assert "scipy.linalg" in loaded
 
 
 class TestEigGeneral:

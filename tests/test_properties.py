@@ -8,6 +8,7 @@ The draws are derandomized, so every run checks the same examples.
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,6 +18,7 @@ from nhdyn import (
     build_dm_model,
     classify,
     exact_trajectory,
+    expm,
     gamma_context,
     gamma_symmetry_basis,
     gamma_symmetry_decay_check,
@@ -85,6 +87,21 @@ def test_stepped_trajectory_equals_per_point_exponentials(
 
 
 @properties
+@given(
+    seed=seeds,
+    n=st.integers(2, 16),
+    kind=st.sampled_from(KINDS),
+    stretch=st.floats(1.0, 10.0),
+    t=st.floats(-10.0, 10.0),
+)
+def test_expm_matches_scipy(seed, n, kind, stretch, t):
+    h, _, _ = _draw(seed, n, kind, stretch)
+    ours, oracle = expm(-1j * h * t), scipy.linalg.expm(-1j * h * t)
+    norm1 = lambda a: np.abs(a).sum(axis=0).max()  # noqa: E731
+    assert norm1(ours - oracle) <= 1e-13 * norm1(oracle)
+
+
+@properties
 @given(seed=seeds, n=st.integers(2, 8), kind=st.sampled_from(KINDS))
 def test_convex_classify_equals_per_point_classify(seed, n, kind):
     h, psi0, rng = _draw(seed, n, kind)
@@ -144,7 +161,7 @@ def test_symmetry_basis_on_degenerate_and_defective_cases(h):
 
 
 @properties
-@given(seed=seeds, n=st.integers(2, 8))
+@given(seed=seeds, n=st.one_of(st.integers(2, 8), st.sampled_from([24, 32])))
 def test_chain_closes_on_distinct_hermitian_spectra(seed, n):
     h, _, _ = _draw(seed, n, "hermitian")
     assert gamma_symmetry_basis(gamma_context(h)).chain_closure_dim == n
