@@ -10,11 +10,10 @@ failures (degenerate spectra, truncation caps, unstable integrations).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .errors import ConfigError, NumericalError
-from .scenario import load_config, run
+from .scenario import _json_text, load_config, run
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -46,7 +45,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = load_config(args.config)
         if args.command == "validate":
-            print(json.dumps(cfg.echo, indent=2, sort_keys=True))
+            print(_json_text(cfg.echo), end="")
             return 0
         report = run(cfg, args.out_dir, seed=args.seed)
     except ConfigError as exc:

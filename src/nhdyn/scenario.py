@@ -22,7 +22,9 @@ Matrix entries are complex numbers written as [re, im] pairs (bare reals
 are accepted on input); every complex number in emitted JSON is a
 [re, im] pair. Absent fields get the documented defaults and the echoed
 config in the report always shows the materialized values. Reports are
-byte-stable for a fixed config and seed. The Hamiltonian dimension is
+byte-stable for a fixed config and seed and laid out as
+``json.dumps(indent=2, sort_keys=True)`` lays them out: two-space indent,
+sorted keys, floats as Python ``repr``. The Hamiltonian dimension is
 capped at MAX_DIM = 64, the desk scale the package is built for.
 """
 
@@ -75,7 +77,8 @@ def _is_finite_number(value) -> bool:
     )
 
 
-def _parse_entry(value, path: str) -> complex:
+def _parse_entry(value, path: str, *index: int) -> complex:
+    """One complex entry; the error path ``path[i][j]`` is built only on failure."""
     if _is_finite_number(value):
         return complex(value)
     if (
@@ -84,7 +87,8 @@ def _parse_entry(value, path: str) -> complex:
         and all(_is_finite_number(v) for v in value)
     ):
         return complex(value[0], value[1])
-    raise _fail(path, "must be a finite real number or an [re, im] pair")
+    where = path + "".join(f"[{i}]" for i in index)
+    raise _fail(where, "must be a finite real number or an [re, im] pair")
 
 
 def _parse_matrix(value, path: str) -> np.ndarray:
@@ -99,7 +103,7 @@ def _parse_matrix(value, path: str) -> np.ndarray:
             width = len(row)
         elif len(row) != width:
             raise _fail(f"{path}[{i}]", f"has {len(row)} entries, expected {width}")
-        rows.append([_parse_entry(v, f"{path}[{i}][{j}]") for j, v in enumerate(row)])
+        rows.append([_parse_entry(v, path, i, j) for j, v in enumerate(row)])
     return np.array(rows, dtype=complex)
 
 
@@ -107,7 +111,7 @@ def _parse_vector(value, path: str) -> np.ndarray:
     if not isinstance(value, list) or not value:
         raise _fail(path, "must be a non-empty list")
     return np.array(
-        [_parse_entry(v, f"{path}[{j}]") for j, v in enumerate(value)], dtype=complex
+        [_parse_entry(v, path, j) for j, v in enumerate(value)], dtype=complex
     )
 
 
@@ -400,6 +404,52 @@ def load_config(path) -> ScenarioConfig:
     return parse_config(doc)
 
 
+_encode = json.JSONEncoder(allow_nan=False).encode
+
+
+def _json_text(doc) -> str:
+    """``json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\\n"``, byte
+    for byte. CPython's C encoder runs only without ``indent``, so each regular
+    numeric nested list is C-encoded and laid out by ``_layout_array``; a NaN or
+    infinity raises ``ValueError``."""
+    return _layout(doc, 0) + "\n"
+
+
+def _layout(value, depth: int) -> str:
+    if not isinstance(value, (dict, list, tuple)) or not value:
+        return _encode(value)
+    inner = "\n" + "  " * (depth + 1)
+    if isinstance(value, dict):
+        items = (_encode(k) + ": " + _layout(v, depth + 1) for k, v in sorted(value.items()))
+        return "{" + inner + ("," + inner).join(items) + inner[:-2] + "}"
+    try:
+        arr = np.asarray(value)
+        ndim = arr.ndim if arr.dtype.kind in "biuf" and arr.size else 0
+    except ValueError:  # ragged
+        ndim = 0
+    if ndim:
+        return _layout_array(value, ndim, depth)
+    items = (_layout(v, depth + 1) for v in value)
+    return "[" + inner + ("," + inner).join(items) + inner[:-2] + "]"
+
+
+def _layout_array(value, ndim: int, depth: int) -> str:
+    """A regular ``ndim``-deep list of numbers, laid out as ``indent=2`` does.
+
+    The C encoder writes the innermost separator; one ``str.replace`` per outer
+    depth splits each ``]..], [..[`` run over lines, longest first, as a longer
+    run contains every shorter one. Numbers hold no brackets."""
+    nl = ["\n" + "  " * (depth + j) for j in range(ndim + 1)]  # line start at level j
+    opens = ["[" + nl[j] for j in range(1, ndim + 1)]
+    closes = [nl[j] + "]" for j in range(ndim - 1, -1, -1)]
+    sep = "," + nl[ndim]
+    text = json.JSONEncoder(allow_nan=False, separators=(sep, ": ")).encode(value)
+    for k in range(ndim - 1, 0, -1):
+        lines = "".join(closes[:k]) + "," + nl[ndim - k] + "".join(opens[-k:])
+        text = text.replace("]" * k + sep + "[" * k, lines)
+    return "".join(opens) + text[ndim:-ndim] + "".join(closes)
+
+
 def format_sig(x: float) -> str:
     """Format one float with 17 significant digits (round-trip exact)."""
     return format(float(x), ".17g")
@@ -440,8 +490,7 @@ class RunReport:
         }
 
     def to_json(self) -> str:
-        doc = self.to_dict()  # strict JSON: a non-finite float raises ValueError
-        return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        return _json_text(self.to_dict())  # a non-finite float raises ValueError
 
 
 def _task_trajectory(cfg: ScenarioConfig, csvs: dict, rng) -> dict:

@@ -7,8 +7,11 @@ dynamics), explicit index loops for the vec convention,
 brute-force solutions of small intertwining systems, the dual
 eigenvector family from an eigensolve of the adjoint, and the
 per-grid-point routes that the fast trajectory and classification
-replace.
+replace, and the standard library's indenting JSON encoder for the
+report writer.
 """
+
+import json
 
 import numpy as np
 import scipy.linalg
@@ -143,3 +146,8 @@ def rotation_2x2(theta: float) -> np.ndarray:
         [[np.cos(theta), np.sin(theta)], [-np.sin(theta), np.cos(theta)]],
         dtype=complex,
     )
+
+
+def report_json_stdlib(doc) -> str:
+    """report.json text by the standard library's pure-Python indenting encoder."""
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"

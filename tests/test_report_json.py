@@ -1,0 +1,147 @@
+"""The report writer gives the bytes of ``json.dumps(indent=2, sort_keys=True)``.
+
+``nhdyn.scenario._json_text`` C-encodes regular numeric arrays and lays
+them out itself; ``oracles.report_json_stdlib`` is the standard library's
+pure-Python route it replaces. Generated documents are derandomized, so
+every run checks the same examples.
+"""
+
+import dataclasses
+import json
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
+
+from oracles import report_json_stdlib
+
+import nhdyn.scenario
+from nhdyn.cli import main
+from nhdyn.ensembles import random_hamiltonian, random_unit_vector
+from nhdyn.scenario import _json_text, complex_to_json, load_config, parse_config, run
+
+SPECIAL_FLOATS = [-0.0, 0.0, 5e-324, 1e-300, 1e16, 1.7976931348623157e308, 0.1, -2.5]
+floats = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(SPECIAL_FLOATS)
+ints = st.integers(-(2**70), 2**70)  # beyond int64 on both sides
+tricky = ["], [", ", ", "]", "[", "]], [[", "é∑\U0001f600"]  # separators, non-BMP
+strings = st.text(max_size=6) | st.sampled_from(tricky)
+scalars = st.none() | st.booleans() | ints | floats | strings
+# up to (k, N, N, 2), the shape of the symmetry generators
+shapes = array_shapes(min_dims=1, max_dims=3, max_side=4) | st.tuples(
+    st.integers(1, 3), st.integers(1, 4)
+).map(lambda kn: (kn[0], kn[1], kn[1], 2))
+regular = st.one_of(
+    arrays(np.float64, shapes, elements=floats),
+    arrays(np.int64, shapes),
+    arrays(np.bool_, shapes),
+).map(np.ndarray.tolist)
+mixed_rows = st.integers(1, 3).flatmap(
+    lambda w: st.lists(
+        st.lists(ints | floats | st.booleans(), min_size=w, max_size=w),
+        min_size=1,
+        max_size=3,
+    )
+)
+documents = st.recursive(
+    scalars | regular | mixed_rows,
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(strings, children, max_size=4),
+    max_leaves=12,
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(doc=documents)
+def test_writer_equals_the_stdlib_encoder(doc):
+    assert _json_text(doc) == report_json_stdlib(doc)
+
+
+def test_writer_equals_the_stdlib_encoder_on_a_generator_stack():
+    rng = np.random.default_rng(5)
+    stack = rng.normal(size=(3, 24, 24)) + 1j * rng.normal(size=(3, 24, 24))
+    doc = {"tasks": {"symmetries": {"generators": complex_to_json(stack)}}}
+    assert _json_text(doc) == report_json_stdlib(doc)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_writer_rejects_a_non_finite_number_inside_an_array(bad):
+    stack = np.ones((3, 5, 5, 2))
+    stack[2, 4, 3, 1] = bad
+    with pytest.raises(ValueError):
+        _json_text({"generators": stack.tolist()})
+
+
+def _inline(n, kind, seed):
+    rng = np.random.default_rng(seed)
+    h = random_hamiltonian(n, rng, kind=kind)
+    return complex_to_json(h), complex_to_json(random_unit_vector(n, rng))
+
+
+def _scenarios():
+    h_sym, _ = _inline(10, "hermitian", 7)
+    h_dense, psi = _inline(12, "real_spectrum", 8)
+    return {
+        "readme_fermion": {
+            "hamiltonian": {"fermion_dm": {"lambda": 1.0, "mu": 1.0}},
+            "initial_state": "011",
+            "time": {"t_start": 0.0, "t_end": 10.0, "points": 201},
+            "observables": ["N", "identity"],
+            "tasks": ["fermion_demo", "classify", "symmetries"],
+            "seed": 42,
+        },
+        "symmetries": {"hamiltonian": h_sym, "tasks": ["symmetries", "biortho"]},
+        "dense": {
+            "hamiltonian": h_dense,
+            "initial_state": psi,
+            "time": {"t_start": 0.0, "t_end": 2.0, "points": 41},
+            "observables": ["identity", "H"],
+            "tasks": ["trajectory", "classify", "biortho", "eigenstate_case"],
+        },
+        "similar": {
+            "hamiltonian": {
+                "similar": {
+                    "h0": [[1.0, 0.0], [0.0, 2.0]],
+                    "r": [[2.0, [0.5, 0.25]], [0.0, 1.0]],
+                }
+            },
+            "tasks": ["symmetries", "biortho"],
+        },
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_scenarios()))
+def test_report_file_equals_the_stdlib_encoder(tmp_path, name):
+    report = run(parse_config(_scenarios()[name]), tmp_path)
+    text = (tmp_path / "report.json").read_bytes().decode("utf-8")
+    assert text == report_json_stdlib(report.to_dict())
+
+
+def test_validate_prints_the_stdlib_layout(tmp_path, capsys):
+    ones = {"name": "X", "matrix": [[1.0] * 12] * 12}
+    doc = dict(_scenarios()["dense"], observables=["identity", ones])
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["validate", "--config", str(path)]) == 0
+    assert capsys.readouterr().out == report_json_stdlib(load_config(path).echo)
+
+
+def test_non_finite_generator_exits_three_without_writing(tmp_path, capsys, monkeypatch):
+    original = nhdyn.scenario.gamma_symmetry_basis
+
+    def poisoned(*args, **kwargs):
+        basis = original(*args, **kwargs)
+        last = basis.generators[-1].copy()
+        last[-1, -1] = complex(1.0, np.inf)
+        return dataclasses.replace(basis, generators=basis.generators[:-1] + [last])
+
+    monkeypatch.setattr(nhdyn.scenario, "gamma_symmetry_basis", poisoned)
+    h, _ = _inline(6, "hermitian", 9)
+    cfg = tmp_path / "scenario.json"
+    doc = {"hamiltonian": h, "tasks": ["symmetries"]}
+    cfg.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out-dir", str(out)]) == 3
+    assert "non-finite" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
