@@ -62,6 +62,12 @@ class GammaContext:
     def h_norm(self) -> float:
         return op_norm(self.h)
 
+    @cached_property
+    def delta_bound(self) -> float:
+        """2 min(|H|, |H - c|) >= |delta_gamma|: real c = Re tr(H) / N leaves delta alone."""
+        c = np.trace(self.h).real / max(self.dim, 1)
+        return 2.0 * min(self.h_norm, op_norm(self.h - c * np.eye(self.dim)))
+
 
 def gamma_context(h) -> GammaContext:
     return GammaContext(h=as_square_matrix(h, "hamiltonian"))
@@ -103,22 +109,26 @@ def gamma_series(
     """Evaluate the exponential series sum_k t^k delta^k(X) / k!.
 
     The truncation order is fixed a priori from the growth bound
-    |delta^k(X)| <= (2|H|)^k |X|, so the discarded tail is certified to
-    be smaller than ``tol_trunc``. Returns the partial sum and the
-    number of terms used.
+    |delta^k(X)| <= (``ctx.delta_bound``)^k |X|, so the discarded tail is
+    certified to be smaller than ``tol_trunc``. The sum stops early at a
+    term that is exactly zero: delta is linear, so every later term is
+    zero too (H^2 = 0 leaves three terms). Returns the partial sum and
+    the number of terms summed.
     """
     xm = _check_dim(ctx, x)
     if tol_trunc <= 0:
         raise ConfigError("tol_trunc must be positive")
     x_scale = max(op_norm(xm), np.finfo(float).tiny)
-    rate = 2.0 * ctx.h_norm * abs(t)
+    terms = _certified_terms(ctx.delta_bound * abs(t), tol_trunc / x_scale, max_terms)
 
-    terms = _certified_terms(rate, tol_trunc / x_scale, max_terms)
-
+    h, hd = ctx.h, ctx.h.conj().T
     total = xm.copy()
     term = xm
     for k in range(1, terms):
-        term = (t / k) * delta_gamma(ctx, term)
+        term = hd @ term - term @ h
+        term *= 1j * t / k  # (t / k) delta_gamma(term)
+        if not term.any():
+            return total, k
         total += term
     return total, terms
 

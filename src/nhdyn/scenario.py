@@ -462,12 +462,14 @@ def emit_csv(path, header: list[str], columns: list[np.ndarray]) -> None:
         raise ConfigError(f"csv columns have mismatched lengths {sorted(rows)}")
     if len(header) != len(columns):
         raise ConfigError("csv header and column counts differ")
+    # one %-pass over all values; "%.17g" % x == format_sig(x) for every float
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
+    values = np.column_stack(columns).astype(float).ravel().tolist() if columns else []
     p = Path(path)
     try:
         with p.open("w", encoding="utf-8", newline="\n") as fh:
             fh.write(",".join(header) + "\n")
-            for j in range(next(iter(rows)) if rows else 0):
-                fh.write(",".join(format_sig(c[j]) for c in columns) + "\n")
+            fh.write(row * (rows.pop() if rows else 0) % tuple(values))
     except OSError as exc:
         raise ConfigError(f"cannot write csv {p}: {exc}") from exc
 

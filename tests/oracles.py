@@ -7,8 +7,9 @@ dynamics), explicit index loops for the vec convention,
 brute-force solutions of small intertwining systems, the dual
 eigenvector family from an eigensolve of the adjoint, and the
 per-grid-point routes that the fast trajectory and classification
-replace, and the standard library's indenting JSON encoder for the
-report writer.
+replace, the a-priori truncated gamma series with its plain rate
+2|H||t|, the standard library's indenting JSON encoder for the report
+writer, and per-value formatting for the CSV writer.
 """
 
 import json
@@ -51,6 +52,33 @@ def gamma_t_two_exponentials(h: np.ndarray, x: np.ndarray, t: float) -> np.ndarr
     h = np.asarray(h, dtype=complex)
     left = scaled_taylor_expm(1j * h.conj().T * t)
     return left @ np.asarray(x, dtype=complex) @ scaled_taylor_expm(-1j * h * t)
+
+
+def gamma_series_reference(h: np.ndarray, x: np.ndarray, t: float, tol_trunc: float = 1e-12):
+    """sum_k t^k delta^k(X) / k! over every term of the bound |delta| <= 2|H|.
+
+    No early stop and no shift of H; returns (sum, terms). The term count is
+    the smallest K with sum_{k>=K} rate^k / k! below tol_trunc / |X|_2, with
+    the tail bounded geometrically once rate / (K + 1) < 1.
+    """
+    h = np.asarray(h, dtype=complex)
+    x = np.asarray(x, dtype=complex)
+    hd = h.conj().T
+    rate = 2.0 * np.linalg.norm(h, 2) * abs(t)
+    rel_tol = tol_trunc / max(np.linalg.norm(x, 2), np.finfo(float).tiny)
+    terms, size = 1, 1.0  # size = rate^K / K! for the last included K = terms - 1
+    while True:
+        ratio = rate / terms
+        if (ratio < 1.0 and size * ratio / (1.0 - ratio) < rel_tol) or size * ratio == 0.0:
+            break
+        size *= ratio
+        terms += 1
+    total = x.copy()
+    term = x
+    for k in range(1, terms):
+        term = (t / k) * (1j * (hd @ term - term @ h))
+        total = total + term
+    return total, terms
 
 
 def trajectory_per_point(h: np.ndarray, psi0: np.ndarray, t_grid) -> np.ndarray:
@@ -151,3 +179,11 @@ def rotation_2x2(theta: float) -> np.ndarray:
 def report_json_stdlib(doc) -> str:
     """report.json text by the standard library's pure-Python indenting encoder."""
     return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def csv_text_per_value(header: list[str], columns) -> str:
+    """CSV text with each value formatted on its own to 17 significant digits."""
+    lines = [",".join(header)]
+    for j in range(len(columns[0]) if len(columns) else 0):
+        lines.append(",".join(format(float(c[j]), ".17g") for c in columns))
+    return "\n".join(lines) + "\n"

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from oracles import (
+    gamma_series_reference,
     gamma_t_two_exponentials,
     intertwiner_kernel_brute,
     projector_onto,
@@ -13,6 +14,7 @@ from nhdyn import (
     ConfigError,
     DimensionError,
     TruncationError,
+    build_dm_model,
     delta_gamma,
     gamma_context,
     gamma_series,
@@ -148,6 +150,52 @@ class TestGammaSeries:
         for tol in (1e-6, 1e-10):
             total, _ = gamma_series(ctx, x, 1.3, tol)
             assert op_norm(total - gamma_t(ctx, x, 1.3)) < tol + 1e-11
+
+    @pytest.mark.parametrize("kind", ["hermitian", "real_spectrum", "complex_spectrum"])
+    def test_traceless_real_part_sums_like_the_reference(self, kind):
+        # with Re tr H = 0 exactly the shift is 0 and the term count unchanged,
+        # so the lean loop must reproduce the reference loop bit for bit
+        for n in (2, 5, 9, 16):
+            rng = np.random.default_rng(200 + n)
+            h = random_hamiltonian(n, rng, kind=kind)
+            h -= np.diag(h.diagonal().real)
+            x = random_matrix(n, rng)
+            ctx = gamma_context(h)
+            for t in (0.5, 2.0):
+                total, terms = gamma_series(ctx, x, t)
+                ref, ref_terms = gamma_series_reference(h, x, t)
+                assert terms == ref_terms
+                assert np.array_equal(total, ref)
+
+    @pytest.mark.parametrize("h", [NILPOTENT] + [
+        build_dm_model(lam, mu).h for lam, mu in ((1.0, 1.0), (0.5, 2.0), (2.7, 0.4))
+    ])
+    def test_square_zero_stops_after_three_terms(self, h):
+        # H^2 = 0 makes delta^3 = 0 exactly; the a-priori count is far larger
+        ctx = gamma_context(h)
+        rng = np.random.default_rng(41)
+        x = random_matrix(ctx.dim, rng)
+        d1 = delta_gamma(ctx, x)
+        d2 = delta_gamma(ctx, d1)
+        for t in (0.5, 10.0):
+            total, terms = gamma_series(ctx, x, t)
+            ref, ref_terms = gamma_series_reference(h, x, t)
+            assert terms == 3 < ref_terms
+            assert np.array_equal(total, ref)
+            closed = x + t * d1 + t**2 / 2 * d2
+            assert op_norm(total - closed) <= 1e-14 * op_norm(closed)
+
+    def test_real_shift_tightens_the_rate_not_the_sum(self):
+        rng = np.random.default_rng(42)
+        h = random_hamiltonian(6, rng, kind="hermitian")
+        x = random_matrix(6, rng)
+        far = gamma_context(h + 4.0 * np.eye(6))  # same derivation, |H| about 5x
+        assert far.delta_bound < 2 * far.h_norm / 4
+        total, terms = gamma_series(far, x, 0.5)
+        ref, ref_terms = gamma_series_reference(far.h, x, 0.5)
+        assert terms < ref_terms
+        assert op_norm(total - ref) <= 2e-12
+        assert op_norm(total - gamma_t(gamma_context(h), x, 0.5)) <= 1e-11
 
     def test_truncation_cap(self):
         ctx = gamma_context(50.0 * NILPOTENT)

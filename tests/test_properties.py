@@ -12,14 +12,22 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import classify_per_point, intertwiner_kernel_brute, trajectory_per_point
+from oracles import (
+    classify_per_point,
+    gamma_series_reference,
+    intertwiner_kernel_brute,
+    trajectory_per_point,
+)
 
 from nhdyn import (
     build_dm_model,
     classify,
+    delta_gamma,
+    eigenstate_context,
     exact_trajectory,
     expm,
     gamma_context,
+    gamma_series,
     gamma_symmetry_basis,
     gamma_symmetry_decay_check,
     h_nl,
@@ -99,6 +107,26 @@ def test_expm_matches_scipy(seed, n, kind, stretch, t):
     ours, oracle = expm(-1j * h * t), scipy.linalg.expm(-1j * h * t)
     norm1 = lambda a: np.abs(a).sum(axis=0).max()  # noqa: E731
     assert norm1(ours - oracle) <= 1e-13 * norm1(oracle)
+
+
+@properties
+@given(
+    seed=seeds,
+    n=st.integers(2, 16),
+    kind=st.sampled_from(KINDS),
+    stretch=st.floats(1.0, 10.0),
+    t=st.floats(-10.0, 10.0),
+)
+def test_gamma_series_on_shifted_rate_matches_reference(seed, n, kind, stretch, t):
+    # the eigenstate context's H - E is the shifted Hamiltonian the scenario sums
+    h, _, rng = _draw(seed, n, kind, stretch)
+    ctx = eigenstate_context(h).shifted
+    x = random_matrix(n, rng)
+    assert op_norm(delta_gamma(ctx, x)) <= ctx.delta_bound * op_norm(x) * (1 + 1e-12)
+    total, terms = gamma_series(ctx, x, t, 1e-12)
+    ref, ref_terms = gamma_series_reference(ctx.h, x, t, 1e-12)
+    assert terms <= ref_terms
+    assert op_norm(total - ref) <= 2e-12
 
 
 @properties

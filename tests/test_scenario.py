@@ -4,12 +4,23 @@ import json
 import numpy as np
 import pytest
 
+from oracles import csv_text_per_value
+
 import nhdyn.fermions
 import nhdyn.flow
 import nhdyn.gamma
+import nhdyn.scenario
 from nhdyn.cli import main
+from nhdyn.ensembles import random_hamiltonian, random_unit_vector
 from nhdyn.errors import ConfigError
-from nhdyn.scenario import emit_csv, format_sig, load_config, parse_config, run
+from nhdyn.scenario import (
+    complex_to_json,
+    emit_csv,
+    format_sig,
+    load_config,
+    parse_config,
+    run,
+)
 
 MINIMAL_FERMION = {
     "hamiltonian": {"fermion_dm": {"lambda": 1.0, "mu": 1.0}},
@@ -130,6 +141,56 @@ class TestCsvFormat:
     def test_header_column_mismatch(self, tmp_path):
         with pytest.raises(ConfigError):
             emit_csv(tmp_path / "x.csv", ["a", "b"], [np.array([1.0])])
+
+    def test_mismatched_column_lengths(self, tmp_path):
+        with pytest.raises(ConfigError, match=r"mismatched lengths \[1, 2\]"):
+            emit_csv(tmp_path / "x.csv", ["a", "b"], [np.array([1.0]), np.zeros(2)])
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_edge_values_match_per_value_formatting(self, tmp_path):
+        rng = np.random.default_rng(51)
+        randoms = rng.normal(size=10_000) * 10.0 ** rng.integers(-320, 300, size=10_000)
+        edges = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e16, 1e-300,
+                 1.7976931348623157e308, 0.1, 1 / 3, 2.0, 123456789012345678.0]
+        columns = [randoms, randoms[::-1].copy()]
+        cases = {
+            "random": (["a", "b"], columns),
+            "edges": (["v", "neg"], [np.array(edges), -np.array(edges)]),
+            "bools": (["b", "i"], [np.array([True, False]), np.array([3, -7])]),
+            "zero_rows": (["a", "b"], [np.zeros(0), np.zeros(0)]),
+            "zero_columns": ([], []),
+        }
+        for name, (header, cols) in cases.items():
+            path = tmp_path / f"{name}.csv"
+            emit_csv(path, header, cols)
+            assert path.read_bytes() == csv_text_per_value(header, cols).encode(), name
+
+    @pytest.mark.parametrize("scenario", ["fermion", "dense"])
+    def test_scenario_csvs_match_per_value_formatting(self, tmp_path, monkeypatch, scenario):
+        if scenario == "fermion":
+            doc = dict(MINIMAL_FERMION, observables=["N", "N1", "identity"],
+                       tasks=["fermion_demo", "trajectory"])
+        else:
+            rng = np.random.default_rng(52)
+            h = random_hamiltonian(16, rng, kind="complex_spectrum", basis_stretch=10.0)
+            doc = {
+                "hamiltonian": complex_to_json(h),
+                "initial_state": complex_to_json(random_unit_vector(16, rng)),
+                "observables": ["identity", "H"],
+                "tasks": ["trajectory"],
+            }
+        written = []
+        original = nhdyn.scenario.emit_csv
+
+        def recording(path, header, columns):
+            written.append((path, header, columns))
+            original(path, header, columns)
+
+        monkeypatch.setattr(nhdyn.scenario, "emit_csv", recording)
+        run(parse_config(doc), tmp_path)
+        assert len(written) == (2 if scenario == "fermion" else 1)
+        for path, header, columns in written:
+            assert path.read_bytes() == csv_text_per_value(header, columns).encode()
 
 
 class TestRunner:
