@@ -32,7 +32,7 @@ print(f"selected eigenvalue E = {ctx.e_value:.4f} (index {ctx.k0})")
 # the normalized trajectory is a pure phase orbit of the eigenvector
 t = np.linspace(0.0, 2.0, 21)
 traj = exact_trajectory(h, ctx.phi_k0, t)
-phase_orbit = np.exp(-1j * ctx.e_real * t)[:, None] * ctx.phi_k0[None, :]
+phase_orbit = np.exp(-1j * ctx.e_value.real * t)[:, None] * ctx.phi_k0[None, :]
 print("distance from the phase orbit:", np.abs(traj.psi_hat - phase_orbit).max())
 
 # series of the frozen derivation vs conjugation by the shifted flow:

@@ -53,11 +53,7 @@ class BiorthogonalSystem:
     biortho_residual: float
 
 
-def build_biorthogonal(
-    h,
-    tol_distinct: float = DEFAULT_TOL_DISTINCT,
-    tol_biortho: float = DEFAULT_TOL_BIORTHO,
-) -> BiorthogonalSystem:
+def build_biorthogonal(h, tol_distinct: float = DEFAULT_TOL_DISTINCT) -> BiorthogonalSystem:
     """Construct the biorthogonal eigensystem and metric operators of ``h``.
 
     Eigenvalues must be pairwise separated by ``tol_distinct * |H|``;
@@ -68,8 +64,8 @@ def build_biorthogonal(
 
     Raises ``BiorthogonalityError`` when the eigenvector matrix cannot be
     inverted or the assembled system violates the defining identities
-    beyond ``tol_biortho`` (or by a non-finite amount), which happens
-    only for severely ill-conditioned eigenbases.
+    beyond ``DEFAULT_TOL_BIORTHO`` (or by a non-finite amount), which
+    happens only for severely ill-conditioned eigenbases.
     """
     hm = as_square_matrix(h, "hamiltonian")
     n = hm.shape[0]
@@ -116,10 +112,10 @@ def build_biorthogonal(
             np.abs(s_phi @ s_psi - np.eye(n)).max(),
         )
     )
-    if not residual <= tol_biortho:  # also rejects NaN
+    if not residual <= DEFAULT_TOL_BIORTHO:  # also rejects NaN
         raise BiorthogonalityError(
             f"biorthogonality residual {residual:.3e} exceeds "
-            f"{tol_biortho:.1e}; eigenbasis condition "
+            f"{DEFAULT_TOL_BIORTHO:.1e}; eigenbasis condition "
             f"{decomp.condition_estimate:.3e}"
         )
 

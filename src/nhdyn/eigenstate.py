@@ -24,8 +24,15 @@ import numpy as np
 
 from .errors import ConfigError
 from .flow import exact_trajectory
-from .gamma import GammaContext, delta_gamma, gamma_context, gamma_t
-from .linalg import as_square_matrix, eig_general
+from .gamma import (
+    DEFAULT_TOL_TRUNC,
+    GammaContext,
+    delta_gamma,
+    gamma_context,
+    gamma_series,
+    gamma_t,
+)
+from .linalg import as_square_matrix, eig_general, op_norm
 
 
 @dataclass(frozen=True)
@@ -35,39 +42,28 @@ class EigenstateContext:
     ``shifted`` is the gamma context of H_k0 = H - E.
     """
 
-    h: np.ndarray
     k0: int
     e_value: complex
-    e_real: float
-    e_imag: float
     phi_k0: np.ndarray
     shifted: GammaContext
 
 
-def eigenstate_context(h, k0: int | None = None, tol_eig: float = 1e-10) -> EigenstateContext:
+def eigenstate_context(h, k0: int | None = None) -> EigenstateContext:
     """Select eigenpair ``k0`` of ``h`` (sorted by real, then imaginary part).
 
     With ``k0=None`` the eigenvalue of largest |imaginary part| is
     chosen, the most instructive case; ties resolve to the lowest index.
     """
     hm = as_square_matrix(h, "hamiltonian")
-    decomp = eig_general(hm, tol_eig)
+    decomp = eig_general(hm)
     n = hm.shape[0]
     if k0 is None:
         k0 = int(np.argmax(np.abs(decomp.eigenvalues.imag)))
     if not 0 <= k0 < n:
         raise ConfigError(f"k0 must lie in [0, {n - 1}], got {k0}")
     e = complex(decomp.eigenvalues[k0])
-    phi = decomp.right_vectors[:, k0]
-    return EigenstateContext(
-        h=hm,
-        k0=k0,
-        e_value=e,
-        e_real=e.real,
-        e_imag=e.imag,
-        phi_k0=phi,
-        shifted=gamma_context(hm - e * np.eye(n, dtype=complex)),
-    )
+    shifted = gamma_context(hm - e * np.eye(n, dtype=complex))
+    return EigenstateContext(k0, e, decomp.right_vectors[:, k0], shifted)
 
 
 @dataclass(frozen=True)
@@ -82,18 +78,24 @@ class WeakIdentityReport:
     from ``exact_trajectory``: the entries of g_t(1) grow with t on a
     complex spectrum and would cancel in the mean. The witness reports
     |<phi, g_t(XY) phi> - <phi, g_t(X) g_t(Y) phi>| at the last grid point
-    for one random pair, its three conjugations sharing one exponential:
-    the map fails to be multiplicative even weakly once H is not Hermitian.
+    for one random pair: the map fails to be multiplicative even weakly
+    once H is not Hermitian. ``series_vs_conjugation`` is the largest
+    |gamma_series(P) - g_t(P)|_2 over three random probes P at t = 0.5
+    and at the last grid point.
     """
 
     identity_mean_residual: float
     delta_mean_residual: float
     automorphism_witness: float
+    series_vs_conjugation: float
 
 
 def weak_identity_report(
-    ctx: EigenstateContext, t_grid, rng: np.random.Generator | None = None
+    ctx: EigenstateContext, t_grid, rng=None, tol_trunc: float = DEFAULT_TOL_TRUNC
 ) -> WeakIdentityReport:
+    """``rng`` draws X, Y, then the three probes; one exponential at the last
+    grid point conjugates XY, X, Y and the probes, one more at t = 0.5 the
+    probes. ``tol_trunc`` bounds the tail of each ``gamma_series``."""
     shifted = ctx.shifted
     n = shifted.dim
     phi = ctx.phi_k0
@@ -104,14 +106,22 @@ def weak_identity_report(
 
     if rng is None:
         rng = np.random.default_rng(42)
-    x = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    y = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    x, y, *probes = (
+        rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)) for _ in range(5)
+    )
     t_last = float(orbit.t_grid[-1])
-    gxy, gx, gy = gamma_t(shifted, np.stack([x @ y, x, y]), t_last)
+    gxy, gx, gy, *last = gamma_t(shifted, np.stack([x @ y, x, y, *probes]), t_last)
     witness = abs(np.vdot(phi, gxy @ phi) - np.vdot(phi, (gx @ gy) @ phi))
+
+    gap = 0.0
+    for t, conjugated in ((0.5, gamma_t(shifted, np.stack(probes), 0.5)), (t_last, last)):
+        for p, conj in zip(probes, conjugated):
+            series, _ = gamma_series(shifted, p, t, tol_trunc)
+            gap = max(gap, op_norm(series - conj))
 
     return WeakIdentityReport(
         identity_mean_residual=float(identity_mean),
         delta_mean_residual=float(delta_mean),
         automorphism_witness=float(witness),
+        series_vs_conjugation=float(gap),
     )

@@ -122,16 +122,12 @@ class DmModel:
         return sum(self.algebra.number_ops)
 
 
-def build_dm_model(lam: float, mu: float, allow_zero: bool = False) -> DmModel:
+def build_dm_model(lam: float, mu: float) -> DmModel:
     """Assemble H = b_1^† (lam b_2 + mu b_3) on the 8-dimensional space.
 
-    The couplings are strictly positive; zero is admitted only for
-    trivial checks via ``allow_zero``.
+    The couplings must be strictly positive.
     """
-    if allow_zero:
-        if lam < 0 or mu < 0:
-            raise ConfigError(f"couplings must be >= 0, got lam={lam}, mu={mu}")
-    elif lam <= 0 or mu <= 0:
+    if lam <= 0 or mu <= 0:
         raise ConfigError(f"couplings must be positive, got lam={lam}, mu={mu}")
     algebra = build_car(3)
     b1, b2, b3 = algebra.lowering

@@ -321,21 +321,19 @@ def classify_ensemble(
     return _threshold(name, *np.max(residuals, axis=0), tol_class)
 
 
-def gamma_symmetry_decay_check(
-    h, x, trajectory: StateTrajectory, cert_tol: float = 1e-9
-) -> float:
+def gamma_symmetry_decay_check(h, x, trajectory: StateTrajectory) -> float:
     """Check the decay law x(t) = x(0) / |psi(t)|^2 for a gamma-symmetry.
 
     The mean value of a symmetry on the normalized trajectory is fully
     determined by the initial mean and the norm history. Requires the
-    trajectory to start normalized and ``x`` to be certified as a
-    symmetry; otherwise raises ``CertificationError``.
+    trajectory to start normalized and ``x`` to be a symmetry to 1e-9
+    relative to |H| |X|; otherwise raises ``CertificationError``.
     """
     hm = as_square_matrix(h, "hamiltonian")
     xm = as_square_matrix(x, "observable")
     ctx = gamma_context(hm)
     residual = op_norm(delta_gamma(ctx, xm))
-    bound = cert_tol * max(1.0, ctx.h_norm * op_norm(xm))
+    bound = 1e-9 * max(1.0, ctx.h_norm * op_norm(xm))
     if residual > bound:
         raise CertificationError(
             f"observable is not a gamma-symmetry: |delta_gamma(X)| = "

@@ -46,6 +46,7 @@ from .linalg import (
 )
 
 MAX_SERIES_TERMS = 500
+DEFAULT_TOL_TRUNC = 1e-12
 
 
 @dataclass(frozen=True)
@@ -100,26 +101,23 @@ def delta_gamma(ctx: GammaContext, x) -> np.ndarray:
 
 
 def gamma_series(
-    ctx: GammaContext,
-    x,
-    t: float,
-    tol_trunc: float = 1e-12,
-    max_terms: int = MAX_SERIES_TERMS,
+    ctx: GammaContext, x, t: float, tol_trunc: float = DEFAULT_TOL_TRUNC
 ) -> tuple[np.ndarray, int]:
     """Evaluate the exponential series sum_k t^k delta^k(X) / k!.
 
     The truncation order is fixed a priori from the growth bound
     |delta^k(X)| <= (``ctx.delta_bound``)^k |X|, so the discarded tail is
-    certified to be smaller than ``tol_trunc``. The sum stops early at a
-    term that is exactly zero: delta is linear, so every later term is
-    zero too (H^2 = 0 leaves three terms). Returns the partial sum and
+    certified to be smaller than ``tol_trunc``; an order beyond
+    ``MAX_SERIES_TERMS`` raises ``TruncationError``. The sum stops early
+    at a term that is exactly zero: delta is linear, so every later term
+    is zero too (H^2 = 0 leaves three terms). Returns the partial sum and
     the number of terms summed.
     """
     xm = _check_dim(ctx, x)
     if tol_trunc <= 0:
         raise ConfigError("tol_trunc must be positive")
     x_scale = max(op_norm(xm), np.finfo(float).tiny)
-    terms = _certified_terms(ctx.delta_bound * abs(t), tol_trunc / x_scale, max_terms)
+    terms = _certified_terms(ctx.delta_bound * abs(t), tol_trunc / x_scale)
 
     h, hd = ctx.h, ctx.h.conj().T
     total = xm.copy()
@@ -133,14 +131,14 @@ def gamma_series(
     return total, terms
 
 
-def _certified_terms(rate: float, rel_tol: float, max_terms: int) -> int:
+def _certified_terms(rate: float, rel_tol: float) -> int:
     """Smallest K with sum_{k>=K} rate^k / k! below ``rel_tol``.
 
     Uses the geometric tail bound term_K / (1 - rate/(K+1)) once the
     ratio rate/(K+1) drops below 1.
     """
     term = 1.0  # rate^K / K! at K = 0
-    for count in range(1, max_terms + 1):
+    for count in range(1, MAX_SERIES_TERMS + 1):
         k = count - 1  # index of the last included term
         ratio = rate / (k + 1)
         if ratio < 1.0 and term * ratio / (1.0 - ratio) < rel_tol:
@@ -149,7 +147,7 @@ def _certified_terms(rate: float, rel_tol: float, max_terms: int) -> int:
         if term == 0.0:
             return count
     raise TruncationError(
-        f"series needs more than {max_terms} terms for rate {rate:.3e} "
+        f"series needs more than {MAX_SERIES_TERMS} terms for rate {rate:.3e} "
         f"and tolerance {rel_tol:.1e}"
     )
 
@@ -264,7 +262,7 @@ class SimilarHamiltonian(NamedTuple):
     r_condition: float
 
 
-def similar_norm_preserving(h0, r, herm_tol: float = 1e-12) -> SimilarHamiltonian:
+def similar_norm_preserving(h0, r) -> SimilarHamiltonian:
     """Build H = R H0 R^{-1} from Hermitian H0 and report |[H0, R^† R]|.
 
     When the commutator vanishes the evolution exp(-iHt) preserves every
@@ -276,7 +274,7 @@ def similar_norm_preserving(h0, r, herm_tol: float = 1e-12) -> SimilarHamiltonia
     if rm.shape != h0m.shape:
         raise DimensionError("h0 and r must have matching shapes")
     herm_defect = frob(h0m - h0m.conj().T)
-    if herm_defect > herm_tol * max(1.0, frob(h0m)):
+    if herm_defect > 1e-12 * max(1.0, frob(h0m)):
         raise ConfigError(
             f"h0 is not Hermitian: |H0 - H0^†|_F = {herm_defect:.3e}"
         )

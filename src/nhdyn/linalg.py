@@ -225,10 +225,10 @@ class Spectrum:
     condition_estimate: float
 
 
-def eig_general(a, tol_eig: float = DEFAULT_EIG_TOL) -> Spectrum:
+def eig_general(a) -> Spectrum:
     """Eigenvalues and unit right eigenvectors of a general complex matrix.
 
-    Each pair satisfies ``|A v - l v| <= tol_eig * |A| * |v|``; violations
+    Each pair satisfies ``|A v - l v| <= DEFAULT_EIG_TOL |A| |v|``; violations
     raise ``EigensolverError`` with the worst residual. Defective inputs
     are not rejected, they surface through ``condition_estimate``.
     """
@@ -246,10 +246,10 @@ def eig_general(a, tol_eig: float = DEFAULT_EIG_TOL) -> Spectrum:
     scale = op_norm(m)
     residuals = np.linalg.norm(m @ vectors - vectors * values, axis=0)
     worst = float(residuals.max()) if residuals.size else 0.0
-    if worst > tol_eig * max(scale, 1e-300):
+    if worst > DEFAULT_EIG_TOL * max(scale, 1e-300):
         raise EigensolverError(
-            f"eigenpair residual {worst:.3e} exceeds {tol_eig:.1e} * |A| = "
-            f"{tol_eig * scale:.3e}"
+            f"eigenpair residual {worst:.3e} exceeds {DEFAULT_EIG_TOL:.1e} * |A| = "
+            f"{DEFAULT_EIG_TOL * scale:.3e}"
         )
 
     try:

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from pathlib import Path
 from typing import Any
@@ -40,23 +40,22 @@ from typing import Any
 import numpy as np
 
 from . import fermions, flow
-from .biortho import build_biorthogonal, verify_intertwining
+from .biortho import DEFAULT_TOL_DISTINCT, build_biorthogonal, verify_intertwining
 from .eigenstate import eigenstate_context, weak_identity_report
 from .errors import ConfigError, NumericalError, NumericRangeError
 from .gamma import (
+    DEFAULT_TOL_TRUNC,
     gamma_context,
-    gamma_series,
     gamma_symmetry_basis,
-    gamma_t,
     similar_norm_preserving,
 )
-from .linalg import frob, mean_values, op_norm
+from .linalg import DEFAULT_RANK_TOL, frob, mean_values
 
 DEFAULT_TOLERANCES = {
-    "tol_class": 1e-8,
-    "tol_trunc": 1e-12,
-    "rank_tol_rel": 1e-10,
-    "tol_distinct": 1e-8,
+    "tol_class": flow.DEFAULT_TOL_CLASS,
+    "tol_trunc": DEFAULT_TOL_TRUNC,
+    "rank_tol_rel": DEFAULT_RANK_TOL,
+    "tol_distinct": DEFAULT_TOL_DISTINCT,
 }
 DEFAULT_TIME = {"t_start": 0.0, "t_end": 10.0, "points": 201}
 MAX_POINTS = 100_000
@@ -233,6 +232,8 @@ def _validate_tolerances(doc: dict, echo: dict) -> dict[str, float]:
     for key, value in merged.items():
         if not _is_finite_number(value) or value <= 0:
             raise _fail(f"tolerances.{key}", "must be a finite positive number")
+    if merged["rank_tol_rel"] >= 1:
+        raise _fail("tolerances.rank_tol_rel", "must be below 1")
     merged = {k: float(v) for k, v in merged.items()}
     echo["tolerances"] = dict(sorted(merged.items()))
     return merged
@@ -361,6 +362,8 @@ def parse_config(doc: dict) -> ScenarioConfig:
     k0 = doc.get("eigenstate_k0")
     if k0 is not None and (not isinstance(k0, int) or isinstance(k0, bool)):
         raise _fail("eigenstate_k0", "must be an integer")
+    if k0 is not None and not 0 <= k0 < h.shape[0]:
+        raise _fail("eigenstate_k0", f"must lie in [0, {h.shape[0] - 1}]")
     echo["eigenstate_k0"] = k0
 
     needs_state = {"trajectory", "classify", "fermion_demo"} & set(tasks)
@@ -450,11 +453,6 @@ def _layout_array(value, ndim: int, depth: int) -> str:
     return "".join(opens) + text[ndim:-ndim] + "".join(closes)
 
 
-def format_sig(x: float) -> str:
-    """Format one float with 17 significant digits (round-trip exact)."""
-    return format(float(x), ".17g")
-
-
 def emit_csv(path, header: list[str], columns: list[np.ndarray]) -> None:
     """Write aligned columns as UTF-8 CSV with 17 significant digits."""
     rows = {len(c) for c in columns}
@@ -462,7 +460,7 @@ def emit_csv(path, header: list[str], columns: list[np.ndarray]) -> None:
         raise ConfigError(f"csv columns have mismatched lengths {sorted(rows)}")
     if len(header) != len(columns):
         raise ConfigError("csv header and column counts differ")
-    # one %-pass over all values; "%.17g" % x == format_sig(x) for every float
+    # one %-pass over all values; 17 significant digits round-trip every float
     row = ",".join(["%.17g"] * len(columns)) + "\n"
     values = np.column_stack(columns).astype(float).ravel().tolist() if columns else []
     p = Path(path)
@@ -562,22 +560,8 @@ def _task_classify(cfg: ScenarioConfig, csvs: dict, rng) -> dict:
 
 def _task_eigenstate(cfg: ScenarioConfig, csvs: dict, rng) -> dict:
     ctx = eigenstate_context(cfg.hamiltonian, cfg.eigenstate_k0)
-    report = weak_identity_report(ctx, cfg.t_grid, rng)
-    n = ctx.shifted.dim
-    xs = np.stack([rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)) for _ in range(3)])
-    worst = 0.0
-    for t in (0.5, float(cfg.t_grid[-1])):
-        for x, conj in zip(xs, gamma_t(ctx.shifted, xs, t)):
-            series, _ = gamma_series(ctx.shifted, x, t, cfg.tolerances["tol_trunc"])
-            worst = max(worst, op_norm(series - conj))
-    return {
-        "k0": ctx.k0,
-        "eigenvalue": complex_to_json(ctx.e_value),
-        "identity_mean_residual": report.identity_mean_residual,
-        "delta_mean_residual": report.delta_mean_residual,
-        "automorphism_witness": report.automorphism_witness,
-        "series_vs_conjugation": float(worst),
-    }
+    report = weak_identity_report(ctx, cfg.t_grid, rng, cfg.tolerances["tol_trunc"])
+    return {"k0": ctx.k0, "eigenvalue": complex_to_json(ctx.e_value), **asdict(report)}
 
 
 def _task_fermion_demo(cfg: ScenarioConfig, csvs: dict, rng) -> dict:

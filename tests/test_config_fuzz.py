@@ -1,5 +1,6 @@
 """Property: whatever JSON value a config field holds, ``nhdyn run`` ends
-with exit status 0, 2 or 3 and never lets an exception escape."""
+with exit status 0, 2 or 3 and never lets an exception escape, and
+``nhdyn validate`` rejects the config (exit 2) exactly when ``run`` does."""
 
 import json
 import warnings
@@ -15,7 +16,7 @@ BASE = {
     "initial_state": [[1.0, 0.0], [0.0, 0.0]],
     "time": {"t_start": 0.0, "t_end": 1.0, "points": 11},
     "observables": ["identity", "H", {"name": "X", "matrix": [[0, 1], [1, 0]]}],
-    "tolerances": {"tol_class": 1e-8, "tol_trunc": 1e-12},
+    "tolerances": {"tol_class": 1e-8, "tol_trunc": 1e-12, "rank_tol_rel": 1e-10},
     "tasks": ["trajectory", "symmetries", "classify", "eigenstate_case", "biortho"],
     "seed": 3,
     "eigenstate_k0": 0,
@@ -40,6 +41,7 @@ FIELDS = [
     ("tolerances",),
     ("tolerances", "tol_class"),
     ("tolerances", "tol_trunc"),
+    ("tolerances", "rank_tol_rel"),
     ("tasks",),
     ("tasks", 0),
     ("seed",),
@@ -93,5 +95,7 @@ def test_any_field_value_exits_zero_two_or_three(tmp_path, capsys, field, value)
     with warnings.catch_warnings(), np.errstate(all="ignore"):
         warnings.simplefilter("ignore")
         status = main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "out")])
+        validated = main(["validate", "--config", str(cfg)])
     assert status in (0, 2, 3)
+    assert (validated == 2) == (status == 2)
     capsys.readouterr()

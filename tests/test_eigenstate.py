@@ -75,7 +75,7 @@ def test_normalized_orbit_is_a_pure_phase_times_the_eigenvector():
     ctx = eigenstate_context(h)
     t = np.linspace(0, 2, 41)
     traj = exact_trajectory(h, ctx.phi_k0, t)
-    expected = np.exp(-1j * ctx.e_real * t)[:, None] * ctx.phi_k0[None, :]
+    expected = np.exp(-1j * ctx.e_value.real * t)[:, None] * ctx.phi_k0[None, :]
     assert np.abs(traj.psi_hat - expected).max() <= 1e-11
 
 
@@ -171,3 +171,37 @@ def test_every_observable_is_a_weak_integral_from_an_eigenstate():
         x = random_matrix(4, rng)
         for v in traj.psi_hat[::2]:
             assert abs(mean_derivative(h, x, v)) < 1e-10
+
+
+def _separate_draws_and_stacks(ctx, t_grid, rng, tol_trunc):
+    """The witness and the series gap by the route that drew the pair and the
+    three probes in two places: one stack for the witness, one per time for
+    the probes, so the last grid point is conjugated twice."""
+    n, shifted, phi = ctx.shifted.dim, ctx.shifted, ctx.phi_k0
+    x = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    y = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    t_last = float(t_grid[-1])
+    gxy, gx, gy = gamma_t(shifted, np.stack([x @ y, x, y]), t_last)
+    witness = abs(np.vdot(phi, gxy @ phi) - np.vdot(phi, (gx @ gy) @ phi))
+    xs = np.stack([rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)) for _ in range(3)])
+    worst = 0.0
+    for t in (0.5, t_last):
+        for p, conj in zip(xs, gamma_t(shifted, xs, t)):
+            series, _ = gamma_series(shifted, p, t, tol_trunc)
+            worst = max(worst, op_norm(series - conj))
+    return float(witness), float(worst)
+
+
+@pytest.mark.parametrize("t_end", [0.5, 10.0])
+@pytest.mark.parametrize("dim", [2, 5, 16])
+@pytest.mark.parametrize("kind", ["hermitian", "real_spectrum", "complex_spectrum"])
+def test_shared_stack_keeps_witness_and_series_gap(kind, dim, t_end):
+    # one draw sequence and one exponential at t_end give the same numbers,
+    # bit for bit, as separate draws and stacks
+    h = random_hamiltonian(dim, np.random.default_rng(dim), kind=kind, scale=0.8)
+    ctx = eigenstate_context(h)
+    t_grid = np.linspace(0.0, t_end, 11)
+    report = weak_identity_report(ctx, t_grid, np.random.default_rng(5), 1e-12)
+    witness, gap = _separate_draws_and_stacks(ctx, t_grid, np.random.default_rng(5), 1e-12)
+    assert report.automorphism_witness == witness
+    assert report.series_vs_conjugation == gap

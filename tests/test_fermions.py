@@ -6,6 +6,7 @@ import pytest
 from nhdyn import (
     ConfigError,
     DimensionError,
+    DmModel,
     build_car,
     build_dm_model,
     classify,
@@ -110,8 +111,12 @@ class TestModel:
             build_dm_model(0.0, 1.0)
         with pytest.raises(ConfigError):
             build_dm_model(1.0, -2.0)
-        model = build_dm_model(0.0, 0.0, allow_zero=True)
-        assert np.abs(model.h).max() == 0
+        with pytest.raises(ConfigError):
+            build_dm_model(0.0, 0.0)
+        # zero couplings, built directly: nothing moves
+        zero = DmModel(build_car(3), 0.0, 0.0, np.zeros((8, 8), complex))
+        run = simulate_occupations(zero, "011", [0.0, 1.0])
+        assert np.array_equal(run.total, [2.0, 2.0])
 
     def test_initial_states_are_not_eigenvectors(self):
         for lam, mu in ((0.5, 0.5), (1.0, 1.0), (3.0, 2.0)):
@@ -220,7 +225,8 @@ class TestDerivationIdentity:
         assert delta_gamma_number_check(build_dm_model(lam, mu)) <= 1e-12
 
     def test_zero_couplings_trivial(self):
-        assert delta_gamma_number_check(build_dm_model(0.0, 0.0, allow_zero=True)) == 0.0
+        zero = DmModel(build_car(3), 0.0, 0.0, np.zeros((8, 8), complex))
+        assert delta_gamma_number_check(zero) == 0.0
 
 
 class TestScalarTerm:

@@ -16,7 +16,6 @@ from nhdyn.errors import ConfigError
 from nhdyn.scenario import (
     complex_to_json,
     emit_csv,
-    format_sig,
     load_config,
     parse_config,
     run,
@@ -133,10 +132,6 @@ class TestCsvFormat:
         emit_csv(path, ["x"], [values])
         _, rows = read_csv(path)
         assert np.array_equal(rows[:, 0], values)
-
-    def test_format_sig_uses_plain_decimal_point(self):
-        assert "." in format_sig(0.5)
-        assert format_sig(2.0) == "2"
 
     def test_header_column_mismatch(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -332,7 +327,7 @@ class TestRunner:
         assert first.tasks["fermion_demo"]["scalar_residual"] <= 1e-11
 
     def test_eigenstate_case_forms_one_exponential_per_time(self, tmp_path, monkeypatch):
-        # the witness at t_end and the probes at 0.5 and t_end: three times
+        # the witness and the probes share t_end; the probes alone take 0.5
         calls = []
         original = nhdyn.gamma.expm
         monkeypatch.setattr(nhdyn.gamma, "expm", lambda a: calls.append(1) or original(a))
@@ -341,7 +336,7 @@ class TestRunner:
             "tasks": ["eigenstate_case"],
         }
         run(parse_config(doc), tmp_path)
-        assert len(calls) == 3
+        assert len(calls) == 2
 
     def test_trajectory_section_reports_the_stepping_path(self, tmp_path):
         doc = dict(MINIMAL_FERMION, tasks=["trajectory"])
@@ -453,6 +448,9 @@ class TestCli:
             ({"hamiltonian": {"fermion_dm": {"lambda": "2"}}}, "fermion_dm"),
             ({"hamiltonian": {"fermion_dm": {"mu": True}}}, "fermion_dm"),
             ({"hamiltonian": {"fermion_dm": {"mu": 10**400}}}, "fermion_dm"),
+            ({"eigenstate_k0": 8}, "eigenstate_k0 must lie in [0, 7]"),
+            ({"eigenstate_k0": -1}, "eigenstate_k0 must lie in [0, 7]"),
+            ({"tolerances": {"rank_tol_rel": 2}}, "tolerances.rank_tol_rel must be below 1"),
         ],
     )
     def test_non_number_time_and_couplings_exit_two(
