@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BiorthogonalityError, DegenerateSpectrumError
-from .linalg import as_square_matrix, eig_general, op_norm
+from .linalg import Spectrum, as_square_matrix, eig_general
 
 DEFAULT_TOL_DISTINCT = 1e-8
 DEFAULT_TOL_BIORTHO = 1e-10
@@ -54,7 +54,8 @@ class BiorthogonalSystem:
 
 
 def build_biorthogonal(h, tol_distinct: float = DEFAULT_TOL_DISTINCT) -> BiorthogonalSystem:
-    """Construct the biorthogonal eigensystem and metric operators of ``h``.
+    """Construct the biorthogonal eigensystem and metric operators of ``h``, a
+    Hamiltonian or its ``Spectrum``, whose eigensolve and 2-norm |H| are reused.
 
     Eigenvalues must be pairwise separated by ``tol_distinct * |H|``;
     collisions raise ``DegenerateSpectrumError`` naming the first pair
@@ -67,13 +68,10 @@ def build_biorthogonal(h, tol_distinct: float = DEFAULT_TOL_DISTINCT) -> Biortho
     beyond ``DEFAULT_TOL_BIORTHO`` (or by a non-finite amount), which
     happens only for severely ill-conditioned eigenbases.
     """
-    hm = as_square_matrix(h, "hamiltonian")
-    n = hm.shape[0]
-    scale = max(op_norm(hm), np.finfo(float).tiny)
-
-    decomp = eig_general(hm)
-    values = decomp.eigenvalues
-    phi = decomp.right_vectors
+    decomp = h if isinstance(h, Spectrum) else eig_general(as_square_matrix(h, "hamiltonian"))
+    n = decomp.matrix.shape[0]
+    scale = max(decomp.norm, np.finfo(float).tiny)
+    values, phi = decomp.eigenvalues, decomp.right_vectors
 
     gaps = np.abs(values[:, None] - values[None, :])
     np.fill_diagonal(gaps, np.inf)

@@ -3,8 +3,8 @@
     nhdyn run --config scenario.json [--out-dir DIR] [--seed INT]
     nhdyn validate --config scenario.json
 
-Exit status: 0 on success, 2 on validation errors, 3 on numerical
-failures (degenerate spectra, truncation caps, unstable integrations).
+Exit status: 0 on success, 2 on validation errors, 3 on numerical failures
+(degenerate spectra, truncation caps, unstable integrations, out of memory).
 """
 
 from __future__ import annotations
@@ -53,6 +53,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except NumericalError as exc:
         print(f"nhdyn: numerical failure: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError:  # last resort: a task outgrew memory before any check caught it
+        print("nhdyn: numerical failure: out of memory", file=sys.stderr)
         return 3
 
     for name in report.artifacts:

@@ -32,7 +32,7 @@ from .gamma import (
     gamma_series,
     gamma_t,
 )
-from .linalg import as_square_matrix, eig_general, op_norm
+from .linalg import Spectrum, as_square_matrix, eig_general, op_norm
 
 
 @dataclass(frozen=True)
@@ -49,20 +49,20 @@ class EigenstateContext:
 
 
 def eigenstate_context(h, k0: int | None = None) -> EigenstateContext:
-    """Select eigenpair ``k0`` of ``h`` (sorted by real, then imaginary part).
+    """Select eigenpair ``k0`` of ``h`` (sorted by real, then imaginary part), a
+    Hamiltonian or its ``Spectrum``, whose eigensolve is then reused.
 
     With ``k0=None`` the eigenvalue of largest |imaginary part| is
     chosen, the most instructive case; ties resolve to the lowest index.
     """
-    hm = as_square_matrix(h, "hamiltonian")
-    decomp = eig_general(hm)
-    n = hm.shape[0]
+    decomp = h if isinstance(h, Spectrum) else eig_general(as_square_matrix(h, "hamiltonian"))
+    n = decomp.matrix.shape[0]
     if k0 is None:
         k0 = int(np.argmax(np.abs(decomp.eigenvalues.imag)))
     if not 0 <= k0 < n:
         raise ConfigError(f"k0 must lie in [0, {n - 1}], got {k0}")
     e = complex(decomp.eigenvalues[k0])
-    shifted = gamma_context(hm - e * np.eye(n, dtype=complex))
+    shifted = gamma_context(decomp.matrix - e * np.eye(n, dtype=complex))
     return EigenstateContext(k0, e, decomp.right_vectors[:, k0], shifted)
 
 

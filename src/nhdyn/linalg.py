@@ -144,10 +144,11 @@ def _expm(a: np.ndarray) -> np.ndarray:
     n1 = float(col.max(initial=0.0))
     if not math.isfinite(n1):
         raise NumericRangeError("expm argument has an infinite 1-norm")
+    if not n1:  # exp(0) = I, exactly and without a Pade step
+        return np.eye(a.shape[0], dtype=complex)
     # chain[i]: column sums of B^(4i+3), B = |A| / |A|_1 so that nothing
     # overflows; grown by vector products with B^4 as degrees are tried
-    if n1:
-        b, col = b / n1, col / n1
+    b, col = b / n1, col / n1
     b2 = b @ b
     chain, b4 = [col @ b2], b2 @ b2
 
@@ -218,11 +219,14 @@ class Spectrum:
     match ``eigenvalues`` (sorted by real part, then imaginary part).
     ``condition_estimate`` is the condition number of the eigenvector
     matrix; a large value signals a defective or near-defective input.
+    ``matrix`` and its 2-norm ``norm`` let a ``Spectrum`` stand in for its matrix.
     """
 
     eigenvalues: np.ndarray
     right_vectors: np.ndarray
     condition_estimate: float
+    matrix: np.ndarray
+    norm: float
 
 
 def eig_general(a) -> Spectrum:
@@ -258,7 +262,7 @@ def eig_general(a) -> Spectrum:
         cond = np.inf
     if not np.isfinite(cond):
         cond = float(1.0 / np.finfo(float).eps)
-    return Spectrum(eigenvalues=values, right_vectors=vectors, condition_estimate=cond)
+    return Spectrum(values, vectors, cond, m, scale)
 
 
 def nullspace(l, rank_tol_rel: float = DEFAULT_RANK_TOL) -> np.ndarray:

@@ -49,7 +49,7 @@ from .gamma import (
     gamma_symmetry_basis,
     similar_norm_preserving,
 )
-from .linalg import DEFAULT_RANK_TOL, frob, mean_values
+from .linalg import DEFAULT_RANK_TOL, Spectrum, eig_general, frob, mean_values
 
 DEFAULT_TOLERANCES = {
     "tol_class": flow.DEFAULT_TOL_CLASS,
@@ -90,28 +90,45 @@ def _parse_entry(value, path: str, *index: int) -> complex:
     raise _fail(where, "must be a finite real number or an [re, im] pair")
 
 
+def _as_pairs(value, depth: int) -> np.ndarray | None:
+    """``value`` as a complex array if it nests lists ``depth`` deep to [re, im] pairs of
+    finite ints and floats, else None. ``np.array`` also takes tuples, bools, strings and
+    ints just past the float range; ``view`` keeps a -0.0 real part, ``re + 1j*im`` not."""
+    try:
+        a = np.array(value, float)
+    except (TypeError, ValueError, OverflowError):  # non-numeric, ragged, huge ints
+        return None
+    if a.shape[depth:] != (2,) or not (abs(a) < sys.float_info.max).all():
+        return None
+    nested, types = [value], {type(value)}
+    for _ in range(depth + 1):
+        nested = [x for xs in nested for x in xs]
+        types.update(map(type, nested))
+    return a.view(complex)[..., 0] if types <= {list, int, float} else None
+
+
 def _parse_matrix(value, path: str) -> np.ndarray:
+    if (fast := _as_pairs(value, 2)) is not None:
+        return fast
     if not isinstance(value, list) or not value:
         raise _fail(path, "must be a non-empty list of rows")
-    rows = []
-    width = None
+    rows, width = [], 0
     for i, row in enumerate(value):
         if not isinstance(row, list) or not row:
             raise _fail(f"{path}[{i}]", "must be a non-empty list")
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
+        width = width or len(row)
+        if len(row) != width:
             raise _fail(f"{path}[{i}]", f"has {len(row)} entries, expected {width}")
         rows.append([_parse_entry(v, path, i, j) for j, v in enumerate(row)])
     return np.array(rows, dtype=complex)
 
 
 def _parse_vector(value, path: str) -> np.ndarray:
+    if (fast := _as_pairs(value, 1)) is not None:
+        return fast
     if not isinstance(value, list) or not value:
         raise _fail(path, "must be a non-empty list")
-    return np.array(
-        [_parse_entry(v, path, j) for j, v in enumerate(value)], dtype=complex
-    )
+    return np.array([_parse_entry(v, path, j) for j, v in enumerate(value)], complex)
 
 
 def complex_to_json(a) -> list:
@@ -141,6 +158,11 @@ class ScenarioConfig:
     def trajectory(self) -> flow.StateTrajectory:
         """The initial state evolved over ``t_grid`` once; tasks share it read-only."""
         return flow.exact_trajectory(self.hamiltonian, self.initial_state, self.t_grid)
+
+    @cached_property
+    def spectrum(self) -> Spectrum:
+        """The Hamiltonian diagonalized once; tasks share it read-only."""
+        return eig_general(self.hamiltonian)
 
 
 def _validate_hamiltonian(doc: dict, echo: dict):
@@ -513,9 +535,7 @@ def _task_trajectory(cfg: ScenarioConfig, csvs: dict, rng) -> dict:
 
 
 def _task_biortho(cfg: ScenarioConfig, csvs: dict, rng) -> dict:
-    system = build_biorthogonal(
-        cfg.hamiltonian, tol_distinct=cfg.tolerances["tol_distinct"]
-    )
+    system = build_biorthogonal(cfg.spectrum, tol_distinct=cfg.tolerances["tol_distinct"])
     r_psi, r_phi = verify_intertwining(system, cfg.hamiltonian)
     return {
         "eigenvalues": complex_to_json(system.eigenvalues),
@@ -559,7 +579,7 @@ def _task_classify(cfg: ScenarioConfig, csvs: dict, rng) -> dict:
 
 
 def _task_eigenstate(cfg: ScenarioConfig, csvs: dict, rng) -> dict:
-    ctx = eigenstate_context(cfg.hamiltonian, cfg.eigenstate_k0)
+    ctx = eigenstate_context(cfg.spectrum, cfg.eigenstate_k0)
     report = weak_identity_report(ctx, cfg.t_grid, rng, cfg.tolerances["tol_trunc"])
     return {"k0": ctx.k0, "eigenvalue": complex_to_json(ctx.e_value), **asdict(report)}
 

@@ -1,7 +1,9 @@
+import dataclasses
 import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import mpmath
@@ -15,8 +17,11 @@ import nhdyn
 from nhdyn import (
     DimensionError,
     NumericRangeError,
+    build_biorthogonal,
     build_dm_model,
     eig_general,
+    eigenstate_context,
+    exact_trajectory,
     expm,
     nullspace,
     op_norm,
@@ -33,6 +38,24 @@ def _norm1(a: np.ndarray) -> float:
 class TestExpm:
     def test_zero_matrix(self):
         assert np.array_equal(expm(np.zeros((3, 3))), np.eye(3))
+
+    @pytest.mark.parametrize("n", [0, 1, 8, 64])
+    def test_exponential_of_zero_is_exactly_the_identity(self, n):
+        h = random_hamiltonian(max(n, 2), np.random.default_rng(n), kind="complex_spectrum")
+        signed = -1j * h[:n, :n] * 0.0  # zeros of both signs in both parts
+        if n >= 8:
+            assert np.signbit(signed.real).any() and np.signbit(signed.imag).any()
+        for zero in (np.zeros((n, n)), signed):
+            e = expm(zero)
+            assert e.dtype == np.complex128
+            assert e.tobytes() == np.eye(n, dtype=complex).tobytes()
+
+    def test_trajectory_starts_exactly_at_psi0(self):
+        rng = np.random.default_rng(5)
+        h = random_hamiltonian(8, rng, kind="complex_spectrum")
+        psi0 = random_unit_vector(8, rng)
+        traj = exact_trajectory(h, psi0, np.linspace(0.0, 2.0, 11))
+        assert traj.psi[0].tobytes() == psi0.tobytes()
 
     def test_rotation_generator_against_taylor_oracle(self):
         theta = 0.3
@@ -207,6 +230,33 @@ class TestEigGeneral:
                 @ np.linalg.inv(spec.right_vectors)
             )
             assert np.linalg.norm(rebuilt - a) / np.linalg.norm(a) < 1e-10
+
+
+def assert_same_bits(a, b):
+    """Field by field, bit for bit, through nested dataclasses."""
+    if dataclasses.is_dataclass(a):
+        assert type(a) is type(b)
+        for f in dataclasses.fields(a):
+            assert_same_bits(getattr(a, f.name), getattr(b, f.name))
+        return
+    x, y = np.asarray(a), np.asarray(b)
+    assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes())
+
+
+class TestSharedSpectrum:
+    """A ``Spectrum`` stands in for its Hamiltonian without changing a bit."""
+
+    @pytest.mark.parametrize("kind", ["hermitian", "real_spectrum", "complex_spectrum"])
+    def test_spectrum_input_equals_matrix_input(self, kind):
+        h = random_hamiltonian(6, np.random.default_rng(31), kind=kind)
+        spec = eig_general(h)
+        assert spec.matrix.tobytes() == h.tobytes()
+        assert spec.norm == op_norm(h)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # complex spectra warn on both routes
+            assert_same_bits(build_biorthogonal(spec), build_biorthogonal(h))
+        for k0 in (None, 0, 5):
+            assert_same_bits(eigenstate_context(spec, k0), eigenstate_context(h, k0))
 
 
 class TestNullspace:

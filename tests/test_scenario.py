@@ -1,14 +1,17 @@
 import csv
 import json
+import sys
 
 import numpy as np
 import pytest
 
 from oracles import csv_text_per_value
 
+import nhdyn.cli
 import nhdyn.fermions
 import nhdyn.flow
 import nhdyn.gamma
+import nhdyn.linalg
 import nhdyn.scenario
 from nhdyn.cli import main
 from nhdyn.ensembles import random_hamiltonian, random_unit_vector
@@ -326,6 +329,36 @@ class TestRunner:
         assert first.tasks == second.tasks
         assert first.tasks["fermion_demo"]["scalar_residual"] <= 1e-11
 
+    def test_biortho_and_eigenstate_case_share_one_eigensolve(self, tmp_path, monkeypatch):
+        calls = []
+        original = nhdyn.linalg.eig_general
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        # patch every nhdyn namespace that binds the eigensolver
+        bound = [
+            m for name, m in sys.modules.items()
+            if name.split(".")[0] == "nhdyn" and getattr(m, "eig_general", None) is original
+        ]
+        assert {m.__name__ for m in bound} >= {"nhdyn.biortho", "nhdyn.eigenstate", "nhdyn.scenario"}
+        for module in bound:
+            monkeypatch.setattr(module, "eig_general", counting)
+        doc = {
+            "hamiltonian": [[[1.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [0.5, 1.0]]],
+            "tasks": ["biortho", "eigenstate_case"],
+            "time": {"t_start": 0.0, "t_end": 2.0, "points": 11},
+        }
+        cfg = parse_config(doc)
+        with pytest.warns(UserWarning, match="complex eigenvalues"):
+            first = run(cfg, tmp_path / "a")
+        assert len(calls) == 1
+        with pytest.warns(UserWarning, match="complex eigenvalues"):
+            second = run(cfg, tmp_path / "b", seed=7)
+        assert len(calls) == 1
+        assert first.tasks["biortho"] == second.tasks["biortho"]
+
     def test_eigenstate_case_forms_one_exponential_per_time(self, tmp_path, monkeypatch):
         # the witness and the probes share t_end; the probes alone take 0.5
         calls = []
@@ -376,6 +409,17 @@ class TestCli:
         cfg = write_config(tmp_path, doc)
         assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 3
         assert "collide" in capsys.readouterr().err
+
+    def test_out_of_memory_exits_three_without_a_traceback(self, tmp_path, capsys, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(nhdyn.cli, "run", exhausted)
+        cfg = write_config(tmp_path, MINIMAL_FERMION)
+        assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == "nhdyn: numerical failure: out of memory\n"
+        assert captured.out == ""
 
     def test_validate_prints_materialized_echo(self, tmp_path, capsys):
         cfg = write_config(tmp_path, MINIMAL_FERMION)
