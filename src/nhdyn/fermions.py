@@ -138,38 +138,37 @@ def build_dm_model(lam: float, mu: float) -> DmModel:
 _CLOSED_FORM_LABELS = {(0, 1, 1), (0, 1, 0)}
 
 
+def _solved(model: DmModel, initial, t):
+    """The label, ``t`` as floats, l^2, m^2, the label's rate s (l^2 + m^2 for
+    011, l^2 for 010) and D = 1 + s t^2; a label with no closed form raises."""
+    occ = parse_occupation_label(initial, 3)
+    if occ not in _CLOSED_FORM_LABELS:
+        raise ConfigError(f"no closed form for initial state {occ}; use simulate_occupations")
+    tt = np.asarray(t, dtype=float)
+    l2, m2 = model.lam**2, model.mu**2
+    rate = l2 + m2 if occ == (0, 1, 1) else l2
+    return occ, tt, l2, m2, rate, 1.0 + rate * tt**2
+
+
 def closed_form_occupations(model: DmModel, initial, t):
     """Closed-form (n1, n2, n3) for the two analytically solved initial states.
 
     ``t`` may be a scalar or an array. Unsupported labels raise
     ``ConfigError``; the simulator covers them numerically instead.
     """
-    occ = parse_occupation_label(initial, 3)
-    if occ not in _CLOSED_FORM_LABELS:
-        raise ConfigError(
-            f"no closed form for initial state {occ}; use simulate_occupations"
-        )
-    tt = np.asarray(t, dtype=float)
-    l2, m2 = model.lam**2, model.mu**2
+    occ, tt, l2, m2, rate, den = _solved(model, initial, t)
+    n1 = rate * tt**2 / den
     if occ == (0, 1, 1):
-        den = 1.0 + (l2 + m2) * tt**2
-        return (l2 + m2) * tt**2 / den, (1.0 + m2 * tt**2) / den, (1.0 + l2 * tt**2) / den
-    den = 1.0 + l2 * tt**2
-    return l2 * tt**2 / den, 1.0 / den, np.zeros_like(tt)
+        return n1, (1.0 + m2 * tt**2) / den, (1.0 + l2 * tt**2) / den
+    return n1, 1.0 / den, np.zeros_like(tt)
 
 
 def closed_form_scalar(model: DmModel, initial, t):
     """Closed-form nonlinear scalar <psi_hat,(H^†-H)psi_hat> on the two
     solved trajectories (purely imaginary; see the module docstring for
     why the numerator carries the sum of squared couplings)."""
-    occ = parse_occupation_label(initial, 3)
-    if occ not in _CLOSED_FORM_LABELS:
-        raise ConfigError(f"no closed form for initial state {occ}")
-    tt = np.asarray(t, dtype=float)
-    l2, m2 = model.lam**2, model.mu**2
-    if occ == (0, 1, 1):
-        return -2j * tt * (l2 + m2) / (1.0 + (l2 + m2) * tt**2)
-    return -2j * tt * l2 / (1.0 + l2 * tt**2)
+    _, tt, _, _, rate, den = _solved(model, initial, t)
+    return -2j * tt * rate / den
 
 
 @dataclass(frozen=True)

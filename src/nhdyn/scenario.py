@@ -24,8 +24,10 @@ are accepted on input); every complex number in emitted JSON is a
 config in the report always shows the materialized values. Reports are
 byte-stable for a fixed config and seed and laid out as
 ``json.dumps(indent=2, sort_keys=True)`` lays them out: two-space indent,
-sorted keys, floats as Python ``repr``. The Hamiltonian dimension is
-capped at MAX_DIM = 64, the desk scale the package is built for.
+sorted keys, floats as Python ``repr``. The arrays ``complex_to_json`` builds
+carry their depth and are C-encoded in one piece; everything else is laid out
+value by value. The Hamiltonian dimension is capped at MAX_DIM = 64, the desk
+scale the package is built for.
 """
 
 from __future__ import annotations
@@ -58,6 +60,7 @@ DEFAULT_TOLERANCES = {
     "tol_distinct": DEFAULT_TOL_DISTINCT,
 }
 DEFAULT_TIME = {"t_start": 0.0, "t_end": 10.0, "points": 201}
+DEFAULT_COUPLINGS = {"lambda": 1.0, "mu": 1.0}
 MAX_POINTS = 100_000
 MAX_DIM = 64
 DEFAULT_SEED = 42
@@ -104,7 +107,7 @@ def _as_pairs(value, depth: int) -> np.ndarray | None:
     for _ in range(depth + 1):
         nested = [x for xs in nested for x in xs]
         types.update(map(type, nested))
-    return a.view(complex)[..., 0] if types <= {list, int, float} else None
+    return a.view(complex)[..., 0] if types <= {list, _Array, int, float} else None
 
 
 def _parse_matrix(value, path: str) -> np.ndarray:
@@ -131,10 +134,20 @@ def _parse_vector(value, path: str) -> np.ndarray:
     return np.array([_parse_entry(v, path, j) for j, v in enumerate(value)], complex)
 
 
+class _Array(list):
+    """Nested [re, im] pairs ``depth`` lists deep, laid out by ``_layout_array``.
+    ``dataclasses.asdict`` rebuilds it as ``_Array(items)`` without ``depth``, and
+    the writer then fails, so it must not pass through ``asdict``."""
+
+    __slots__ = ("depth",)
+
+
 def complex_to_json(a) -> list:
-    """A complex scalar, vector or matrix as nested [re, im] pairs."""
+    """A complex scalar, vector, matrix or stack of matrices as nested [re, im] pairs."""
     a = np.asarray(a, dtype=complex)
-    return np.stack([a.real, a.imag], -1).tolist()
+    out = _Array(np.stack([a.real, a.imag], -1).tolist())
+    out.depth = a.ndim + 1
+    return out
 
 
 @dataclass
@@ -173,14 +186,8 @@ def _validate_hamiltonian(doc: dict, echo: dict):
     commutator = None
 
     if isinstance(raw, dict) and set(raw) == {"fermion_dm"}:
-        params = raw["fermion_dm"]
-        if not isinstance(params, dict):
-            raise _fail("hamiltonian.fermion_dm", "must be an object")
-        unknown = set(params) - {"lambda", "mu"}
-        if unknown:
-            raise _fail("hamiltonian.fermion_dm", f"has unknown fields {sorted(unknown)}")
-        lam = params.get("lambda", 1.0)
-        mu = params.get("mu", 1.0)
+        params = _fields(raw["fermion_dm"], "hamiltonian.fermion_dm", DEFAULT_COUPLINGS)
+        lam, mu = params["lambda"], params["mu"]
         if not (
             _is_finite_number(lam) and _is_finite_number(mu) and lam > 0 and mu > 0
         ):
@@ -220,14 +227,18 @@ def _validate_hamiltonian(doc: dict, echo: dict):
     return h, model, commutator
 
 
-def _validate_time(doc: dict, echo: dict) -> np.ndarray:
-    raw = doc.get("time", {})
+def _fields(raw, path: str, defaults: dict) -> dict:
+    """The config object ``raw`` over ``defaults``, which name every field it may hold."""
     if not isinstance(raw, dict):
-        raise _fail("time", "must be an object")
-    unknown = set(raw) - set(DEFAULT_TIME)
+        raise _fail(path, "must be an object")
+    unknown = set(raw) - set(defaults)
     if unknown:
-        raise _fail("time", f"has unknown fields {sorted(unknown)}")
-    merged = {**DEFAULT_TIME, **raw}
+        raise _fail(path, f"has unknown fields {sorted(unknown)}")
+    return {**defaults, **raw}
+
+
+def _validate_time(doc: dict, echo: dict) -> np.ndarray:
+    merged = _fields(doc.get("time", {}), "time", DEFAULT_TIME)
     t_start, t_end, points = merged["t_start"], merged["t_end"], merged["points"]
     if not (_is_finite_number(t_start) and _is_finite_number(t_end)):
         raise _fail("time", "fields must be finite numbers")
@@ -244,13 +255,7 @@ def _validate_time(doc: dict, echo: dict) -> np.ndarray:
 
 
 def _validate_tolerances(doc: dict, echo: dict) -> dict[str, float]:
-    raw = doc.get("tolerances", {})
-    if not isinstance(raw, dict):
-        raise _fail("tolerances", "must be an object")
-    unknown = set(raw) - set(DEFAULT_TOLERANCES)
-    if unknown:
-        raise _fail("tolerances", f"has unknown fields {sorted(unknown)}")
-    merged = {**DEFAULT_TOLERANCES, **raw}
+    merged = _fields(doc.get("tolerances", {}), "tolerances", DEFAULT_TOLERANCES)
     for key, value in merged.items():
         if not _is_finite_number(value) or value <= 0:
             raise _fail(f"tolerances.{key}", "must be a finite positive number")
@@ -434,9 +439,9 @@ _encode = json.JSONEncoder(allow_nan=False).encode
 
 def _json_text(doc) -> str:
     """``json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\\n"``, byte
-    for byte. CPython's C encoder runs only without ``indent``, so each regular
-    numeric nested list is C-encoded and laid out by ``_layout_array``; a NaN or
-    infinity raises ``ValueError``."""
+    for byte. CPython's C encoder runs only without ``indent``, so each array that
+    ``complex_to_json`` built is C-encoded and laid out by ``_layout_array``; all
+    other values are laid out one by one. A NaN or infinity raises ``ValueError``."""
     return _layout(doc, 0) + "\n"
 
 
@@ -447,19 +452,14 @@ def _layout(value, depth: int) -> str:
     if isinstance(value, dict):
         items = (_encode(k) + ": " + _layout(v, depth + 1) for k, v in sorted(value.items()))
         return "{" + inner + ("," + inner).join(items) + inner[:-2] + "}"
-    try:
-        arr = np.asarray(value)
-        ndim = arr.ndim if arr.dtype.kind in "biuf" and arr.size else 0
-    except ValueError:  # ragged
-        ndim = 0
-    if ndim:
-        return _layout_array(value, ndim, depth)
+    if isinstance(value, _Array):
+        return _layout_array(value, value.depth, depth)
     items = (_layout(v, depth + 1) for v in value)
     return "[" + inner + ("," + inner).join(items) + inner[:-2] + "]"
 
 
 def _layout_array(value, ndim: int, depth: int) -> str:
-    """A regular ``ndim``-deep list of numbers, laid out as ``indent=2`` does.
+    """A ``complex_to_json`` array, ``ndim`` lists deep, laid out as ``indent=2`` does.
 
     The C encoder writes the innermost separator; one ``str.replace`` per outer
     depth splits each ``]..], [..[`` run over lines, longest first, as a longer
@@ -559,23 +559,12 @@ def _task_symmetries(cfg: ScenarioConfig, csvs: dict, rng) -> dict:
 
 
 def _task_classify(cfg: ScenarioConfig, csvs: dict, rng) -> dict:
-    reports = []
+    tol, reports = cfg.tolerances["tol_class"], []
     for name, matrix in cfg.observables:
-        rep = flow.classify(
-            cfg.hamiltonian, matrix, cfg.trajectory, cfg.tolerances["tol_class"], name
-        )
-        reports.append(
-            {
-                "name": rep.observable_name,
-                "c_gamma_residual": rep.c_gamma_residual,
-                "c_psi_hat_residual": rep.c_psi_hat_residual,
-                "c_psi_hat_weak_residual": rep.c_psi_hat_weak_residual,
-                "in_c_gamma": rep.in_c_gamma,
-                "in_c_psi_hat": rep.in_c_psi_hat,
-                "in_c_psi_hat_weak": rep.in_c_psi_hat_weak,
-            }
-        )
-    return {"tol_class": cfg.tolerances["tol_class"], "reports": reports}
+        rep = asdict(flow.classify(cfg.hamiltonian, matrix, cfg.trajectory, tol, name))
+        del rep["observable_name"], rep["tol_class"]  # given as "name", and once per section
+        reports.append({"name": name, **rep})
+    return {"tol_class": tol, "reports": reports}
 
 
 def _task_eigenstate(cfg: ScenarioConfig, csvs: dict, rng) -> dict:

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import nhdyn.scenario
 from nhdyn.errors import ConfigError
-from nhdyn.scenario import _as_pairs, _parse_matrix, _parse_vector
+from nhdyn.scenario import _as_pairs, _parse_matrix, _parse_vector, complex_to_json
 
 properties = settings(derandomize=True, deadline=None, max_examples=120)
 
@@ -145,3 +145,19 @@ def test_negative_zero_real_part_survives_the_array_route():
     a = _as_pairs(value, 2)
     assert a is not None
     assert np.signbit(a.real).all() and np.signbit(a.imag[0, 1])
+
+
+def test_complex_to_json_output_takes_the_array_route_bit_equal():
+    rng = np.random.default_rng(3)
+    h = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
+    h.real[0] = -0.0
+    h.imag[:, 1] = -0.0
+    a = _as_pairs(complex_to_json(h), 2)
+    assert a is not None
+    assert_bit_equal(a, h)
+
+
+def test_a_complex_to_json_list_holding_a_bool_is_not_taken_as_pairs():
+    value = complex_to_json(np.eye(2))
+    value[1][1][0] = True
+    assert _as_pairs(value, 2) is None

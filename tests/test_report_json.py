@@ -1,9 +1,9 @@
 """The report writer gives the bytes of ``json.dumps(indent=2, sort_keys=True)``.
 
-``nhdyn.scenario._json_text`` C-encodes regular numeric arrays and lays
-them out itself; ``oracles.report_json_stdlib`` is the standard library's
-pure-Python route it replaces. Generated documents are derandomized, so
-every run checks the same examples.
+``nhdyn.scenario._json_text`` C-encodes the arrays ``complex_to_json``
+builds and lays them out itself; ``oracles.report_json_stdlib`` is the
+standard library's pure-Python route it replaces. Generated documents are
+derandomized, so every run checks the same examples.
 """
 
 import dataclasses
@@ -65,12 +65,38 @@ def test_writer_equals_the_stdlib_encoder_on_a_generator_stack():
     assert _json_text(doc) == report_json_stdlib(doc)
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_writer_rejects_a_non_finite_number_inside_an_array(bad):
+@pytest.mark.parametrize(
+    "shape",
+    [(), (5,), (4, 4), (3, 6, 6), (0, 6, 6)],
+    ids=["scalar", "vector", "matrix", "stack", "empty-stack"],
+)
+def test_complex_to_json_arrays_equal_the_stdlib_encoder(shape):
+    rng = np.random.default_rng(11)
+    a = np.asarray(rng.normal(size=shape) + 1j * rng.normal(size=shape))
+    a.real.flat[::3] = -0.0
+    a.imag.flat[1::3] = -0.0
+    doc = {"x": complex_to_json(a), "nested": [complex_to_json(a), {"y": complex_to_json(a)}]}
+    text = _json_text(doc)
+    assert text == report_json_stdlib(doc)
+    assert ("-0.0" in text) == (a.size > 0)
+
+
+NON_FINITE = [np.nan, np.inf, -np.inf]
+
+
+@pytest.mark.parametrize(
+    "bad, tagged",
+    [(bad, False) for bad in NON_FINITE] + [(bad, True) for bad in NON_FINITE],
+    ids=[str(bad) for bad in NON_FINITE] + [f"{bad}-complex_to_json" for bad in NON_FINITE],
+)
+def test_writer_rejects_a_non_finite_number_inside_an_array(bad, tagged):
+    """A plain ``tolist()`` is laid out value by value; a ``complex_to_json``
+    array is C-encoded in one piece. Both reject the number."""
     stack = np.ones((3, 5, 5, 2))
     stack[2, 4, 3, 1] = bad
+    value = complex_to_json(stack.view(complex)[..., 0]) if tagged else stack.tolist()
     with pytest.raises(ValueError):
-        _json_text({"generators": stack.tolist()})
+        _json_text({"generators": value})
 
 
 def _inline(n, kind, seed):

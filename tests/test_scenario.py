@@ -112,6 +112,30 @@ class TestValidation:
         with pytest.raises(ConfigError, match=r"tolerances\.tol_class"):
             parse_config(doc)
 
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("time", [0.0, 1.0], "time must be an object"),
+            ("time", {"zeta": 1, "dt": 0.1}, "time has unknown fields ['dt', 'zeta']"),
+            ("tolerances", "tight", "tolerances must be an object"),
+            ("tolerances", {"tol": 1e-9}, "tolerances has unknown fields ['tol']"),
+            ("fermion_dm", [1.0, 1.0], "hamiltonian.fermion_dm must be an object"),
+            (
+                "fermion_dm",
+                {"lambda": 1.0, "nu": 2.0},
+                "hamiltonian.fermion_dm has unknown fields ['nu']",
+            ),
+        ],
+    )
+    def test_config_object_errors_give_the_full_text(self, key, value, message):
+        if key == "fermion_dm":
+            doc = dict(MINIMAL_FERMION, hamiltonian={"fermion_dm": value})
+        else:
+            doc = dict(MINIMAL_FERMION, **{key: value})
+        with pytest.raises(ConfigError) as info:
+            parse_config(doc)
+        assert str(info.value) == message
+
     def test_dimension_cap_from_environment(self, monkeypatch):
         # the cap is the fixed desk scale; no environment variable raises it
         monkeypatch.setenv("NHDYN_MAX_DIM", "100")
