@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 
 from .errors import ConfigError, NumericalError
 from .scenario import _json_text, load_config, run
@@ -47,7 +48,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "validate":
             print(_json_text(cfg.echo), end="")
             return 0
-        report = run(cfg, args.out_dir, seed=args.seed)
+        with warnings.catch_warnings():  # the report records real_spectrum
+            warnings.filterwarnings("ignore", "spectrum has complex eigenvalues")
+            report = run(cfg, args.out_dir, seed=args.seed)
     except ConfigError as exc:
         print(f"nhdyn: config error: {exc}", file=sys.stderr)
         return 2

@@ -40,7 +40,7 @@ from .linalg import (
 DEFAULT_TOL_CLASS = 1e-8
 UNIT_NORM_TOL = 1e-10
 ANCHOR = 25  # grid points per stepped segment of exact_trajectory
-STEP_TOL = 1e-12  # relative anchor gap above which a segment is recomputed
+STEP_TOL = 1e-12  # relative anchor gap per unit of anchor cond that forces a recompute
 
 
 @dataclass(frozen=True)
@@ -91,9 +91,11 @@ def exact_trajectory(h, psi0, t_grid) -> StateTrajectory:
     """Propagate a normalized state: ``psi[j] = expm(-i H t_j) psi0``.
 
     A uniform grid is stepped with one U = expm(-i H dt) between anchors
-    (every ``ANCHOR``-th and the last point) that take a fresh exponential.
-    Guard: the state stepped into an anchor must match it within ``STEP_TOL``
-    relative, else that segment is redone point by point, as is a non-uniform grid.
+    (every ``ANCHOR``-th and the last point) that take a fresh U_j = expm(-i H t_j).
+    Guard: the state stepped into an anchor must match U_j psi0 within
+    ``STEP_TOL * cond`` relative, cond = max(1, |U_j|_F / sqrt(N)) / |U_j psi0| (the
+    anchor's own roundoff), else that segment is redone point by point, as is a
+    non-uniform grid.
     """
     hm = as_square_matrix(h, "hamiltonian")
     v0 = _unit_vector(psi0, hm.shape[0], 1e-12, "psi0")
@@ -110,11 +112,13 @@ def exact_trajectory(h, psi0, t_grid) -> StateTrajectory:
         if stepped is not None and j % ANCHOR and j < t.size - 1:
             states[j] = stepped
             continue
-        states[j] = expm(-1j * hm * tj) @ v0
+        u = expm(-1j * hm * tj)
+        states[j] = u @ v0
         if stepped is not None:
-            gap = float(np.linalg.norm(stepped - states[j]) / np.linalg.norm(states[j]))
-            worst = max(worst, gap)
-            if not gap <= STEP_TOL:
+            miss = np.linalg.norm(stepped - states[j])
+            worst = max(worst, float(miss / np.linalg.norm(states[j])))
+            # gap <= STEP_TOL * cond, both sides times |U_j psi0|
+            if not miss <= STEP_TOL * max(1.0, np.linalg.norm(u) / np.sqrt(hm.shape[0])):
                 fallbacks += 1
                 for i in range(start + 1, j):
                     states[i] = expm(-1j * hm * t[i]) @ v0

@@ -105,19 +105,21 @@ def gamma_series(
 ) -> tuple[np.ndarray, int]:
     """Evaluate the exponential series sum_k t^k delta^k(X) / k!.
 
-    The truncation order is fixed a priori from the growth bound
-    |delta^k(X)| <= (``ctx.delta_bound``)^k |X|, so the discarded tail is
-    certified to be smaller than ``tol_trunc``; an order beyond
-    ``MAX_SERIES_TERMS`` raises ``TruncationError``. The sum stops early
-    at a term that is exactly zero: delta is linear, so every later term
-    is zero too (H^2 = 0 leaves three terms). Returns the partial sum and
-    the number of terms summed.
+    The growth bound |delta^k(X)| <= (``ctx.delta_bound``)^k |X| fixes an a-priori
+    order with a tail below ``tol_trunc``; it caps the loop, and an order beyond
+    ``MAX_SERIES_TERMS`` raises ``TruncationError`` before any work. The same bound
+    certifies a stop after each term T_k: with q = delta_bound |t| / (k + 1) < 1
+    the 2-norm of the tail is at most |T_k|_F q / (1 - q), and the sum returns once
+    that is below ``tol_trunc``. A term that is exactly zero stops it too: delta is
+    linear, so every later term is zero (H^2 = 0 leaves three terms). Returns the
+    partial sum and the number of terms summed.
     """
     xm = _check_dim(ctx, x)
     if tol_trunc <= 0:
         raise ConfigError("tol_trunc must be positive")
     x_scale = max(op_norm(xm), np.finfo(float).tiny)
-    terms = _certified_terms(ctx.delta_bound * abs(t), tol_trunc / x_scale)
+    rate = ctx.delta_bound * abs(t)
+    terms = _certified_terms(rate, tol_trunc / x_scale)
 
     h, hd = ctx.h, ctx.h.conj().T
     total = xm.copy()
@@ -128,6 +130,9 @@ def gamma_series(
         if not term.any():
             return total, k
         total += term
+        q = rate / (k + 1)  # |T_{k+j}| <= q^j |T_k|
+        if q < 1.0 and np.linalg.norm(term) * q / (1.0 - q) < tol_trunc:
+            return total, k + 1
     return total, terms
 
 

@@ -54,25 +54,29 @@ def gamma_t_two_exponentials(h: np.ndarray, x: np.ndarray, t: float) -> np.ndarr
     return left @ np.asarray(x, dtype=complex) @ scaled_taylor_expm(-1j * h * t)
 
 
-def gamma_series_reference(h: np.ndarray, x: np.ndarray, t: float, tol_trunc: float = 1e-12):
+def gamma_series_reference(
+    h: np.ndarray, x: np.ndarray, t: float, tol_trunc: float = 1e-12, terms: int | None = None
+):
     """sum_k t^k delta^k(X) / k! over every term of the bound |delta| <= 2|H|.
 
     No early stop and no shift of H; returns (sum, terms). The term count is
     the smallest K with sum_{k>=K} rate^k / k! below tol_trunc / |X|_2, with
-    the tail bounded geometrically once rate / (K + 1) < 1.
+    the tail bounded geometrically once rate / (K + 1) < 1. A given ``terms``
+    replaces that count: the same loop, cut where a stopped sum ended.
     """
     h = np.asarray(h, dtype=complex)
     x = np.asarray(x, dtype=complex)
     hd = h.conj().T
     rate = 2.0 * np.linalg.norm(h, 2) * abs(t)
     rel_tol = tol_trunc / max(np.linalg.norm(x, 2), np.finfo(float).tiny)
-    terms, size = 1, 1.0  # size = rate^K / K! for the last included K = terms - 1
-    while True:
-        ratio = rate / terms
-        if (ratio < 1.0 and size * ratio / (1.0 - ratio) < rel_tol) or size * ratio == 0.0:
-            break
-        size *= ratio
-        terms += 1
+    if terms is None:
+        terms, size = 1, 1.0  # size = rate^K / K! for the last included K = terms - 1
+        while True:
+            ratio = rate / terms
+            if (ratio < 1.0 and size * ratio / (1.0 - ratio) < rel_tol) or size * ratio == 0.0:
+                break
+            size *= ratio
+            terms += 1
     total = x.copy()
     term = x
     for k in range(1, terms):

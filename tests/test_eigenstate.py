@@ -3,6 +3,8 @@ import pytest
 
 from oracles import scaled_taylor_expm
 
+import nhdyn.flow
+import nhdyn.gamma
 from nhdyn import (
     ConfigError,
     delta_gamma,
@@ -17,6 +19,8 @@ from nhdyn import (
     weak_identity_report,
 )
 from nhdyn.ensembles import random_hamiltonian, random_matrix
+from nhdyn.flow import STEP_TOL
+from nhdyn.linalg import eig_general
 
 DIAG_1_I = np.diag([1.0, 1.0j])
 
@@ -160,6 +164,24 @@ def test_identity_mean_stays_one_on_complex_spectra(seed):
     h = random_hamiltonian(8, np.random.default_rng(seed), kind="complex_spectrum")
     report = weak_identity_report(eigenstate_context(h), np.linspace(0, 10, 41))
     assert report.identity_mean_residual <= 1e-6
+
+
+def test_growing_orbit_is_stepped_not_recomputed(monkeypatch):
+    # bottom E on a complex spectrum: every other mode of the orbit grows, and
+    # the fresh anchors' roundoff passes STEP_TOL by four orders; the guard
+    # scales with the anchors' conditioning, so no segment is redone (a plain
+    # STEP_TOL guard redid 5 of the 8 segments: 132 exponentials, not 12)
+    h = random_hamiltonian(16, np.random.default_rng(0), "complex_spectrum", basis_stretch=10.0)
+    ctx = eigenstate_context(h, int(np.argmin(eig_general(h).eigenvalues.imag)))
+    t = np.linspace(0, 10, 201)
+    assert exact_trajectory(ctx.shifted.h, ctx.phi_k0, t).anchor_gap > 1e4 * STEP_TOL
+    calls = []
+    for module in (nhdyn.flow, nhdyn.gamma):
+        original = module.expm
+        monkeypatch.setattr(module, "expm", lambda a, f=original: calls.append(1) or f(a))
+    weak_identity_report(ctx, t)
+    # the step, the 9 anchors of the orbit, and one gamma_t stack per time
+    assert len(calls) == 1 + 9 + 2
 
 
 def test_every_observable_is_a_weak_integral_from_an_eigenstate():

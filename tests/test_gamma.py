@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -30,6 +32,7 @@ from nhdyn.ensembles import (
     random_matrix,
     random_unit_vector,
 )
+from nhdyn.gamma import DEFAULT_TOL_TRUNC
 
 NILPOTENT = np.array([[0.0, 1.0], [0.0, 0.0]])
 # (1 + iH^†)(1 - iH) for the nilpotent block, multiplied out by hand
@@ -153,8 +156,9 @@ class TestGammaSeries:
 
     @pytest.mark.parametrize("kind", ["hermitian", "real_spectrum", "complex_spectrum"])
     def test_traceless_real_part_sums_like_the_reference(self, kind):
-        # with Re tr H = 0 exactly the shift is 0 and the term count unchanged,
-        # so the lean loop must reproduce the reference loop bit for bit
+        # with Re tr H = 0 exactly the shift is 0 and the a-priori count that of
+        # the reference; the lean loop, stopped by its certificate, must
+        # reproduce the reference loop cut at the same count bit for bit
         for n in (2, 5, 9, 16):
             rng = np.random.default_rng(200 + n)
             h = random_hamiltonian(n, rng, kind=kind)
@@ -163,9 +167,38 @@ class TestGammaSeries:
             ctx = gamma_context(h)
             for t in (0.5, 2.0):
                 total, terms = gamma_series(ctx, x, t)
-                ref, ref_terms = gamma_series_reference(h, x, t)
-                assert terms == ref_terms
-                assert np.array_equal(total, ref)
+                full, ref_terms = gamma_series_reference(h, x, t)
+                cut, _ = gamma_series_reference(h, x, t, terms=terms)
+                assert terms <= ref_terms
+                assert np.array_equal(total, cut)
+                assert op_norm(total - full) <= DEFAULT_TOL_TRUNC
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-10, 1e-12])
+    @pytest.mark.parametrize("t", [1.0, 5.0, 20.0, -5.0])
+    def test_stop_holds_where_the_growth_bound_is_tight(self, tol, t):
+        # delta(E_11) = 2a E_11 for H = diag(ia, -ia): every term grows at the
+        # full rate r = 2a|t| = delta_bound |t|, with one sign for t > 0, so the
+        # tail after a stop is as large as its certificate allows. X is scaled
+        # to put term r, the first with q = r / (k + 1) < 1, just below tol.
+        # The sum is exp(2at) X.
+        a, r = 0.5, round(abs(t))
+        ctx = gamma_context(np.diag([1j * a, -1j * a]))
+        scale = 0.9 * tol * math.factorial(r) / r**r
+        x = np.array([[scale, 0.0], [0.0, 0.0]])
+        total, terms = gamma_series(ctx, x, t, tol)
+        roundoff = 64 * np.finfo(float).eps * scale * np.exp(r)
+        assert op_norm(total - np.exp(2 * a * t) * x) <= tol + roundoff
+        cut, _ = gamma_series_reference(ctx.h, x, t, terms=terms)
+        assert np.array_equal(total, cut)
+
+    def test_ratio_of_exactly_one_waits_for_the_next_term(self):
+        # rate delta_bound |t| = 5 exactly, so q = rate / (k + 1) is 1 at k = 4
+        ctx = gamma_context(np.diag([0.5, -0.5]))
+        assert ctx.delta_bound * 5.0 == 5.0
+        x = np.array([[0.0, 1e-7], [0.0, 0.0]])
+        with np.errstate(divide="raise", invalid="raise"):
+            total, _ = gamma_series(ctx, x, 5.0, 1e-6)
+        assert op_norm(total - np.exp(5j) * x) <= 1e-6
 
     @pytest.mark.parametrize("h", [NILPOTENT] + [
         build_dm_model(lam, mu).h for lam, mu in ((1.0, 1.0), (0.5, 2.0), (2.7, 0.4))

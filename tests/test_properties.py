@@ -34,7 +34,8 @@ from nhdyn import (
     op_norm,
 )
 from nhdyn.ensembles import random_hamiltonian, random_matrix, random_unit_vector
-from nhdyn.flow import STEP_TOL
+from nhdyn.flow import ANCHOR, STEP_TOL
+from nhdyn.linalg import eig_general
 
 KINDS = ("hermitian", "real_spectrum", "complex_spectrum")
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -98,6 +99,32 @@ def test_stepped_trajectory_equals_per_point_exponentials(
 @given(
     seed=seeds,
     n=st.integers(2, 16),
+    stretch=st.floats(1.0, 10.0),
+    points=st.integers(3, 201),
+    t_end=st.floats(0.5, 10.0),
+)
+def test_growing_orbit_segments_stay_within_the_scaled_guard(seed, n, stretch, points, t_end):
+    # E with the most negative imaginary part: every other mode of the orbit
+    # exp(-i(H - E)t) phi grows. The anchor's own roundoff grows with
+    # cond = max(1, |U|_F / sqrt(N)) / |U phi|, so each segment is held to
+    # STEP_TOL * cond of its closing anchor
+    h, _, _ = _draw(seed, n, "complex_spectrum", stretch)
+    ctx = eigenstate_context(h, int(np.argmin(eig_general(h).eigenvalues.imag)))
+    t = np.linspace(0.0, t_end, points)
+    traj = exact_trajectory(ctx.shifted.h, ctx.phi_k0, t)
+    oracle = trajectory_per_point(ctx.shifted.h, ctx.phi_k0, t)
+    gap = np.linalg.norm(traj.psi - oracle, axis=1) / np.linalg.norm(oracle, axis=1)
+    anchors = sorted({*range(0, t.size, ANCHOR), t.size - 1})
+    for a, b in zip(anchors, anchors[1:]):
+        u = scipy.linalg.expm(-1j * ctx.shifted.h * t[b])
+        cond = max(1.0, np.linalg.norm(u) / np.sqrt(n)) / np.linalg.norm(u @ ctx.phi_k0)
+        assert gap[a + 1 : b + 1].max() <= STEP_TOL * cond
+
+
+@properties
+@given(
+    seed=seeds,
+    n=st.integers(2, 16),
     kind=st.sampled_from(KINDS),
     stretch=st.floats(1.0, 10.0),
     t=st.floats(-10.0, 10.0),
@@ -127,6 +154,25 @@ def test_gamma_series_on_shifted_rate_matches_reference(seed, n, kind, stretch, 
     ref, ref_terms = gamma_series_reference(ctx.h, x, t, 1e-12)
     assert terms <= ref_terms
     assert op_norm(total - ref) <= 2e-12
+
+
+@properties
+@given(
+    seed=seeds,
+    n=st.integers(2, 16),
+    kind=st.sampled_from(KINDS),
+    t=st.floats(-10.0, 10.0),
+    tol_trunc=st.sampled_from([1e-6, 1e-10, 1e-12]),
+)
+def test_stopped_series_is_within_tol_trunc_of_the_full_reference(seed, n, kind, t, tol_trunc):
+    # both loops sum the same terms; the stop drops a tail its certificate
+    # bounds by tol_trunc, where the reference sums every a-priori term
+    h, _, rng = _draw(seed, n, kind)
+    x = random_matrix(n, rng)
+    total, terms = gamma_series(gamma_context(h), x, t, tol_trunc)
+    full, ref_terms = gamma_series_reference(h, x, t, tol_trunc)
+    assert terms <= ref_terms
+    assert op_norm(total - full) <= tol_trunc * (1 + 1e-12)
 
 
 @properties

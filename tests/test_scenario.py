@@ -1,6 +1,9 @@
 import csv
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -444,6 +447,23 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.err == "nhdyn: numerical failure: out of memory\n"
         assert captured.out == ""
+
+    def test_complex_spectrum_run_leaves_stderr_empty(self, tmp_path):
+        # build_biorthogonal warns API callers; the CLI's report records the
+        # complex spectrum, so the process writes nothing to stderr
+        doc = {"hamiltonian": [[[0, 1], 1], [0, [0, -1]]], "tasks": ["biortho"]}
+        cfg = write_config(tmp_path, doc)
+        src = str(Path(nhdyn.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+        done = subprocess.run(
+            [sys.executable, "-m", "nhdyn.cli", "run", "--config", str(cfg),
+             "--out-dir", str(tmp_path / "out")],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert done.returncode == 0
+        assert done.stderr == ""
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["tasks"]["biortho"]["real_spectrum"] is False
 
     def test_validate_prints_materialized_echo(self, tmp_path, capsys):
         cfg = write_config(tmp_path, MINIMAL_FERMION)
