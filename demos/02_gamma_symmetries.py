@@ -31,7 +31,7 @@ print("gamma_1(identity):\n", gamma_t(ctx, one, 1.0))
 print("generator delta_gamma(identity) = i(H^† - H):\n", delta_gamma(ctx, one))
 
 # the exponential series of the generator reproduces the conjugation,
-# with an a-priori certified truncation
+# stopped once a computed term certifies the rest of it
 total, terms = gamma_series(ctx, one, 1.0, tol_trunc=1e-12)
 print(f"\nseries with {terms} certified terms matches the closed form to "
       f"{op_norm(total - gamma_t(ctx, one, 1.0)):.2e}")

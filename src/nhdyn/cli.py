@@ -13,6 +13,8 @@ import argparse
 import sys
 import warnings
 
+import numpy as np
+
 from .errors import ConfigError, NumericalError
 from .scenario import _json_text, load_config, run
 
@@ -48,7 +50,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "validate":
             print(_json_text(cfg.echo), end="")
             return 0
-        with warnings.catch_warnings():  # the report records real_spectrum
+        quiet = np.errstate(over="ignore", invalid="ignore", divide="ignore")  # inf/nan: exit 3
+        with warnings.catch_warnings(), quiet:  # the report records real_spectrum
             warnings.filterwarnings("ignore", "spectrum has complex eigenvalues")
             report = run(cfg, args.out_dir, seed=args.seed)
     except ConfigError as exc:

@@ -333,9 +333,10 @@ def gamma_symmetry_decay_check(h, x, trajectory: StateTrajectory) -> float:
     trajectory to start normalized and ``x`` to be a symmetry to 1e-9
     relative to |H| |X|; otherwise raises ``CertificationError``.
     """
-    hm = as_square_matrix(h, "hamiltonian")
+    ctx = gamma_context(h)
     xm = as_square_matrix(x, "observable")
-    ctx = gamma_context(hm)
+    if trajectory.dim != ctx.dim:
+        raise DimensionError("trajectory and Hamiltonian dims differ")
     residual = op_norm(delta_gamma(ctx, xm))
     bound = 1e-9 * max(1.0, ctx.h_norm * op_norm(xm))
     if residual > bound:

@@ -9,6 +9,8 @@ and its generator, the gamma-derivation
 
     delta_gamma(X) = i (H^† X - X H).
 
+Its exponential series, ``gamma_series``, stops on one certificate computed
+from its own terms, under a cap of ``MAX_SERIES_TERMS`` checked up front.
 Operators fixed by the dynamics (equivalently annihilated by the
 derivation, equivalently satisfying the intertwining relation
 H^† X = X H) are gamma-symmetries; they form a linear space that this
@@ -27,12 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    DimensionError,
-    NumericalError,
-    TruncationError,
-)
+from .errors import ConfigError, DimensionError, NumericalError, TruncationError
 from .linalg import (
     DEFAULT_RANK_TOL,
     as_square_matrix,
@@ -77,9 +74,7 @@ def gamma_context(h) -> GammaContext:
 def _check_dim(ctx: GammaContext, x, name: str = "observable") -> np.ndarray:
     xm = as_square_matrix(x, name)
     if xm.shape[0] != ctx.dim:
-        raise DimensionError(
-            f"{name} has dim {xm.shape[0]}, Hamiltonian has dim {ctx.dim}"
-        )
+        raise DimensionError(f"{name} has dim {xm.shape[0]}, Hamiltonian has dim {ctx.dim}")
     return xm
 
 
@@ -105,56 +100,34 @@ def gamma_series(
 ) -> tuple[np.ndarray, int]:
     """Evaluate the exponential series sum_k t^k delta^k(X) / k!.
 
-    The growth bound |delta^k(X)| <= (``ctx.delta_bound``)^k |X| fixes an a-priori
-    order with a tail below ``tol_trunc``; it caps the loop, and an order beyond
-    ``MAX_SERIES_TERMS`` raises ``TruncationError`` before any work. The same bound
-    certifies a stop after each term T_k: with q = delta_bound |t| / (k + 1) < 1
-    the 2-norm of the tail is at most |T_k|_F q / (1 - q), and the sum returns once
-    that is below ``tol_trunc``. A term that is exactly zero stops it too: delta is
-    linear, so every later term is zero (H^2 = 0 leaves three terms). Returns the
-    partial sum and the number of terms summed.
+    |delta(Y)| <= ``ctx.delta_bound`` |Y| bounds the 2-norm of the tail after term T_k
+    by |T_k|_F q / (1 - q) once q = delta_bound |t| / (k + 1) < 1. The sum returns once
+    that certificate is below ``tol_trunc``, tested from T_0 = X on, or at a term that is
+    exactly zero (delta is linear, so every later term is zero; H^2 = 0 leaves three
+    terms). ``TruncationError`` is raised before any work when q >= 1 up to
+    ``MAX_SERIES_TERMS`` terms, and after them if no term certified the rest. Returns
+    the partial sum and the number of terms summed.
     """
     xm = _check_dim(ctx, x)
     if tol_trunc <= 0:
         raise ConfigError("tol_trunc must be positive")
-    x_scale = max(op_norm(xm), np.finfo(float).tiny)
     rate = ctx.delta_bound * abs(t)
-    terms = _certified_terms(rate, tol_trunc / x_scale)
+    if not rate < MAX_SERIES_TERMS:  # a NaN rate raises too
+        raise TruncationError(f"series rate {rate:.3e} keeps q >= 1 up to the term cap")
 
     h, hd = ctx.h, ctx.h.conj().T
     total = xm.copy()
     term = xm
-    for k in range(1, terms):
+    for k in range(1, MAX_SERIES_TERMS + 1):  # total = T_0 + ... + T_{k-1}
+        q = rate / k  # |T_{k-1+j}| <= q^j |T_{k-1}|
+        if q < 1.0 and np.linalg.norm(term) * q / (1.0 - q) < tol_trunc:
+            return total, k
         term = hd @ term - term @ h
         term *= 1j * t / k  # (t / k) delta_gamma(term)
         if not term.any():
             return total, k
         total += term
-        q = rate / (k + 1)  # |T_{k+j}| <= q^j |T_k|
-        if q < 1.0 and np.linalg.norm(term) * q / (1.0 - q) < tol_trunc:
-            return total, k + 1
-    return total, terms
-
-
-def _certified_terms(rate: float, rel_tol: float) -> int:
-    """Smallest K with sum_{k>=K} rate^k / k! below ``rel_tol``.
-
-    Uses the geometric tail bound term_K / (1 - rate/(K+1)) once the
-    ratio rate/(K+1) drops below 1.
-    """
-    term = 1.0  # rate^K / K! at K = 0
-    for count in range(1, MAX_SERIES_TERMS + 1):
-        k = count - 1  # index of the last included term
-        ratio = rate / (k + 1)
-        if ratio < 1.0 and term * ratio / (1.0 - ratio) < rel_tol:
-            return count
-        term *= ratio
-        if term == 0.0:
-            return count
-    raise TruncationError(
-        f"series needs more than {MAX_SERIES_TERMS} terms for rate {rate:.3e} "
-        f"and tolerance {rel_tol:.1e}"
-    )
+    raise TruncationError(f"series needs more than {MAX_SERIES_TERMS} terms at rate {rate:.3e}")
 
 
 def identity_norm_evolution(ctx: GammaContext, psi0, t_grid) -> np.ndarray:

@@ -250,6 +250,8 @@ def _validate_time(doc: dict, echo: dict) -> np.ndarray:
         raise _fail("time.points", f"must be <= {MAX_POINTS}")
     if not t_end > t_start:
         raise _fail("time.t_end", "must be greater than time.t_start")
+    if not np.isfinite(float(t_end) - float(t_start)):  # linspace would overflow
+        raise _fail("time", "span t_end - t_start must be finite")
     echo["time"] = {"t_start": float(t_start), "t_end": float(t_end), "points": points}
     return np.linspace(float(t_start), float(t_end), points)  # ints beyond int64 too
 

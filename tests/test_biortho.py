@@ -8,6 +8,7 @@ from oracles import dual_family_by_adjoint_eig
 from nhdyn import (
     BiorthogonalityError,
     DegenerateSpectrumError,
+    DimensionError,
     build_biorthogonal,
     verify_intertwining,
 )
@@ -76,6 +77,11 @@ def test_intertwining_upper_triangular():
     r_psi, r_phi = verify_intertwining(build_biorthogonal(UPPER), UPPER)
     assert r_psi <= 1e-10
     assert r_phi <= 1e-10
+
+
+def test_intertwining_rejects_a_hamiltonian_of_another_dimension():
+    with pytest.raises(DimensionError):
+        verify_intertwining(build_biorthogonal(UPPER), np.diag([1.0, 2.0, 3.0]))
 
 
 def test_intertwining_random_real_spectrum_scales_with_conditioning():

@@ -523,6 +523,13 @@ class TestDecayLaw:
             )
 
 
+    def test_operands_of_another_dimension_are_rejected(self, dm_unit, phi011_trajectory):
+        with pytest.raises(DimensionError):
+            gamma_symmetry_decay_check(NILPOTENT, np.eye(2), phi011_trajectory)
+        with pytest.raises(DimensionError):
+            gamma_symmetry_decay_check(dm_unit.h, np.eye(2), phi011_trajectory)
+
+
 class TestNecessaryCondition:
     def test_identity_always_satisfies_it(self):
         rng = np.random.default_rng(69)

@@ -156,9 +156,9 @@ class TestGammaSeries:
 
     @pytest.mark.parametrize("kind", ["hermitian", "real_spectrum", "complex_spectrum"])
     def test_traceless_real_part_sums_like_the_reference(self, kind):
-        # with Re tr H = 0 exactly the shift is 0 and the a-priori count that of
-        # the reference; the lean loop, stopped by its certificate, must
-        # reproduce the reference loop cut at the same count bit for bit
+        # with Re tr H = 0 exactly the shift is 0 and the rate that of the
+        # reference; the loop, stopped by its certificate, must reproduce the
+        # reference loop cut at the same count bit for bit
         for n in (2, 5, 9, 16):
             rng = np.random.default_rng(200 + n)
             h = random_hamiltonian(n, rng, kind=kind)
@@ -204,7 +204,7 @@ class TestGammaSeries:
         build_dm_model(lam, mu).h for lam, mu in ((1.0, 1.0), (0.5, 2.0), (2.7, 0.4))
     ])
     def test_square_zero_stops_after_three_terms(self, h):
-        # H^2 = 0 makes delta^3 = 0 exactly; the a-priori count is far larger
+        # H^2 = 0 makes delta^3 = 0 exactly; the reference's a-priori count is far larger
         ctx = gamma_context(h)
         rng = np.random.default_rng(41)
         x = random_matrix(ctx.dim, rng)
@@ -229,6 +229,61 @@ class TestGammaSeries:
         assert terms < ref_terms
         assert op_norm(total - ref) <= 2e-12
         assert op_norm(total - gamma_t(gamma_context(h), x, 0.5)) <= 1e-11
+
+    def test_cached_delta_bound_leaves_no_svd(self, monkeypatch):
+        # the certificate reads Frobenius norms of computed terms, not |X|_2
+        rng = np.random.default_rng(43)
+        ctx = gamma_context(random_matrix(6, rng))
+        ctx.delta_bound
+        calls = []
+        original = nhdyn.gamma.op_norm
+        monkeypatch.setattr(nhdyn.gamma, "op_norm", lambda a: calls.append(1) or original(a))
+        for t in (0.0, 0.5, 3.0):
+            gamma_series(ctx, random_matrix(6, rng), t)
+        assert calls == []
+
+    @pytest.mark.parametrize("x", [np.eye(2), np.diag([2.0, -3.0j]), np.zeros((2, 2))])
+    def test_symmetry_at_a_large_rate_sums_exactly(self, x):
+        # delta(X) = 0 for diagonal X, so T_1 is exactly zero and the sum is X at
+        # rate 200, where a term count fixed in advance exceeds MAX_SERIES_TERMS
+        ctx = gamma_context(np.diag([10.0, -10.0]))
+        assert ctx.delta_bound * 10.0 == 200.0
+        total, terms = gamma_series(ctx, x, 10.0)
+        assert terms == 1
+        assert np.array_equal(total, x)
+
+    def test_nan_time_raises_before_any_product(self):
+        class CountingMatrix(np.ndarray):
+            def __matmul__(self, other):
+                products.append(1)
+                return np.asarray(self) @ other
+
+        products = []
+        h = np.diag([1.0 + 0j, -1.0]).view(CountingMatrix)
+        ctx = nhdyn.gamma.GammaContext(h)
+        gamma_series(ctx, np.eye(2), 0.5)
+        assert products  # one per summed term
+        products.clear()
+        with pytest.raises(TruncationError):
+            gamma_series(ctx, np.eye(2), float("nan"))
+        assert products == []
+
+    def test_first_term_can_certify_the_sum(self):
+        # |X|_F q / (1 - q) < tol_trunc already at T_0: no product is taken
+        rng = np.random.default_rng(44)
+        ctx = gamma_context(random_matrix(4, rng))
+        x = random_matrix(4, rng)
+        total, terms = gamma_series(ctx, x, 1e-16)
+        assert terms == 1
+        assert np.array_equal(total, x)
+
+    def test_cap_without_a_certificate_raises_after_the_loop(self):
+        # rate 300 is below the cap, but every term of exp(2t) E_11 up to the
+        # cap is far above tol_trunc
+        ctx = gamma_context(np.diag([1j, -1j]))
+        x = np.diag([1.0, 0.0])
+        with pytest.raises(TruncationError, match="needs more than 500 terms"):
+            gamma_series(ctx, x, 150.0)
 
     def test_truncation_cap(self):
         # rate 2 |H| t = 1000 needs more than MAX_SERIES_TERMS = 500 terms

@@ -448,22 +448,40 @@ class TestCli:
         assert captured.err == "nhdyn: numerical failure: out of memory\n"
         assert captured.out == ""
 
-    def test_complex_spectrum_run_leaves_stderr_empty(self, tmp_path):
-        # build_biorthogonal warns API callers; the CLI's report records the
-        # complex spectrum, so the process writes nothing to stderr
-        doc = {"hamiltonian": [[[0, 1], 1], [0, [0, -1]]], "tasks": ["biortho"]}
+    @staticmethod
+    def run_subprocess(tmp_path, doc):
         cfg = write_config(tmp_path, doc)
         src = str(Path(nhdyn.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
-        done = subprocess.run(
+        return subprocess.run(
             [sys.executable, "-m", "nhdyn.cli", "run", "--config", str(cfg),
              "--out-dir", str(tmp_path / "out")],
             capture_output=True, text=True, env=env, timeout=120,
         )
+
+    def test_complex_spectrum_run_leaves_stderr_empty(self, tmp_path):
+        # build_biorthogonal warns API callers; the CLI's report records the
+        # complex spectrum, so the process writes nothing to stderr
+        doc = {"hamiltonian": [[[0, 1], 1], [0, [0, -1]]], "tasks": ["biortho"]}
+        done = self.run_subprocess(tmp_path, doc)
         assert done.returncode == 0
         assert done.stderr == ""
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert report["tasks"]["biortho"]["real_spectrum"] is False
+
+    def test_overflowing_run_prints_one_line(self, tmp_path):
+        # the eigenstate case overflows at t = 100; numpy's RuntimeWarnings stay
+        # off stderr, and the run still exits 3 with its one-line failure
+        doc = {
+            "hamiltonian": [[[0, 1], 0], [0, [0, -1]]],
+            "initial_state": [1, 0],
+            "tasks": ["trajectory", "eigenstate_case"],
+            "time": {"t_end": 100},
+        }
+        done = self.run_subprocess(tmp_path, doc)
+        assert done.returncode == 3
+        assert done.stderr.count("\n") == 1
+        assert done.stderr.startswith("nhdyn: numerical failure:")
 
     def test_validate_prints_materialized_echo(self, tmp_path, capsys):
         cfg = write_config(tmp_path, MINIMAL_FERMION)
@@ -493,6 +511,7 @@ class TestCli:
             ({"hamiltonian": {"fermion_dm": {"mu": float("inf")}}}, "fermion_dm"),
             ({"time": {"t_end": float("inf")}}, "time"),
             ({"time": {"t_start": float("-inf")}}, "time"),
+            ({"time": {"t_start": -1e308, "t_end": 1e308, "points": 3}}, "time span"),
             ({"time": {"points": float("inf")}}, "time"),
             ({"tolerances": {"tol_class": float("inf")}}, "tolerances.tol_class"),
             ({"tolerances": {"tol_trunc": float("nan")}}, "tolerances.tol_trunc"),
@@ -533,6 +552,7 @@ class TestCli:
             ({"time": {"t_end": "5"}}, "time fields must be finite numbers"),
             ({"time": {"t_start": True}}, "time fields must be finite numbers"),
             ({"time": {"t_end": 10**400}}, "time fields must be finite numbers"),
+            ({"time": {"t_start": -1e308, "t_end": 1e308}}, "time span t_end - t_start"),
             ({"hamiltonian": {"fermion_dm": {"lambda": "2"}}}, "fermion_dm"),
             ({"hamiltonian": {"fermion_dm": {"mu": True}}}, "fermion_dm"),
             ({"hamiltonian": {"fermion_dm": {"mu": 10**400}}}, "fermion_dm"),
