@@ -511,10 +511,10 @@ class TestCli:
             ({"hamiltonian": {"fermion_dm": {"mu": float("inf")}}}, "fermion_dm"),
             ({"time": {"t_end": float("inf")}}, "time"),
             ({"time": {"t_start": float("-inf")}}, "time"),
-            ({"time": {"t_start": -1e308, "t_end": 1e308, "points": 3}}, "time span"),
             ({"time": {"points": float("inf")}}, "time"),
             ({"tolerances": {"tol_class": float("inf")}}, "tolerances.tol_class"),
             ({"tolerances": {"tol_trunc": float("nan")}}, "tolerances.tol_trunc"),
+            ({"time": {"t_start": -1e308, "t_end": 1e308, "points": 3}}, "time span"),
         ],
     )
     def test_non_finite_input_exits_two(self, tmp_path, capsys, change, where):
@@ -552,13 +552,13 @@ class TestCli:
             ({"time": {"t_end": "5"}}, "time fields must be finite numbers"),
             ({"time": {"t_start": True}}, "time fields must be finite numbers"),
             ({"time": {"t_end": 10**400}}, "time fields must be finite numbers"),
-            ({"time": {"t_start": -1e308, "t_end": 1e308}}, "time span t_end - t_start"),
             ({"hamiltonian": {"fermion_dm": {"lambda": "2"}}}, "fermion_dm"),
             ({"hamiltonian": {"fermion_dm": {"mu": True}}}, "fermion_dm"),
             ({"hamiltonian": {"fermion_dm": {"mu": 10**400}}}, "fermion_dm"),
             ({"eigenstate_k0": 8}, "eigenstate_k0 must lie in [0, 7]"),
             ({"eigenstate_k0": -1}, "eigenstate_k0 must lie in [0, 7]"),
             ({"tolerances": {"rank_tol_rel": 2}}, "tolerances.rank_tol_rel must be below 1"),
+            ({"time": {"t_start": -1e308, "t_end": 1e308}}, "time span t_end - t_start"),
         ],
     )
     def test_non_number_time_and_couplings_exit_two(
