@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BiorthogonalityError, DegenerateSpectrumError, DimensionError
+from .errors import BiorthogonalityError, DegenerateSpectrumError
 from .linalg import Spectrum, as_square_matrix, eig_general
 
 DEFAULT_TOL_DISTINCT = 1e-8
@@ -137,9 +137,7 @@ def verify_intertwining(system: BiorthogonalSystem, h) -> tuple[float, float]:
     divided by ``|H|_F * |S|_F``. Both stay below ~1e-9 for
     well-conditioned systems.
     """
-    hm = as_square_matrix(h, "hamiltonian")
-    if hm.shape[0] != system.dim:
-        raise DimensionError("system and Hamiltonian dims differ")
+    hm = as_square_matrix(h, "hamiltonian", system.dim)
     hd = hm.conj().T
     h_scale = max(float(np.linalg.norm(hm)), np.finfo(float).tiny)
 

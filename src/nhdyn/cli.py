@@ -45,14 +45,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    quiet = np.errstate(over="ignore", invalid="ignore", divide="ignore")  # inf/nan: exit 3
     try:
-        cfg = load_config(args.config)
-        if args.command == "validate":
-            print(_json_text(cfg.echo), end="")
-            return 0
-        quiet = np.errstate(over="ignore", invalid="ignore", divide="ignore")  # inf/nan: exit 3
         with warnings.catch_warnings(), quiet:  # the report records real_spectrum
             warnings.filterwarnings("ignore", "spectrum has complex eigenvalues")
+            cfg = load_config(args.config)
+            if args.command == "validate":
+                print(_json_text(cfg.echo), end="")
+                return 0
             report = run(cfg, args.out_dir, seed=args.seed)
     except ConfigError as exc:
         print(f"nhdyn: config error: {exc}", file=sys.stderr)

@@ -32,10 +32,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError
+from .errors import ConfigError
 from .flow import StateTrajectory, exact_trajectory
 from .gamma import delta_gamma, gamma_context
-from .linalg import frob, mean_values
+from .linalg import as_complex_matrix, frob, mean_values
 
 MAX_MODES = 10
 
@@ -145,7 +145,7 @@ def _solved(model: DmModel, initial, t):
     if occ not in _CLOSED_FORM_LABELS:
         raise ConfigError(f"no closed form for initial state {occ}; use simulate_occupations")
     tt = np.asarray(t, dtype=float)
-    l2, m2 = model.lam**2, model.mu**2
+    l2, m2 = np.square([model.lam, model.mu])  # numpy: overflow gives inf, not OverflowError
     rate = l2 + m2 if occ == (0, 1, 1) else l2
     return occ, tt, l2, m2, rate, 1.0 + rate * tt**2
 
@@ -186,10 +186,9 @@ class OccupationTrajectory:
 
 def occupations(model: DmModel, states: StateTrajectory) -> OccupationTrajectory:
     """Occupation numbers and nonlinear scalar read off a given trajectory."""
-    if states.dim != model.algebra.dim:
-        raise DimensionError("trajectory and model dims differ")
-    n1, n2, n3 = (mean_values(nj, states.psi_hat).real for nj in model.algebra.number_ops)
-    scalar = mean_values(model.h.conj().T - model.h, states.psi_hat)
+    v = as_complex_matrix(states.psi_hat, "psi_hat", model.algebra.dim)
+    n1, n2, n3 = (mean_values(nj, v).real for nj in model.algebra.number_ops)
+    scalar = mean_values(model.h.conj().T - model.h, v)
     return OccupationTrajectory(states.t_grid, n1, n2, n3, n1 + n2 + n3, scalar, states)
 
 

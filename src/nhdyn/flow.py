@@ -31,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .ensembles import random_unit_vector
-from .errors import CertificationError, ConfigError, DimensionError, InstabilityError
+from .errors import CertificationError, ConfigError, InstabilityError, NumericRangeError
 from .gamma import delta_gamma, gamma_context
 from .linalg import (
     as_complex_matrix, as_square_matrix, as_state_vector, expm, mean_values, op_norm
@@ -74,7 +74,9 @@ def _unit_vector(v, dim: int | None, tol: float, name: str) -> np.ndarray:
 
 
 def _trajectory_from_states(t, states, gap=0.0, fallbacks=0) -> StateTrajectory:
-    norms = np.linalg.norm(states, axis=1)
+    norms = np.linalg.norm(states, axis=1)  # unscaled: inf from |psi| ~ 1e154 on
+    if not np.isfinite(norms).all():
+        raise NumericRangeError("state norm is non-finite along the trajectory")
     if np.any(norms == 0.0):
         raise InstabilityError("state norm vanished along the trajectory")
     return StateTrajectory(t, states, states / norms[:, None], norms**2, gap, fallbacks)
@@ -214,9 +216,7 @@ def delta_psi_hat(h, x, psi_hat) -> np.ndarray:
     bounded by 4 |H| |X|.
     """
     hm = as_square_matrix(h, "hamiltonian")
-    xm = as_square_matrix(x, "observable")
-    if xm.shape != hm.shape:
-        raise DimensionError("observable and Hamiltonian dims differ")
+    xm = as_square_matrix(x, "observable", hm.shape[0])
     v = _unit_vector(psi_hat, hm.shape[0], UNIT_NORM_TOL, "psi_hat")
     scalar = nonhermiticity_scalar(hm, v)
     return 1j * (hm.conj().T @ xm - xm @ hm) - 1j * scalar * xm
@@ -252,9 +252,7 @@ def _weak_residual(h, x, trajectory: StateTrajectory):
     ``psi_hat`` rows v, and the weak residual max_t |<v, D v> - i s_t <v, X v>|."""
     hm = as_square_matrix(h, "hamiltonian")
     xm = as_square_matrix(x, "observable")
-    v = as_complex_matrix(trajectory.psi_hat, "psi_hat")
-    if v.shape[1] != hm.shape[0]:
-        raise DimensionError("trajectory and Hamiltonian dims differ")
+    v = as_complex_matrix(trajectory.psi_hat, "psi_hat", hm.shape[0])
     if not np.all(np.abs(np.linalg.norm(v, axis=1) - 1.0) <= UNIT_NORM_TOL):
         raise ConfigError("trajectory states psi_hat must be normalized")
     dg = delta_gamma(gamma_context(hm), xm)
@@ -335,8 +333,7 @@ def gamma_symmetry_decay_check(h, x, trajectory: StateTrajectory) -> float:
     """
     ctx = gamma_context(h)
     xm = as_square_matrix(x, "observable")
-    if trajectory.dim != ctx.dim:
-        raise DimensionError("trajectory and Hamiltonian dims differ")
+    v = as_complex_matrix(trajectory.psi_hat, "psi_hat", ctx.dim)
     residual = op_norm(delta_gamma(ctx, xm))
     bound = 1e-9 * max(1.0, ctx.h_norm * op_norm(xm))
     if residual > bound:
@@ -347,7 +344,7 @@ def gamma_symmetry_decay_check(h, x, trajectory: StateTrajectory) -> float:
     if abs(trajectory.norm_sq[0] - 1.0) > 1e-10:
         raise ConfigError("trajectory must be normalized at its first grid point")
 
-    means = mean_values(xm, trajectory.psi_hat)
+    means = mean_values(xm, v)
     predicted = means[0] / trajectory.norm_sq * trajectory.norm_sq[0]
     return float(np.max(np.abs(means - predicted)))
 

@@ -23,13 +23,14 @@ that failure through I(t) = |exp(-iHt) psi0|^2.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, NumericalError, TruncationError
+from .errors import ConfigError, NumericalError, TruncationError
 from .linalg import (
     DEFAULT_RANK_TOL,
     as_square_matrix,
@@ -71,27 +72,21 @@ def gamma_context(h) -> GammaContext:
     return GammaContext(h=as_square_matrix(h, "hamiltonian"))
 
 
-def _check_dim(ctx: GammaContext, x, name: str = "observable") -> np.ndarray:
-    xm = as_square_matrix(x, name)
-    if xm.shape[0] != ctx.dim:
-        raise DimensionError(f"{name} has dim {xm.shape[0]}, Hamiltonian has dim {ctx.dim}")
-    return xm
-
-
 def gamma_t(ctx: GammaContext, x, t: float) -> np.ndarray:
     """Evolve an observable: exp(i H^† t) X exp(-i H t) = U^† X U.
 
     One exponential: exp(i H^† t) is exactly the adjoint of U = exp(-i H t),
     and one U serves a whole stack of observables ``x`` of shape (k, N, N).
     """
-    xm = np.stack([_check_dim(ctx, m) for m in x]) if np.ndim(x) == 3 else _check_dim(ctx, x)
+    xm = (np.stack([as_square_matrix(m, "observable", ctx.dim) for m in x]) if np.ndim(x) == 3
+          else as_square_matrix(x, "observable", ctx.dim))
     u = expm(-1j * ctx.h * t)
     return u.conj().T @ xm @ u
 
 
 def delta_gamma(ctx: GammaContext, x) -> np.ndarray:
     """Generator of the dynamics: i (H^† X - X H)."""
-    xm = _check_dim(ctx, x)
+    xm = as_square_matrix(x, "observable", ctx.dim)
     return 1j * (ctx.h.conj().T @ xm - xm @ ctx.h)
 
 
@@ -108,7 +103,7 @@ def gamma_series(
     ``MAX_SERIES_TERMS`` terms, and after them if no term certified the rest. Returns
     the partial sum and the number of terms summed.
     """
-    xm = _check_dim(ctx, x)
+    xm = as_square_matrix(x, "observable", ctx.dim)
     if tol_trunc <= 0:
         raise ConfigError("tol_trunc must be positive")
     rate = ctx.delta_bound * abs(t)
@@ -248,13 +243,14 @@ def similar_norm_preserving(h0, r) -> SimilarHamiltonian:
     negative control, with state norms genuinely varying in time.
     """
     h0m = as_square_matrix(h0, "h0")
-    rm = as_square_matrix(r, "r")
-    if rm.shape != h0m.shape:
-        raise DimensionError("h0 and r must have matching shapes")
-    herm_defect = frob(h0m - h0m.conj().T)
-    if herm_defect > 1e-12 * max(1.0, frob(h0m)):
+    rm = as_square_matrix(r, "r", h0m.shape[0])
+    # both norms of 2^-e H0, 2^e near its largest entry: exact, and neither overflows
+    scale = math.ldexp(1.0, -max(math.frexp(np.abs(h0m).max(initial=0.0))[1], 0))
+    h0s = scale * h0m
+    herm_defect = frob(h0s - h0s.conj().T)
+    if herm_defect > 1e-12 * max(scale, frob(h0s)):
         raise ConfigError(
-            f"h0 is not Hermitian: |H0 - H0^†|_F = {herm_defect:.3e}"
+            f"h0 is not Hermitian: |H0 - H0^†|_F = {herm_defect / scale:.3e}"
         )
     cond = float(np.linalg.cond(rm))
     if not np.isfinite(cond) or cond > 1e14:

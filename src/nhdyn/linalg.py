@@ -27,22 +27,24 @@ DEFAULT_RANK_TOL = 1e-10
 DEFAULT_EIG_TOL = 1e-10
 
 
-def as_complex_matrix(a, name: str = "matrix") -> np.ndarray:
+def as_complex_matrix(a, name: str = "matrix", cols: int | None = None) -> np.ndarray:
     """Validate and promote ``a`` to a 2-D complex128 array.
 
-    Raises ``DimensionError`` for non-2-D input and ``NumericRangeError``
-    if any entry is NaN or infinite.
+    Raises ``DimensionError`` for non-2-D input or, given ``cols``, another
+    column count, and ``NumericRangeError`` if any entry is NaN or infinite.
     """
     m = np.asarray(a, dtype=complex)
     if m.ndim != 2:
         raise DimensionError(f"{name} must be 2-D, got ndim={m.ndim}")
     if m.size and not np.isfinite(m).all():
         raise NumericRangeError(f"{name} contains non-finite entries")
+    if cols is not None and m.shape[1] != cols:
+        raise DimensionError(f"{name} has dim {m.shape[1]}, expected {cols}")
     return m
 
 
-def as_square_matrix(a, name: str = "matrix") -> np.ndarray:
-    m = as_complex_matrix(a, name)
+def as_square_matrix(a, name: str = "matrix", dim: int | None = None) -> np.ndarray:
+    m = as_complex_matrix(a, name, dim)
     if m.shape[0] != m.shape[1]:
         raise DimensionError(f"{name} must be square, got shape {m.shape}")
     return m
@@ -56,7 +58,7 @@ def as_state_vector(v, dim: int | None = None, name: str = "vector") -> np.ndarr
     if not np.isfinite(w).all():
         raise NumericRangeError(f"{name} contains non-finite entries")
     if dim is not None and w.size != dim:
-        raise DimensionError(f"{name} has length {w.size}, expected {dim}")
+        raise DimensionError(f"{name} has dim {w.size}, expected {dim}")
     return w
 
 

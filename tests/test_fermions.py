@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -7,6 +8,7 @@ from nhdyn import (
     ConfigError,
     DimensionError,
     DmModel,
+    NumericRangeError,
     build_car,
     build_dm_model,
     classify,
@@ -149,6 +151,13 @@ class TestClosedForms:
         with pytest.raises(ConfigError, match="closed form"):
             closed_form_occupations(model, "111", 1.0)
 
+    def test_overflowing_coupling_gives_non_finite_values_not_an_exception(self):
+        # lam^2 overflows: numpy returns inf where a Python float raised OverflowError
+        model = build_dm_model(1e160, 1.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            n1, _, _ = closed_form_occupations(model, "011", 1e-10)
+        assert not np.isfinite(n1)
+
 
 class TestSimulation:
     def test_matches_closed_forms_pointwise(self):
@@ -217,6 +226,14 @@ class TestSimulation:
         states = exact_trajectory(np.eye(4), np.eye(4)[0], [0.0, 1.0])
         with pytest.raises(DimensionError):
             occupations(build_dm_model(1.0, 1.0), states)
+
+    def test_read_out_rejects_a_non_finite_trajectory(self):
+        model = build_dm_model(1.0, 1.0)
+        states = exact_trajectory(model.h, model.algebra.basis_state("011"), [0.0, 1.0])
+        psi_hat = states.psi_hat.copy()
+        psi_hat[1, 0] = np.nan
+        with pytest.raises(NumericRangeError, match="psi_hat"):
+            occupations(model, dataclasses.replace(states, psi_hat=psi_hat))
 
 
 class TestDerivationIdentity:

@@ -9,6 +9,7 @@ from nhdyn import (
     ConfigError,
     DimensionError,
     InstabilityError,
+    NumericRangeError,
     build_dm_model,
     classify,
     classify_ensemble,
@@ -58,6 +59,11 @@ def phi011_trajectory(dm_unit):
 
 
 class TestExactTrajectory:
+    def test_overflowing_state_norm_raises(self):
+        # |psi(1e160)| = 1e160 is finite, but the unscaled 2-norm squares its entries
+        with np.errstate(over="ignore"), pytest.raises(NumericRangeError, match="non-finite"):
+            exact_trajectory([[0, 1], [0, 0]], [0, 1], [0.0, 1e160])
+
     def test_hermitian_keeps_unit_norm(self):
         rng = np.random.default_rng(51)
         h = random_hamiltonian(4, rng, kind="hermitian")

@@ -481,3 +481,10 @@ class TestSimilarNormPreserving:
     def test_rejects_non_hermitian_seed(self):
         with pytest.raises(ConfigError):
             similar_norm_preserving(NILPOTENT, np.eye(2))
+
+    def test_hermitian_check_survives_overflowing_norms(self):
+        # unscaled, both Frobenius norms overflow and inf > 1e-12 * inf is False
+        with pytest.raises(ConfigError, match="not Hermitian"):
+            similar_norm_preserving([[1e200, 1e190], [0, 2]], np.eye(2))
+        built = similar_norm_preserving([[1e200, 0], [0, 2]], np.eye(2))
+        assert np.array_equal(built.h, np.diag([1e200, 2.0]))

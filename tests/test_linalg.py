@@ -311,3 +311,45 @@ class TestOpNorm:
     def test_nilpotent_by_gram_matrix(self):
         # sigma_max^2 is the top eigenvalue of A^† A = diag(0, 4)
         assert op_norm(np.array([[0.0, 2.0], [0.0, 0.0]])) == pytest.approx(2.0)
+
+
+def _operand_of_another_dimension():
+    """(call, operand name, its dim) per public entry point that takes an operand beside H."""
+    h2, eye2, eye3 = np.diag([1.0, 2.0]), np.eye(2), np.eye(3)
+    psi2, psi3 = np.array([1.0, 0.0]), np.array([1.0, 0.0, 0.0])
+    ctx = nhdyn.gamma_context(h2)
+    traj3 = exact_trajectory(np.eye(3), psi3, [0.0, 1.0])
+    model = build_dm_model(1.0, 1.0)
+    return {
+        "delta_gamma": (lambda: nhdyn.delta_gamma(ctx, eye3), "observable", 3),
+        "gamma_t": (lambda: nhdyn.gamma_t(ctx, eye3, 0.5), "observable", 3),
+        "gamma_t-stack": (lambda: nhdyn.gamma_t(ctx, np.stack([eye3, eye3]), 0.5), "observable", 3),
+        "gamma_series": (lambda: nhdyn.gamma_series(ctx, eye3, 0.5), "observable", 3),
+        "delta_psi_hat": (lambda: nhdyn.delta_psi_hat(h2, eye3, psi2), "observable", 3),
+        "mean_value": (lambda: nhdyn.mean_value(eye2, psi3), "psi_hat", 3),
+        "classify": (lambda: nhdyn.classify(h2, eye2, traj3), "psi_hat", 3),
+        "necessary_condition_residual": (
+            lambda: nhdyn.necessary_condition_residual(h2, eye2, traj3, 1.0), "psi_hat", 3
+        ),
+        "gamma_symmetry_decay_check": (
+            lambda: nhdyn.gamma_symmetry_decay_check(h2, eye2, traj3), "psi_hat", 3
+        ),
+        "verify_intertwining": (
+            lambda: nhdyn.verify_intertwining(build_biorthogonal(h2), eye3), "hamiltonian", 3
+        ),
+        "occupations": (lambda: nhdyn.occupations(model, traj3), "psi_hat", 3),
+        "similar_norm_preserving": (lambda: nhdyn.similar_norm_preserving(h2, eye3), "r", 3),
+        "exact_trajectory": (lambda: exact_trajectory(h2, psi3, [0.0, 1.0]), "psi0", 3),
+        "identity_norm_evolution": (
+            lambda: nhdyn.identity_norm_evolution(ctx, psi3, [0.0, 1.0]), "psi0", 3
+        ),
+    }
+
+
+@pytest.mark.parametrize("entry", list(_operand_of_another_dimension()))
+def test_operand_of_another_dimension_is_named_by_the_validator(entry):
+    call, name, dim = _operand_of_another_dimension()[entry]
+    expected = 8 if entry == "occupations" else 2
+    with pytest.raises(DimensionError) as info:
+        call()
+    assert str(info.value) == f"{name} has dim {dim}, expected {expected}"

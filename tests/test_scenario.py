@@ -449,13 +449,13 @@ class TestCli:
         assert captured.out == ""
 
     @staticmethod
-    def run_subprocess(tmp_path, doc):
+    def run_subprocess(tmp_path, doc, command="run"):
         cfg = write_config(tmp_path, doc)
         src = str(Path(nhdyn.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+        out = ["--out-dir", str(tmp_path / "out")] if command == "run" else []
         return subprocess.run(
-            [sys.executable, "-m", "nhdyn.cli", "run", "--config", str(cfg),
-             "--out-dir", str(tmp_path / "out")],
+            [sys.executable, "-m", "nhdyn.cli", command, "--config", str(cfg), *out],
             capture_output=True, text=True, env=env, timeout=120,
         )
 
@@ -482,6 +482,82 @@ class TestCli:
         assert done.returncode == 3
         assert done.stderr.count("\n") == 1
         assert done.stderr.startswith("nhdyn: numerical failure:")
+
+    @pytest.mark.parametrize(
+        "r, command",
+        [([[1, 0], [0, 1]], "validate"), ([[1, 0], [0, 1]], "run"), ([[1, 1], [0, 1]], "validate")],
+        ids=["validate", "run", "validate-overflowing-commutator"],
+    )
+    def test_large_hermitian_seed_leaves_stderr_empty(self, tmp_path, r, command):
+        # the Hermitian check of h0 overflows no norm; with a shear r the norm of
+        # [H0, R^† R] overflows while the config loads, under the CLI's errstate
+        similar = {"h0": [[1e200, 0], [0, 2]], "r": r}
+        doc = {"hamiltonian": {"similar": similar}, "tasks": ["biortho"]}
+        done = self.run_subprocess(tmp_path, doc, command)
+        assert done.returncode == 0
+        assert done.stderr == ""
+
+    @pytest.mark.parametrize(
+        "doc, validate_status, run_status",
+        [
+            (
+                {
+                    "hamiltonian": [[0, 1], [0, 0]],
+                    "initial_state": [0, 1],
+                    "time": {"t_end": 1e160, "points": 3},
+                    "tasks": ["classify"],
+                    "observables": ["identity"],
+                },
+                0,
+                3,
+            ),
+            (
+                {
+                    "hamiltonian": {"fermion_dm": {"lambda": 1e160, "mu": 1}},
+                    "initial_state": "011",
+                    "tasks": ["classify"],
+                    "observables": ["N"],
+                },
+                0,
+                3,
+            ),
+            (
+                {
+                    "hamiltonian": {"fermion_dm": {"lambda": 1e160, "mu": 1}},
+                    "initial_state": "011",
+                    "time": {"t_end": 1e-10},
+                    "tasks": ["fermion_demo"],
+                },
+                0,
+                3,
+            ),
+            (
+                {
+                    "hamiltonian": {
+                        "similar": {"h0": [[1e200, 1e190], [0, 2]], "r": [[1, 0], [0, 1]]}
+                    },
+                    "tasks": ["biortho"],
+                },
+                2,
+                2,
+            ),
+        ],
+        ids=["state-norm", "fermion-state-norm", "closed-form-coupling", "non-hermitian-seed"],
+    )
+    def test_overflowing_input_keeps_the_exit_contract(
+        self, tmp_path, capsys, doc, validate_status, run_status
+    ):
+        # finite input whose intermediate norms or squares overflow: validate and
+        # run agree on exit 2, and a run that fails numerically exits 3 and writes nothing
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        assert main(["validate", "--config", str(cfg)]) == validate_status
+        assert main(["run", "--config", str(cfg), "--out-dir", str(out)]) == run_status
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if run_status == 3:
+            assert "non-finite" in err
+        assert not out.exists() or list(out.iterdir()) == []
 
     def test_validate_prints_materialized_echo(self, tmp_path, capsys):
         cfg = write_config(tmp_path, MINIMAL_FERMION)
