@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .flow import exact_trajectory
+from .flow import StateTrajectory, exact_trajectory
 from .gamma import (
     DEFAULT_TOL_TRUNC,
     GammaContext,
@@ -33,6 +33,8 @@ from .gamma import (
     gamma_t,
 )
 from .linalg import Spectrum, as_square_matrix, eig_general, op_norm
+
+ORBIT_RANGE = 300.0  # bound on |Im lambda| max|t| that keeps exp(+-2 Im lambda t) in float range
 
 
 @dataclass(frozen=True)
@@ -90,18 +92,32 @@ class WeakIdentityReport:
     series_vs_conjugation: float
 
 
+def orbit_in_range(eigenvalues, t_grid) -> bool:
+    """Whether every |Im lambda| max|t| <= ``ORBIT_RANGE``, so that the H-orbit of an
+    eigenvector, of squared norm exp(2 Im lambda t), stands in for its H_k0-orbit."""
+    return bool(np.max(np.abs(np.imag(eigenvalues))) * np.max(np.abs(t_grid)) <= ORBIT_RANGE)
+
+
 def weak_identity_report(
     ctx: EigenstateContext, t_grid, rng=None, tol_trunc: float = DEFAULT_TOL_TRUNC
 ) -> WeakIdentityReport:
-    """``rng`` draws X, Y, then the three probes; one exponential at the last
+    """``t_grid`` is a time grid, on which the H_k0-orbit of phi is stepped here, or a
+    ``StateTrajectory`` of H started at ``ctx.phi_k0``: exp(-i H_k0 t) = e^{iEt} exp(-iHt)
+    makes |exp(-i H_k0 t) phi|^2 = e^{-2 Im E t} ``norm_sq``, which needs
+    ``orbit_in_range(E, t)``; where that fails the orbit is stepped on its grid here.
+    ``rng`` draws X, Y, then the three probes; one exponential at the last
     grid point conjugates XY, X, Y and the probes, one more at t = 0.5 the
     probes. ``tol_trunc`` bounds the tail of each ``gamma_series``."""
     shifted = ctx.shifted
     n = shifted.dim
     phi = ctx.phi_k0
-    # <phi, g_t(1) phi> = |exp(-i H_k0 t) phi|^2; raises on an empty grid
-    orbit = exact_trajectory(shifted.h, phi, t_grid)
-    identity_mean = np.max(np.abs(orbit.norm_sq - 1.0))
+    if isinstance(t_grid, StateTrajectory) and orbit_in_range(ctx.e_value, t_grid.t_grid):
+        orbit, scale = t_grid, np.exp(-2 * ctx.e_value.imag * t_grid.t_grid)
+    else:
+        # <phi, g_t(1) phi> = |exp(-i H_k0 t) phi|^2; raises on an empty grid
+        grid = t_grid.t_grid if isinstance(t_grid, StateTrajectory) else t_grid
+        orbit, scale = exact_trajectory(shifted.h, phi, grid), 1.0
+    identity_mean = np.max(np.abs(scale * orbit.norm_sq - 1.0))
     delta_mean = abs(np.vdot(phi, delta_gamma(shifted, np.eye(n)) @ phi))
 
     if rng is None:

@@ -89,7 +89,7 @@ def _uniform_step(t: np.ndarray) -> float | None:
     return float(steps[0]) if ok else None
 
 
-def exact_trajectory(h, psi0, t_grid) -> StateTrajectory:
+def exact_trajectory(h, psi0, t_grid) -> StateTrajectory | tuple[StateTrajectory, ...]:
     """Propagate a normalized state: ``psi[j] = expm(-i H t_j) psi0``.
 
     A uniform grid is stepped with one U = expm(-i H dt) between anchors
@@ -97,35 +97,48 @@ def exact_trajectory(h, psi0, t_grid) -> StateTrajectory:
     Guard: the state stepped into an anchor must match U_j psi0 within
     ``STEP_TOL * cond`` relative, cond = max(1, |U_j|_F / sqrt(N)) / |U_j psi0| (the
     anchor's own roundoff), else that segment is redone point by point, as is a
-    non-uniform grid.
+    non-uniform grid. A stack ``psi0`` of shape (k, N) shares U and the anchors and
+    returns a tuple of k trajectories; each state takes its own matrix-vector steps,
+    guard and redone segments, so each equals its state's own call bit for bit.
     """
     hm = as_square_matrix(h, "hamiltonian")
-    v0 = _unit_vector(psi0, hm.shape[0], 1e-12, "psi0")
+    n = hm.shape[0]
+    stack = np.ndim(psi0) == 2
+    v0 = np.array([_unit_vector(v, n, 1e-12, "psi0") for v in (psi0 if stack else [psi0])])
     t = np.asarray(t_grid, dtype=float).reshape(-1)
-    if t.size == 0:
-        raise ConfigError("t_grid is empty")
+    if t.size == 0 or len(v0) == 0:
+        raise ConfigError("t_grid or the psi0 stack is empty")
     dt = _uniform_step(t)
     # below three points every point is an anchor and there is nothing to step
     step = None if dt is None or t.size < 3 else expm(-1j * hm * dt)
-    states = np.empty((t.size, hm.shape[0]), dtype=complex)
-    worst, fallbacks, start = 0.0, 0, 0
+    states = np.empty((len(v0), t.size, n), dtype=complex)
+    worst, fallbacks, start = [0.0] * len(v0), [0] * len(v0), 0
     for j, tj in enumerate(t):
-        stepped = None if step is None or j == 0 else step @ states[j - 1]
-        if stepped is not None and j % ANCHOR and j < t.size - 1:
-            states[j] = stepped
-            continue
+        stepped = step is not None and j > 0
+        if stepped:
+            for c in range(len(v0)):
+                states[c, j] = step @ states[c, j - 1]
+            if j % ANCHOR and j < t.size - 1:
+                continue
         u = expm(-1j * hm * tj)
-        states[j] = u @ v0
-        if stepped is not None:
-            miss = np.linalg.norm(stepped - states[j])
-            worst = max(worst, float(miss / np.linalg.norm(states[j])))
-            # gap <= STEP_TOL * cond, both sides times |U_j psi0|
-            if not miss <= STEP_TOL * max(1.0, np.linalg.norm(u) / np.sqrt(hm.shape[0])):
-                fallbacks += 1
-                for i in range(start + 1, j):
-                    states[i] = expm(-1j * hm * t[i]) @ v0
+        redo = []
+        for c, v in enumerate(v0):
+            fresh = u @ v
+            if stepped:
+                miss = np.linalg.norm(states[c, j] - fresh)
+                worst[c] = max(worst[c], float(miss / np.linalg.norm(fresh)))
+                # gap <= STEP_TOL * cond, both sides times |U_j psi0|
+                if not miss <= STEP_TOL * max(1.0, np.linalg.norm(u) / np.sqrt(n)):
+                    fallbacks[c] += 1
+                    redo.append(c)
+            states[c, j] = fresh
+        for i in range(start + 1, j) if redo else ():
+            u = expm(-1j * hm * t[i])
+            for c in redo:
+                states[c, i] = u @ v0[c]
         start = j
-    return _trajectory_from_states(t, states, worst, fallbacks)
+    members = tuple(_trajectory_from_states(t, *c) for c in zip(states, worst, fallbacks))
+    return members if stack else members[0]
 
 
 def nonhermiticity_scalar(h, psi_hat) -> complex:
@@ -308,18 +321,16 @@ def classify_ensemble(
 
     Membership in the state-dependent classes is relative to a
     trajectory; this re-tests over ``n_states`` Haar-like random unit
-    vectors and keeps the largest residuals.
+    vectors, propagated as one stack, and keeps the largest residuals.
     """
     hm = as_square_matrix(h, "hamiltonian")
     if n_states < 1:
         raise ConfigError("n_states must be >= 1")
+    states = np.stack([random_unit_vector(hm.shape[0], rng) for _ in range(n_states)])
     residuals = []
-    for _ in range(n_states):
-        v0 = random_unit_vector(hm.shape[0], rng)
-        r = classify(hm, x, exact_trajectory(hm, v0, t_grid), tol_class, name)
-        residuals.append(
-            (r.c_gamma_residual, r.c_psi_hat_residual, r.c_psi_hat_weak_residual)
-        )
+    for traj in exact_trajectory(hm, states, t_grid):
+        r = classify(hm, x, traj, tol_class, name)
+        residuals.append((r.c_gamma_residual, r.c_psi_hat_residual, r.c_psi_hat_weak_residual))
     return _threshold(name, *np.max(residuals, axis=0), tol_class)
 
 

@@ -197,9 +197,12 @@ def expm(a) -> np.ndarray:
     relative over the norms used in this package.
     """
     m = as_square_matrix(a, "expm argument")
-    with np.errstate(over="ignore", invalid="ignore"):
-        e = _expm(m)
-    if not np.isfinite(e).all():
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            e = _expm(m)
+    except np.linalg.LinAlgError:  # the Pade solve met a term past the float range
+        e = None
+    if e is None or not np.isfinite(e).all():
         raise NumericRangeError(
             f"expm overflowed for input with op norm {op_norm(m):.3e}"
         )

@@ -43,7 +43,7 @@ import numpy as np
 
 from . import fermions, flow
 from .biortho import DEFAULT_TOL_DISTINCT, build_biorthogonal, verify_intertwining
-from .eigenstate import eigenstate_context, weak_identity_report
+from .eigenstate import EigenstateContext, eigenstate_context, orbit_in_range, weak_identity_report
 from .errors import ConfigError, NumericalError, NumericRangeError
 from .gamma import (
     DEFAULT_TOL_TRUNC,
@@ -51,7 +51,7 @@ from .gamma import (
     gamma_symmetry_basis,
     similar_norm_preserving,
 )
-from .linalg import DEFAULT_RANK_TOL, Spectrum, eig_general, frob, mean_values
+from .linalg import DEFAULT_RANK_TOL, Spectrum, as_state_vector, eig_general, frob, mean_values
 
 DEFAULT_TOLERANCES = {
     "tol_class": flow.DEFAULT_TOL_CLASS,
@@ -65,6 +65,7 @@ MAX_POINTS = 100_000
 MAX_DIM = 64
 DEFAULT_SEED = 42
 BUILTIN_OBSERVABLES = ("identity", "H", "N", "N1", "N2", "N3")
+STATE_TASKS = frozenset({"trajectory", "classify", "fermion_demo"})  # read cfg.trajectory
 
 
 def _fail(path: str, message: str) -> ConfigError:
@@ -168,9 +169,23 @@ class ScenarioConfig:
     echo: dict = field(repr=False)
 
     @cached_property
+    def trajectories(self) -> tuple[flow.StateTrajectory, ...]:
+        """The initial state evolved over ``t_grid`` once, then ``phi_k0`` if the eigenstate
+        case runs and the spectrum is ``orbit_in_range``; tasks share them read-only."""
+        states = [self.initial_state]
+        if "eigenstate_case" in self.tasks and orbit_in_range(
+            self.spectrum.eigenvalues, self.t_grid
+        ):
+            states.append(self.eigenstate.phi_k0)
+        return flow.exact_trajectory(self.hamiltonian, np.stack(states), self.t_grid)
+
+    @property
     def trajectory(self) -> flow.StateTrajectory:
-        """The initial state evolved over ``t_grid`` once; tasks share it read-only."""
-        return flow.exact_trajectory(self.hamiltonian, self.initial_state, self.t_grid)
+        return self.trajectories[0]
+
+    @cached_property
+    def eigenstate(self) -> EigenstateContext:
+        return eigenstate_context(self.spectrum, self.eigenstate_k0)
 
     @cached_property
     def spectrum(self) -> Spectrum:
@@ -335,11 +350,7 @@ def _validate_initial_state(
         occ = fermions.parse_occupation_label(raw, model.algebra.n_modes)
         echo["initial_state"] = "".join(str(b) for b in occ)
         return model.algebra.basis_state(occ), echo["initial_state"]
-    vec = _parse_vector(raw, "initial_state")
-    if vec.size != h.shape[0]:
-        raise _fail(
-            "initial_state", f"has length {vec.size}, Hamiltonian dim is {h.shape[0]}"
-        )
+    vec = as_state_vector(_parse_vector(raw, "initial_state"), h.shape[0], "initial_state")
     nrm = float(np.linalg.norm(vec))
     if abs(nrm - 1.0) > 1e-12:
         raise _fail("initial_state", f"must be normalized, got norm {nrm:.12g}")
@@ -395,7 +406,7 @@ def parse_config(doc: dict) -> ScenarioConfig:
         raise _fail("eigenstate_k0", f"must lie in [0, {h.shape[0] - 1}]")
     echo["eigenstate_k0"] = k0
 
-    needs_state = {"trajectory", "classify", "fermion_demo"} & set(tasks)
+    needs_state = STATE_TASKS & set(tasks)
     if needs_state and initial is None:
         raise _fail(
             "initial_state", f"is required by tasks {sorted(needs_state)}"
@@ -570,8 +581,11 @@ def _task_classify(cfg: ScenarioConfig, csvs: dict, rng) -> dict:
 
 
 def _task_eigenstate(cfg: ScenarioConfig, csvs: dict, rng) -> dict:
-    ctx = eigenstate_context(cfg.spectrum, cfg.eigenstate_k0)
-    report = weak_identity_report(ctx, cfg.t_grid, rng, cfg.tolerances["tol_trunc"])
+    ctx = cfg.eigenstate
+    # phi_k0's H-orbit, where it rode along with a propagation that a task needs anyway
+    shared = cfg.trajectories[1:] if STATE_TASKS & set(cfg.tasks) else ()
+    orbit = shared[0] if shared else cfg.t_grid
+    report = weak_identity_report(ctx, orbit, rng, cfg.tolerances["tol_trunc"])
     return {"k0": ctx.k0, "eigenvalue": complex_to_json(ctx.e_value), **asdict(report)}
 
 

@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from oracles import scaled_taylor_expm
 
+import nhdyn.eigenstate
 import nhdyn.flow
 import nhdyn.gamma
 from nhdyn import (
@@ -18,9 +21,10 @@ from nhdyn import (
     op_norm,
     weak_identity_report,
 )
-from nhdyn.ensembles import random_hamiltonian, random_matrix
+from nhdyn.ensembles import random_hamiltonian, random_matrix, random_unit_vector
 from nhdyn.flow import STEP_TOL
 from nhdyn.linalg import eig_general
+from nhdyn.scenario import complex_to_json, parse_config, run
 
 DIAG_1_I = np.diag([1.0, 1.0j])
 
@@ -182,6 +186,51 @@ def test_growing_orbit_is_stepped_not_recomputed(monkeypatch):
     weak_identity_report(ctx, t)
     # the step, the 9 anchors of the orbit, and one gamma_t stack per time
     assert len(calls) == 1 + 9 + 2
+
+
+def test_scenario_steps_the_eigenstate_orbit_with_the_trajectory(tmp_path, monkeypatch):
+    # the growing orbit above beside the trajectory task: phi_k0 rides along with the
+    # initial state, so the step and the 9 anchors serve both (22 exponentials when
+    # each orbit took its own), then one gamma_t stack per time
+    rng = np.random.default_rng(0)
+    h = random_hamiltonian(16, rng, "complex_spectrum", basis_stretch=10.0)
+    doc = {
+        "hamiltonian": complex_to_json(h),
+        "initial_state": complex_to_json(random_unit_vector(16, rng)),
+        "tasks": ["trajectory", "eigenstate_case"],
+        "eigenstate_k0": int(np.argmin(eig_general(h).eigenvalues.imag)),
+    }
+    calls = []
+    for module in (nhdyn.flow, nhdyn.gamma):
+        original = module.expm
+        monkeypatch.setattr(module, "expm", lambda a, f=original: calls.append(1) or f(a))
+    report = run(parse_config(doc), tmp_path)
+    assert len(calls) == 1 + 9 + 2
+    assert report.tasks["trajectory"]["fallback_segments"] == 0
+    # the grid route reads 1.7e-8 here: the orbit's roundoff grows like e^{Im(E_j - E) t}
+    assert report.tasks["eigenstate_case"]["identity_mean_residual"] <= 1e-7
+
+
+@pytest.mark.parametrize("t_end, shared", [(0.5, True), (1.0, False)])
+def test_h_trajectory_stands_in_for_the_shifted_orbit_inside_the_range(t_end, shared):
+    # E = 320i: |Im E| t_end is 160 or 320 against ORBIT_RANGE = 300. The H-orbit of
+    # phi_k0 (|psi|^2 = e^{640 t}) is finite on both grids; beyond the range the
+    # report steps the shifted orbit itself, exactly as from the grid
+    h = np.diag([319.0j, 320.0j])
+    ctx = eigenstate_context(h)
+    t = np.linspace(0.0, t_end, 11)
+    h_orbit = exact_trajectory(h, ctx.phi_k0, t)
+    assert nhdyn.eigenstate.orbit_in_range(ctx.e_value, t) == shared
+    from_orbit = weak_identity_report(ctx, h_orbit, np.random.default_rng(3))
+    from_grid = weak_identity_report(ctx, t, np.random.default_rng(3))
+    assert from_orbit.identity_mean_residual <= 1e-12
+    if shared:
+        assert from_orbit.identity_mean_residual != from_grid.identity_mean_residual
+        assert replace(from_orbit, identity_mean_residual=0.0) == replace(
+            from_grid, identity_mean_residual=0.0
+        )
+    else:
+        assert from_orbit == from_grid
 
 
 def test_every_observable_is_a_weak_integral_from_an_eigenstate():

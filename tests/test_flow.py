@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nhdyn import (
     CertificationError,
@@ -29,7 +31,7 @@ from nhdyn import (
 )
 from nhdyn.ensembles import random_hamiltonian, random_matrix, random_unit_vector
 from nhdyn.flow import ANCHOR, STEP_TOL
-from nhdyn.linalg import expm
+from nhdyn.linalg import eig_general, expm
 
 from oracles import classify_per_point, linear_propagator_states, trajectory_per_point
 
@@ -44,6 +46,18 @@ def fresh_exponentials(h, psi0, t_grid):
 
 def relative_gap(states, reference):
     return np.linalg.norm(states - reference, axis=1) / np.linalg.norm(reference, axis=1)
+
+
+def assert_stack_is_single_calls(h, stack, t):
+    """Each member of the stacked propagation equals its state's own call, bit for bit,
+    path record included; returns the members."""
+    members = exact_trajectory(h, stack, t)
+    assert isinstance(members, tuple) and len(members) == len(stack)
+    for member, psi0 in zip(members, stack):
+        alone = exact_trajectory(h, psi0, t)
+        for field in dataclasses.fields(alone):
+            assert np.array_equal(getattr(member, field.name), getattr(alone, field.name))
+    return members
 
 
 @pytest.fixture(scope="module")
@@ -135,6 +149,43 @@ class TestExactTrajectory:
         traj = exact_trajectory(h, psi0, t)
         assert traj.fallback_segments == 2
         assert np.array_equal(traj.psi, fresh_exponentials(h, psi0, t))
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 16),
+        kind=st.sampled_from(["hermitian", "real_spectrum", "complex_spectrum"]),
+        stretch=st.floats(1.0, 10.0),
+        t_end=st.floats(0.1, 10.0),
+        points=st.integers(2, 80),
+        k=st.integers(1, 4),
+    )
+    def test_stack_equals_one_call_per_state(self, seed, n, kind, stretch, t_end, points, k):
+        # random states beside the eigenvector of the bottom eigenvalue, whose orbit
+        # decays while the others grow relative to it
+        rng = np.random.default_rng(seed)
+        h = random_hamiltonian(n, rng, kind=kind, basis_stretch=stretch)
+        spectrum = eig_general(h)
+        bottom = spectrum.right_vectors[:, np.argmin(spectrum.eigenvalues.imag)]
+        stack = np.stack([random_unit_vector(n, rng) for _ in range(k)] + [bottom])
+        assert_stack_is_single_calls(h, stack, np.linspace(0.0, t_end, points))
+
+    def test_stack_redoes_a_segment_only_for_the_states_that_failed_it(self):
+        # as in the drift test: a stretched eigenbasis fails the guard for the random
+        # states, by different segment counts, while the eigenvector passes it
+        rng = np.random.default_rng(1)
+        h = random_hamiltonian(8, rng, kind="complex_spectrum", basis_stretch=1e3)
+        randoms = [random_unit_vector(8, rng) for _ in range(2)]
+        stack = np.stack(randoms + [eig_general(h).right_vectors[:, 0]])
+        members = assert_stack_is_single_calls(h, stack, np.linspace(0, 10, 201))
+        assert [m.fallback_segments for m in members] == [4, 1, 0]
+
+    def test_stack_of_one_is_a_tuple_and_an_empty_stack_is_rejected(self):
+        t = [0.0, 1.0, 2.0]
+        (member,) = exact_trajectory(NILPOTENT, [[0.0, 1.0]], t)
+        assert np.array_equal(member.psi, exact_trajectory(NILPOTENT, [0.0, 1.0], t).psi)
+        with pytest.raises(ConfigError, match="empty"):
+            exact_trajectory(NILPOTENT, np.empty((0, 2)), [0.0, 1.0])
 
     def test_non_uniform_grid_is_evaluated_per_point(self):
         rng = np.random.default_rng(71)

@@ -11,6 +11,7 @@ import pytest
 from oracles import csv_text_per_value
 
 import nhdyn.cli
+import nhdyn.eigenstate
 import nhdyn.fermions
 import nhdyn.flow
 import nhdyn.gamma
@@ -86,6 +87,16 @@ class TestValidation:
         }
         with pytest.raises(ConfigError, match="normalized"):
             parse_config(doc)
+
+    def test_initial_state_of_another_dimension_exits_two(self, tmp_path, capsys):
+        doc = {
+            "hamiltonian": NILPOTENT_JSON,
+            "initial_state": [1.0, 0.0, 0.0],
+            "tasks": ["trajectory"],
+        }
+        with pytest.raises(ConfigError, match=r"^initial_state has dim 3, expected 2$"):
+            parse_config(doc)
+        assert main(["validate", "--config", str(write_config(tmp_path, doc))]) == 2
 
     def test_state_needed_by_tasks(self):
         with pytest.raises(ConfigError, match="initial_state"):
@@ -436,6 +447,75 @@ class TestCli:
         cfg = write_config(tmp_path, doc)
         assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 3
         assert "collide" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "hamiltonian, t_end, shared",
+        [
+            # E = -380i: |Im E| t_end = 380 is past ORBIT_RANGE, and |psi|^2 of phi_k0's
+            # H-orbit, e^{-760 t}, would underflow to 0 (exit 3 if it rode along)
+            ([[[0, -360], [0, 0]], [[0, 0], [0, -380]]], 1.0, False),
+            # bottom E = -3i of a non-normal H, |Im E| t_end = 15: the orbit grows
+            # relative to E, and phi_k0 rides along with the initial state
+            ([[[0, 0], [1, 0]], [[0, 0], [0, -3]]], 5.0, True),
+        ],
+        ids=["beyond-range", "growing-orbit"],
+    )
+    def test_eigenstate_orbit_shares_the_propagation_inside_the_float_range(
+        self, tmp_path, capsys, monkeypatch, hamiltonian, t_end, shared
+    ):
+        doc = {
+            "hamiltonian": hamiltonian,
+            "initial_state": [[1, 0], [0, 0]],
+            "time": {"t_end": t_end, "points": 11},
+            "tasks": ["trajectory", "eigenstate_case"],
+        }
+        cfg = write_config(tmp_path, doc)
+        propagations = []
+        for module in (nhdyn.flow, nhdyn.eigenstate):
+            original = module.exact_trajectory
+            monkeypatch.setattr(
+                module, "exact_trajectory", lambda *a, f=original: propagations.append(1) or f(*a)
+            )
+        assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "a")]) == 0
+        assert len(propagations) == (1 if shared else 2)
+        # the route that propagates each orbit on its own, as before the stack
+        monkeypatch.setattr(nhdyn.scenario, "orbit_in_range", lambda *a: False)
+        assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "b")]) == 0
+        assert len(propagations) == (3 if shared else 4)
+        a, b = (json.loads((tmp_path / d / "report.json").read_bytes()) for d in "ab")
+        case_a, case_b = a["tasks"].pop("eigenstate_case"), b["tasks"].pop("eigenstate_case")
+        assert a == b
+        assert (tmp_path / "a" / "trajectory.csv").read_bytes() == (
+            tmp_path / "b" / "trajectory.csv"
+        ).read_bytes()
+        if shared:
+            # the same orbit's roundoff, grown by e^{3 t} either way
+            residuals = [case.pop("identity_mean_residual") for case in (case_a, case_b)]
+            assert max(residuals) <= 1e-9
+            assert case_a == case_b
+        else:
+            assert (tmp_path / "a" / "report.json").read_bytes() == (
+                tmp_path / "b" / "report.json"
+            ).read_bytes()
+
+    def test_top_of_the_float_range_never_exits_one(self, tmp_path, capsys):
+        # |H t| = 1e307: the nilpotent H has exp(-iHt) = 1 - iHt, finite, but a Pade term
+        # overflows and its solve fails; that is a numerical failure, not a crash
+        doc = {
+            "hamiltonian": {"fermion_dm": {"lambda": 1.0, "mu": 1e307}},
+            "initial_state": "010",
+            "time": {"t_end": 1.0, "points": 2},
+            "tasks": ["trajectory"],
+        }
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        assert main(["validate", "--config", str(cfg)]) == 0
+        status = main(["run", "--config", str(cfg), "--out-dir", str(out)])
+        assert "Traceback" not in capsys.readouterr().err
+        assert status in (0, 3)
+        if status == 0:
+            section = json.loads((out / "report.json").read_text())["tasks"]["trajectory"]
+            assert np.isfinite(section["norm_sq_max"])
 
     def test_out_of_memory_exits_three_without_a_traceback(self, tmp_path, capsys, monkeypatch):
         def exhausted(*args, **kwargs):
