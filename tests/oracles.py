@@ -7,9 +7,11 @@ dynamics), explicit index loops for the vec convention,
 brute-force solutions of small intertwining systems, the dual
 eigenvector family from an eigensolve of the adjoint, and the
 per-grid-point routes that the fast trajectory and classification
-replace, the a-priori truncated gamma series with its plain rate
-2|H||t|, the standard library's indenting JSON encoder for the report
-writer, and per-value formatting for the CSV writer.
+replace, the stage-by-stage RK4 loop that the nonlinear integrator's
+Krylov-coordinate stages replace, the a-priori truncated gamma series
+with its plain rate 2|H||t|, the standard library's indenting JSON
+encoder for the report writer, and per-value formatting for the CSV
+writer.
 """
 
 import json
@@ -95,6 +97,35 @@ def linear_propagator_states(h: np.ndarray, psi0: np.ndarray, t_grid) -> np.ndar
     """Rows (1 - i H t_j) psi0: the exact propagator when H^2 = 0."""
     hv = np.asarray(h, dtype=complex) @ psi0
     return psi0[None, :] - 1j * np.asarray(t_grid)[:, None] * hv[None, :]
+
+
+def rk4_nonlinear(h: np.ndarray, psi0: np.ndarray, t_grid, substeps: int = 1) -> np.ndarray:
+    """Rows of the normalized flow by classical RK4, one vector per stage.
+
+    Every stage evaluates f(u) = -i H u - (i/2) <u, (H^† - H) u> u on its own
+    vector; each grid step is cut into ``substeps`` equal substeps and nothing
+    is renormalized. Arithmetic past the float range is left to run to inf/nan.
+    """
+    h = np.asarray(h, dtype=complex)
+    anti = h.conj().T - h
+
+    def rhs(u):
+        return -1j * (h @ u) - 0.5j * np.vdot(u, anti @ u) * u
+
+    t = np.asarray(t_grid, dtype=float)
+    dt = (t[1] - t[0]) / substeps
+    v = np.asarray(psi0, dtype=complex)
+    states = [v]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(t.size - 1):
+            for _ in range(substeps):
+                k1 = rhs(v)
+                k2 = rhs(v + 0.5 * dt * k1)
+                k3 = rhs(v + 0.5 * dt * k2)
+                k4 = rhs(v + dt * k3)
+                v = v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            states.append(v)
+    return np.array(states)
 
 
 def classify_per_point(h: np.ndarray, x: np.ndarray, psi_hat: np.ndarray):

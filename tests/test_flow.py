@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -33,7 +34,12 @@ from nhdyn.ensembles import random_hamiltonian, random_matrix, random_unit_vecto
 from nhdyn.flow import ANCHOR, STEP_TOL
 from nhdyn.linalg import eig_general, expm
 
-from oracles import classify_per_point, linear_propagator_states, trajectory_per_point
+from oracles import (
+    classify_per_point,
+    linear_propagator_states,
+    rk4_nonlinear,
+    trajectory_per_point,
+)
 
 NILPOTENT = np.array([[0.0, 1.0], [0.0, 0.0]])
 
@@ -272,6 +278,61 @@ class TestIntegrateNonlinear:
             integrate_nonlinear(
                 dm_unit.h, dm_unit.algebra.basis_state("011"), [0.0, 0.1, 0.3]
             )
+
+    def test_overflowing_run_raises_instability_without_warning(self):
+        h = 1e3 * np.array([[0.0, 1.0], [1.0, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InstabilityError, match="substeps"):
+                integrate_nonlinear(h, np.array([1.0, 0.0]), np.linspace(0, 5, 60))
+
+    @pytest.mark.parametrize("substeps", [0, -1, 2.5, math.nan, "3", None])
+    def test_rejects_non_integer_substeps(self, dm_unit, substeps):
+        with pytest.raises(ConfigError, match="substeps must be an integer >= 1"):
+            integrate_nonlinear(
+                dm_unit.h, dm_unit.algebra.basis_state("011"), [0.0, 0.1], substeps
+            )
+
+    def test_numpy_integer_substeps_is_an_int(self, dm_unit):
+        v0 = dm_unit.algebra.basis_state("011")
+        t = np.linspace(0, 1, 11)
+        traj, dev = integrate_nonlinear(dm_unit.h, v0, t, np.int64(3))
+        same, dev_same = integrate_nonlinear(dm_unit.h, v0, t, 3)
+        assert np.array_equal(traj.psi, same.psi) and dev == dev_same
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 16),
+        kind=st.sampled_from(["hermitian", "real_spectrum", "complex_spectrum"]),
+        stretch=st.floats(1.0, 10.0),
+        scale=st.floats(0.3, 4.0),
+        t_end=st.floats(0.1, 10.0),
+        points=st.integers(2, 40),  # coarse grids: about a quarter of the draws diverge
+        substeps=st.integers(1, 4),
+    )
+    def test_matches_stage_by_stage_oracle(
+        self, seed, n, kind, stretch, scale, t_end, points, substeps
+    ):
+        # the oracle's verdict is the integrator's rule on the oracle's own
+        # states against per-point scipy exponentials: deviation not <= 0.1 raises
+        rng = np.random.default_rng(seed)
+        h = random_hamiltonian(n, rng, kind=kind, scale=scale, basis_stretch=stretch)
+        v0 = random_unit_vector(n, rng)
+        t = np.linspace(0.0, t_end, points)
+        expected = rk4_nonlinear(h, v0, t, substeps)
+        exact = trajectory_per_point(h, v0, t)
+        exact_hat = exact / np.linalg.norm(exact, axis=1)[:, None]
+        with np.errstate(over="ignore", invalid="ignore"):
+            gap = np.max(np.linalg.norm(expected - exact_hat, axis=1))
+        oracle_raises = InstabilityError if not gap <= 0.1 else None
+        try:
+            traj, _ = integrate_nonlinear(h, v0, t, substeps)
+        except InstabilityError as exc:
+            assert type(exc) is oracle_raises
+        else:
+            assert oracle_raises is None
+            assert np.max(np.linalg.norm(traj.psi - expected, axis=1)) <= 1e-12
 
 
 class TestMeans:
