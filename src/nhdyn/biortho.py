@@ -20,7 +20,6 @@ makes results reproducible.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,8 +59,9 @@ def build_biorthogonal(h, tol_distinct: float = DEFAULT_TOL_DISTINCT) -> Biortho
     Eigenvalues must be pairwise separated by ``tol_distinct * |H|``;
     collisions raise ``DegenerateSpectrumError`` naming the first pair
     (nilpotent Hamiltonians land here by design). A spectrum with complex
-    eigenvalues is accepted with a warning, since the dual family still
-    exists (psi_k then carries conj(E_k) as an eigenvector of H^†).
+    eigenvalues is accepted and recorded as ``real_spectrum = False``, since
+    the dual family still exists (psi_k then carries conj(E_k) as an
+    eigenvector of H^†).
 
     Raises ``BiorthogonalityError`` when the eigenvector matrix cannot be
     inverted or the assembled system violates the defining identities
@@ -83,12 +83,6 @@ def build_biorthogonal(h, tol_distinct: float = DEFAULT_TOL_DISTINCT) -> Biortho
         )
 
     real_spectrum = bool(np.max(np.abs(values.imag)) <= tol_distinct * scale)
-    if not real_spectrum:
-        warnings.warn(
-            "spectrum has complex eigenvalues; the dual family carries the "
-            "conjugate spectrum",
-            stacklevel=2,
-        )
 
     # the dual family is unique once phi is fixed: psi^† phi = 1
     try:

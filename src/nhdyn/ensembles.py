@@ -19,9 +19,9 @@ def random_unit_vector(dim: int, rng: np.random.Generator) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def random_matrix(dim: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
+def random_matrix(dim: int, rng: np.random.Generator) -> np.ndarray:
     m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    return (scale / np.sqrt(2 * dim)) * m
+    return (1.0 / np.sqrt(2 * dim)) * m
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -62,10 +62,6 @@ class StateTrajectory:
     anchor_gap: float = 0.0
     fallback_segments: int = 0
 
-    @property
-    def dim(self) -> int:
-        return self.psi.shape[1]
-
 
 def _unit_vector(v, dim: int | None, tol: float, name: str) -> np.ndarray:
     w = as_state_vector(v, dim, name)
@@ -282,7 +278,7 @@ class ClassificationReport:
     """Residual-based membership of one observable in the three classes.
 
     Residuals are operator 2-norms (moduli for the weak class) taken as
-    suprema over the trajectory grid; verdicts threshold them at
+    suprema over the checked states; verdicts threshold them at
     ``tol_class``. An operator-level integral is automatically a weak
     one, so ``in_c_psi_hat`` implies ``in_c_psi_hat_weak``.
     """
@@ -297,12 +293,12 @@ class ClassificationReport:
     tol_class: float
 
 
-def _weak_residual(h, x, trajectory: StateTrajectory):
-    """X, D = delta_gamma(X), H^† - H, s_t = <v, (H^† - H) v> over the checked
-    ``psi_hat`` rows v, and the weak residual max_t |<v, D v> - i s_t <v, X v>|."""
+def _weak_residual(h, x, psi_hat):
+    """X, D = delta_gamma(X), H^† - H, s_t = <v, (H^† - H) v> over the rows v of
+    ``psi_hat``, and the weak residual max_t |<v, D v> - i s_t <v, X v>|."""
     hm = as_square_matrix(h, "hamiltonian")
     xm = as_square_matrix(x, "observable")
-    v = as_complex_matrix(trajectory.psi_hat, "psi_hat", hm.shape[0])
+    v = as_complex_matrix(psi_hat, "psi_hat", hm.shape[0])
     if not np.all(np.abs(np.linalg.norm(v, axis=1) - 1.0) <= UNIT_NORM_TOL):
         raise ConfigError("trajectory states psi_hat must be normalized")
     dg = delta_gamma(gamma_context(hm), xm)
@@ -319,20 +315,20 @@ def classify(
     tol_class: float = DEFAULT_TOL_CLASS,
     name: str = "X",
 ) -> ClassificationReport:
-    """Classify one observable against one trajectory.
+    """Classify one observable against one trajectory."""
+    return _classify_rows(h, x, trajectory.psi_hat, tol_class, name)
+
+
+def _classify_rows(h, x, psi_hat, tol_class: float, name: str) -> ClassificationReport:
+    """Classify one observable over the normalized states in the rows of ``psi_hat``.
 
     delta_psi_hat = D + a_t X with D = delta_gamma(X) and real
     a_t = Im <psi_hat, (H^† - H) psi_hat>; |D + a X|_2 is convex in a, so its
-    grid maximum sits at the extreme a_t: two SVDs, not one per grid point.
+    maximum over the rows sits at the extreme a_t: two SVDs, not one per row.
     """
-    xm, dg, _, s, weak = _weak_residual(h, x, trajectory)
+    xm, dg, _, s, weak = _weak_residual(h, x, psi_hat)
+    gamma_res = op_norm(dg)
     strong = max(op_norm(dg + a * xm) for a in (s.imag.min(), s.imag.max()))
-    return _threshold(name, op_norm(dg), strong, weak, tol_class)
-
-
-def _threshold(
-    name: str, gamma_res: float, strong: float, weak: float, tol_class: float
-) -> ClassificationReport:
     return ClassificationReport(
         observable_name=name,
         c_gamma_residual=float(gamma_res),
@@ -358,17 +354,16 @@ def classify_ensemble(
 
     Membership in the state-dependent classes is relative to a
     trajectory; this re-tests over ``n_states`` Haar-like random unit
-    vectors, propagated as one stack, and keeps the largest residuals.
+    vectors, propagated as one stack and classified as one set of rows.
+    Each residual is a maximum over rows, so it is the worst state's (the
+    strong one to roundoff, which decides it when a_t is roundoff itself).
     """
     hm = as_square_matrix(h, "hamiltonian")
-    if n_states < 1:
-        raise ConfigError("n_states must be >= 1")
+    if not isinstance(n_states, numbers.Integral) or n_states < 1:
+        raise ConfigError("n_states must be an integer >= 1")
     states = np.stack([random_unit_vector(hm.shape[0], rng) for _ in range(n_states)])
-    residuals = []
-    for traj in exact_trajectory(hm, states, t_grid):
-        r = classify(hm, x, traj, tol_class, name)
-        residuals.append((r.c_gamma_residual, r.c_psi_hat_residual, r.c_psi_hat_weak_residual))
-    return _threshold(name, *np.max(residuals, axis=0), tol_class)
+    rows = np.concatenate([traj.psi_hat for traj in exact_trajectory(hm, states, t_grid)])
+    return _classify_rows(hm, x, rows, tol_class, name)
 
 
 def gamma_symmetry_decay_check(h, x, trajectory: StateTrajectory) -> float:
@@ -406,23 +401,19 @@ class NecessaryConditionResult(NamedTuple):
 
 
 def necessary_condition_residual(
-    h,
-    x,
-    trajectory: StateTrajectory,
-    x0: complex,
-    tol_class: float = DEFAULT_TOL_CLASS,
+    h, x, trajectory: StateTrajectory, x0: complex
 ) -> NecessaryConditionResult:
     """Test <psi, delta_gamma(X) psi> = i x0 <psi, (H^† - H) psi> on the grid.
 
     Both sides use the un-normalized states. The identity is necessary
     for X to be a weak integral with constant mean ``x0``; the premise,
-    ``classify``'s weak residual, is re-verified from means alone and
-    reported rather than assumed.
+    ``classify``'s weak residual within ``DEFAULT_TOL_CLASS``, is re-verified
+    from means alone and reported rather than assumed.
     """
-    _, dg, anti, _, premise = _weak_residual(h, x, trajectory)
+    _, dg, anti, _, premise = _weak_residual(h, x, trajectory.psi_hat)
     gap = mean_values(dg, trajectory.psi) - 1j * x0 * mean_values(anti, trajectory.psi)
     return NecessaryConditionResult(
         max_residual=float(np.max(np.abs(gap))),
         premise_residual=float(premise),
-        premise_ok=bool(premise <= tol_class),
+        premise_ok=bool(premise <= DEFAULT_TOL_CLASS),
     )

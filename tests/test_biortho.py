@@ -57,9 +57,10 @@ def test_degenerate_spectrum_is_rejected():
         build_biorthogonal(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
-def test_complex_spectrum_sets_flag_and_warns():
+def test_complex_spectrum_sets_flag_without_warning():
     h = np.diag([1.0 + 1.0j, 2.0 - 0.5j])
-    with pytest.warns(UserWarning, match="complex eigenvalues"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         system = build_biorthogonal(h)
     assert not system.real_spectrum
     gram = system.phi.conj().T @ system.psi
@@ -139,9 +140,7 @@ def test_dual_family_matches_adjoint_eigensolve_oracle(kind):
     rng = np.random.default_rng(26)
     for n, stretch in ((2, 1.0), (5, 1.0), (8, 4.0), (16, 4.0)):
         h = random_hamiltonian(n, rng, kind=kind, basis_stretch=stretch)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            system = build_biorthogonal(h)
+        system = build_biorthogonal(h)
         psi = dual_family_by_adjoint_eig(h, system.eigenvalues, system.phi)
         tol = 1e-12 * system.condition_estimate
         assert np.abs(system.psi - psi).max() <= tol * np.abs(psi).max()

@@ -389,11 +389,9 @@ class TestRunner:
             "time": {"t_start": 0.0, "t_end": 2.0, "points": 11},
         }
         cfg = parse_config(doc)
-        with pytest.warns(UserWarning, match="complex eigenvalues"):
-            first = run(cfg, tmp_path / "a")
+        first = run(cfg, tmp_path / "a")
         assert len(calls) == 1
-        with pytest.warns(UserWarning, match="complex eigenvalues"):
-            second = run(cfg, tmp_path / "b", seed=7)
+        second = run(cfg, tmp_path / "b", seed=7)
         assert len(calls) == 1
         assert first.tasks["biortho"] == second.tasks["biortho"]
 
@@ -540,8 +538,8 @@ class TestCli:
         )
 
     def test_complex_spectrum_run_leaves_stderr_empty(self, tmp_path):
-        # build_biorthogonal warns API callers; the CLI's report records the
-        # complex spectrum, so the process writes nothing to stderr
+        # the report records the complex spectrum; the process writes
+        # nothing to stderr
         doc = {"hamiltonian": [[[0, 1], 1], [0, [0, -1]]], "tasks": ["biortho"]}
         done = self.run_subprocess(tmp_path, doc)
         assert done.returncode == 0
