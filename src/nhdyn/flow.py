@@ -71,6 +71,12 @@ def _unit_vector(v, dim: int | None, tol: float, name: str) -> np.ndarray:
     return w
 
 
+def _check_count(value, name: str) -> None:
+    """An integer >= 1; bool is an ``Integral`` but not a count."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ConfigError(f"{name} must be an integer >= 1")
+
+
 def _trajectory_from_states(t, states, gap=0.0, fallbacks=0) -> StateTrajectory:
     norms = np.linalg.norm(states, axis=1)  # unscaled: inf from |psi| ~ 1e154 on
     if not np.isfinite(norms).all():
@@ -217,8 +223,7 @@ def integrate_nonlinear(
     step = _uniform_step(t)
     if step is None:
         raise ConfigError("t_grid must be uniform")
-    if not isinstance(substeps, numbers.Integral) or substeps < 1:
-        raise ConfigError("substeps must be an integer >= 1")
+    _check_count(substeps, "substeps")
 
     n = hm.shape[0]
     dt = step / substeps
@@ -359,8 +364,7 @@ def classify_ensemble(
     strong one to roundoff, which decides it when a_t is roundoff itself).
     """
     hm = as_square_matrix(h, "hamiltonian")
-    if not isinstance(n_states, numbers.Integral) or n_states < 1:
-        raise ConfigError("n_states must be an integer >= 1")
+    _check_count(n_states, "n_states")
     states = np.stack([random_unit_vector(hm.shape[0], rng) for _ in range(n_states)])
     rows = np.concatenate([traj.psi_hat for traj in exact_trajectory(hm, states, t_grid)])
     return _classify_rows(hm, x, rows, tol_class, name)

@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError, TruncationError
+from .errors import ConfigError, NumericalError, NumericRangeError, TruncationError
 from .linalg import (
     DEFAULT_RANK_TOL,
     as_square_matrix,
@@ -78,6 +78,8 @@ def gamma_t(ctx: GammaContext, x, t: float) -> np.ndarray:
     One exponential: exp(i H^† t) is exactly the adjoint of U = exp(-i H t),
     and one U serves a whole stack of observables ``x`` of shape (k, N, N).
     """
+    if np.ndim(x) == 3 and len(x) == 0:
+        raise ConfigError("the observable stack is empty")
     xm = (np.stack([as_square_matrix(m, "observable", ctx.dim) for m in x]) if np.ndim(x) == 3
           else as_square_matrix(x, "observable", ctx.dim))
     u = expm(-1j * ctx.h * t)
@@ -131,25 +133,35 @@ def identity_norm_evolution(ctx: GammaContext, psi0, t_grid) -> np.ndarray:
     Returns an array with rows ``(t, I(t), residual)`` where
     I(t) = |exp(-iHt) psi0|^2 and the residual compares the second-order
     finite-difference derivative of I against the identity
-    dI/dt = i <psi(t), (H^† - H) psi(t)>; it shrinks as O(dt^2).
+    dI/dt = i <psi(t), (H^† - H) psi(t)>; it shrinks as O(dt^2). A psi0
+    whose I(t) leaves the float range raises ``NumericRangeError``.
     """
     from .flow import exact_trajectory  # flow imports this module
 
     v0 = as_state_vector(psi0, ctx.dim, "psi0")
-    scale = np.linalg.norm(v0)
-    if scale == 0.0:
+    top = np.abs(v0).max()
+    if top == 0.0:
         raise ConfigError("psi0 must be nonzero")
+    # |psi0| = m |psi0 / m|, m = 2^k <= max |psi0_i|: in range where |psi0|^2 is not,
+    # and an exact scaling, so bit for bit the unscaled norm wherever that is in range
+    m = math.ldexp(1.0, math.frexp(top)[1] - 1)
+    w = v0 / m
+    unit_norm = np.linalg.norm(w)
     # the propagator is linear: evolve the unit vector, then scale back
-    traj = exact_trajectory(ctx.h, v0 / scale, t_grid)
-    t, states, norms = traj.t_grid, scale * traj.psi, scale**2 * traj.norm_sq
-    anti = ctx.h.conj().T - ctx.h
-    exact_rate = (1j * mean_values(anti, states)).real
-
-    if t.size == 1:
-        fd_rate = exact_rate  # nothing to difference against
-    else:
-        fd_rate = np.gradient(norms, t, edge_order=min(t.size - 1, 2))
-    return np.column_stack([t, norms, np.abs(fd_rate - exact_rate)])
+    traj = exact_trajectory(ctx.h, w / unit_norm, t_grid)
+    with np.errstate(over="ignore", invalid="ignore"):  # out of range raises below
+        scale = m * unit_norm
+        t, states, norms = traj.t_grid, scale * traj.psi, scale**2 * traj.norm_sq
+        anti = ctx.h.conj().T - ctx.h
+        exact_rate = (1j * mean_values(anti, states)).real
+        if t.size == 1:
+            fd_rate = exact_rate  # nothing to difference against
+        else:
+            fd_rate = np.gradient(norms, t, edge_order=min(t.size - 1, 2))
+        rows = np.column_stack([t, norms, np.abs(fd_rate - exact_rate)])
+    if not (np.isfinite(rows).all() and norms.min() > 0.0):
+        raise NumericRangeError(f"I(t) leaves the float range for |psi0| = {scale:.3e}")
+    return rows
 
 
 @dataclass(frozen=True)

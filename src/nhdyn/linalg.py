@@ -11,6 +11,7 @@ imported inside ``schur`` on first use, so no other route loads it.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -194,9 +195,21 @@ def expm(a) -> np.ndarray:
 
     Scaling and squaring with Pade approximants of degree 3, 5, 7, 9 or 13
     (Al-Mohy & Higham, SIMAX 31(3), 2009) in numpy alone, good to ~1e-14
-    relative over the norms used in this package.
+    relative over the norms used in this package. The exponentials of the
+    last 16 distinct arguments are kept, keyed by the exact bytes of the
+    validated complex128 argument, so one H stepped over one grid by several
+    routes takes each propagator once; a hit returns a fresh copy, and an
+    argument that raises is never kept. The memo holds at most 2 x 16 N^2
+    complex128 values (key and result), 2 MiB at N = 64.
     """
     m = as_square_matrix(a, "expm argument")
+    return _expm_exact(m.shape[0], m.tobytes()).copy()
+
+
+@functools.lru_cache(maxsize=16)
+def _expm_exact(n: int, data: bytes) -> np.ndarray:
+    """``expm`` of the n x n complex128 matrix in ``data``; the result is shared."""
+    m = np.frombuffer(data, dtype=complex).reshape(n, n)
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             e = _expm(m)

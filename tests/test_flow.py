@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nhdyn.flow
+import nhdyn.gamma
 from nhdyn import (
     CertificationError,
     ConfigError,
@@ -23,7 +24,9 @@ from nhdyn import (
     gamma_context,
     gamma_symmetry_basis,
     gamma_symmetry_decay_check,
+    gamma_t,
     h_nl,
+    identity_norm_evolution,
     integrate_nonlinear,
     mean_derivative,
     mean_value,
@@ -33,7 +36,7 @@ from nhdyn import (
 )
 from nhdyn.ensembles import random_hamiltonian, random_matrix, random_unit_vector
 from nhdyn.flow import ANCHOR, STEP_TOL
-from nhdyn.linalg import eig_general, expm
+from nhdyn.linalg import _expm_exact, eig_general, expm
 
 from oracles import (
     classify_per_point,
@@ -287,7 +290,7 @@ class TestIntegrateNonlinear:
             with pytest.raises(InstabilityError, match="substeps"):
                 integrate_nonlinear(h, np.array([1.0, 0.0]), np.linspace(0, 5, 60))
 
-    @pytest.mark.parametrize("substeps", [0, -1, 2.5, math.nan, "3", None])
+    @pytest.mark.parametrize("substeps", [0, -1, 2.5, math.nan, "3", None, True])
     def test_rejects_non_integer_substeps(self, dm_unit, substeps):
         with pytest.raises(ConfigError, match="substeps must be an integer >= 1"):
             integrate_nonlinear(
@@ -614,7 +617,7 @@ class TestClassify:
         classify_ensemble(h, np.eye(4), np.linspace(0, 2, 21), 5, np.random.default_rng(7))
         assert len(calls) == 3
 
-    @pytest.mark.parametrize("n_states", [0, -1, 2.5, math.nan, "3", None])
+    @pytest.mark.parametrize("n_states", [0, -1, 2.5, math.nan, "3", None, True])
     def test_ensemble_rejects_non_integer_n_states(self, n_states):
         with pytest.raises(ConfigError, match="n_states must be an integer >= 1"):
             classify_ensemble(
@@ -747,3 +750,38 @@ class TestScalar:
         h = random_hamiltonian(5, rng, kind="complex_spectrum")
         v = random_unit_vector(5, rng)
         assert abs(nonhermiticity_scalar(h, v).real) < 1e-14
+
+
+class TestSharedPropagators:
+    """The routes of one study on one H and one grid share their exponentials."""
+
+    def run_study(self, h, psi0, x, t, between):
+        ctx = gamma_context(h)
+        steps = (
+            lambda: integrate_nonlinear(h, psi0, t, substeps=4),
+            lambda: classify_ensemble(h, np.eye(len(h)), t, 3, np.random.default_rng(5)),
+            lambda: gamma_t(ctx, x, 0.5),
+            lambda: gamma_t(ctx, x, 2.0),
+            lambda: identity_norm_evolution(ctx, psi0, t),
+        )
+        out = []
+        for step in steps:
+            between()
+            out.append(step())
+        (traj, deviation), ensemble, *arrays = out
+        return [traj.psi_hat.tobytes(), deviation, ensemble, *(a.tobytes() for a in arrays)]
+
+    def test_api_study_takes_twelve_exponentials_for_thirty_two_calls(self, monkeypatch):
+        rng = np.random.default_rng(41)
+        h = random_hamiltonian(16, rng, kind="complex_spectrum")
+        psi0, x = random_unit_vector(16, rng), random_matrix(16, rng)
+        t = np.linspace(0.0, 10.0, 201)
+        calls = []
+        for module in (nhdyn.flow, nhdyn.gamma):
+            original = module.expm
+            monkeypatch.setattr(module, "expm", lambda a, f=original: calls.append(1) or f(a))
+        shared = self.run_study(h, psi0, x, t, lambda: None)
+        assert len(calls) == 32
+        assert _expm_exact.cache_info().misses == 12
+        fresh = self.run_study(h, psi0, x, t, _expm_exact.cache_clear)
+        assert shared == fresh

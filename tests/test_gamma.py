@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ import nhdyn.gamma
 from nhdyn import (
     ConfigError,
     DimensionError,
+    NumericRangeError,
     TruncationError,
     build_dm_model,
     delta_gamma,
@@ -87,6 +89,11 @@ class TestGammaT:
             assert op_norm(g - ref) <= 1e-12 * op_norm(ref)
         with pytest.raises(DimensionError):
             gamma_t(ctx, np.zeros((2, 4, 4)), 1.5)
+
+    def test_empty_stack_is_a_config_error(self):
+        ctx = gamma_context(NILPOTENT)
+        with pytest.raises(ConfigError, match="observable stack is empty"):
+            gamma_t(ctx, np.zeros((0, 2, 2)), 1.0)
 
 
 class TestDeltaGamma:
@@ -347,6 +354,15 @@ class TestIdentityNormEvolution:
             identity_norm_evolution(ctx, np.zeros(2), [0.0, 1.0])
         with pytest.raises(ConfigError):
             identity_norm_evolution(ctx, np.array([1.0, 0.0]), [])
+
+    @pytest.mark.parametrize("c", [1e-200, 1e200])
+    def test_norm_outside_the_float_range_is_a_range_error(self, c):
+        # |psi0| itself is in range, its square is not: no warning, no misleading ConfigError
+        ctx = gamma_context(NILPOTENT)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericRangeError, match="float range"):
+                identity_norm_evolution(ctx, np.array([c, c]), [0.0, 1.0])
 
 
 class TestSymmetryBasis:

@@ -27,7 +27,7 @@ from nhdyn import (
 )
 from nhdyn.ensembles import random_hamiltonian, random_unit_vector
 from nhdyn.errors import ConfigError
-from nhdyn.linalg import schur
+from nhdyn.linalg import _expm_exact, schur
 
 
 def _norm1(a: np.ndarray) -> float:
@@ -158,6 +158,39 @@ class TestExpm:
                         theirs.append(_norm1(scipy.linalg.expm(a) - exact) / scale)
         assert max(ours) <= max(theirs)
         assert np.mean(ours) <= np.mean(theirs)
+
+
+
+class TestExpmMemo:
+    def test_repeated_call_returns_the_bytes_of_the_kernel(self):
+        a = -1j * random_hamiltonian(8, np.random.default_rng(3), kind="complex_spectrum") * 0.7
+        first, again = expm(a), expm(a)
+        assert _expm_exact.cache_info().hits == 1
+        assert again is not first
+        kernel = _expm_exact.__wrapped__(8, a.tobytes())
+        assert first.tobytes() == again.tobytes() == kernel.tobytes()
+
+    def test_writing_into_a_result_leaves_the_next_unchanged(self):
+        a = -1j * random_hamiltonian(4, np.random.default_rng(4), kind="real_spectrum")
+        first = expm(a)
+        kept = first.copy()
+        first[...] = np.nan
+        assert expm(a).tobytes() == kept.tobytes()
+
+    def test_an_argument_that_raises_raises_on_every_call(self):
+        a = -1j * 1e307 * build_dm_model(1.0, 1.0).h
+        for _ in range(3):
+            with pytest.raises(NumericRangeError):
+                expm(a)
+        assert _expm_exact.cache_info().currsize == 0
+
+    def test_memo_stays_bounded_along_a_long_trajectory(self):
+        rng = np.random.default_rng(6)
+        h = random_hamiltonian(4, rng, kind="complex_spectrum")
+        exact_trajectory(0.01 * h, random_unit_vector(4, rng), np.linspace(0, 1, 1001))
+        info = _expm_exact.cache_info()
+        assert info.misses > 16
+        assert info.currsize <= 16
 
 
 RUN_AND_LIST_SCIPY = """
