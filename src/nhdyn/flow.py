@@ -121,7 +121,7 @@ def exact_trajectory(h, psi0, t_grid) -> StateTrajectory | tuple[StateTrajectory
         stepped = step is not None and j > 0
         if stepped:
             for c in range(len(v0)):
-                states[c, j] = step @ states[c, j - 1]
+                step.dot(states[c, j - 1], out=states[c, j])
             if j % ANCHOR and j < t.size - 1:
                 continue
         u = expm(-1j * hm * tj)
@@ -170,33 +170,28 @@ def _rk4_weights(g: list) -> list:
     M = -i dt H, and ``g[j][k] = Re <M^j v, b M^k v>`` (j, k < 4) with the
     Hermitian b = -(i/2) dt (H^† - H), so dt f(u) = (M + <u, b u>) u. Every
     stage vector u is a real combination of v, ..., M^3 v, and its stage
-    scalar <u, b u> is the quadratic form of g on those coefficients.
+    scalar s = <u, b u> is the quadratic form of g on those coefficients, written
+    out with its constant coefficients (1/2, 1/4) in place and its zero terms
+    dropped; each product it takes is kept, so the weights are bit for bit its own.
     """
     (g00, g01, g02, g03), (_, g11, g12, g13), (_, _, g22, g23), (*_, g33) = g
-
-    def quad(a0, a1, a2=0.0, a3=0.0):
-        return (
-            a0 * (a0 * g00 + 2.0 * (a1 * g01 + a2 * g02 + a3 * g03))
-            + a1 * (a1 * g11 + 2.0 * (a2 * g12 + a3 * g13))
-            + a2 * (a2 * g22 + 2.0 * a3 * g23)
-            + a3 * a3 * g33
-        )
-
-    s1 = g00
-    a0, a1 = 1.0 + 0.5 * s1, 0.5  # u2 = v + dt k1 / 2
-    s2 = quad(a0, a1)
-    b0, b1, b2 = 1.0 + 0.5 * s2 * a0, 0.5 * (a0 + s2 * a1), 0.5 * a1  # u3 = v + dt k2 / 2
-    s3 = quad(b0, b1, b2)
-    c0, c1, c2, c3 = 1.0 + s3 * b0, b0 + s3 * b1, b1 + s3 * b2, b2  # u4 = v + dt k3
-    s4 = quad(c0, c1, c2, c3)
+    a0 = 1.0 + 0.5 * g00  # u2 = v + dt k1 / 2 = a0 v + Mv / 2
+    s2 = a0 * (a0 * g00 + 2.0 * (0.5 * g01)) + 0.5 * (0.5 * g11)
+    b0, b1 = 1.0 + 0.5 * s2 * a0, 0.5 * (a0 + s2 * 0.5)  # u3 = v + dt k2 / 2, b2 = 1/4
+    s3 = (b0 * (b0 * g00 + 2.0 * (b1 * g01 + 0.25 * g02))
+          + b1 * (b1 * g11 + 2.0 * (0.25 * g12)) + 0.25 * (0.25 * g22))
+    c0, c1, c2 = 1.0 + s3 * b0, b0 + s3 * b1, b1 + s3 * 0.25  # u4 = v + dt k3, c3 = 1/4
+    s4 = (c0 * (c0 * g00 + 2.0 * (c1 * g01 + c2 * g02 + 0.25 * g03))
+          + c1 * (c1 * g11 + 2.0 * (c2 * g12 + 0.25 * g13))
+          + c2 * (c2 * g22 + 2.0 * 0.25 * g23) + 0.25 * 0.25 * g33)
     # v + (dt k1 + 2 dt k2 + 2 dt k3 + dt k4) / 6 = (u2 + 2 u3 + u4 - v) / 3 + dt k4 / 6
     # with dt k4 = (M + s4) u4
     return [
         (a0 + 2.0 * b0 + c0 - 1.0) / 3.0 + s4 * c0 / 6.0,
-        (a1 + 2.0 * b1 + c1) / 3.0 + (c0 + s4 * c1) / 6.0,
-        (2.0 * b2 + c2) / 3.0 + (c1 + s4 * c2) / 6.0,
-        c3 / 3.0 + (c2 + s4 * c3) / 6.0,
-        c3 / 6.0,
+        (0.5 + 2.0 * b1 + c1) / 3.0 + (c0 + s4 * c1) / 6.0,
+        (0.5 + c2) / 3.0 + (c1 + s4 * c2) / 6.0,
+        0.25 / 3.0 + (c2 + s4 * 0.25) / 6.0,
+        0.25 / 6.0,
     ]
 
 
@@ -210,7 +205,9 @@ def integrate_nonlinear(
     an integrator diagnostic. Each substep takes one product of the
     precomputed stack [M, ..., M^4, b, bM, bM^2, bM^3] (M = -i dt H, b as
     in ``_rk4_weights``) with v and one 4x4 real Gram matrix; the stages
-    are then scalar arithmetic on the coefficients of v, ..., M^4 v.
+    are then scalar arithmetic on the coefficients of v, ..., M^4 v. All
+    three products go through ``ndarray.dot`` into buffers allocated once
+    per call, the last into the state's own row, with the bits of ``@``.
     Returns the trajectory and ``max_deviation``, the worst distance to
     the matrix-exponential reference; a deviation above 0.1, or a state
     that left the float range, raises ``InstabilityError``.
@@ -235,15 +232,18 @@ def integrate_nonlinear(
     products, krylov = rows[1:].reshape(-1), rows[:5]
     # (left @ right)[j, k] = Re <M^j v, b M^k v>: real and imaginary parts side by side
     left, right = rows[:4].view(float), rows[5:].view(float).T
+    gram, weights = np.empty((4, 4)), np.empty(5, dtype=complex)
     states = np.empty((t.size, n), dtype=complex)
     states[0] = rows[0] = v0
     reference = exact_trajectory(hm, v0, t)
     with np.errstate(over="ignore", invalid="ignore"):  # a diverging run raises below
         for j in range(1, t.size):
             for _ in range(substeps):
-                np.matmul(stack, rows[0], out=products)
-                rows[0] = _rk4_weights((left @ right).tolist()) @ krylov
-            states[j] = rows[0]
+                stack.dot(rows[0], out=products)
+                left.dot(right, out=gram)
+                weights[:] = _rk4_weights(gram.tolist())
+                weights.dot(krylov, out=states[j])
+                rows[0] = states[j]
         deviation = float(np.max(np.linalg.norm(states - reference.psi_hat, axis=1)))
     if not deviation <= 0.1:
         raise InstabilityError(

@@ -103,7 +103,8 @@ def gamma_series(
     exactly zero (delta is linear, so every later term is zero; H^2 = 0 leaves three
     terms). ``TruncationError`` is raised before any work when q >= 1 up to
     ``MAX_SERIES_TERMS`` terms, and after them if no term certified the rest. Returns
-    the partial sum and the number of terms summed.
+    the partial sum and the number of terms summed. Each term is formed in place on a copy
+    of X from two ``ndarray.dot`` products into buffers allocated once, with unchanged bits.
     """
     xm = as_square_matrix(x, "observable", ctx.dim)
     if tol_trunc <= 0:
@@ -113,13 +114,15 @@ def gamma_series(
         raise TruncationError(f"series rate {rate:.3e} keeps q >= 1 up to the term cap")
 
     h, hd = ctx.h, ctx.h.conj().T
-    total = xm.copy()
-    term = xm
+    total, term = xm.copy(), xm.copy()
+    a, b = np.empty_like(term), np.empty_like(term)
     for k in range(1, MAX_SERIES_TERMS + 1):  # total = T_0 + ... + T_{k-1}
         q = rate / k  # |T_{k-1+j}| <= q^j |T_{k-1}|
         if q < 1.0 and np.linalg.norm(term) * q / (1.0 - q) < tol_trunc:
             return total, k
-        term = hd @ term - term @ h
+        hd.dot(term, out=a)
+        term.dot(h, out=b)
+        np.subtract(a, b, out=term)
         term *= 1j * t / k  # (t / k) delta_gamma(term)
         if not term.any():
             return total, k

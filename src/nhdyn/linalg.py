@@ -26,6 +26,7 @@ from .errors import (
 
 DEFAULT_RANK_TOL = 1e-10
 DEFAULT_EIG_TOL = 1e-10
+MAX_DIM = 64  # the desk scale: the largest scenario H and the largest memoized expm
 
 
 def as_complex_matrix(a, name: str = "matrix", cols: int | None = None) -> np.ndarray:
@@ -196,13 +197,15 @@ def expm(a) -> np.ndarray:
     Scaling and squaring with Pade approximants of degree 3, 5, 7, 9 or 13
     (Al-Mohy & Higham, SIMAX 31(3), 2009) in numpy alone, good to ~1e-14
     relative over the norms used in this package. The exponentials of the
-    last 16 distinct arguments are kept, keyed by the exact bytes of the
-    validated complex128 argument, so one H stepped over one grid by several
-    routes takes each propagator once; a hit returns a fresh copy, and an
-    argument that raises is never kept. The memo holds at most 2 x 16 N^2
-    complex128 values (key and result), 2 MiB at N = 64.
+    last 16 distinct arguments with N <= ``MAX_DIM`` are kept, keyed by the
+    exact bytes of the validated complex128 argument, so one H stepped over one
+    grid by several routes takes each propagator once; a hit returns a fresh
+    copy, and an argument that raises is never kept. The memo holds at most
+    2 x 16 MAX_DIM^2 complex128 values (keys and results), 2 MiB, for any input.
     """
     m = as_square_matrix(a, "expm argument")
+    if m.shape[0] > MAX_DIM:  # the same kernel on the same bytes, not kept
+        return _expm_exact.__wrapped__(m.shape[0], m.tobytes())
     return _expm_exact(m.shape[0], m.tobytes()).copy()
 
 

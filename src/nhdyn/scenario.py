@@ -51,7 +51,9 @@ from .gamma import (
     gamma_symmetry_basis,
     similar_norm_preserving,
 )
-from .linalg import DEFAULT_RANK_TOL, Spectrum, as_state_vector, eig_general, frob, mean_values
+from .linalg import (
+    DEFAULT_RANK_TOL, MAX_DIM, Spectrum, as_state_vector, eig_general, frob, mean_values
+)
 
 DEFAULT_TOLERANCES = {
     "tol_class": flow.DEFAULT_TOL_CLASS,
@@ -62,7 +64,6 @@ DEFAULT_TOLERANCES = {
 DEFAULT_TIME = {"t_start": 0.0, "t_end": 10.0, "points": 201}
 DEFAULT_COUPLINGS = {"lambda": 1.0, "mu": 1.0}
 MAX_POINTS = 100_000
-MAX_DIM = 64
 DEFAULT_SEED = 42
 BUILTIN_OBSERVABLES = ("identity", "H", "N", "N1", "N2", "N3")
 STATE_TASKS = frozenset({"trajectory", "classify", "fermion_demo"})  # read cfg.trajectory

@@ -8,13 +8,15 @@ brute-force solutions of small intertwining systems, the dual
 eigenvector family from an eigensolve of the adjoint, and the
 per-grid-point routes that the fast trajectory and classification
 replace, the stage-by-stage RK4 loop that the nonlinear integrator's
-Krylov-coordinate stages replace, the a-priori truncated gamma series
+Krylov-coordinate stages replace, those stages' own loop with allocating
+products and the weights as a quadratic form, the a-priori truncated gamma series
 with its plain rate 2|H||t|, the standard library's indenting JSON
 encoder for the report writer, and per-value formatting for the CSV
 writer.
 """
 
 import json
+from itertools import accumulate
 
 import numpy as np
 import scipy.linalg
@@ -126,6 +128,61 @@ def rk4_nonlinear(h: np.ndarray, psi0: np.ndarray, t_grid, substeps: int = 1) ->
                 v = v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             states.append(v)
     return np.array(states)
+
+
+def rk4_weights_quadratic_form(g: list) -> list:
+    """Weights w with v' = sum_j w_j M^j v for one RK4 substep, from the Gram list
+    ``g[j][k] = Re <M^j v, b M^k v>``: every stage scalar is the full quadratic form
+    of g on the stage's coefficients, the zero ones included."""
+    (g00, g01, g02, g03), (_, g11, g12, g13), (_, _, g22, g23), (*_, g33) = g
+
+    def quad(a0, a1, a2=0.0, a3=0.0):
+        return (
+            a0 * (a0 * g00 + 2.0 * (a1 * g01 + a2 * g02 + a3 * g03))
+            + a1 * (a1 * g11 + 2.0 * (a2 * g12 + a3 * g13))
+            + a2 * (a2 * g22 + 2.0 * a3 * g23)
+            + a3 * a3 * g33
+        )
+
+    s1 = g00
+    a0, a1 = 1.0 + 0.5 * s1, 0.5
+    s2 = quad(a0, a1)
+    b0, b1, b2 = 1.0 + 0.5 * s2 * a0, 0.5 * (a0 + s2 * a1), 0.5 * a1
+    s3 = quad(b0, b1, b2)
+    c0, c1, c2, c3 = 1.0 + s3 * b0, b0 + s3 * b1, b1 + s3 * b2, b2
+    s4 = quad(c0, c1, c2, c3)
+    return [
+        (a0 + 2.0 * b0 + c0 - 1.0) / 3.0 + s4 * c0 / 6.0,
+        (a1 + 2.0 * b1 + c1) / 3.0 + (c0 + s4 * c1) / 6.0,
+        (2.0 * b2 + c2) / 3.0 + (c1 + s4 * c2) / 6.0,
+        c3 / 3.0 + (c2 + s4 * c3) / 6.0,
+        c3 / 6.0,
+    ]
+
+
+def rk4_krylov_loop(h: np.ndarray, psi0: np.ndarray, t_grid, substeps: int = 1) -> np.ndarray:
+    """Rows of the normalized flow by the RK4 stages in Krylov coordinates, every
+    product allocating its result: ``stack @ v``, ``left @ right`` for the Gram
+    matrix and the weights list ``@`` the Krylov rows v, Mv, ..., M^4 v."""
+    h = np.asarray(h, dtype=complex)
+    n = h.shape[0]
+    t = np.asarray(t_grid, dtype=float)
+    dt = (t[1] - t[0]) / substeps
+    m = -1j * dt * h
+    b = -0.5j * dt * (h.conj().T - h)
+    powers = list(accumulate([m] * 4, np.matmul))
+    stack = np.vstack(powers + [b] + [b @ p for p in powers[:3]])
+    rows = np.empty((9, n), dtype=complex)
+    left, right = rows[:4].view(float), rows[5:].view(float).T
+    states = np.empty((t.size, n), dtype=complex)
+    states[0] = rows[0] = psi0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(1, t.size):
+            for _ in range(substeps):
+                rows[1:] = (stack @ rows[0]).reshape(8, n)
+                rows[0] = rk4_weights_quadratic_form((left @ right).tolist()) @ rows[:5]
+            states[j] = rows[0]
+    return states
 
 
 def classify_per_point(h: np.ndarray, x: np.ndarray, psi_hat: np.ndarray):

@@ -35,13 +35,15 @@ from nhdyn import (
     op_norm,
 )
 from nhdyn.ensembles import random_hamiltonian, random_matrix, random_unit_vector
-from nhdyn.flow import ANCHOR, STEP_TOL
-from nhdyn.linalg import _expm_exact, eig_general, expm
+from nhdyn.flow import ANCHOR, STEP_TOL, _rk4_weights
+from nhdyn.linalg import _expm_exact, as_square_matrix, as_state_vector, eig_general, expm
 
 from oracles import (
     classify_per_point,
     linear_propagator_states,
+    rk4_krylov_loop,
     rk4_nonlinear,
+    rk4_weights_quadratic_form,
     trajectory_per_point,
 )
 
@@ -337,6 +339,91 @@ class TestIntegrateNonlinear:
         else:
             assert oracle_raises is None
             assert np.max(np.linalg.norm(traj.psi - expected, axis=1)) <= 1e-12
+
+
+class TestIntegratorBits:
+    """The buffered substep loop leaves every bit of the allocating one."""
+
+    @pytest.mark.parametrize("kind", ["hermitian", "real_spectrum", "complex_spectrum"])
+    @pytest.mark.parametrize("substeps", [1, 4])
+    @pytest.mark.parametrize("n", [2, 5, 16])
+    def test_states_and_deviation_equal_the_allocating_loop(self, n, substeps, kind):
+        rng = np.random.default_rng(1000 * n + substeps)
+        h = random_hamiltonian(n, rng, kind=kind, basis_stretch=3.0)
+        v0 = random_unit_vector(n, rng)
+        t = np.linspace(0.0, 4.0, 81)
+        traj, deviation = integrate_nonlinear(h, v0, t, substeps)
+        expected = rk4_krylov_loop(h, v0, t, substeps)
+        assert np.array_equal(traj.psi, expected)
+        reference = exact_trajectory(h, v0, t).psi_hat
+        assert deviation == np.max(np.linalg.norm(expected - reference, axis=1))
+
+    def test_diverging_run_still_raises_without_warning(self):
+        h = 30.0 * random_hamiltonian(5, np.random.default_rng(9), kind="complex_spectrum")
+        v0 = random_unit_vector(5, np.random.default_rng(10))
+        t = np.linspace(0.0, 5.0, 11)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert not np.isfinite(rk4_krylov_loop(h, v0, t)).all()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InstabilityError, match="substeps"):
+                integrate_nonlinear(h, v0, t)
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=10, max_size=10))
+    def test_unrolled_weights_equal_the_quadratic_form(self, upper):
+        g = np.zeros((4, 4))
+        g[np.triu_indices(4)] = upper
+        g = np.triu(g) + np.triu(g, 1).T
+        got, expected = _rk4_weights(g.tolist()), rk4_weights_quadratic_form(g.tolist())
+        assert np.array_equal(got, expected, equal_nan=True)
+
+
+class TestBuffersNeverAlias:
+    """C-contiguous complex128 arguments reach the loops uncopied; the loops' buffers
+    are their own, so no argument is written and no two results share memory."""
+
+    def arguments(self, n=6):
+        rng = np.random.default_rng(61)
+        h = random_hamiltonian(n, rng, kind="complex_spectrum")
+        stack = np.stack([random_unit_vector(n, rng) for _ in range(3)])
+        x = random_matrix(n, rng)
+        assert as_square_matrix(h) is h and as_square_matrix(x) is x
+        assert np.shares_memory(as_state_vector(stack[0]), stack)
+        return h, stack, x, np.linspace(0.0, 2.0, 61)
+
+    def assert_fresh(self, inputs, kept, first, second):
+        for a, copy in zip(inputs, kept):
+            assert np.array_equal(a, copy)
+        for a in first:
+            assert not any(np.shares_memory(a, b) for b in (*second, *inputs))
+
+    def test_gamma_series(self):
+        h, _, x, _ = self.arguments()
+        ctx = gamma_context(h)
+        kept = [h.copy(), x.copy()]
+        first, _ = nhdyn.gamma.gamma_series(ctx, x, 0.7)
+        second, _ = nhdyn.gamma.gamma_series(ctx, x, 0.7)
+        assert np.array_equal(first, second)
+        self.assert_fresh([h, x], kept, [first], [second])
+
+    def test_integrate_nonlinear(self):
+        h, stack, _, t = self.arguments()
+        psi0 = stack[0]
+        kept = [h.copy(), psi0.copy(), t.copy()]
+        first, _ = integrate_nonlinear(h, psi0, t, 2)
+        second, _ = integrate_nonlinear(h, psi0, t, 2)
+        assert np.array_equal(first.psi, second.psi)
+        self.assert_fresh([h, psi0, t], kept, [first.psi, first.psi_hat], [second.psi])
+
+    def test_stacked_exact_trajectory(self):
+        h, stack, _, t = self.arguments()
+        kept = [h.copy(), stack.copy(), t.copy()]
+        first = exact_trajectory(h, stack, t)
+        second = exact_trajectory(h, stack, t)
+        self.assert_fresh(
+            [h, stack, t], kept, [m.psi for m in first], [m.psi for m in second]
+        )
 
 
 class TestMeans:

@@ -27,7 +27,7 @@ from nhdyn import (
 )
 from nhdyn.ensembles import random_hamiltonian, random_unit_vector
 from nhdyn.errors import ConfigError
-from nhdyn.linalg import _expm_exact, schur
+from nhdyn.linalg import MAX_DIM, _expm_exact, schur
 
 
 def _norm1(a: np.ndarray) -> float:
@@ -191,6 +191,19 @@ class TestExpmMemo:
         info = _expm_exact.cache_info()
         assert info.misses > 16
         assert info.currsize <= 16
+
+    def test_only_desk_scale_arguments_are_kept(self):
+        # the byte bound of the memo holds for any input: past MAX_DIM nothing is kept
+        rng = np.random.default_rng(7)
+        small = -1j * random_hamiltonian(MAX_DIM, rng, kind="complex_spectrum") * 0.1
+        expm(small)
+        assert _expm_exact.cache_info().currsize == 1
+        large = -1j * random_hamiltonian(80, rng, kind="complex_spectrum") * 0.1
+        first = expm(large)
+        assert _expm_exact.cache_info().currsize == 1
+        again = expm(large)
+        assert again is not first and first.tobytes() == again.tobytes()
+        assert first.tobytes() == _expm_exact.__wrapped__(80, large.tobytes()).tobytes()
 
 
 RUN_AND_LIST_SCIPY = """
