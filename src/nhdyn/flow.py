@@ -125,14 +125,15 @@ def exact_trajectory(h, psi0, t_grid) -> StateTrajectory | tuple[StateTrajectory
             if j % ANCHOR and j < t.size - 1:
                 continue
         u = expm(-1j * hm * tj)
+        # gap <= STEP_TOL * cond, both sides times |U_j psi0|; one bound per anchor
+        bound = STEP_TOL * max(1.0, np.linalg.norm(u) / np.sqrt(n)) if stepped else None
         redo = []
         for c, v in enumerate(v0):
             fresh = u @ v
             if stepped:
                 miss = np.linalg.norm(states[c, j] - fresh)
                 worst[c] = max(worst[c], float(miss / np.linalg.norm(fresh)))
-                # gap <= STEP_TOL * cond, both sides times |U_j psi0|
-                if not miss <= STEP_TOL * max(1.0, np.linalg.norm(u) / np.sqrt(n)):
+                if not miss <= bound:
                     fallbacks[c] += 1
                     redo.append(c)
             states[c, j] = fresh

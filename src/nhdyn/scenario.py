@@ -52,7 +52,8 @@ from .gamma import (
     similar_norm_preserving,
 )
 from .linalg import (
-    DEFAULT_RANK_TOL, MAX_DIM, Spectrum, as_state_vector, eig_general, frob, mean_values
+    DEFAULT_RANK_TOL, MAX_DIM, Spectrum, as_square_matrix, as_state_vector, eig_general, frob,
+    mean_values,
 )
 
 DEFAULT_TOLERANCES = {
@@ -66,6 +67,11 @@ DEFAULT_COUPLINGS = {"lambda": 1.0, "mu": 1.0}
 MAX_POINTS = 100_000
 DEFAULT_SEED = 42
 BUILTIN_OBSERVABLES = ("identity", "H", "N", "N1", "N2", "N3")
+# every root field and its default; "hamiltonian" has none, parse_config requires it
+DEFAULT_CONFIG = {
+    "hamiltonian": None, "initial_state": None, "time": {}, "observables": [],
+    "tolerances": {}, "tasks": None, "seed": DEFAULT_SEED, "eigenstate_k0": None,
+}
 STATE_TASKS = frozenset({"trajectory", "classify", "fermion_demo"})  # read cfg.trajectory
 
 
@@ -81,8 +87,8 @@ def _is_finite_number(value) -> bool:
     )
 
 
-def _parse_entry(value, path: str, *index: int) -> complex:
-    """One complex entry; the error path ``path[i][j]`` is built only on failure."""
+def _parse_entry(value, path: str, j: int) -> complex:
+    """One complex entry; the error path ``path[j]`` is built only on failure."""
     if _is_finite_number(value):
         return complex(value)
     if (
@@ -91,8 +97,7 @@ def _parse_entry(value, path: str, *index: int) -> complex:
         and all(_is_finite_number(v) for v in value)
     ):
         return complex(value[0], value[1])
-    where = path + "".join(f"[{i}]" for i in index)
-    raise _fail(where, "must be a finite real number or an [re, im] pair")
+    raise _fail(f"{path}[{j}]", "must be a finite real number or an [re, im] pair")
 
 
 def _as_pairs(value, depth: int) -> np.ndarray | None:
@@ -117,15 +122,13 @@ def _parse_matrix(value, path: str) -> np.ndarray:
         return fast
     if not isinstance(value, list) or not value:
         raise _fail(path, "must be a non-empty list of rows")
-    rows, width = [], 0
+    rows = []
     for i, row in enumerate(value):
-        if not isinstance(row, list) or not row:
-            raise _fail(f"{path}[{i}]", "must be a non-empty list")
-        width = width or len(row)
-        if len(row) != width:
-            raise _fail(f"{path}[{i}]", f"has {len(row)} entries, expected {width}")
-        rows.append([_parse_entry(v, path, i, j) for j, v in enumerate(row)])
-    return np.array(rows, dtype=complex)
+        # a ragged row reports its width before _parse_vector reaches its entries
+        if i and isinstance(row, list) and 0 < len(row) != len(rows[0]):
+            raise _fail(f"{path}[{i}]", f"has {len(row)} entries, expected {len(rows[0])}")
+        rows.append(_parse_vector(row, f"{path}[{i}]"))
+    return np.array(rows)
 
 
 def _parse_vector(value, path: str) -> np.ndarray:
@@ -194,10 +197,7 @@ class ScenarioConfig:
         return eig_general(self.hamiltonian)
 
 
-def _validate_hamiltonian(doc: dict, echo: dict):
-    if "hamiltonian" not in doc:
-        raise _fail("hamiltonian", "is required")
-    raw = doc["hamiltonian"]
+def _validate_hamiltonian(raw, echo: dict):
     model = None
     commutator = None
 
@@ -228,9 +228,7 @@ def _validate_hamiltonian(doc: dict, echo: dict):
             "similar": {"h0": complex_to_json(h0), "r": complex_to_json(r)}
         }
     elif isinstance(raw, list):
-        h = _parse_matrix(raw, "hamiltonian")
-        if h.shape[0] != h.shape[1]:
-            raise _fail("hamiltonian", f"must be square, got shape {h.shape}")
+        h = as_square_matrix(_parse_matrix(raw, "hamiltonian"), "hamiltonian")
         echo["hamiltonian"] = complex_to_json(h)
     else:
         raise _fail(
@@ -253,8 +251,8 @@ def _fields(raw, path: str, defaults: dict) -> dict:
     return {**defaults, **raw}
 
 
-def _validate_time(doc: dict, echo: dict) -> np.ndarray:
-    merged = _fields(doc.get("time", {}), "time", DEFAULT_TIME)
+def _validate_time(raw, echo: dict) -> np.ndarray:
+    merged = _fields(raw, "time", DEFAULT_TIME)
     t_start, t_end, points = merged["t_start"], merged["t_end"], merged["points"]
     if not (_is_finite_number(t_start) and _is_finite_number(t_end)):
         raise _fail("time", "fields must be finite numbers")
@@ -272,8 +270,8 @@ def _validate_time(doc: dict, echo: dict) -> np.ndarray:
     return np.linspace(float(t_start), float(t_end), points)  # ints beyond int64 too
 
 
-def _validate_tolerances(doc: dict, echo: dict) -> dict[str, float]:
-    merged = _fields(doc.get("tolerances", {}), "tolerances", DEFAULT_TOLERANCES)
+def _validate_tolerances(raw, echo: dict) -> dict[str, float]:
+    merged = _fields(raw, "tolerances", DEFAULT_TOLERANCES)
     for key, value in merged.items():
         if not _is_finite_number(value) or value <= 0:
             raise _fail(f"tolerances.{key}", "must be a finite positive number")
@@ -285,13 +283,15 @@ def _validate_tolerances(doc: dict, echo: dict) -> dict[str, float]:
 
 
 def _validate_observables(
-    doc: dict, echo: dict, h: np.ndarray, model: fermions.DmModel | None
+    raw, echo: dict, h: np.ndarray, model: fermions.DmModel | None
 ) -> list[tuple[str, np.ndarray]]:
-    raw = doc.get("observables", [])
     if not isinstance(raw, list):
         raise _fail("observables", "must be a list")
     n = h.shape[0]
-    eye = np.eye(n, dtype=complex)
+    builtins = {"identity": np.eye(n, dtype=complex), "H": h}
+    if model is not None:
+        ops = (model.number_total, *model.algebra.number_ops)
+        builtins.update(zip(BUILTIN_OBSERVABLES[2:], ops))  # N, N1, N2, N3
     out: list[tuple[str, np.ndarray]] = []
     echoed = []
     seen: set[str] = set()
@@ -300,18 +300,9 @@ def _validate_observables(
         if isinstance(item, str):
             if item not in BUILTIN_OBSERVABLES:
                 raise _fail(path, f"unknown builtin {item!r}; use {BUILTIN_OBSERVABLES}")
-            if item == "identity":
-                matrix = eye
-            elif item == "H":
-                matrix = h
-            else:
-                if model is None:
-                    raise _fail(path, f"builtin {item!r} needs a fermion_dm Hamiltonian")
-                ops = model.algebra.number_ops
-                matrix = (
-                    model.number_total if item == "N" else ops[int(item[1]) - 1]
-                )
-            name = item
+            if item not in builtins:
+                raise _fail(path, f"builtin {item!r} needs a fermion_dm Hamiltonian")
+            name, matrix = item, builtins[item]
             echoed.append(item)
         elif isinstance(item, dict) and set(item) == {"name", "matrix"}:
             name = item["name"]
@@ -321,9 +312,8 @@ def _validate_observables(
                 raise _fail(
                     f"{path}.name", "must not contain a comma, quote or line break"
                 )
-            matrix = _parse_matrix(item["matrix"], f"{path}.matrix")
-            if matrix.shape != (n, n):
-                raise _fail(f"{path}.matrix", f"must be {n}x{n}, got {matrix.shape}")
+            where = f"{path}.matrix"
+            matrix = as_square_matrix(_parse_matrix(item["matrix"], where), where, n)
             echoed.append({"name": name, "matrix": complex_to_json(matrix)})
         else:
             raise _fail(path, "must be a builtin name or {'name', 'matrix'}")
@@ -335,10 +325,7 @@ def _validate_observables(
     return out
 
 
-def _validate_initial_state(
-    doc: dict, echo: dict, h: np.ndarray, model: fermions.DmModel | None
-):
-    raw = doc.get("initial_state")
+def _validate_initial_state(raw, echo: dict, h: np.ndarray, model: fermions.DmModel | None):
     if raw is None:
         echo["initial_state"] = None
         return None, None
@@ -363,28 +350,18 @@ def parse_config(doc: dict) -> ScenarioConfig:
     """Validate a raw config document and materialize defaults."""
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object")
-    known = {
-        "hamiltonian",
-        "initial_state",
-        "time",
-        "observables",
-        "tolerances",
-        "tasks",
-        "seed",
-        "eigenstate_k0",
-    }
-    unknown = set(doc) - known
-    if unknown:
-        raise ConfigError(f"config has unknown fields {sorted(unknown)}")
+    fields = _fields(doc, "config", DEFAULT_CONFIG)
+    if "hamiltonian" not in doc:
+        raise _fail("hamiltonian", "is required")
 
     echo: dict[str, Any] = {}
-    h, model, commutator = _validate_hamiltonian(doc, echo)
-    t_grid = _validate_time(doc, echo)
-    tolerances = _validate_tolerances(doc, echo)
-    observables = _validate_observables(doc, echo, h, model)
-    initial, label = _validate_initial_state(doc, echo, h, model)
+    h, model, commutator = _validate_hamiltonian(fields["hamiltonian"], echo)
+    t_grid = _validate_time(fields["time"], echo)
+    tolerances = _validate_tolerances(fields["tolerances"], echo)
+    observables = _validate_observables(fields["observables"], echo, h, model)
+    initial, label = _validate_initial_state(fields["initial_state"], echo, h, model)
 
-    raw_tasks = doc.get("tasks")
+    raw_tasks = fields["tasks"]
     if not isinstance(raw_tasks, list) or not raw_tasks:
         raise _fail("tasks", "must be a non-empty list")
     tasks = []
@@ -395,12 +372,12 @@ def parse_config(doc: dict) -> ScenarioConfig:
             tasks.append(task)
     echo["tasks"] = tasks
 
-    seed = doc.get("seed", DEFAULT_SEED)
+    seed = fields["seed"]
     if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
         raise _fail("seed", "must be a non-negative integer")
     echo["seed"] = seed
 
-    k0 = doc.get("eigenstate_k0")
+    k0 = fields["eigenstate_k0"]
     if k0 is not None and (not isinstance(k0, int) or isinstance(k0, bool)):
         raise _fail("eigenstate_k0", "must be an integer")
     if k0 is not None and not 0 <= k0 < h.shape[0]:

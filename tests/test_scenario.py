@@ -150,6 +150,74 @@ class TestValidation:
             parse_config(doc)
         assert str(info.value) == message
 
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ([MINIMAL_FERMION], "config root must be a JSON object"),
+            (dict(MINIMAL_FERMION, zeta=1, extra=2), "config has unknown fields ['extra', 'zeta']"),
+            ({"extra": 1, "tasks": ["symmetries"]}, "config has unknown fields ['extra']"),
+            (
+                {"hamiltonian": [[0.0, 1.0], [0.0]], "tasks": ["symmetries"]},
+                "hamiltonian[1] has 1 entries, expected 2",
+            ),
+            (
+                {"hamiltonian": [[0.0, 1.0], 5.0], "tasks": ["symmetries"]},
+                "hamiltonian[1] must be a non-empty list",
+            ),
+            (
+                {"hamiltonian": [[], [0.0]], "tasks": ["symmetries"]},
+                "hamiltonian[0] must be a non-empty list",
+            ),
+            (
+                {"hamiltonian": [[0.0, 1.0], []], "tasks": ["symmetries"]},
+                "hamiltonian[1] must be a non-empty list",
+            ),
+            (
+                {"hamiltonian": [[0.0, 1.0], [0.0, "x"]], "tasks": ["symmetries"]},
+                "hamiltonian[1][1] must be a finite real number or an [re, im] pair",
+            ),
+            (
+                {"hamiltonian": NILPOTENT_JSON, "initial_state": [1.0, [0.0]],
+                 "tasks": ["trajectory"]},
+                "initial_state[1] must be a finite real number or an [re, im] pair",
+            ),
+            (
+                {"hamiltonian": [[0.0, 1.0], [0.0, "x", 2.0]], "tasks": ["symmetries"]},
+                "hamiltonian[1] has 3 entries, expected 2",
+            ),
+            (
+                {"hamiltonian": [[0.0, 1.0]], "tasks": ["symmetries"]},
+                "hamiltonian must be square, got shape (1, 2)",
+            ),
+            (
+                {"hamiltonian": NILPOTENT_JSON, "tasks": ["symmetries"],
+                 "observables": [{"name": "X", "matrix": np.eye(3).tolist()}]},
+                "observables[0].matrix has dim 3, expected 2",
+            ),
+            (
+                {"hamiltonian": NILPOTENT_JSON, "tasks": ["symmetries"],
+                 "observables": [{"name": "X", "matrix": np.ones((3, 2)).tolist()}]},
+                "observables[0].matrix must be square, got shape (3, 2)",
+            ),
+            (
+                {"hamiltonian": NILPOTENT_JSON, "tasks": ["symmetries"], "observables": ["Q"]},
+                "observables[0] unknown builtin 'Q'; use "
+                "('identity', 'H', 'N', 'N1', 'N2', 'N3')",
+            ),
+            (
+                {"hamiltonian": NILPOTENT_JSON, "tasks": ["symmetries"],
+                 "observables": ["identity", "N1"]},
+                "observables[1] builtin 'N1' needs a fermion_dm Hamiltonian",
+            ),
+        ],
+    )
+    def test_config_error_texts(self, tmp_path, capsys, doc, message):
+        with pytest.raises(ConfigError) as info:
+            parse_config(doc)
+        assert str(info.value) == message
+        assert main(["validate", "--config", str(write_config(tmp_path, doc))]) == 2
+        assert capsys.readouterr().err == f"nhdyn: config error: {message}\n"
+
     def test_dimension_cap_from_environment(self, monkeypatch):
         # the cap is the fixed desk scale; no environment variable raises it
         monkeypatch.setenv("NHDYN_MAX_DIM", "100")
