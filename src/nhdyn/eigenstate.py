@@ -18,6 +18,7 @@ route through the biorthogonal machinery.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,6 +62,8 @@ def eigenstate_context(h, k0: int | None = None) -> EigenstateContext:
     n = decomp.matrix.shape[0]
     if k0 is None:
         k0 = int(np.argmax(np.abs(decomp.eigenvalues.imag)))
+    elif isinstance(k0, bool) or not isinstance(k0, numbers.Integral):
+        raise ConfigError("k0 must be an integer")
     if not 0 <= k0 < n:
         raise ConfigError(f"k0 must lie in [0, {n - 1}], got {k0}")
     e = complex(decomp.eigenvalues[k0])
@@ -105,9 +108,9 @@ def weak_identity_report(
     ``StateTrajectory`` of H started at ``ctx.phi_k0``: exp(-i H_k0 t) = e^{iEt} exp(-iHt)
     makes |exp(-i H_k0 t) phi|^2 = e^{-2 Im E t} ``norm_sq``, which needs
     ``orbit_in_range(E, t)``; where that fails the orbit is stepped on its grid here.
-    ``rng`` draws X, Y, then the three probes; one exponential at the last
-    grid point conjugates XY, X, Y and the probes, one more at t = 0.5 the
-    probes. ``tol_trunc`` bounds the tail of each ``gamma_series``."""
+    ``rng`` draws X, Y, then the three probes; ``gamma_t`` conjugates one matrix per call,
+    and its calls at one time share their exponential through the ``expm`` memo.
+    ``tol_trunc`` bounds the tail of each ``gamma_series``."""
     shifted = ctx.shifted
     n = shifted.dim
     phi = ctx.phi_k0
@@ -126,12 +129,12 @@ def weak_identity_report(
         rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)) for _ in range(5)
     )
     t_last = float(orbit.t_grid[-1])
-    gxy, gx, gy, *last = gamma_t(shifted, np.stack([x @ y, x, y, *probes]), t_last)
+    gxy, gx, gy = (gamma_t(shifted, m, t_last) for m in (x @ y, x, y))
     witness = abs(np.vdot(phi, gxy @ phi) - np.vdot(phi, (gx @ gy) @ phi))
 
     gap = 0.0
-    for t, conjugated in ((0.5, gamma_t(shifted, np.stack(probes), 0.5)), (t_last, last)):
-        for p, conj in zip(probes, conjugated):
+    for t in (0.5, t_last):
+        for p, conj in zip(probes, [gamma_t(shifted, q, t) for q in probes]):
             series, _ = gamma_series(shifted, p, t, tol_trunc)
             gap = max(gap, op_norm(series - conj))
 

@@ -93,7 +93,7 @@ def _uniform_step(t: np.ndarray) -> float | None:
     return float(steps[0]) if ok else None
 
 
-def exact_trajectory(h, psi0, t_grid) -> StateTrajectory | tuple[StateTrajectory, ...]:
+def exact_trajectory(h, psi0, t_grid) -> StateTrajectory:
     """Propagate a normalized state: ``psi[j] = expm(-i H t_j) psi0``.
 
     A uniform grid is stepped with one U = expm(-i H dt) between anchors
@@ -101,49 +101,39 @@ def exact_trajectory(h, psi0, t_grid) -> StateTrajectory | tuple[StateTrajectory
     Guard: the state stepped into an anchor must match U_j psi0 within
     ``STEP_TOL * cond`` relative, cond = max(1, |U_j|_F / sqrt(N)) / |U_j psi0| (the
     anchor's own roundoff), else that segment is redone point by point, as is a
-    non-uniform grid. A stack ``psi0`` of shape (k, N) shares U and the anchors and
-    returns a tuple of k trajectories; each state takes its own matrix-vector steps,
-    guard and redone segments, so each equals its state's own call bit for bit.
+    non-uniform grid. Calls on one H and one grid share their exponentials through
+    the ``expm`` memo.
     """
     hm = as_square_matrix(h, "hamiltonian")
     n = hm.shape[0]
-    stack = np.ndim(psi0) == 2
-    v0 = np.array([_unit_vector(v, n, 1e-12, "psi0") for v in (psi0 if stack else [psi0])])
+    v0 = _unit_vector(psi0, n, 1e-12, "psi0")
     t = np.asarray(t_grid, dtype=float).reshape(-1)
-    if t.size == 0 or len(v0) == 0:
-        raise ConfigError("t_grid or the psi0 stack is empty")
+    if t.size == 0:
+        raise ConfigError("t_grid is empty")
     dt = _uniform_step(t)
     # below three points every point is an anchor and there is nothing to step
     step = None if dt is None or t.size < 3 else expm(-1j * hm * dt)
-    states = np.empty((len(v0), t.size, n), dtype=complex)
-    worst, fallbacks, start = [0.0] * len(v0), [0] * len(v0), 0
+    states = np.empty((t.size, n), dtype=complex)
+    worst, fallbacks, start = 0.0, 0, 0
     for j, tj in enumerate(t):
         stepped = step is not None and j > 0
         if stepped:
-            for c in range(len(v0)):
-                step.dot(states[c, j - 1], out=states[c, j])
+            step.dot(states[j - 1], out=states[j])
             if j % ANCHOR and j < t.size - 1:
                 continue
         u = expm(-1j * hm * tj)
-        # gap <= STEP_TOL * cond, both sides times |U_j psi0|; one bound per anchor
-        bound = STEP_TOL * max(1.0, np.linalg.norm(u) / np.sqrt(n)) if stepped else None
-        redo = []
-        for c, v in enumerate(v0):
-            fresh = u @ v
-            if stepped:
-                miss = np.linalg.norm(states[c, j] - fresh)
-                worst[c] = max(worst[c], float(miss / np.linalg.norm(fresh)))
-                if not miss <= bound:
-                    fallbacks[c] += 1
-                    redo.append(c)
-            states[c, j] = fresh
-        for i in range(start + 1, j) if redo else ():
-            u = expm(-1j * hm * t[i])
-            for c in redo:
-                states[c, i] = u @ v0[c]
+        fresh = u @ v0
+        if stepped:
+            miss = np.linalg.norm(states[j] - fresh)
+            worst = max(worst, float(miss / np.linalg.norm(fresh)))
+            # gap <= STEP_TOL * cond, both sides times |U_j psi0|
+            if not miss <= STEP_TOL * max(1.0, np.linalg.norm(u) / np.sqrt(n)):
+                fallbacks += 1
+                for i in range(start + 1, j):
+                    states[i] = expm(-1j * hm * t[i]) @ v0
+        states[j] = fresh
         start = j
-    members = tuple(_trajectory_from_states(t, *c) for c in zip(states, worst, fallbacks))
-    return members if stack else members[0]
+    return _trajectory_from_states(t, states, worst, fallbacks)
 
 
 def nonhermiticity_scalar(h, psi_hat) -> complex:
@@ -360,14 +350,14 @@ def classify_ensemble(
 
     Membership in the state-dependent classes is relative to a
     trajectory; this re-tests over ``n_states`` Haar-like random unit
-    vectors, propagated as one stack and classified as one set of rows.
+    vectors, propagated one call each and classified as one set of rows.
     Each residual is a maximum over rows, so it is the worst state's (the
     strong one to roundoff, which decides it when a_t is roundoff itself).
     """
     hm = as_square_matrix(h, "hamiltonian")
     _check_count(n_states, "n_states")
-    states = np.stack([random_unit_vector(hm.shape[0], rng) for _ in range(n_states)])
-    rows = np.concatenate([traj.psi_hat for traj in exact_trajectory(hm, states, t_grid)])
+    states = [random_unit_vector(hm.shape[0], rng) for _ in range(n_states)]
+    rows = np.concatenate([exact_trajectory(hm, v, t_grid).psi_hat for v in states])
     return _classify_rows(hm, x, rows, tol_class, name)
 
 

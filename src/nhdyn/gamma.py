@@ -75,13 +75,10 @@ def gamma_context(h) -> GammaContext:
 def gamma_t(ctx: GammaContext, x, t: float) -> np.ndarray:
     """Evolve an observable: exp(i H^† t) X exp(-i H t) = U^† X U.
 
-    One exponential: exp(i H^† t) is exactly the adjoint of U = exp(-i H t),
-    and one U serves a whole stack of observables ``x`` of shape (k, N, N).
+    One exponential: exp(i H^† t) is exactly the adjoint of U = exp(-i H t).
+    Calls at one t share U through the ``expm`` memo.
     """
-    if np.ndim(x) == 3 and len(x) == 0:
-        raise ConfigError("the observable stack is empty")
-    xm = (np.stack([as_square_matrix(m, "observable", ctx.dim) for m in x]) if np.ndim(x) == 3
-          else as_square_matrix(x, "observable", ctx.dim))
+    xm = as_square_matrix(x, "observable", ctx.dim)
     u = expm(-1j * ctx.h * t)
     return u.conj().T @ xm @ u
 

@@ -173,19 +173,9 @@ class ScenarioConfig:
     echo: dict = field(repr=False)
 
     @cached_property
-    def trajectories(self) -> tuple[flow.StateTrajectory, ...]:
-        """The initial state evolved over ``t_grid`` once, then ``phi_k0`` if the eigenstate
-        case runs and the spectrum is ``orbit_in_range``; tasks share them read-only."""
-        states = [self.initial_state]
-        if "eigenstate_case" in self.tasks and orbit_in_range(
-            self.spectrum.eigenvalues, self.t_grid
-        ):
-            states.append(self.eigenstate.phi_k0)
-        return flow.exact_trajectory(self.hamiltonian, np.stack(states), self.t_grid)
-
-    @property
     def trajectory(self) -> flow.StateTrajectory:
-        return self.trajectories[0]
+        """The initial state evolved over ``t_grid`` once; tasks share it read-only."""
+        return flow.exact_trajectory(self.hamiltonian, self.initial_state, self.t_grid)
 
     @cached_property
     def eigenstate(self) -> EigenstateContext:
@@ -560,9 +550,9 @@ def _task_classify(cfg: ScenarioConfig, csvs: dict, rng) -> dict:
 
 def _task_eigenstate(cfg: ScenarioConfig, csvs: dict, rng) -> dict:
     ctx = cfg.eigenstate
-    # phi_k0's H-orbit, where it rode along with a propagation that a task needs anyway
-    shared = cfg.trajectories[1:] if STATE_TASKS & set(cfg.tasks) else ()
-    orbit = shared[0] if shared else cfg.t_grid
+    # phi_k0's H-orbit, whose exponentials the expm memo shares with cfg.trajectory
+    orbit = (flow.exact_trajectory(cfg.hamiltonian, ctx.phi_k0, cfg.t_grid)
+             if orbit_in_range(cfg.spectrum.eigenvalues, cfg.t_grid) else cfg.t_grid)
     report = weak_identity_report(ctx, orbit, rng, cfg.tolerances["tol_trunc"])
     return {"k0": ctx.k0, "eigenvalue": complex_to_json(ctx.e_value), **asdict(report)}
 

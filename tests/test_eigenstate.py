@@ -6,8 +6,6 @@ import pytest
 from oracles import scaled_taylor_expm
 
 import nhdyn.eigenstate
-import nhdyn.flow
-import nhdyn.gamma
 from nhdyn import (
     ConfigError,
     delta_gamma,
@@ -23,7 +21,7 @@ from nhdyn import (
 )
 from nhdyn.ensembles import random_hamiltonian, random_matrix, random_unit_vector
 from nhdyn.flow import STEP_TOL
-from nhdyn.linalg import eig_general
+from nhdyn.linalg import _expm_exact, eig_general
 from nhdyn.scenario import complex_to_json, parse_config, run
 
 DIAG_1_I = np.diag([1.0, 1.0j])
@@ -43,6 +41,18 @@ def test_context_explicit_index_and_shift():
     assert np.abs(ctx.shifted.h - np.diag([0.0, -1.0 + 1.0j])).max() < 1e-14
     with pytest.raises(ConfigError):
         eigenstate_context(DIAG_1_I, k0=5)
+
+
+@pytest.mark.parametrize("k0", [True, 1.0])
+def test_context_index_must_be_an_integer(k0):
+    # bool is an Integral, yet never an index; a float is no index at all
+    with pytest.raises(ConfigError, match="k0 must be an integer"):
+        eigenstate_context(DIAG_1_I, k0)
+
+
+def test_context_takes_a_numpy_integer_index():
+    ctx = eigenstate_context(DIAG_1_I, np.int64(1))
+    assert (ctx.k0, ctx.e_value) == (1, eigenstate_context(DIAG_1_I, 1).e_value)
 
 
 def test_real_eigenvalue_reduces_to_gamma_derivation():
@@ -170,7 +180,7 @@ def test_identity_mean_stays_one_on_complex_spectra(seed):
     assert report.identity_mean_residual <= 1e-6
 
 
-def test_growing_orbit_is_stepped_not_recomputed(monkeypatch):
+def test_growing_orbit_is_stepped_not_recomputed():
     # bottom E on a complex spectrum: every other mode of the orbit grows, and
     # the fresh anchors' roundoff passes STEP_TOL by four orders; the guard
     # scales with the anchors' conditioning, so no segment is redone (a plain
@@ -179,19 +189,17 @@ def test_growing_orbit_is_stepped_not_recomputed(monkeypatch):
     ctx = eigenstate_context(h, int(np.argmin(eig_general(h).eigenvalues.imag)))
     t = np.linspace(0, 10, 201)
     assert exact_trajectory(ctx.shifted.h, ctx.phi_k0, t).anchor_gap > 1e4 * STEP_TOL
-    calls = []
-    for module in (nhdyn.flow, nhdyn.gamma):
-        original = module.expm
-        monkeypatch.setattr(module, "expm", lambda a, f=original: calls.append(1) or f(a))
+    _expm_exact.cache_clear()
     weak_identity_report(ctx, t)
-    # the step, the 9 anchors of the orbit, and one gamma_t stack per time
-    assert len(calls) == 1 + 9 + 2
+    # the step and the 9 anchors of the orbit, then gamma_t at t = 0.5; at the last
+    # grid point gamma_t finds the orbit's last anchor in the memo
+    assert _expm_exact.cache_info().misses == 1 + 9 + 1
 
 
-def test_scenario_steps_the_eigenstate_orbit_with_the_trajectory(tmp_path, monkeypatch):
-    # the growing orbit above beside the trajectory task: phi_k0 rides along with the
-    # initial state, so the step and the 9 anchors serve both (22 exponentials when
-    # each orbit took its own), then one gamma_t stack per time
+def test_scenario_steps_the_eigenstate_orbit_with_the_trajectory(tmp_path):
+    # the growing orbit above beside the trajectory task: phi_k0's H-orbit and the
+    # initial state's trajectory share the step and the 9 anchors through the expm
+    # memo (22 exponentials without it), then one exponential per gamma_t time
     rng = np.random.default_rng(0)
     h = random_hamiltonian(16, rng, "complex_spectrum", basis_stretch=10.0)
     doc = {
@@ -200,12 +208,8 @@ def test_scenario_steps_the_eigenstate_orbit_with_the_trajectory(tmp_path, monke
         "tasks": ["trajectory", "eigenstate_case"],
         "eigenstate_k0": int(np.argmin(eig_general(h).eigenvalues.imag)),
     }
-    calls = []
-    for module in (nhdyn.flow, nhdyn.gamma):
-        original = module.expm
-        monkeypatch.setattr(module, "expm", lambda a, f=original: calls.append(1) or f(a))
     report = run(parse_config(doc), tmp_path)
-    assert len(calls) == 1 + 9 + 2
+    assert _expm_exact.cache_info().misses == 1 + 9 + 2
     assert report.tasks["trajectory"]["fallback_segments"] == 0
     # the grid route reads 1.7e-8 here: the orbit's roundoff grows like e^{Im(E_j - E) t}
     assert report.tasks["eigenstate_case"]["identity_mean_residual"] <= 1e-7
@@ -244,20 +248,20 @@ def test_every_observable_is_a_weak_integral_from_an_eigenstate():
             assert abs(mean_derivative(h, x, v)) < 1e-10
 
 
-def _separate_draws_and_stacks(ctx, t_grid, rng, tol_trunc):
+def _separate_draws(ctx, t_grid, rng, tol_trunc):
     """The witness and the series gap by the route that drew the pair and the
-    three probes in two places: one stack for the witness, one per time for
-    the probes, so the last grid point is conjugated twice."""
+    three probes in two places, conjugating one matrix per ``gamma_t`` call: the
+    pair for the witness, then the probes per time."""
     n, shifted, phi = ctx.shifted.dim, ctx.shifted, ctx.phi_k0
     x = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     y = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     t_last = float(t_grid[-1])
-    gxy, gx, gy = gamma_t(shifted, np.stack([x @ y, x, y]), t_last)
+    gxy, gx, gy = (gamma_t(shifted, m, t_last) for m in (x @ y, x, y))
     witness = abs(np.vdot(phi, gxy @ phi) - np.vdot(phi, (gx @ gy) @ phi))
-    xs = np.stack([rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)) for _ in range(3)])
+    xs = [rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)) for _ in range(3)]
     worst = 0.0
     for t in (0.5, t_last):
-        for p, conj in zip(xs, gamma_t(shifted, xs, t)):
+        for p, conj in zip(xs, [gamma_t(shifted, q, t) for q in xs]):
             series, _ = gamma_series(shifted, p, t, tol_trunc)
             worst = max(worst, op_norm(series - conj))
     return float(witness), float(worst)
@@ -267,12 +271,12 @@ def _separate_draws_and_stacks(ctx, t_grid, rng, tol_trunc):
 @pytest.mark.parametrize("dim", [2, 5, 16])
 @pytest.mark.parametrize("kind", ["hermitian", "real_spectrum", "complex_spectrum"])
 def test_shared_stack_keeps_witness_and_series_gap(kind, dim, t_end):
-    # one draw sequence and one exponential at t_end give the same numbers,
-    # bit for bit, as separate draws and stacks
+    # one draw sequence, its conjugations sharing one exponential per time through
+    # the memo, gives the same numbers, bit for bit, as separate draws
     h = random_hamiltonian(dim, np.random.default_rng(dim), kind=kind, scale=0.8)
     ctx = eigenstate_context(h)
     t_grid = np.linspace(0.0, t_end, 11)
     report = weak_identity_report(ctx, t_grid, np.random.default_rng(5), 1e-12)
-    witness, gap = _separate_draws_and_stacks(ctx, t_grid, np.random.default_rng(5), 1e-12)
+    witness, gap = _separate_draws(ctx, t_grid, np.random.default_rng(5), 1e-12)
     assert report.automorphism_witness == witness
     assert report.series_vs_conjugation == gap

@@ -36,7 +36,7 @@ from nhdyn import (
 )
 from nhdyn.ensembles import random_hamiltonian, random_matrix, random_unit_vector
 from nhdyn.flow import ANCHOR, STEP_TOL, _rk4_weights
-from nhdyn.linalg import _expm_exact, as_square_matrix, as_state_vector, eig_general, expm
+from nhdyn.linalg import _expm_exact, as_square_matrix, as_state_vector, expm
 
 from oracles import (
     classify_per_point,
@@ -58,18 +58,6 @@ def fresh_exponentials(h, psi0, t_grid):
 
 def relative_gap(states, reference):
     return np.linalg.norm(states - reference, axis=1) / np.linalg.norm(reference, axis=1)
-
-
-def assert_stack_is_single_calls(h, stack, t):
-    """Each member of the stacked propagation equals its state's own call, bit for bit,
-    path record included; returns the members."""
-    members = exact_trajectory(h, stack, t)
-    assert isinstance(members, tuple) and len(members) == len(stack)
-    for member, psi0 in zip(members, stack):
-        alone = exact_trajectory(h, psi0, t)
-        for field in dataclasses.fields(alone):
-            assert np.array_equal(getattr(member, field.name), getattr(alone, field.name))
-    return members
 
 
 @pytest.fixture(scope="module")
@@ -161,43 +149,6 @@ class TestExactTrajectory:
         traj = exact_trajectory(h, psi0, t)
         assert traj.fallback_segments == 2
         assert np.array_equal(traj.psi, fresh_exponentials(h, psi0, t))
-
-    @settings(derandomize=True, deadline=None, max_examples=40)
-    @given(
-        seed=st.integers(0, 2**32 - 1),
-        n=st.integers(2, 16),
-        kind=st.sampled_from(["hermitian", "real_spectrum", "complex_spectrum"]),
-        stretch=st.floats(1.0, 10.0),
-        t_end=st.floats(0.1, 10.0),
-        points=st.integers(2, 80),
-        k=st.integers(1, 4),
-    )
-    def test_stack_equals_one_call_per_state(self, seed, n, kind, stretch, t_end, points, k):
-        # random states beside the eigenvector of the bottom eigenvalue, whose orbit
-        # decays while the others grow relative to it
-        rng = np.random.default_rng(seed)
-        h = random_hamiltonian(n, rng, kind=kind, basis_stretch=stretch)
-        spectrum = eig_general(h)
-        bottom = spectrum.right_vectors[:, np.argmin(spectrum.eigenvalues.imag)]
-        stack = np.stack([random_unit_vector(n, rng) for _ in range(k)] + [bottom])
-        assert_stack_is_single_calls(h, stack, np.linspace(0.0, t_end, points))
-
-    def test_stack_redoes_a_segment_only_for_the_states_that_failed_it(self):
-        # as in the drift test: a stretched eigenbasis fails the guard for the random
-        # states, by different segment counts, while the eigenvector passes it
-        rng = np.random.default_rng(1)
-        h = random_hamiltonian(8, rng, kind="complex_spectrum", basis_stretch=1e3)
-        randoms = [random_unit_vector(8, rng) for _ in range(2)]
-        stack = np.stack(randoms + [eig_general(h).right_vectors[:, 0]])
-        members = assert_stack_is_single_calls(h, stack, np.linspace(0, 10, 201))
-        assert [m.fallback_segments for m in members] == [4, 1, 0]
-
-    def test_stack_of_one_is_a_tuple_and_an_empty_stack_is_rejected(self):
-        t = [0.0, 1.0, 2.0]
-        (member,) = exact_trajectory(NILPOTENT, [[0.0, 1.0]], t)
-        assert np.array_equal(member.psi, exact_trajectory(NILPOTENT, [0.0, 1.0], t).psi)
-        with pytest.raises(ConfigError, match="empty"):
-            exact_trajectory(NILPOTENT, np.empty((0, 2)), [0.0, 1.0])
 
     def test_non_uniform_grid_is_evaluated_per_point(self):
         rng = np.random.default_rng(71)
@@ -386,11 +337,11 @@ class TestBuffersNeverAlias:
     def arguments(self, n=6):
         rng = np.random.default_rng(61)
         h = random_hamiltonian(n, rng, kind="complex_spectrum")
-        stack = np.stack([random_unit_vector(n, rng) for _ in range(3)])
+        psi0 = random_unit_vector(n, rng)
         x = random_matrix(n, rng)
         assert as_square_matrix(h) is h and as_square_matrix(x) is x
-        assert np.shares_memory(as_state_vector(stack[0]), stack)
-        return h, stack, x, np.linspace(0.0, 2.0, 61)
+        assert np.shares_memory(as_state_vector(psi0), psi0)
+        return h, psi0, x, np.linspace(0.0, 2.0, 61)
 
     def assert_fresh(self, inputs, kept, first, second):
         for a, copy in zip(inputs, kept):
@@ -408,22 +359,20 @@ class TestBuffersNeverAlias:
         self.assert_fresh([h, x], kept, [first], [second])
 
     def test_integrate_nonlinear(self):
-        h, stack, _, t = self.arguments()
-        psi0 = stack[0]
+        h, psi0, _, t = self.arguments()
         kept = [h.copy(), psi0.copy(), t.copy()]
         first, _ = integrate_nonlinear(h, psi0, t, 2)
         second, _ = integrate_nonlinear(h, psi0, t, 2)
         assert np.array_equal(first.psi, second.psi)
         self.assert_fresh([h, psi0, t], kept, [first.psi, first.psi_hat], [second.psi])
 
-    def test_stacked_exact_trajectory(self):
-        h, stack, _, t = self.arguments()
-        kept = [h.copy(), stack.copy(), t.copy()]
-        first = exact_trajectory(h, stack, t)
-        second = exact_trajectory(h, stack, t)
-        self.assert_fresh(
-            [h, stack, t], kept, [m.psi for m in first], [m.psi for m in second]
-        )
+    def test_exact_trajectory(self):
+        h, psi0, _, t = self.arguments()
+        kept = [h.copy(), psi0.copy(), t.copy()]
+        first = exact_trajectory(h, psi0, t)
+        second = exact_trajectory(h, psi0, t)
+        assert np.array_equal(first.psi, second.psi)
+        self.assert_fresh([h, psi0, t], kept, [first.psi, first.psi_hat], [second.psi])
 
 
 class TestMeans:
@@ -858,7 +807,7 @@ class TestSharedPropagators:
         (traj, deviation), ensemble, *arrays = out
         return [traj.psi_hat.tobytes(), deviation, ensemble, *(a.tobytes() for a in arrays)]
 
-    def test_api_study_takes_twelve_exponentials_for_thirty_two_calls(self, monkeypatch):
+    def test_api_study_takes_twelve_exponentials(self, monkeypatch):
         rng = np.random.default_rng(41)
         h = random_hamiltonian(16, rng, kind="complex_spectrum")
         psi0, x = random_unit_vector(16, rng), random_matrix(16, rng)
@@ -868,7 +817,9 @@ class TestSharedPropagators:
             original = module.expm
             monkeypatch.setattr(module, "expm", lambda a, f=original: calls.append(1) or f(a))
         shared = self.run_study(h, psi0, x, t, lambda: None)
-        assert len(calls) == 32
+        # five trajectories of 10 exponentials each (the step and 9 anchors) and two
+        # gamma_t times: 52 calls, of which the memo evaluates the 12 distinct ones
+        assert len(calls) == 5 * 10 + 2
         assert _expm_exact.cache_info().misses == 12
         fresh = self.run_study(h, psi0, x, t, _expm_exact.cache_clear)
         assert shared == fresh

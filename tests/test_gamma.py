@@ -15,7 +15,6 @@ from oracles import (
 import nhdyn.gamma
 from nhdyn import (
     ConfigError,
-    DimensionError,
     NumericRangeError,
     TruncationError,
     build_dm_model,
@@ -74,26 +73,6 @@ class TestGammaT:
             for t in (0.5, 2.0):
                 ref = gamma_t_two_exponentials(h, x, t)
                 assert op_norm(gamma_t(ctx, x, t) - ref) <= 1e-12 * op_norm(ref)
-
-    def test_stack_shares_one_exponential(self, monkeypatch):
-        rng = np.random.default_rng(33)
-        ctx = gamma_context(random_hamiltonian(5, rng, kind="complex_spectrum"))
-        xs = np.stack([random_matrix(5, rng) for _ in range(3)])
-        one_by_one = [gamma_t(ctx, x, 1.5) for x in xs]
-        calls = []
-        original = nhdyn.gamma.expm
-        monkeypatch.setattr(nhdyn.gamma, "expm", lambda a: calls.append(1) or original(a))
-        stacked = gamma_t(ctx, xs, 1.5)
-        assert len(calls) == 1
-        for g, ref in zip(stacked, one_by_one):
-            assert op_norm(g - ref) <= 1e-12 * op_norm(ref)
-        with pytest.raises(DimensionError):
-            gamma_t(ctx, np.zeros((2, 4, 4)), 1.5)
-
-    def test_empty_stack_is_a_config_error(self):
-        ctx = gamma_context(NILPOTENT)
-        with pytest.raises(ConfigError, match="observable stack is empty"):
-            gamma_t(ctx, np.zeros((0, 2, 2)), 1.0)
 
 
 class TestDeltaGamma:

@@ -376,7 +376,6 @@ def _operand_of_another_dimension():
     return {
         "delta_gamma": (lambda: nhdyn.delta_gamma(ctx, eye3), "observable", 3),
         "gamma_t": (lambda: nhdyn.gamma_t(ctx, eye3, 0.5), "observable", 3),
-        "gamma_t-stack": (lambda: nhdyn.gamma_t(ctx, np.stack([eye3, eye3]), 0.5), "observable", 3),
         "gamma_series": (lambda: nhdyn.gamma_series(ctx, eye3, 0.5), "observable", 3),
         "delta_psi_hat": (lambda: nhdyn.delta_psi_hat(h2, eye3, psi2), "observable", 3),
         "mean_value": (lambda: nhdyn.mean_value(eye2, psi3), "psi_hat", 3),
@@ -406,3 +405,12 @@ def test_operand_of_another_dimension_is_named_by_the_validator(entry):
     with pytest.raises(DimensionError) as info:
         call()
     assert str(info.value) == f"{name} has dim {dim}, expected {expected}"
+
+
+def test_a_stack_is_not_one_operand():
+    # exact_trajectory takes one state and gamma_t one observable per call
+    h = np.diag([1.0, 2.0])
+    with pytest.raises(DimensionError, match="psi0 has dim 4, expected 2"):
+        exact_trajectory(h, np.eye(2), [0.0, 1.0])
+    with pytest.raises(DimensionError, match="observable must be 2-D, got ndim=3"):
+        nhdyn.gamma_t(nhdyn.gamma_context(h), np.stack([np.eye(2)] * 2), 0.5)

@@ -20,6 +20,7 @@ import nhdyn.scenario
 from nhdyn.cli import main
 from nhdyn.ensembles import random_hamiltonian, random_unit_vector
 from nhdyn.errors import ConfigError
+from nhdyn.linalg import _expm_exact
 from nhdyn.scenario import (
     complex_to_json,
     emit_csv,
@@ -463,17 +464,32 @@ class TestRunner:
         assert len(calls) == 1
         assert first.tasks["biortho"] == second.tasks["biortho"]
 
-    def test_eigenstate_case_forms_one_exponential_per_time(self, tmp_path, monkeypatch):
-        # the witness and the probes share t_end; the probes alone take 0.5
-        calls = []
-        original = nhdyn.gamma.expm
-        monkeypatch.setattr(nhdyn.gamma, "expm", lambda a: calls.append(1) or original(a))
+    def test_eigenstate_case_forms_one_exponential_per_time(self, tmp_path):
+        # the witness and the probes share t_end; the probes alone take 0.5. Beside
+        # them, phi_k0's H-orbit takes the step and 9 anchors of the default grid
         doc = {
             "hamiltonian": [[[1.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [0.5, 1.0]]],
             "tasks": ["eigenstate_case"],
         }
         run(parse_config(doc), tmp_path)
-        assert len(calls) == 2
+        assert _expm_exact.cache_info().misses == 1 + 9 + 2
+
+    @pytest.mark.parametrize("kind", ["hermitian", "real_spectrum", "complex_spectrum"])
+    def test_eigenstate_section_does_not_depend_on_the_other_tasks(self, tmp_path, kind):
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            h = random_hamiltonian(8, rng, kind=kind, basis_stretch=10.0)
+            doc = {
+                "hamiltonian": complex_to_json(h),
+                "initial_state": complex_to_json(random_unit_vector(8, rng)),
+            }
+            alone, beside = (
+                run(parse_config(dict(doc, tasks=tasks)), tmp_path / f"{seed}-{len(tasks)}")
+                for tasks in (["eigenstate_case"], ["trajectory", "eigenstate_case"])
+            )
+            assert json.dumps(alone.tasks["eigenstate_case"]) == json.dumps(
+                beside.tasks["eigenstate_case"]
+            )
 
     def test_trajectory_section_reports_the_stepping_path(self, tmp_path):
         doc = dict(MINIMAL_FERMION, tasks=["trajectory"])
@@ -518,10 +534,10 @@ class TestCli:
         "hamiltonian, t_end, shared",
         [
             # E = -380i: |Im E| t_end = 380 is past ORBIT_RANGE, and |psi|^2 of phi_k0's
-            # H-orbit, e^{-760 t}, would underflow to 0 (exit 3 if it rode along)
+            # H-orbit, e^{-760 t}, would underflow to 0 (exit 3 if it were read)
             ([[[0, -360], [0, 0]], [[0, 0], [0, -380]]], 1.0, False),
             # bottom E = -3i of a non-normal H, |Im E| t_end = 15: the orbit grows
-            # relative to E, and phi_k0 rides along with the initial state
+            # relative to E, and phi_k0's H-orbit shares the trajectory's exponentials
             ([[[0, 0], [1, 0]], [[0, 0], [0, -3]]], 5.0, True),
         ],
         ids=["beyond-range", "growing-orbit"],
@@ -536,18 +552,17 @@ class TestCli:
             "tasks": ["trajectory", "eigenstate_case"],
         }
         cfg = write_config(tmp_path, doc)
-        propagations = []
-        for module in (nhdyn.flow, nhdyn.eigenstate):
-            original = module.exact_trajectory
-            monkeypatch.setattr(
-                module, "exact_trajectory", lambda *a, f=original: propagations.append(1) or f(*a)
-            )
         assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "a")]) == 0
-        assert len(propagations) == (1 if shared else 2)
-        # the route that propagates each orbit on its own, as before the stack
+        # the trajectory's step and its two anchors, which phi_k0's H-orbit finds in the
+        # memo, then gamma_t at t_end and at 0.5. The shifted orbit stepped on the grid
+        # takes its own step and anchors, and gamma_t finds its last anchor and, where
+        # the step is dt = 0.5 (t_end = 5), its step as well
+        stepped = 6 if shared else 7
+        assert _expm_exact.cache_info().misses == (5 if shared else stepped)
         monkeypatch.setattr(nhdyn.scenario, "orbit_in_range", lambda *a: False)
+        _expm_exact.cache_clear()
         assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "b")]) == 0
-        assert len(propagations) == (3 if shared else 4)
+        assert _expm_exact.cache_info().misses == stepped
         a, b = (json.loads((tmp_path / d / "report.json").read_bytes()) for d in "ab")
         case_a, case_b = a["tasks"].pop("eigenstate_case"), b["tasks"].pop("eigenstate_case")
         assert a == b
