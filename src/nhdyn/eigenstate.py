@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .flow import StateTrajectory, exact_trajectory
+from .flow import exact_trajectory
 from .gamma import (
     DEFAULT_TOL_TRUNC,
     GammaContext,
@@ -42,13 +42,14 @@ ORBIT_RANGE = 300.0  # bound on |Im lambda| max|t| that keeps exp(+-2 Im lambda 
 class EigenstateContext:
     """A Hamiltonian with one selected unit eigenvector.
 
-    ``shifted`` is the gamma context of H_k0 = H - E.
+    ``shifted`` is the gamma context of H_k0 = H - E, ``spectrum`` the eigensolve of H.
     """
 
     k0: int
     e_value: complex
     phi_k0: np.ndarray
     shifted: GammaContext
+    spectrum: Spectrum
 
 
 def eigenstate_context(h, k0: int | None = None) -> EigenstateContext:
@@ -68,7 +69,7 @@ def eigenstate_context(h, k0: int | None = None) -> EigenstateContext:
         raise ConfigError(f"k0 must lie in [0, {n - 1}], got {k0}")
     e = complex(decomp.eigenvalues[k0])
     shifted = gamma_context(decomp.matrix - e * np.eye(n, dtype=complex))
-    return EigenstateContext(k0, e, decomp.right_vectors[:, k0], shifted)
+    return EigenstateContext(k0, e, decomp.right_vectors[:, k0], shifted, decomp)
 
 
 @dataclass(frozen=True)
@@ -79,8 +80,8 @@ class WeakIdentityReport:
     ``identity_mean_residual`` is max_t |<phi, g_t(1) phi> - 1| and
     ``delta_mean_residual`` is |<phi, d(1) phi>|; both vanish even
     though neither g_t(1) = 1 nor d(1) = 0 holds at operator level. The
-    identity mean is read as |exp(-i H_k0 t) phi|^2, off the state orbit
-    from ``exact_trajectory``: the entries of g_t(1) grow with t on a
+    identity mean is read as |exp(-i H_k0 t) phi|^2, off the orbit of phi that
+    ``weak_identity_report`` picks: the entries of g_t(1) grow with t on a
     complex spectrum and would cancel in the mean. The witness reports
     |<phi, g_t(XY) phi> - <phi, g_t(X) g_t(Y) phi>| at the last grid point
     for one random pair: the map fails to be multiplicative even weakly
@@ -95,31 +96,27 @@ class WeakIdentityReport:
     series_vs_conjugation: float
 
 
-def orbit_in_range(eigenvalues, t_grid) -> bool:
-    """Whether every |Im lambda| max|t| <= ``ORBIT_RANGE``, so that the H-orbit of an
-    eigenvector, of squared norm exp(2 Im lambda t), stands in for its H_k0-orbit."""
-    return bool(np.max(np.abs(np.imag(eigenvalues))) * np.max(np.abs(t_grid)) <= ORBIT_RANGE)
-
-
 def weak_identity_report(
     ctx: EigenstateContext, t_grid, rng=None, tol_trunc: float = DEFAULT_TOL_TRUNC
 ) -> WeakIdentityReport:
-    """``t_grid`` is a time grid, on which the H_k0-orbit of phi is stepped here, or a
-    ``StateTrajectory`` of H started at ``ctx.phi_k0``: exp(-i H_k0 t) = e^{iEt} exp(-iHt)
-    makes |exp(-i H_k0 t) phi|^2 = e^{-2 Im E t} ``norm_sq``, which needs
-    ``orbit_in_range(E, t)``; where that fails the orbit is stepped on its grid here.
-    ``rng`` draws X, Y, then the three probes; ``gamma_t`` conjugates one matrix per call,
-    and its calls at one time share their exponential through the ``expm`` memo.
+    """The weak identities of ``ctx`` on the time grid ``t_grid``. While |Im lambda| max|t|
+    <= ``ORBIT_RANGE`` over the spectrum, the identity mean is read off phi's H-orbit, whose
+    exponentials the ``expm`` memo shares with other trajectories of H on this grid, as
+    |exp(-i H_k0 t) phi|^2 = e^{-2 Im E t} |exp(-iHt) phi|^2; beyond it phi's H_k0-orbit is
+    stepped. ``rng`` draws X, Y, then the three probes; ``gamma_t`` conjugates one matrix per
+    call, and its calls at one time share their exponential through the ``expm`` memo.
     ``tol_trunc`` bounds the tail of each ``gamma_series``."""
     shifted = ctx.shifted
     n = shifted.dim
     phi = ctx.phi_k0
-    if isinstance(t_grid, StateTrajectory) and orbit_in_range(ctx.e_value, t_grid.t_grid):
-        orbit, scale = t_grid, np.exp(-2 * ctx.e_value.imag * t_grid.t_grid)
+    t = np.asarray(t_grid, dtype=float)
+    # <phi, g_t(1) phi> = |exp(-i H_k0 t) phi|^2; an empty grid raises in exact_trajectory
+    reach = np.max(np.abs(ctx.spectrum.eigenvalues.imag)) * np.max(np.abs(t), initial=0.0)
+    if reach <= ORBIT_RANGE:
+        orbit = exact_trajectory(ctx.spectrum.matrix, phi, t)
+        scale = np.exp(-2 * ctx.e_value.imag * orbit.t_grid)
     else:
-        # <phi, g_t(1) phi> = |exp(-i H_k0 t) phi|^2; raises on an empty grid
-        grid = t_grid.t_grid if isinstance(t_grid, StateTrajectory) else t_grid
-        orbit, scale = exact_trajectory(shifted.h, phi, grid), 1.0
+        orbit, scale = exact_trajectory(shifted.h, phi, t), 1.0
     identity_mean = np.max(np.abs(scale * orbit.norm_sq - 1.0))
     delta_mean = abs(np.vdot(phi, delta_gamma(shifted, np.eye(n)) @ phi))
 

@@ -53,8 +53,10 @@ def as_square_matrix(a, name: str = "matrix", dim: int | None = None) -> np.ndar
 
 
 def as_state_vector(v, dim: int | None = None, name: str = "vector") -> np.ndarray:
-    """Validate and promote ``v`` to a 1-D complex128 array."""
-    w = np.asarray(v, dtype=complex).reshape(-1)
+    """Validate ``v`` as a 1-D complex128 array; a stack or a column is not one state."""
+    w = np.asarray(v, dtype=complex)
+    if w.ndim != 1:
+        raise DimensionError(f"{name} must be 1-D, got ndim={w.ndim}")
     if w.size == 0:
         raise DimensionError(f"{name} is empty")
     if not np.isfinite(w).all():

@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -188,12 +188,12 @@ def test_growing_orbit_is_stepped_not_recomputed():
     h = random_hamiltonian(16, np.random.default_rng(0), "complex_spectrum", basis_stretch=10.0)
     ctx = eigenstate_context(h, int(np.argmin(eig_general(h).eigenvalues.imag)))
     t = np.linspace(0, 10, 201)
-    assert exact_trajectory(ctx.shifted.h, ctx.phi_k0, t).anchor_gap > 1e4 * STEP_TOL
     _expm_exact.cache_clear()
-    weak_identity_report(ctx, t)
-    # the step and the 9 anchors of the orbit, then gamma_t at t = 0.5; at the last
-    # grid point gamma_t finds the orbit's last anchor in the memo
-    assert _expm_exact.cache_info().misses == 1 + 9 + 1
+    orbit = exact_trajectory(ctx.shifted.h, ctx.phi_k0, t)
+    assert orbit.anchor_gap > 1e4 * STEP_TOL
+    assert orbit.fallback_segments == 0
+    # the step and the 9 anchors of the orbit
+    assert _expm_exact.cache_info().misses == 1 + 9
 
 
 def test_scenario_steps_the_eigenstate_orbit_with_the_trajectory(tmp_path):
@@ -216,25 +216,74 @@ def test_scenario_steps_the_eigenstate_orbit_with_the_trajectory(tmp_path):
 
 
 @pytest.mark.parametrize("t_end, shared", [(0.5, True), (1.0, False)])
-def test_h_trajectory_stands_in_for_the_shifted_orbit_inside_the_range(t_end, shared):
+def test_h_trajectory_stands_in_for_the_shifted_orbit_inside_the_range(
+    monkeypatch, t_end, shared
+):
     # E = 320i: |Im E| t_end is 160 or 320 against ORBIT_RANGE = 300. The H-orbit of
-    # phi_k0 (|psi|^2 = e^{640 t}) is finite on both grids; beyond the range the
-    # report steps the shifted orbit itself, exactly as from the grid
+    # phi_k0 (|psi|^2 = e^{640 t}) is finite on both grids; inside the range the report
+    # reads it, beyond the range it steps the shifted orbit, as it always does once
+    # ORBIT_RANGE admits no grid at all
     h = np.diag([319.0j, 320.0j])
     ctx = eigenstate_context(h)
     t = np.linspace(0.0, t_end, 11)
-    h_orbit = exact_trajectory(h, ctx.phi_k0, t)
-    assert nhdyn.eigenstate.orbit_in_range(ctx.e_value, t) == shared
-    from_orbit = weak_identity_report(ctx, h_orbit, np.random.default_rng(3))
     from_grid = weak_identity_report(ctx, t, np.random.default_rng(3))
-    assert from_orbit.identity_mean_residual <= 1e-12
+    monkeypatch.setattr(nhdyn.eigenstate, "ORBIT_RANGE", -np.inf)
+    stepped = weak_identity_report(ctx, t, np.random.default_rng(3))
+    assert from_grid.identity_mean_residual <= 1e-12
     if shared:
-        assert from_orbit.identity_mean_residual != from_grid.identity_mean_residual
-        assert replace(from_orbit, identity_mean_residual=0.0) == replace(
-            from_grid, identity_mean_residual=0.0
+        assert from_grid.identity_mean_residual != stepped.identity_mean_residual
+        assert replace(from_grid, identity_mean_residual=0.0) == replace(
+            stepped, identity_mean_residual=0.0
         )
     else:
-        assert from_orbit == from_grid
+        assert from_grid == stepped
+
+
+@pytest.mark.parametrize("dim", [2, 5, 16])
+@pytest.mark.parametrize("kind", ["hermitian", "real_spectrum", "complex_spectrum"])
+def test_h_orbit_route_matches_the_stepped_shifted_orbit(monkeypatch, kind, dim):
+    # inside the range the identity mean is read off the H-orbit; every other field is
+    # the stepped route's bit for bit, and both identity means stay within 1e-6
+    h = random_hamiltonian(dim, np.random.default_rng(dim), kind=kind, basis_stretch=10.0)
+    ctx = eigenstate_context(h)
+    t = np.linspace(0.0, 10.0, 201)
+    assert np.max(np.abs(ctx.spectrum.eigenvalues.imag)) * 10.0 <= nhdyn.eigenstate.ORBIT_RANGE
+    from_h = weak_identity_report(ctx, t, np.random.default_rng(9))
+    monkeypatch.setattr(nhdyn.eigenstate, "ORBIT_RANGE", -np.inf)
+    stepped = weak_identity_report(ctx, t, np.random.default_rng(9))
+    assert max(from_h.identity_mean_residual, stepped.identity_mean_residual) <= 1e-6
+    assert replace(from_h, identity_mean_residual=0.0) == replace(
+        stepped, identity_mean_residual=0.0
+    )
+
+
+def test_an_empty_grid_is_a_config_error():
+    with pytest.raises(ConfigError, match="t_grid is empty"):
+        weak_identity_report(eigenstate_context(DIAG_1_I), [])
+
+
+@pytest.mark.parametrize(
+    "hamiltonian, t_end",
+    [
+        (random_hamiltonian(6, np.random.default_rng(4), "complex_spectrum"), 10.0),
+        (np.diag([-360.0j, -380.0j]), 1.0),
+    ],
+    ids=["in-range", "beyond-range"],
+)
+def test_scenario_section_is_the_api_report(tmp_path, hamiltonian, t_end):
+    doc = {
+        "hamiltonian": complex_to_json(hamiltonian),
+        "time": {"t_end": t_end, "points": 21},
+        "tasks": ["eigenstate_case"],
+        "seed": 17,
+    }
+    cfg = parse_config(doc)
+    section = run(cfg, tmp_path).tasks["eigenstate_case"]
+    ctx = eigenstate_context(hamiltonian)
+    report = weak_identity_report(ctx, cfg.t_grid, np.random.default_rng(17))
+    assert section == {
+        "k0": ctx.k0, "eigenvalue": complex_to_json(ctx.e_value), **asdict(report)
+    }
 
 
 def test_every_observable_is_a_weak_integral_from_an_eigenstate():

@@ -410,7 +410,31 @@ def test_operand_of_another_dimension_is_named_by_the_validator(entry):
 def test_a_stack_is_not_one_operand():
     # exact_trajectory takes one state and gamma_t one observable per call
     h = np.diag([1.0, 2.0])
-    with pytest.raises(DimensionError, match="psi0 has dim 4, expected 2"):
+    with pytest.raises(DimensionError, match="psi0 must be 1-D, got ndim=2"):
         exact_trajectory(h, np.eye(2), [0.0, 1.0])
     with pytest.raises(DimensionError, match="observable must be 2-D, got ndim=3"):
         nhdyn.gamma_t(nhdyn.gamma_context(h), np.stack([np.eye(2)] * 2), 0.5)
+
+
+def _matrix_as_state():
+    """Calls handed a unit-norm 2x2 where a 4-state belongs: flattened, it would pass."""
+    h4, block = np.diag([1.0, 2.0, 3.0, 4.0]), np.eye(2) / np.sqrt(2.0)
+    return {
+        "exact_trajectory": (lambda: exact_trajectory(h4, block, [0.0, 1.0]), "psi0"),
+        "integrate_nonlinear": (
+            lambda: nhdyn.integrate_nonlinear(h4, block, [0.0, 1.0]), "psi_hat0"
+        ),
+        "mean_value": (lambda: nhdyn.mean_value(np.eye(2), [[1.0, 0.0]]), "psi_hat"),
+        "identity_norm_evolution": (
+            lambda: nhdyn.identity_norm_evolution(nhdyn.gamma_context(h4), block, [0.0, 1.0]),
+            "psi0",
+        ),
+    }
+
+
+@pytest.mark.parametrize("entry", list(_matrix_as_state()))
+def test_a_matrix_is_not_a_state(entry):
+    call, name = _matrix_as_state()[entry]
+    with pytest.raises(DimensionError) as info:
+        call()
+    assert str(info.value) == f"{name} must be 1-D, got ndim=2"

@@ -210,6 +210,11 @@ class TestValidation:
                  "observables": ["identity", "N1"]},
                 "observables[1] builtin 'N1' needs a fermion_dm Hamiltonian",
             ),
+            (
+                {"hamiltonian": NILPOTENT_JSON, "initial_state": [1.0, 1.0],
+                 "tasks": ["trajectory"]},
+                "initial_state must be normalized, |initial_state| = 1.41421356237",
+            ),
         ],
     )
     def test_config_error_texts(self, tmp_path, capsys, doc, message):
@@ -559,7 +564,7 @@ class TestCli:
         # the step is dt = 0.5 (t_end = 5), its step as well
         stepped = 6 if shared else 7
         assert _expm_exact.cache_info().misses == (5 if shared else stepped)
-        monkeypatch.setattr(nhdyn.scenario, "orbit_in_range", lambda *a: False)
+        monkeypatch.setattr(nhdyn.eigenstate, "ORBIT_RANGE", -np.inf)  # always step
         _expm_exact.cache_clear()
         assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "b")]) == 0
         assert _expm_exact.cache_info().misses == stepped
