@@ -9,12 +9,16 @@ tasks. The same document drives the command line:
     nhdyn run --config scenario.json --out-dir out/
     nhdyn validate --config scenario.json
 
-Reports are byte-stable for a fixed config and seed.
+Reports are byte-stable for a fixed config and seed. Bulk results sit
+beside report.json, which names them: CSV time series, and the symmetry
+generators as symmetries.npy.
 """
 
 import json
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 from nhdyn.scenario import load_config, run
 
@@ -44,6 +48,8 @@ with tempfile.TemporaryDirectory() as tmp:
     sym = report.tasks["symmetries"]
     print(f"symmetry space dimension: {sym['dimension']} "
           f"(worst residual {max(sym['residuals']):.1e})")
+    generators = np.load(Path(tmp) / "out" / sym["npy"], allow_pickle=False)
+    print(f"{sym['npy']}: shape {generators.shape}, dtype {generators.dtype}")
 
     for entry in report.tasks["classify"]["reports"]:
         print(f"{entry['name']:>8}: weak={entry['in_c_psi_hat_weak']} "

@@ -31,7 +31,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="execute a scenario config")
     p_run.add_argument("--config", required=True, help="path to a JSON scenario")
     p_run.add_argument(
-        "--out-dir", default=".", help="directory for CSVs and report.json"
+        "--out-dir", default=".", help="directory for report.json and its CSV and npy files"
     )
     p_run.add_argument(
         "--seed", type=int, default=None, help="override the config seed"

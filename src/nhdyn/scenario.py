@@ -26,8 +26,10 @@ byte-stable for a fixed config and seed and laid out as
 ``json.dumps(indent=2, sort_keys=True)`` lays them out: two-space indent,
 sorted keys, floats as Python ``repr``. The arrays ``complex_to_json`` builds
 carry their depth and are C-encoded in one piece; everything else is laid out
-value by value. The Hamiltonian dimension is capped at MAX_DIM = 64, the desk
-scale the package is built for.
+value by value. Tasks hand bulk results to ``run`` as artifacts, a writer per file
+name: CSV time series and ``symmetries.npy``, the (d, N, N) ``complex128`` generator
+stack; the report names them. The Hamiltonian dimension is capped at MAX_DIM = 64,
+the desk scale the package is built for.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ import sys
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -460,13 +462,9 @@ def emit_csv(path, header: list[str], columns: list[np.ndarray]) -> None:
     # one %-pass over all values; 17 significant digits round-trip every float
     row = ",".join(["%.17g"] * len(columns)) + "\n"
     values = np.column_stack(columns).astype(float).ravel().tolist() if columns else []
-    p = Path(path)
-    try:
-        with p.open("w", encoding="utf-8", newline="\n") as fh:
-            fh.write(",".join(header) + "\n")
-            fh.write(row * (rows.pop() if rows else 0) % tuple(values))
-    except OSError as exc:
-        raise ConfigError(f"cannot write csv {p}: {exc}") from exc
+    with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.write(row * (rows.pop() if rows else 0) % tuple(values))
 
 
 @dataclass
@@ -476,21 +474,15 @@ class RunReport:
     config_echo: dict
     tasks: dict
     artifacts: list[str]
-    exit_status: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "config_echo": self.config_echo,
-            "tasks": self.tasks,
-            "artifacts": self.artifacts,
-            "exit_status": self.exit_status,
-        }
+        return {"config_echo": self.config_echo, "tasks": self.tasks, "artifacts": self.artifacts}
 
     def to_json(self) -> str:
         return _json_text(self.to_dict())  # a non-finite float raises ValueError
 
 
-def _task_trajectory(cfg: ScenarioConfig, csvs: dict, rng) -> dict:
+def _task_trajectory(cfg: ScenarioConfig, artifacts: dict, rng) -> dict:
     traj = cfg.trajectory
     header = ["t", "norm_sq"]
     columns = [traj.t_grid, traj.norm_sq]
@@ -498,7 +490,7 @@ def _task_trajectory(cfg: ScenarioConfig, csvs: dict, rng) -> dict:
         means = mean_values(matrix, traj.psi_hat)
         header += [f"re_{name}", f"im_{name}"]
         columns += [means.real, means.imag]
-    csvs["trajectory.csv"] = (header, columns)
+    artifacts["trajectory.csv"] = lambda path: emit_csv(path, header, columns)
     return {
         "csv": "trajectory.csv",
         "norm_sq_initial": float(traj.norm_sq[0]),
@@ -509,7 +501,7 @@ def _task_trajectory(cfg: ScenarioConfig, csvs: dict, rng) -> dict:
     }
 
 
-def _task_biortho(cfg: ScenarioConfig, csvs: dict, rng) -> dict:
+def _task_biortho(cfg: ScenarioConfig, artifacts: dict, rng) -> dict:
     system = build_biorthogonal(cfg.spectrum, tol_distinct=cfg.tolerances["tol_distinct"])
     r_psi, r_phi = verify_intertwining(system, cfg.hamiltonian)
     return {
@@ -521,19 +513,24 @@ def _task_biortho(cfg: ScenarioConfig, csvs: dict, rng) -> dict:
     }
 
 
-def _task_symmetries(cfg: ScenarioConfig, csvs: dict, rng) -> dict:
+def _task_symmetries(cfg: ScenarioConfig, artifacts: dict, rng) -> dict:
     basis = gamma_symmetry_basis(
         gamma_context(cfg.hamiltonian), cfg.tolerances["rank_tol_rel"]
     )
+    # (d, N, N), also for d = 0
+    stack = np.array(basis.generators, dtype=complex).reshape(-1, *cfg.hamiltonian.shape)
+    if not np.isfinite(stack).all():
+        raise NumericRangeError("symmetry generators hold a non-finite number")
+    artifacts["symmetries.npy"] = lambda path: np.save(path, stack, allow_pickle=False)
     return {
-        "dimension": len(basis.generators),
+        "dimension": len(stack),
         "chain_closure_dim": basis.chain_closure_dim,
         "residuals": basis.residuals,
-        "generators": complex_to_json(basis.generators),
+        "npy": "symmetries.npy",
     }
 
 
-def _task_classify(cfg: ScenarioConfig, csvs: dict, rng) -> dict:
+def _task_classify(cfg: ScenarioConfig, artifacts: dict, rng) -> dict:
     tol, reports = cfg.tolerances["tol_class"], []
     for name, matrix in cfg.observables:
         rep = asdict(flow.classify(cfg.hamiltonian, matrix, cfg.trajectory, tol, name))
@@ -542,21 +539,20 @@ def _task_classify(cfg: ScenarioConfig, csvs: dict, rng) -> dict:
     return {"tol_class": tol, "reports": reports}
 
 
-def _task_eigenstate(cfg: ScenarioConfig, csvs: dict, rng) -> dict:
+def _task_eigenstate(cfg: ScenarioConfig, artifacts: dict, rng) -> dict:
     ctx = eigenstate_context(cfg.spectrum, cfg.eigenstate_k0)
     report = weak_identity_report(ctx, cfg.t_grid, rng, cfg.tolerances["tol_trunc"])
     return {"k0": ctx.k0, "eigenvalue": complex_to_json(ctx.e_value), **asdict(report)}
 
 
-def _task_fermion_demo(cfg: ScenarioConfig, csvs: dict, rng) -> dict:
+def _task_fermion_demo(cfg: ScenarioConfig, artifacts: dict, rng) -> dict:
     model = cfg.fermion_model
     assert model is not None and cfg.initial_label is not None
     # parse_config built initial_state as the label's basis state of this model
     run = fermions.occupations(model, cfg.trajectory)
-    csvs["fermion_demo.csv"] = (
-        ["t", "n1", "n2", "n3", "sum", "scalar_re", "scalar_im"],
-        [run.t_grid, run.n1, run.n2, run.n3, run.total, run.scalar.real, run.scalar.imag],
-    )
+    header = ["t", "n1", "n2", "n3", "sum", "scalar_re", "scalar_im"]
+    columns = [run.t_grid, run.n1, run.n2, run.n3, run.total, run.scalar.real, run.scalar.imag]
+    artifacts["fermion_demo.csv"] = lambda path: emit_csv(path, header, columns)
     section = {
         "csv": "fermion_demo.csv",
         "total_initial": float(run.total[0]),
@@ -576,8 +572,8 @@ def _task_fermion_demo(cfg: ScenarioConfig, csvs: dict, rng) -> dict:
     return section
 
 
-# Every task takes (config, csvs, rng) and returns its report section; a
-# section that names a "csv" put that file's (header, columns) into csvs.
+# Every task takes (config, artifacts, rng) and returns its report section; a
+# section that names a "csv" or "npy" file put that file's writer into artifacts.
 TASKS = {
     "trajectory": _task_trajectory,
     "symmetries": _task_symmetries,
@@ -590,7 +586,7 @@ KNOWN_TASKS = tuple(TASKS)
 
 
 def run(cfg: ScenarioConfig, out_dir, seed: int | None = None) -> RunReport:
-    """Execute the requested tasks and write CSVs plus report.json.
+    """Execute the requested tasks and write their artifacts plus report.json.
 
     ``seed`` overrides the config seed for the random ingredients
     (eigenstate-case probes). Artifact paths in the report are relative
@@ -608,7 +604,7 @@ def run(cfg: ScenarioConfig, out_dir, seed: int | None = None) -> RunReport:
     echo["seed"] = effective_seed
     rng = np.random.default_rng(effective_seed)
 
-    csvs: dict[str, tuple] = {}
+    artifacts: dict[str, Callable[[Path], object]] = {}  # file name -> writer of that path
     sections: dict[str, Any] = {}
     if cfg.similar_commutator_residual is not None:
         sections["similar_construction"] = {
@@ -617,18 +613,17 @@ def run(cfg: ScenarioConfig, out_dir, seed: int | None = None) -> RunReport:
         }
 
     for task in cfg.tasks:
-        sections[task] = TASKS[task](cfg, csvs, rng)
+        sections[task] = TASKS[task](cfg, artifacts, rng)
 
-    report = RunReport(config_echo=echo, tasks=sections, artifacts=list(csvs))
+    report = RunReport(config_echo=echo, tasks=sections, artifacts=list(artifacts))
     try:  # strict JSON: a non-finite float raises before any file is written
         text = report.to_json()
     except ValueError as exc:
         raise NumericRangeError(f"report holds a non-finite number: {exc}") from exc
-    for name, (header, columns) in csvs.items():
-        emit_csv(out / name, header, columns)
-    path = out / "report.json"
-    try:
-        path.write_text(text, encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot write report {path}: {exc}") from exc
+    artifacts["report.json"] = lambda path: path.write_text(text, encoding="utf-8")
+    for name, write in artifacts.items():  # report.json last
+        try:
+            write(out / name)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {name} in {out}: {exc}") from exc
     return report

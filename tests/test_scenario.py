@@ -20,6 +20,7 @@ import nhdyn.scenario
 from nhdyn.cli import main
 from nhdyn.ensembles import random_hamiltonian, random_unit_vector
 from nhdyn.errors import ConfigError
+from nhdyn.gamma import gamma_context, gamma_symmetry_basis
 from nhdyn.linalg import _expm_exact
 from nhdyn.scenario import (
     complex_to_json,
@@ -311,7 +312,6 @@ class TestRunner:
         assert header == ["t", "n1", "n2", "n3", "sum", "scalar_re", "scalar_im"]
         assert rows.shape[0] == 201
         assert np.abs(rows[:, 4] - 2.0).max() <= 1e-11
-        assert report.exit_status == 0
         assert report.tasks["fermion_demo"]["conservation_residual"] <= 1e-11
 
     def test_symmetries_task_on_inline_nilpotent(self, tmp_path):
@@ -320,8 +320,22 @@ class TestRunner:
         section = report.tasks["symmetries"]
         assert section["dimension"] == 2
         assert max(section["residuals"]) <= 1e-12
-        assert len(section["generators"]) == 2
-        assert len(section["generators"][0]) == 2  # rows of a 2x2 complex matrix
+        assert section["npy"] == "symmetries.npy" and "generators" not in section
+        assert report.artifacts == ["symmetries.npy"]
+        stack = np.load(tmp_path / "symmetries.npy", allow_pickle=False)
+        assert stack.shape == (2, 2, 2)
+        assert stack.dtype == np.complex128
+        basis = gamma_symmetry_basis(gamma_context(cfg.hamiltonian))
+        assert stack.tobytes() == np.array(basis.generators).tobytes()
+
+    def test_symmetries_task_without_symmetries_writes_an_empty_stack(self, tmp_path):
+        # H^dag X = X H has no solution when no two eigenvalues are conjugate
+        doc = {"hamiltonian": [[[0.0, 1.0], 0.0], [0.0, [2.0, 3.0]]], "tasks": ["symmetries"]}
+        report = run(parse_config(doc), tmp_path)
+        assert report.tasks["symmetries"]["dimension"] == 0
+        stack = np.load(tmp_path / "symmetries.npy", allow_pickle=False)
+        assert stack.shape == (0, 2, 2)
+        assert stack.dtype == np.complex128
 
     def test_trajectory_csv_columns_without_observables(self, tmp_path):
         doc = {
@@ -404,6 +418,15 @@ class TestRunner:
         assert (tmp_path / "a/report.json").read_bytes() == (
             tmp_path / "b/report.json"
         ).read_bytes()
+
+    def test_byte_identical_symmetries_npy_for_same_seed(self, tmp_path):
+        doc = dict(MINIMAL_FERMION, tasks=["fermion_demo", "symmetries"])
+        report = run(parse_config(doc), tmp_path / "a")
+        run(parse_config(doc), tmp_path / "b")
+        first = (tmp_path / "a/symmetries.npy").read_bytes()
+        assert first == (tmp_path / "b/symmetries.npy").read_bytes()
+        d = report.tasks["symmetries"]["dimension"]
+        assert np.load(tmp_path / "a/symmetries.npy", allow_pickle=False).shape == (d, 8, 8)
 
     def test_echoed_config_reproduces_the_report(self, tmp_path):
         doc = dict(
@@ -874,6 +897,14 @@ class TestCli:
         (out / "report.json").mkdir(parents=True)
         assert main(["run", "--config", str(cfg), "--out-dir", str(out)]) == 2
         assert "cannot write report" in capsys.readouterr().err
+
+    def test_unwritable_symmetries_npy_exits_two(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"hamiltonian": NILPOTENT_JSON, "tasks": ["symmetries"]})
+        out = tmp_path / "out"
+        (out / "symmetries.npy").mkdir(parents=True)
+        assert main(["run", "--config", str(cfg), "--out-dir", str(out)]) == 2
+        assert "cannot write symmetries.npy" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
 
     def test_non_finite_report_exits_three_without_writing_it(self, tmp_path, capsys):
         # finite input whose symmetry residuals overflow to inf
