@@ -10,8 +10,8 @@ tasks. The same document drives the command line:
     nhdyn validate --config scenario.json
 
 Reports are byte-stable for a fixed config and seed. Bulk results sit
-beside report.json, which names them: CSV time series, and the symmetry
-generators as symmetries.npy.
+beside report.json, which names them: CSV time series, the symmetry
+generators as symmetries.npy and an inline Hamiltonian as hamiltonian.npy.
 """
 
 import json

@@ -168,14 +168,15 @@ def identity_norm_evolution(ctx: GammaContext, psi0, t_grid) -> np.ndarray:
 class SymmetryBasis:
     """Frobenius-orthonormal basis of the gamma-symmetries of H.
 
-    ``residuals`` holds |H^† X - X H|_F per generator and
+    ``generators`` is the (d, N, N) stack of the basis, (0, N, N) when H has
+    no gamma-symmetry. ``residuals`` holds |H^† X - X H|_F per generator and
     ``chain_closure_dim`` the dimension of span{S H^k, k = 0..N-1} for
     the sum S of the generators (powers beyond N-1 add nothing by
     Hamilton-Cayley), counted by an Arnoldi chain that stops once the
     new direction is below ``rank_tol_rel * |H|_2``.
     """
 
-    generators: list[np.ndarray]
+    generators: np.ndarray
     residuals: list[float]
     chain_closure_dim: int
 
@@ -233,7 +234,7 @@ def gamma_symmetry_basis(
             chain_dim += 1
 
     return SymmetryBasis(
-        generators=list(gens),
+        generators=gens,
         residuals=residuals.tolist(),
         chain_closure_dim=chain_dim,
     )

@@ -21,15 +21,15 @@ initial state, a time grid, observables, tolerances and a set of tasks:
 Matrix entries are complex numbers written as [re, im] pairs (bare reals
 are accepted on input); every complex number in emitted JSON is a
 [re, im] pair. Absent fields get the documented defaults and the echoed
-config in the report always shows the materialized values. Reports are
-byte-stable for a fixed config and seed and laid out as
-``json.dumps(indent=2, sort_keys=True)`` lays them out: two-space indent,
-sorted keys, floats as Python ``repr``. The arrays ``complex_to_json`` builds
-carry their depth and are C-encoded in one piece; everything else is laid out
-value by value. Tasks hand bulk results to ``run`` as artifacts, a writer per file
-name: CSV time series and ``symmetries.npy``, the (d, N, N) ``complex128`` generator
-stack; the report names them. The Hamiltonian dimension is capped at MAX_DIM = 64,
-the desk scale the package is built for.
+config in the report always shows the materialized values, except that an
+inline matrix Hamiltonian is echoed as ``{"npy": "hamiltonian.npy"}`` and
+written to that file as an (N, N) ``complex128`` array. Reports are byte-stable
+for a fixed config and seed and written by
+``json.dumps(indent=2, sort_keys=True, allow_nan=False)``. Tasks hand bulk results
+to ``run`` as artifacts, a writer per file name: CSV time series and
+``symmetries.npy``, the (d, N, N) ``complex128`` generator stack; the report names
+them. The Hamiltonian dimension is capped at MAX_DIM = 64, the desk scale the
+package is built for.
 """
 
 from __future__ import annotations
@@ -115,7 +115,7 @@ def _as_pairs(value, depth: int) -> np.ndarray | None:
     for _ in range(depth + 1):
         nested = [x for xs in nested for x in xs]
         types.update(map(type, nested))
-    return a.view(complex)[..., 0] if types <= {list, _Array, int, float} else None
+    return a.view(complex)[..., 0] if types <= {list, int, float} else None
 
 
 def _parse_matrix(value, path: str) -> np.ndarray:
@@ -140,20 +140,10 @@ def _parse_vector(value, path: str) -> np.ndarray:
     return np.array([_parse_entry(v, path, j) for j, v in enumerate(value)], complex)
 
 
-class _Array(list):
-    """Nested [re, im] pairs ``depth`` lists deep, laid out by ``_layout_array``.
-    ``dataclasses.asdict`` rebuilds it as ``_Array(items)`` without ``depth``, and
-    the writer then fails, so it must not pass through ``asdict``."""
-
-    __slots__ = ("depth",)
-
-
 def complex_to_json(a) -> list:
     """A complex scalar, vector, matrix or stack of matrices as nested [re, im] pairs."""
     a = np.asarray(a, dtype=complex)
-    out = _Array(np.stack([a.real, a.imag], -1).tolist())
-    out.depth = a.ndim + 1
-    return out
+    return np.stack([a.real, a.imag], -1).tolist()
 
 
 @dataclass
@@ -216,7 +206,7 @@ def _validate_hamiltonian(raw, echo: dict):
         }
     elif isinstance(raw, list):
         h = as_square_matrix(_parse_matrix(raw, "hamiltonian"), "hamiltonian")
-        echo["hamiltonian"] = complex_to_json(h)
+        echo["hamiltonian"] = {"npy": "hamiltonian.npy"}  # run writes h to that file
     else:
         raise _fail(
             "hamiltonian",
@@ -332,6 +322,13 @@ def _validate_initial_state(raw, echo: dict, h: np.ndarray, model: fermions.DmMo
     return vec, None
 
 
+def _seed(value) -> int:
+    """The config's ``seed`` or ``run``'s override: an int >= 0, not a bool."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+        raise _fail("seed", "must be a non-negative integer")
+    return value
+
+
 def parse_config(doc: dict) -> ScenarioConfig:
     """Validate a raw config document and materialize defaults."""
     if not isinstance(doc, dict):
@@ -358,10 +355,7 @@ def parse_config(doc: dict) -> ScenarioConfig:
             tasks.append(task)
     echo["tasks"] = tasks
 
-    seed = fields["seed"]
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        raise _fail("seed", "must be a non-negative integer")
-    echo["seed"] = seed
+    echo["seed"] = seed = _seed(fields["seed"])
 
     k0 = fields["eigenstate_k0"]
     if k0 is not None and (not isinstance(k0, int) or isinstance(k0, bool)):
@@ -411,45 +405,9 @@ def load_config(path) -> ScenarioConfig:
     return parse_config(doc)
 
 
-_encode = json.JSONEncoder(allow_nan=False).encode
-
-
 def _json_text(doc) -> str:
-    """``json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\\n"``, byte
-    for byte. CPython's C encoder runs only without ``indent``, so each array that
-    ``complex_to_json`` built is C-encoded and laid out by ``_layout_array``; all
-    other values are laid out one by one. A NaN or infinity raises ``ValueError``."""
-    return _layout(doc, 0) + "\n"
-
-
-def _layout(value, depth: int) -> str:
-    if not isinstance(value, (dict, list, tuple)) or not value:
-        return _encode(value)
-    inner = "\n" + "  " * (depth + 1)
-    if isinstance(value, dict):
-        items = (_encode(k) + ": " + _layout(v, depth + 1) for k, v in sorted(value.items()))
-        return "{" + inner + ("," + inner).join(items) + inner[:-2] + "}"
-    if isinstance(value, _Array):
-        return _layout_array(value, value.depth, depth)
-    items = (_layout(v, depth + 1) for v in value)
-    return "[" + inner + ("," + inner).join(items) + inner[:-2] + "]"
-
-
-def _layout_array(value, ndim: int, depth: int) -> str:
-    """A ``complex_to_json`` array, ``ndim`` lists deep, laid out as ``indent=2`` does.
-
-    The C encoder writes the innermost separator; one ``str.replace`` per outer
-    depth splits each ``]..], [..[`` run over lines, longest first, as a longer
-    run contains every shorter one. Numbers hold no brackets."""
-    nl = ["\n" + "  " * (depth + j) for j in range(ndim + 1)]  # line start at level j
-    opens = ["[" + nl[j] for j in range(1, ndim + 1)]
-    closes = [nl[j] + "]" for j in range(ndim - 1, -1, -1)]
-    sep = "," + nl[ndim]
-    text = json.JSONEncoder(allow_nan=False, separators=(sep, ": ")).encode(value)
-    for k in range(ndim - 1, 0, -1):
-        lines = "".join(closes[:k]) + "," + nl[ndim - k] + "".join(opens[-k:])
-        text = text.replace("]" * k + sep + "[" * k, lines)
-    return "".join(opens) + text[ndim:-ndim] + "".join(closes)
+    """The report layout; a NaN or infinity raises ``ValueError``."""
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def emit_csv(path, header: list[str], columns: list[np.ndarray]) -> None:
@@ -517,8 +475,7 @@ def _task_symmetries(cfg: ScenarioConfig, artifacts: dict, rng) -> dict:
     basis = gamma_symmetry_basis(
         gamma_context(cfg.hamiltonian), cfg.tolerances["rank_tol_rel"]
     )
-    # (d, N, N), also for d = 0
-    stack = np.array(basis.generators, dtype=complex).reshape(-1, *cfg.hamiltonian.shape)
+    stack = basis.generators  # (d, N, N), also for d = 0
     if not np.isfinite(stack).all():
         raise NumericRangeError("symmetry generators hold a non-finite number")
     artifacts["symmetries.npy"] = lambda path: np.save(path, stack, allow_pickle=False)
@@ -588,13 +545,11 @@ KNOWN_TASKS = tuple(TASKS)
 def run(cfg: ScenarioConfig, out_dir, seed: int | None = None) -> RunReport:
     """Execute the requested tasks and write their artifacts plus report.json.
 
-    ``seed`` overrides the config seed for the random ingredients
-    (eigenstate-case probes). Artifact paths in the report are relative
+    ``seed`` overrides the config seed, under the same rule, for the random
+    ingredients (eigenstate-case probes). Artifact paths in the report are relative
     to ``out_dir``. No file is written before the report has serialized.
     """
-    effective_seed = cfg.seed if seed is None else int(seed)
-    if effective_seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {effective_seed}")
+    effective_seed = cfg.seed if seed is None else _seed(seed)
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -605,6 +560,8 @@ def run(cfg: ScenarioConfig, out_dir, seed: int | None = None) -> RunReport:
     rng = np.random.default_rng(effective_seed)
 
     artifacts: dict[str, Callable[[Path], object]] = {}  # file name -> writer of that path
+    if name := echo["hamiltonian"].get("npy"):  # an inline matrix, echoed by file name
+        artifacts[name] = lambda path: np.save(path, cfg.hamiltonian, allow_pickle=False)
     sections: dict[str, Any] = {}
     if cfg.similar_commutator_residual is not None:
         sections["similar_construction"] = {

@@ -321,12 +321,25 @@ class TestRunner:
         assert section["dimension"] == 2
         assert max(section["residuals"]) <= 1e-12
         assert section["npy"] == "symmetries.npy" and "generators" not in section
-        assert report.artifacts == ["symmetries.npy"]
+        assert report.artifacts == ["hamiltonian.npy", "symmetries.npy"]
         stack = np.load(tmp_path / "symmetries.npy", allow_pickle=False)
         assert stack.shape == (2, 2, 2)
         assert stack.dtype == np.complex128
         basis = gamma_symmetry_basis(gamma_context(cfg.hamiltonian))
-        assert stack.tobytes() == np.array(basis.generators).tobytes()
+        assert stack.tobytes() == basis.generators.tobytes()
+
+    def test_inline_hamiltonian_round_trips_through_its_npy_file(self, tmp_path):
+        rng = np.random.default_rng(53)
+        h = random_hamiltonian(12, rng, kind="complex_spectrum", basis_stretch=10.0)
+        h.real.flat[::5] = -0.0
+        cfg = parse_config({"hamiltonian": complex_to_json(h), "tasks": ["biortho"]})
+        report = run(cfg, tmp_path)
+        assert report.config_echo["hamiltonian"] == {"npy": "hamiltonian.npy"}
+        assert report.artifacts == ["hamiltonian.npy"]
+        saved = np.load(tmp_path / "hamiltonian.npy", allow_pickle=False)
+        assert saved.shape == (12, 12)
+        assert saved.dtype == np.complex128
+        assert saved.tobytes() == h.tobytes() == cfg.hamiltonian.tobytes()
 
     def test_symmetries_task_without_symmetries_writes_an_empty_stack(self, tmp_path):
         # H^dag X = X H has no solution when no two eigenvalues are conjugate
@@ -399,6 +412,8 @@ class TestRunner:
         }
         report = run(parse_config(doc), tmp_path)
         assert report.tasks["similar_construction"]["commutator_residual"] == 0.0
+        # a built Hamiltonian is echoed by its inputs and writes no hamiltonian.npy
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json", "symmetries.npy"]
 
     def test_report_written_and_relative_artifacts(self, tmp_path):
         cfg = parse_config(MINIMAL_FERMION)
@@ -406,6 +421,7 @@ class TestRunner:
         on_disk = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
         assert on_disk == report.to_dict()
         assert on_disk["artifacts"] == ["fermion_demo.csv"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["fermion_demo.csv", "report.json"]
 
     def test_byte_identical_reports_for_same_seed(self, tmp_path):
         doc = dict(
@@ -428,15 +444,35 @@ class TestRunner:
         d = report.tasks["symmetries"]["dimension"]
         assert np.load(tmp_path / "a/symmetries.npy", allow_pickle=False).shape == (d, 8, 8)
 
+    def test_byte_identical_hamiltonian_npy_for_same_seed(self, tmp_path):
+        rng = np.random.default_rng(54)
+        h = random_hamiltonian(8, rng, kind="real_spectrum")
+        doc = {"hamiltonian": complex_to_json(h), "tasks": ["eigenstate_case"], "seed": 3}
+        run(parse_config(doc), tmp_path / "a")
+        run(parse_config(doc), tmp_path / "b")
+        first = (tmp_path / "a/hamiltonian.npy").read_bytes()
+        assert first == (tmp_path / "b/hamiltonian.npy").read_bytes()
+
     def test_echoed_config_reproduces_the_report(self, tmp_path):
-        doc = dict(
+        # fermion_dm and similar echoes re-parse; an inline H is echoed by file name
+        fermion = dict(
             MINIMAL_FERMION,
             tasks=["fermion_demo", "eigenstate_case"],
             time={"t_start": 0.0, "t_end": 4.0, "points": 41},
         )
-        first = run(parse_config(doc), tmp_path / "a")
-        again = run(parse_config(first.config_echo), tmp_path / "b")
-        assert first.to_json() == again.to_json()
+        similar = {
+            "hamiltonian": {
+                "similar": {"h0": [[1.0, 0.0], [0.0, 2.0]], "r": [[2.0, [0.5, 0.25]], [0.0, 1.0]]}
+            },
+            "initial_state": [[0.6, 0.0], [0.0, 0.8]],
+            "observables": [{"name": "X", "matrix": [[0.0, 1.0], [1.0, 0.0]]}],
+            "tasks": ["trajectory", "classify", "biortho", "eigenstate_case"],
+            "time": {"t_start": 0.0, "t_end": 3.0, "points": 31},
+        }
+        for name, doc in (("fermion", fermion), ("similar", similar)):
+            first = run(parse_config(doc), tmp_path / name / "a")
+            again = run(parse_config(first.config_echo), tmp_path / name / "b")
+            assert first.to_json() == again.to_json()
 
     def test_each_run_evolves_the_initial_state_once(self, tmp_path, monkeypatch):
         calls = []
@@ -537,6 +573,13 @@ class TestRunner:
             != rep2.tasks["eigenstate_case"]["automorphism_witness"]
         )
         assert rep1.config_echo["seed"] == 1
+
+    @pytest.mark.parametrize("seed", ["3", 2.7, True, float("nan"), -1])
+    def test_seed_override_follows_the_config_seed_rule(self, tmp_path, seed):
+        cfg = parse_config(MINIMAL_FERMION)
+        with pytest.raises(ConfigError, match="seed must be a non-negative integer"):
+            run(cfg, tmp_path / "out", seed=seed)
+        assert not (tmp_path / "out").exists()
 
 
 class TestCli:
@@ -802,7 +845,7 @@ class TestCli:
         out = tmp_path / "out"
         argv = ["run", "--config", str(cfg), "--out-dir", str(out), "--seed", "-1"]
         assert main(argv) == 2
-        assert "seed must be >= 0" in capsys.readouterr().err
+        assert "seed must be a non-negative integer" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -900,11 +943,12 @@ class TestCli:
 
     def test_unwritable_symmetries_npy_exits_two(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"hamiltonian": NILPOTENT_JSON, "tasks": ["symmetries"]})
-        out = tmp_path / "out"
-        (out / "symmetries.npy").mkdir(parents=True)
-        assert main(["run", "--config", str(cfg), "--out-dir", str(out)]) == 2
-        assert "cannot write symmetries.npy" in capsys.readouterr().err
-        assert not (out / "report.json").exists()
+        for name in ("symmetries.npy", "hamiltonian.npy"):
+            out = tmp_path / name
+            (out / name).mkdir(parents=True)
+            assert main(["run", "--config", str(cfg), "--out-dir", str(out)]) == 2
+            assert f"cannot write {name}" in capsys.readouterr().err
+            assert not (out / "report.json").exists()
 
     def test_non_finite_report_exits_three_without_writing_it(self, tmp_path, capsys):
         # finite input whose symmetry residuals overflow to inf
