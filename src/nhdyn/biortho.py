@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BiorthogonalityError, DegenerateSpectrumError
-from .linalg import Spectrum, as_square_matrix, eig_general
+from .linalg import Spectrum, as_square_matrix, check_tolerance, eig_general
 
 DEFAULT_TOL_DISTINCT = 1e-8
 DEFAULT_TOL_BIORTHO = 1e-10
@@ -68,6 +68,7 @@ def build_biorthogonal(h, tol_distinct: float = DEFAULT_TOL_DISTINCT) -> Biortho
     beyond ``DEFAULT_TOL_BIORTHO`` (or by a non-finite amount), which
     happens only for severely ill-conditioned eigenbases.
     """
+    check_tolerance(tol_distinct, "tol_distinct")
     decomp = h if isinstance(h, Spectrum) else eig_general(as_square_matrix(h, "hamiltonian"))
     n = decomp.matrix.shape[0]
     scale = max(decomp.norm, np.finfo(float).tiny)

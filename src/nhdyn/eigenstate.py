@@ -100,12 +100,12 @@ def weak_identity_report(
     ctx: EigenstateContext, t_grid, rng=None, tol_trunc: float = DEFAULT_TOL_TRUNC
 ) -> WeakIdentityReport:
     """The weak identities of ``ctx`` on the time grid ``t_grid``. While |Im lambda| max|t|
-    <= ``ORBIT_RANGE`` over the spectrum, the identity mean is read off phi's H-orbit, whose
-    exponentials the ``expm`` memo shares with other trajectories of H on this grid, as
-    |exp(-i H_k0 t) phi|^2 = e^{-2 Im E t} |exp(-iHt) phi|^2; beyond it phi's H_k0-orbit is
-    stepped. ``rng`` draws X, Y, then the three probes; ``gamma_t`` conjugates one matrix per
-    call, and its calls at one time share their exponential through the ``expm`` memo.
-    ``tol_trunc`` bounds the tail of each ``gamma_series``."""
+    <= ``ORBIT_RANGE`` over the spectrum, the identity mean is read off phi's H-orbit,
+    anchored on ``ctx.spectrum`` and stepped with the U the ``expm`` memo shares with other
+    trajectories of H on this grid, as |exp(-i H_k0 t) phi|^2 = e^{-2 Im E t} |exp(-iHt) phi|^2;
+    beyond it phi's H_k0-orbit is stepped on ``expm`` anchors. ``rng`` draws X, Y, then the
+    three probes; ``gamma_t`` conjugates one matrix per call, and its calls at one time share
+    their exponential through the ``expm`` memo. ``tol_trunc`` bounds each series' tail."""
     shifted = ctx.shifted
     n = shifted.dim
     phi = ctx.phi_k0
@@ -113,7 +113,7 @@ def weak_identity_report(
     # <phi, g_t(1) phi> = |exp(-i H_k0 t) phi|^2; an empty grid raises in exact_trajectory
     reach = np.max(np.abs(ctx.spectrum.eigenvalues.imag)) * np.max(np.abs(t), initial=0.0)
     if reach <= ORBIT_RANGE:
-        orbit = exact_trajectory(ctx.spectrum.matrix, phi, t)
+        orbit = exact_trajectory(ctx.spectrum, phi, t)
         scale = np.exp(-2 * ctx.e_value.imag * orbit.t_grid)
     else:
         orbit, scale = exact_trajectory(shifted.h, phi, t), 1.0

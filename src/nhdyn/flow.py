@@ -36,13 +36,15 @@ from .ensembles import random_unit_vector
 from .errors import CertificationError, ConfigError, InstabilityError, NumericRangeError
 from .gamma import delta_gamma, gamma_context
 from .linalg import (
-    as_complex_matrix, as_square_matrix, as_state_vector, expm, mean_values, op_norm
+    Spectrum, as_complex_matrix, as_square_matrix, as_state_vector, check_tolerance, expm,
+    mean_values, op_norm,
 )
 
 DEFAULT_TOL_CLASS = 1e-8
 UNIT_NORM_TOL = 1e-10
 ANCHOR = 25  # grid points per stepped segment of exact_trajectory
 STEP_TOL = 1e-12  # relative anchor gap per unit of anchor cond that forces a recompute
+EIG_COND_MAX = 1e4  # largest cond(V) at which exact_trajectory takes its anchors from V
 
 
 @dataclass(frozen=True)
@@ -51,8 +53,8 @@ class StateTrajectory:
 
     ``psi`` and ``psi_hat`` have one state per row; ``norm_sq[j]`` equals
     ``|psi[j]|^2`` and ``psi_hat[j] = psi[j] / |psi[j]|`` to 1e-12.
-    ``anchor_gap`` and ``fallback_segments`` record the path
-    ``exact_trajectory`` took (both 0 where it did not step).
+    ``anchor_gap``, ``fallback_segments`` and ``anchor_route`` (``"eig"`` or ``"expm"``)
+    record the path ``exact_trajectory`` took (0, 0, ``"expm"`` where it did not step).
     """
 
     t_grid: np.ndarray
@@ -61,6 +63,7 @@ class StateTrajectory:
     norm_sq: np.ndarray
     anchor_gap: float = 0.0
     fallback_segments: int = 0
+    anchor_route: str = "expm"
 
 
 def _unit_vector(v, dim: int | None, tol: float, name: str) -> np.ndarray:
@@ -77,13 +80,13 @@ def _check_count(value, name: str) -> None:
         raise ConfigError(f"{name} must be an integer >= 1")
 
 
-def _trajectory_from_states(t, states, gap=0.0, fallbacks=0) -> StateTrajectory:
+def _trajectory_from_states(t, states, gap=0.0, fallbacks=0, route="expm") -> StateTrajectory:
     norms = np.linalg.norm(states, axis=1)  # unscaled: inf from |psi| ~ 1e154 on
     if not np.isfinite(norms).all():
         raise NumericRangeError("state norm is non-finite along the trajectory")
     if np.any(norms == 0.0):
         raise InstabilityError("state norm vanished along the trajectory")
-    return StateTrajectory(t, states, states / norms[:, None], norms**2, gap, fallbacks)
+    return StateTrajectory(t, states, states / norms[:, None], norms**2, gap, fallbacks, route)
 
 
 def _uniform_step(t: np.ndarray) -> float | None:
@@ -96,15 +99,16 @@ def _uniform_step(t: np.ndarray) -> float | None:
 def exact_trajectory(h, psi0, t_grid) -> StateTrajectory:
     """Propagate a normalized state: ``psi[j] = expm(-i H t_j) psi0``.
 
-    A uniform grid is stepped with one U = expm(-i H dt) between anchors
-    (every ``ANCHOR``-th and the last point) that take a fresh U_j = expm(-i H t_j).
-    Guard: the state stepped into an anchor must match U_j psi0 within
-    ``STEP_TOL * cond`` relative, cond = max(1, |U_j|_F / sqrt(N)) / |U_j psi0| (the
-    anchor's own roundoff), else that segment is redone point by point, as is a
-    non-uniform grid. Calls on one H and one grid share their exponentials through
-    the ``expm`` memo.
+    A uniform grid is stepped with one U = expm(-i H dt) between anchors, every ``ANCHOR``-th
+    and the last point: V (e^{-i lam t_j} V^-1 psi0) at O(N^2) given H's ``Spectrum``
+    V diag(lam) V^-1 with cond(V) <= ``EIG_COND_MAX`` (route "eig"; at N = 64 the eigensolve
+    costs four to five ``expm`` anchors), else expm(-i H t_j) psi0 (route "expm"), which calls
+    on one H and grid share through the ``expm`` memo. A stepped state off its anchor by more
+    than ``STEP_TOL * max(1, scale)``, scale = cond(V) max|e^{-i lam t_j}| or |U_j|_F / sqrt(N)
+    (the anchor's roundoff), has its segment and anchor redone by ``expm``, so a bad V cannot
+    certify itself; the first point (t = 0 gives psi0) and a non-uniform grid take ``expm``.
     """
-    hm = as_square_matrix(h, "hamiltonian")
+    hm = as_square_matrix(h.matrix if isinstance(h, Spectrum) else h, "hamiltonian")
     n = hm.shape[0]
     v0 = _unit_vector(psi0, n, 1e-12, "psi0")
     t = np.asarray(t_grid, dtype=float).reshape(-1)
@@ -113,27 +117,34 @@ def exact_trajectory(h, psi0, t_grid) -> StateTrajectory:
     dt = _uniform_step(t)
     # below three points every point is an anchor and there is nothing to step
     step = None if dt is None or t.size < 3 else expm(-1j * hm * dt)
+    eig = step is not None and isinstance(h, Spectrum) and h.condition_estimate <= EIG_COND_MAX
+    c = np.linalg.solve(h.right_vectors, v0) if eig else None
     states = np.empty((t.size, n), dtype=complex)
     worst, fallbacks, start = 0.0, 0, 0
-    for j, tj in enumerate(t):
-        stepped = step is not None and j > 0
-        if stepped:
-            step.dot(states[j - 1], out=states[j])
-            if j % ANCHOR and j < t.size - 1:
-                continue
-        u = expm(-1j * hm * tj)
-        fresh = u @ v0
-        if stepped:
-            miss = np.linalg.norm(states[j] - fresh)
-            worst = max(worst, float(miss / np.linalg.norm(fresh)))
-            # gap <= STEP_TOL * cond, both sides times |U_j psi0|
-            if not miss <= STEP_TOL * max(1.0, np.linalg.norm(u) / np.sqrt(n)):
-                fallbacks += 1
-                for i in range(start + 1, j):
-                    states[i] = expm(-1j * hm * t[i]) @ v0
-        states[j] = fresh
-        start = j
-    return _trajectory_from_states(t, states, worst, fallbacks)
+    with np.errstate(over="ignore", invalid="ignore"):  # a V anchor past range fails the guard
+        for j, tj in enumerate(t):
+            stepped = step is not None and j > 0
+            if stepped:
+                step.dot(states[j - 1], out=states[j])
+                if j % ANCHOR and j < t.size - 1:
+                    continue
+            if eig and stepped:
+                e = np.exp(-1j * h.eigenvalues * tj)
+                fresh, scale = h.right_vectors @ (e * c), h.condition_estimate * np.abs(e).max()
+            else:
+                fresh, scale = (u := expm(-1j * hm * tj)) @ v0, np.linalg.norm(u) / np.sqrt(n)
+            if stepped:
+                miss = np.linalg.norm(states[j] - fresh)
+                worst = max(worst, float(miss / np.linalg.norm(fresh)))
+                # gap <= STEP_TOL * cond, both sides times |anchor|; an infinite scale fails
+                if not miss <= STEP_TOL * max(1.0, scale) < np.inf:
+                    fallbacks += 1
+                    fresh = expm(-1j * hm * tj) @ v0
+                    for i in range(start + 1, j):
+                        states[i] = expm(-1j * hm * t[i]) @ v0
+            states[j] = fresh
+            start = j
+    return _trajectory_from_states(t, states, worst, fallbacks, "eig" if eig else "expm")
 
 
 def nonhermiticity_scalar(h, psi_hat) -> complex:
@@ -322,6 +333,7 @@ def _classify_rows(h, x, psi_hat, tol_class: float, name: str) -> Classification
     a_t = Im <psi_hat, (H^† - H) psi_hat>; |D + a X|_2 is convex in a, so its
     maximum over the rows sits at the extreme a_t: two SVDs, not one per row.
     """
+    check_tolerance(tol_class, "tol_class")
     xm, dg, _, s, weak = _weak_residual(h, x, psi_hat)
     gamma_res = op_norm(dg)
     strong = max(op_norm(dg + a * xm) for a in (s.imag.min(), s.imag.max()))

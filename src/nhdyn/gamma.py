@@ -35,6 +35,7 @@ from .linalg import (
     DEFAULT_RANK_TOL,
     as_square_matrix,
     as_state_vector,
+    check_tolerance,
     expm,
     frob,
     mean_values,
@@ -104,8 +105,7 @@ def gamma_series(
     of X from two ``ndarray.dot`` products into buffers allocated once, with unchanged bits.
     """
     xm = as_square_matrix(x, "observable", ctx.dim)
-    if tol_trunc <= 0:
-        raise ConfigError("tol_trunc must be positive")
+    check_tolerance(tol_trunc, "tol_trunc")
     rate = ctx.delta_bound * abs(t)
     if not rate < MAX_SERIES_TERMS:  # a NaN rate raises too
         raise TruncationError(f"series rate {rate:.3e} keeps q >= 1 up to the term cap")

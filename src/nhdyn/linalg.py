@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +29,16 @@ from .errors import (
 DEFAULT_RANK_TOL = 1e-10
 DEFAULT_EIG_TOL = 1e-10
 MAX_DIM = 64  # the desk scale: the largest scenario H and the largest memoized expm
+
+
+def check_tolerance(value, name: str, below_one: bool = False) -> float:
+    """A finite non-bool real > 0 (and < 1 if ``below_one``) as a float, else ``ConfigError``."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if not (real and 0 < value <= sys.float_info.max):  # NaN and ints past the range fail
+        raise ConfigError(f"{name} must be a finite positive number")
+    if below_one and not value < 1:
+        raise ConfigError(f"{name} must be below 1")
+    return float(value)
 
 
 def as_complex_matrix(a, name: str = "matrix", cols: int | None = None) -> np.ndarray:
@@ -296,8 +308,7 @@ def nullspace(l, rank_tol_rel: float = DEFAULT_RANK_TOL) -> np.ndarray:
     matrix with zero columns.
     """
     m = as_complex_matrix(l, "nullspace argument")
-    if not 0.0 < rank_tol_rel < 1.0:
-        raise ConfigError(f"rank_tol_rel must lie in (0, 1), got {rank_tol_rel}")
+    check_tolerance(rank_tol_rel, "rank_tol_rel", below_one=True)
     cols = m.shape[1]
     _, sigma, vh = np.linalg.svd(m, full_matrices=True)
     # pad so every right singular vector has a singular value (0 beyond rank)

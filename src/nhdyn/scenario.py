@@ -46,7 +46,7 @@ import numpy as np
 from . import fermions, flow
 from .biortho import DEFAULT_TOL_DISTINCT, build_biorthogonal, verify_intertwining
 from .eigenstate import eigenstate_context, weak_identity_report
-from .errors import ConfigError, NumericalError, NumericRangeError
+from .errors import ConfigError, EigensolverError, NumericalError, NumericRangeError
 from .gamma import (
     DEFAULT_TOL_TRUNC,
     gamma_context,
@@ -54,7 +54,8 @@ from .gamma import (
     similar_norm_preserving,
 )
 from .linalg import (
-    DEFAULT_RANK_TOL, MAX_DIM, Spectrum, as_square_matrix, eig_general, frob, mean_values
+    DEFAULT_RANK_TOL, MAX_DIM, Spectrum, as_square_matrix, check_tolerance, eig_general, frob,
+    mean_values,
 )
 
 DEFAULT_TOLERANCES = {
@@ -165,8 +166,11 @@ class ScenarioConfig:
 
     @cached_property
     def trajectory(self) -> flow.StateTrajectory:
-        """The initial state evolved over ``t_grid`` once; tasks share it read-only."""
-        return flow.exact_trajectory(self.hamiltonian, self.initial_state, self.t_grid)
+        """The initial state evolved once and shared read-only, anchored on ``spectrum``."""
+        try:
+            return flow.exact_trajectory(self.spectrum, self.initial_state, self.t_grid)
+        except EigensolverError:  # raised by eig_general only: take the expm anchors
+            return flow.exact_trajectory(self.hamiltonian, self.initial_state, self.t_grid)
 
     @cached_property
     def spectrum(self) -> Spectrum:
@@ -250,11 +254,7 @@ def _validate_time(raw, echo: dict) -> np.ndarray:
 def _validate_tolerances(raw, echo: dict) -> dict[str, float]:
     merged = _fields(raw, "tolerances", DEFAULT_TOLERANCES)
     for key, value in merged.items():
-        if not _is_finite_number(value) or value <= 0:
-            raise _fail(f"tolerances.{key}", "must be a finite positive number")
-    if merged["rank_tol_rel"] >= 1:
-        raise _fail("tolerances.rank_tol_rel", "must be below 1")
-    merged = {k: float(v) for k, v in merged.items()}
+        merged[key] = check_tolerance(value, f"tolerances.{key}", key == "rank_tol_rel")
     echo["tolerances"] = dict(sorted(merged.items()))
     return merged
 
@@ -455,6 +455,7 @@ def _task_trajectory(cfg: ScenarioConfig, artifacts: dict, rng) -> dict:
         "norm_sq_final": float(traj.norm_sq[-1]),
         "norm_sq_max": float(traj.norm_sq.max()),
         "anchor_gap": traj.anchor_gap,
+        "anchor_route": traj.anchor_route,
         "fallback_segments": traj.fallback_segments,
     }
 

@@ -198,8 +198,9 @@ def test_growing_orbit_is_stepped_not_recomputed():
 
 def test_scenario_steps_the_eigenstate_orbit_with_the_trajectory(tmp_path):
     # the growing orbit above beside the trajectory task: phi_k0's H-orbit and the
-    # initial state's trajectory share the step and the 9 anchors through the expm
-    # memo (22 exponentials without it), then one exponential per gamma_t time
+    # initial state's trajectory take their anchors from the scenario's eigenvectors
+    # past t = 0 and share the step and expm(0) through the expm memo (1 + 9 each
+    # by expm alone), then one exponential per gamma_t time
     rng = np.random.default_rng(0)
     h = random_hamiltonian(16, rng, "complex_spectrum", basis_stretch=10.0)
     doc = {
@@ -209,8 +210,9 @@ def test_scenario_steps_the_eigenstate_orbit_with_the_trajectory(tmp_path):
         "eigenstate_k0": int(np.argmin(eig_general(h).eigenvalues.imag)),
     }
     report = run(parse_config(doc), tmp_path)
-    assert _expm_exact.cache_info().misses == 1 + 9 + 2
+    assert _expm_exact.cache_info().misses == 1 + 1 + 2
     assert report.tasks["trajectory"]["fallback_segments"] == 0
+    assert report.tasks["trajectory"]["anchor_route"] == "eig"
     # the grid route reads 1.7e-8 here: the orbit's roundoff grows like e^{Im(E_j - E) t}
     assert report.tasks["eigenstate_case"]["identity_mean_residual"] <= 1e-7
 

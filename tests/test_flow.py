@@ -35,8 +35,8 @@ from nhdyn import (
     op_norm,
 )
 from nhdyn.ensembles import random_hamiltonian, random_matrix, random_unit_vector
-from nhdyn.flow import ANCHOR, STEP_TOL, _rk4_weights
-from nhdyn.linalg import _expm_exact, as_square_matrix, as_state_vector, expm
+from nhdyn.flow import ANCHOR, EIG_COND_MAX, STEP_TOL, _rk4_weights
+from nhdyn.linalg import _expm_exact, as_square_matrix, as_state_vector, eig_general, expm
 
 from oracles import (
     classify_per_point,
@@ -168,6 +168,88 @@ class TestExactTrajectory:
         exact = linear_propagator_states(dm_unit.h, psi0, t)
         gap = np.linalg.norm(traj.psi - exact, axis=1) / np.linalg.norm(exact, axis=1)
         assert gap.max() <= 1e-13
+
+
+class TestEigenAnchors:
+    """A ``Spectrum`` with cond(V) <= ``EIG_COND_MAX`` anchors a stepped trajectory at
+    V (e^{-i lam t} * V^-1 psi0); anything else takes today's ``expm`` anchors."""
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 16),
+        kind=st.sampled_from(["hermitian", "real_spectrum", "complex_spectrum"]),
+        stretch=st.sampled_from([1.0, 10.0, 1e2, 1e3]),
+        t_end=st.floats(0.5, 20.0),
+        points=st.integers(3, 120),
+        uniform=st.booleans(),
+    )
+    def test_eigenvector_anchors_match_the_expm_anchors(
+        self, seed, n, kind, stretch, t_end, points, uniform
+    ):
+        rng = np.random.default_rng(seed)
+        h = random_hamiltonian(n, rng, kind=kind, basis_stretch=stretch)
+        psi0 = random_unit_vector(n, rng)
+        t = np.linspace(0.0, t_end, points) ** (1 if uniform else 2)
+        spec = eig_general(h)
+        by_eig, by_expm = exact_trajectory(spec, psi0, t), exact_trajectory(h, psi0, t)
+        eig = uniform and spec.condition_estimate <= EIG_COND_MAX
+        assert by_eig.anchor_route == ("eig" if eig else "expm")
+        assert by_expm.anchor_route == "expm"
+        if not eig:  # a non-uniform grid or an ill-conditioned V: today's route, bit for bit
+            assert by_eig.psi.tobytes() == by_expm.psi.tobytes()
+            return
+        # relative bound: both routes' roundoff grows with |H| t_j, the eigenvector route's
+        # also with cond(V), so the rows agree within 1e-13 cond(V) max(1, |H|_2 t_j) (1,500
+        # draws of this strategy peaked at 3.5e-15; at stretch 1e3 the expm anchors are
+        # the farther from an mpmath reference)
+        bound = 1e-13 * spec.condition_estimate * np.maximum(1.0, spec.norm * t)
+        assert np.all(relative_gap(by_eig.psi, by_expm.psi) <= bound)
+        assert by_eig.psi[0].tobytes() == by_expm.psi[0].tobytes()  # the first point is expm's
+
+    @pytest.mark.parametrize("which", ["fermion_dm", "jordan"])
+    def test_defective_input_takes_the_expm_route_bit_for_bit(self, which, dm_unit):
+        if which == "fermion_dm":
+            h, psi0 = dm_unit.h, dm_unit.algebra.basis_state("011")
+        else:  # a 4 x 4 Jordan block
+            h = (0.5 - 0.2j) * np.eye(4) + np.eye(4, k=1)
+            psi0 = np.full(4, 0.5, dtype=complex)
+        spec = eig_general(h)
+        assert spec.condition_estimate > EIG_COND_MAX
+        t = np.linspace(0, 10, 201)
+        by_spec, by_matrix = exact_trajectory(spec, psi0, t), exact_trajectory(h, psi0, t)
+        assert by_spec.psi.tobytes() == by_matrix.psi.tobytes()
+        assert (by_spec.anchor_gap, by_spec.fallback_segments, by_spec.anchor_route) == (
+            by_matrix.anchor_gap, by_matrix.fallback_segments, "expm"
+        )
+
+    def test_perturbed_eigenvectors_trip_the_guard(self):
+        # V off by 1e-6: every V anchor misses the stepped state, so every segment and
+        # its anchor are redone with expm, and the result is the per-point expm route
+        rng = np.random.default_rng(8)
+        h = random_hamiltonian(12, rng, kind="complex_spectrum")
+        psi0 = random_unit_vector(12, rng)
+        spec = eig_general(h)
+        noise = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
+        bad = dataclasses.replace(spec, right_vectors=spec.right_vectors + 1e-6 * noise)
+        t = np.linspace(0, 10, 201)
+        traj, by_matrix = exact_trajectory(bad, psi0, t), exact_trajectory(h, psi0, t)
+        assert traj.anchor_route == "eig"
+        assert traj.fallback_segments == 8
+        assert traj.anchor_gap > 1e-8
+        assert np.array_equal(traj.psi, fresh_exponentials(h, psi0, t))
+        anchors = [*range(0, t.size, ANCHOR), t.size - 1]
+        assert np.array_equal(traj.psi[anchors], by_matrix.psi[anchors])
+        assert relative_gap(traj.psi, by_matrix.psi).max() <= 1e-13
+
+    def test_a_v_anchor_past_the_float_range_falls_back_to_expm(self):
+        # e^{-i lam t} overflows for lam = 800i at t = 1, so the V anchor is not finite:
+        # the guard fails, and expm reports the overflow as the matrix route does
+        spec = eig_general(np.diag([800j, 1.0]))
+        t = np.linspace(0, 1, 51)
+        for h in (spec, spec.matrix):
+            with pytest.raises(NumericRangeError, match="expm overflowed"):
+                exact_trajectory(h, np.array([0.6, 0.8]), t)
 
 
 class TestNonlinearHamiltonian:

@@ -18,16 +18,21 @@ from nhdyn import (
     NumericRangeError,
     build_biorthogonal,
     build_dm_model,
+    classify,
+    classify_ensemble,
     eig_general,
     eigenstate_context,
     exact_trajectory,
     expm,
+    gamma_context,
+    gamma_series,
     nullspace,
     op_norm,
+    weak_identity_report,
 )
 from nhdyn.ensembles import random_hamiltonian, random_unit_vector
 from nhdyn.errors import ConfigError
-from nhdyn.linalg import MAX_DIM, _expm_exact, schur
+from nhdyn.linalg import MAX_DIM, _expm_exact, check_tolerance, schur
 
 
 def _norm1(a: np.ndarray) -> float:
@@ -342,6 +347,60 @@ class TestNullspace:
     def test_rank_tol_must_be_in_range(self):
         with pytest.raises(ConfigError):
             nullspace(np.eye(2), rank_tol_rel=1.5)
+
+
+UPPER = np.array([[1.0, 2.0], [0.0, 3.0]])
+
+
+def _tolerance_calls():
+    """Each public call that takes a tolerance: its id -> (parameter, call of the value)."""
+    ctx = gamma_context(UPPER)
+    traj = exact_trajectory(UPPER, np.array([0.6, 0.8]), np.linspace(0.0, 1.0, 5))
+    rng = np.random.default_rng(0)
+    return {
+        "gamma_series": ("tol_trunc", lambda tol: gamma_series(ctx, np.eye(2), 1.0, tol)),
+        "weak_identity_report": (
+            "tol_trunc",
+            lambda tol: weak_identity_report(eigenstate_context(UPPER), [0.0, 1.0], rng, tol),
+        ),
+        "classify": ("tol_class", lambda tol: classify(UPPER, np.eye(2), traj, tol)),
+        "classify_ensemble": (
+            "tol_class",
+            lambda tol: classify_ensemble(UPPER, np.eye(2), [0.0, 1.0], 2, rng, tol),
+        ),
+        "build_biorthogonal": ("tol_distinct", lambda tol: build_biorthogonal(UPPER, tol)),
+        "nullspace": ("rank_tol_rel", lambda tol: nullspace(UPPER, tol)),
+    }
+
+
+TOLERANCE_CALLS = [
+    "build_biorthogonal", "classify", "classify_ensemble", "gamma_series", "nullspace",
+    "weak_identity_report",
+]
+
+
+class TestCheckTolerance:
+    # before one checker: inf and True cut gamma_series short (0.61 and 0.21 off
+    # gamma_t), NaN summed 178 terms, an infinite tol_class called everything
+    # conserved, and NaN or -1 skipped build_biorthogonal's collision check
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -1.0, True, "1"])
+    @pytest.mark.parametrize("call", TOLERANCE_CALLS)
+    def test_every_tolerance_rejects_what_is_not_a_finite_positive_real(self, call, bad):
+        name, run = _tolerance_calls()[call]
+        with pytest.raises(ConfigError, match=f"^{name} must be a finite positive number"):
+            run(bad)
+
+    @pytest.mark.parametrize("call", TOLERANCE_CALLS)
+    def test_every_tolerance_takes_a_numpy_float(self, call):
+        _tolerance_calls()[call][1](np.float64(1e-9))
+
+    def test_a_fraction_must_lie_below_one(self):
+        assert check_tolerance(1, "tol") == 1.0
+        assert check_tolerance(0.5, "tol", below_one=True) == 0.5
+        with pytest.raises(ConfigError, match="tol must be below 1"):
+            check_tolerance(1, "tol", below_one=True)
+        with pytest.raises(ConfigError, match="finite positive"):
+            check_tolerance(10**400, "tol")
 
 
 class TestSchur:

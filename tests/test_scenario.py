@@ -12,6 +12,7 @@ from oracles import csv_text_per_value
 
 import nhdyn.cli
 import nhdyn.eigenstate
+import nhdyn.errors
 import nhdyn.fermions
 import nhdyn.flow
 import nhdyn.gamma
@@ -530,13 +531,14 @@ class TestRunner:
 
     def test_eigenstate_case_forms_one_exponential_per_time(self, tmp_path):
         # the witness and the probes share t_end; the probes alone take 0.5. Beside
-        # them, phi_k0's H-orbit takes the step and 9 anchors of the default grid
+        # them, phi_k0's H-orbit takes the step and expm(0) of the default grid, and
+        # its other 8 anchors from the eigenvectors
         doc = {
             "hamiltonian": [[[1.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [0.5, 1.0]]],
             "tasks": ["eigenstate_case"],
         }
         run(parse_config(doc), tmp_path)
-        assert _expm_exact.cache_info().misses == 1 + 9 + 2
+        assert _expm_exact.cache_info().misses == 1 + 1 + 2
 
     @pytest.mark.parametrize("kind", ["hermitian", "real_spectrum", "complex_spectrum"])
     def test_eigenstate_section_does_not_depend_on_the_other_tasks(self, tmp_path, kind):
@@ -560,6 +562,50 @@ class TestRunner:
         section = run(parse_config(doc), tmp_path).tasks["trajectory"]
         assert 0.0 <= section["anchor_gap"] <= nhdyn.flow.STEP_TOL
         assert section["fallback_segments"] == 0
+        assert section["anchor_route"] == "expm"  # fermion_dm is defective
+
+    @pytest.mark.parametrize("kind", ["hermitian", "real_spectrum", "complex_spectrum"])
+    def test_trajectory_section_does_not_depend_on_the_other_tasks(self, tmp_path, kind):
+        # the trajectory takes its anchors from the config's eigensolve whether or not
+        # biortho and eigenstate_case ask for it
+        rng = np.random.default_rng(5)
+        h = random_hamiltonian(12, rng, kind=kind, basis_stretch=10.0)
+        doc = {
+            "hamiltonian": complex_to_json(h),
+            "initial_state": complex_to_json(random_unit_vector(12, rng)),
+            "observables": ["identity", "H"],
+        }
+        dirs = []
+        for tasks in (["trajectory"], ["biortho", "eigenstate_case", "trajectory"]):
+            dirs.append(tmp_path / str(len(tasks)))
+            report = run(parse_config(dict(doc, tasks=tasks)), dirs[-1])
+            assert report.tasks["trajectory"]["anchor_route"] == "eig"
+            _expm_exact.cache_clear()
+        a, b = (json.loads((d / "report.json").read_bytes())["tasks"] for d in dirs)
+        assert a["trajectory"] == b["trajectory"]
+        assert (dirs[0] / "trajectory.csv").read_bytes() == (dirs[1] / "trajectory.csv").read_bytes()
+
+    def test_failed_eigensolve_leaves_the_trajectory_on_expm_anchors(
+        self, tmp_path, monkeypatch
+    ):
+        def fail(_):
+            raise nhdyn.errors.EigensolverError("eigenpair residual too large")
+
+        monkeypatch.setattr(nhdyn.scenario, "eig_general", fail)
+        rng = np.random.default_rng(6)
+        h = random_hamiltonian(6, rng, kind="complex_spectrum")
+        psi0 = random_unit_vector(6, rng)
+        doc = {
+            "hamiltonian": complex_to_json(h),
+            "initial_state": complex_to_json(psi0),
+            "tasks": ["trajectory"],
+        }
+        cfg = write_config(tmp_path, doc)
+        assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_bytes())
+        assert report["tasks"]["trajectory"]["anchor_route"] == "expm"
+        traj = nhdyn.flow.exact_trajectory(h, psi0, np.linspace(0.0, 10.0, 201))
+        assert report["tasks"]["trajectory"]["norm_sq_final"] == float(traj.norm_sq[-1])
 
     def test_seed_override_changes_random_sections(self, tmp_path):
         doc = {
@@ -624,12 +670,14 @@ class TestCli:
         }
         cfg = write_config(tmp_path, doc)
         assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "a")]) == 0
-        # the trajectory's step and its two anchors, which phi_k0's H-orbit finds in the
-        # memo, then gamma_t at t_end and at 0.5. The shifted orbit stepped on the grid
-        # takes its own step and anchors, and gamma_t finds its last anchor and, where
-        # the step is dt = 0.5 (t_end = 5), its step as well
-        stepped = 6 if shared else 7
-        assert _expm_exact.cache_info().misses == (5 if shared else stepped)
+        # the trajectory's step and expm(0), its last anchor taken from the eigenvectors;
+        # phi_k0's H-orbit finds both in the memo and takes its last anchor from them too,
+        # then gamma_t at t_end and at 0.5. The shifted orbit stepped on the grid is a
+        # matrix: it takes its own step and both anchors by expm (-i H_k0 * 0 has other
+        # signed zeros than -i H * 0), and gamma_t finds its last anchor and, where the
+        # step is dt = 0.5 (t_end = 5), its step as well
+        stepped = 5 if shared else 6
+        assert _expm_exact.cache_info().misses == (4 if shared else stepped)
         monkeypatch.setattr(nhdyn.eigenstate, "ORBIT_RANGE", -np.inf)  # always step
         _expm_exact.cache_clear()
         assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "b")]) == 0
