@@ -35,7 +35,7 @@ import numpy as np
 from .errors import ConfigError
 from .flow import StateTrajectory, exact_trajectory
 from .gamma import delta_gamma, gamma_context
-from .linalg import as_complex_matrix, frob, mean_values
+from .linalg import as_complex_matrix, check_tolerance, frob, mean_values
 
 MAX_MODES = 10
 
@@ -125,10 +125,9 @@ class DmModel:
 def build_dm_model(lam: float, mu: float) -> DmModel:
     """Assemble H = b_1^† (lam b_2 + mu b_3) on the 8-dimensional space.
 
-    The couplings must be strictly positive.
+    Each coupling must be a finite non-bool real number > 0 and is kept as a float.
     """
-    if lam <= 0 or mu <= 0:
-        raise ConfigError(f"couplings must be positive, got lam={lam}, mu={mu}")
+    lam, mu = check_tolerance(lam, "lam"), check_tolerance(mu, "mu")
     algebra = build_car(3)
     b1, b2, b3 = algebra.lowering
     h = b1.conj().T @ (lam * b2 + mu * b3)

@@ -368,6 +368,7 @@ def classify_ensemble(
     """
     hm = as_square_matrix(h, "hamiltonian")
     _check_count(n_states, "n_states")
+    check_tolerance(tol_class, "tol_class")  # before the trajectories
     states = [random_unit_vector(hm.shape[0], rng) for _ in range(n_states)]
     rows = np.concatenate([exact_trajectory(hm, v, t_grid).psi_hat for v in states])
     return _classify_rows(hm, x, rows, tol_class, name)

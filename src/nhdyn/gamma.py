@@ -93,38 +93,78 @@ def delta_gamma(ctx: GammaContext, x) -> np.ndarray:
 def gamma_series(
     ctx: GammaContext, x, t: float, tol_trunc: float = DEFAULT_TOL_TRUNC
 ) -> tuple[np.ndarray, int]:
-    """Evaluate the exponential series sum_k t^k delta^k(X) / k!.
+    """Evaluate the exponential series sum_k t^k delta^k(X) / k!: the one-time case of
+    ``gamma_series_at``. Returns the partial sum and the number of terms summed."""
+    sums, counts = gamma_series_at(ctx, x, (t,), tol_trunc)
+    return sums[0], int(counts[0])
+
+
+def gamma_series_at(
+    ctx: GammaContext, x, times, tol_trunc: float = DEFAULT_TOL_TRUNC
+) -> tuple[np.ndarray, np.ndarray]:
+    """Evaluate the exponential series sum_k s^k delta^k(X) / k! at every time s in ``times``.
 
     |delta(Y)| <= ``ctx.delta_bound`` |Y| bounds the 2-norm of the tail after term T_k
-    by |T_k|_F q / (1 - q) once q = delta_bound |t| / (k + 1) < 1. The sum returns once
+    by |T_k|_F q / (1 - q) once q = delta_bound |s| / (k + 1) < 1. Each sum returns once
     that certificate is below ``tol_trunc``, tested from T_0 = X on, or at a term that is
     exactly zero (delta is linear, so every later term is zero; H^2 = 0 leaves three
     terms). ``TruncationError`` is raised before any work when q >= 1 up to
-    ``MAX_SERIES_TERMS`` terms, and after them if no term certified the rest. Returns
-    the partial sum and the number of terms summed. Each term is formed in place on a copy
-    of X from two ``ndarray.dot`` products into buffers allocated once, with unchanged bits.
+    ``MAX_SERIES_TERMS`` terms, and after them if no term certified the rest.
+
+    The terms are formed once, at the first time t of largest |t|: each in place on a
+    copy of X from two ``ndarray.dot`` products into buffers allocated once, so the sum at
+    t has the bits of a sum at t alone. Every other time s sums (s/t)^k T_k, and its
+    certificate reads |T_{k-1}(s)|_F as |s/t|^{k-1} |T_{k-1}|_F; it is never above t's, so
+    each sum at s has stopped by the time t's does. Returns the (len(times), N, N) stack of
+    partial sums and the number of terms each summed.
     """
     xm = as_square_matrix(x, "observable", ctx.dim)
     check_tolerance(tol_trunc, "tol_trunc")
-    rate = ctx.delta_bound * abs(t)
-    if not rate < MAX_SERIES_TERMS:  # a NaN rate raises too
-        raise TruncationError(f"series rate {rate:.3e} keeps q >= 1 up to the term cap")
+    times = tuple(times)
+    if not times:
+        raise ConfigError("times must hold at least one time")
+    rates = [ctx.delta_bound * abs(s) for s in times]
+    for rate in rates:
+        if not rate < MAX_SERIES_TERMS:  # a NaN rate raises too
+            raise TruncationError(f"series rate {rate:.3e} keeps q >= 1 up to the term cap")
+    top = max(range(len(times)), key=lambda i: abs(times[i]))
+    t, rate = times[top], rates[top]
 
     h, hd = ctx.h, ctx.h.conj().T
-    total, term = xm.copy(), xm.copy()
+    sums = np.repeat(xm[None], len(times), axis=0)
+    counts = np.zeros(len(times), dtype=int)
+    # every other time s: [index, s / t, (s / t)^(k-1), its rate]; t = 0 makes each s 0
+    scaled = [[i, s / t if t else 0.0, 1.0, rates[i]] for i, s in enumerate(times) if i != top]
+    total, term = sums[top], xm.copy()
     a, b = np.empty_like(term), np.empty_like(term)
     for k in range(1, MAX_SERIES_TERMS + 1):  # total = T_0 + ... + T_{k-1}
         q = rate / k  # |T_{k-1+j}| <= q^j |T_{k-1}|
+        if scaled:
+            size = np.linalg.norm(term)
+            for entry in list(scaled):
+                i, _, power, rate_s = entry
+                qs = rate_s / k
+                if qs < 1.0 and abs(power) * size * qs / (1.0 - qs) < tol_trunc:
+                    counts[i] = k
+                    scaled.remove(entry)
         if q < 1.0 and np.linalg.norm(term) * q / (1.0 - q) < tol_trunc:
-            return total, k
+            break
         hd.dot(term, out=a)
         term.dot(h, out=b)
         np.subtract(a, b, out=term)
         term *= 1j * t / k  # (t / k) delta_gamma(term)
         if not term.any():
-            return total, k
+            break
         total += term
-    raise TruncationError(f"series needs more than {MAX_SERIES_TERMS} terms at rate {rate:.3e}")
+        for entry in scaled:
+            entry[2] *= entry[1]
+            sums[entry[0]] += np.multiply(term, entry[2], out=a)
+    else:
+        raise TruncationError(
+            f"series needs more than {MAX_SERIES_TERMS} terms at rate {rate:.3e}"
+        )
+    counts[counts == 0] = k  # t's count, and that of each sum a zero term stopped
+    return sums, counts
 
 
 def identity_norm_evolution(ctx: GammaContext, psi0, t_grid) -> np.ndarray:

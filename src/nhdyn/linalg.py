@@ -32,7 +32,8 @@ MAX_DIM = 64  # the desk scale: the largest scenario H and the largest memoized 
 
 
 def check_tolerance(value, name: str, below_one: bool = False) -> float:
-    """A finite non-bool real > 0 (and < 1 if ``below_one``) as a float, else ``ConfigError``."""
+    """A finite non-bool real > 0 (and < 1 if ``below_one``) as a float, else ``ConfigError``:
+    the rule for every tolerance and for the fermion couplings."""
     real = isinstance(value, numbers.Real) and not isinstance(value, bool)
     if not (real and 0 < value <= sys.float_info.max):  # NaN and ints past the range fail
         raise ConfigError(f"{name} must be a finite positive number")

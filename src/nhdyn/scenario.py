@@ -184,12 +184,10 @@ def _validate_hamiltonian(raw, echo: dict):
 
     if isinstance(raw, dict) and set(raw) == {"fermion_dm"}:
         params = _fields(raw["fermion_dm"], "hamiltonian.fermion_dm", DEFAULT_COUPLINGS)
-        lam, mu = params["lambda"], params["mu"]
-        if not (
-            _is_finite_number(lam) and _is_finite_number(mu) and lam > 0 and mu > 0
-        ):
-            raise _fail("hamiltonian.fermion_dm", "lambda and mu must be finite and > 0")
-        model = fermions.build_dm_model(float(lam), float(mu))
+        try:
+            model = fermions.build_dm_model(params["lambda"], params["mu"])
+        except ConfigError as exc:
+            raise _fail("hamiltonian.fermion_dm", "lambda and mu must be finite and > 0") from exc
         h = model.h
         echo["hamiltonian"] = {"fermion_dm": {"lambda": model.lam, "mu": model.mu}}
     elif isinstance(raw, dict) and set(raw) == {"similar"}:

@@ -14,6 +14,7 @@ from nhdyn import (
     exact_trajectory,
     gamma_context,
     gamma_series,
+    gamma_series_at,
     gamma_t,
     mean_derivative,
     op_norm,
@@ -318,7 +319,7 @@ def _separate_draws(ctx, t_grid, rng, tol_trunc):
     return float(witness), float(worst)
 
 
-@pytest.mark.parametrize("t_end", [0.5, 10.0])
+@pytest.mark.parametrize("t_end", [0.25, 0.5, 10.0])
 @pytest.mark.parametrize("dim", [2, 5, 16])
 @pytest.mark.parametrize("kind", ["hermitian", "real_spectrum", "complex_spectrum"])
 def test_shared_stack_keeps_witness_and_series_gap(kind, dim, t_end):
@@ -331,3 +332,61 @@ def test_shared_stack_keeps_witness_and_series_gap(kind, dim, t_end):
     witness, gap = _separate_draws(ctx, t_grid, np.random.default_rng(5), 1e-12)
     assert report.automorphism_witness == witness
     assert report.series_vs_conjugation == gap
+
+
+class CountingMatrix(np.ndarray):
+    """Counts ``dot`` calls on H^†: ``gamma_series_at`` forms each term with one."""
+
+    products = 0
+
+    def dot(self, other, out=None):
+        CountingMatrix.products += 1
+        return np.asarray(self).dot(other, out=out)
+
+
+@pytest.mark.parametrize("t_end", [0.25, 0.5, 10.0])
+@pytest.mark.parametrize("kind", ["hermitian", "complex_spectrum"])
+def test_terms_are_formed_once_per_probe(monkeypatch, kind, t_end):
+    # each probe forms its terms at the larger of t_last and 0.5 alone, where the
+    # separate sums formed them at both times
+    h = random_hamiltonian(5, np.random.default_rng(8), kind=kind, scale=0.8)
+    ctx = eigenstate_context(h)
+    counting = nhdyn.eigenstate.GammaContext(ctx.shifted.h.view(CountingMatrix))
+    counted = replace(ctx, shifted=counting)
+    monkeypatch.setattr(CountingMatrix, "products", 0)
+    t_grid = np.linspace(0.0, t_end, 11)
+    report = weak_identity_report(counted, t_grid, np.random.default_rng(5))
+    assert report == weak_identity_report(ctx, t_grid, np.random.default_rng(5))
+
+    rng = np.random.default_rng(5)
+    n = ctx.shifted.dim
+    probes = [rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)) for _ in range(5)][2:]
+    times = dict.fromkeys((t_end, 0.5))
+    counts = {t: [gamma_series(ctx.shifted, p, t)[1] for p in probes] for t in times}
+    formed = sum(c - 1 for c in counts[max(t_end, 0.5)])
+    assert CountingMatrix.products == formed
+    assert formed < sum(c - 1 for cs in counts.values() for c in cs) or t_end == 0.5
+
+
+@pytest.mark.parametrize("t_end", [0.25, 0.5, 10.0])
+@pytest.mark.parametrize("kind", ["hermitian", "real_spectrum", "complex_spectrum"])
+def test_screened_gap_is_the_largest_two_norm(monkeypatch, kind, t_end):
+    # the reported gap is the largest 2-norm of all six differences bit for bit,
+    # though a difference whose Frobenius norm lies below the running maximum
+    # takes no SVD
+    h = random_hamiltonian(16, np.random.default_rng(16), kind=kind, scale=0.8)
+    ctx = eigenstate_context(h)
+    svds = []
+    monkeypatch.setattr(nhdyn.eigenstate, "op_norm", lambda a: svds.append(1) or op_norm(a))
+    report = weak_identity_report(ctx, np.linspace(0.0, t_end, 11), np.random.default_rng(5))
+
+    rng = np.random.default_rng(5)
+    probes = [rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16)) for _ in range(5)][2:]
+    times = (t_end, 0.5)
+    diffs = [
+        series - gamma_t(ctx.shifted, p, t)
+        for p in probes
+        for series, t in zip(gamma_series_at(ctx.shifted, p, times)[0], times)
+    ]
+    assert report.series_vs_conjugation == max(op_norm(d) for d in diffs)
+    assert len(svds) <= 3  # here no smaller time's difference takes an SVD

@@ -120,6 +120,19 @@ class TestModel:
         run = simulate_occupations(zero, "011", [0.0, 1.0])
         assert np.array_equal(run.total, [2.0, 2.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -1.0, True, "1"])
+    @pytest.mark.parametrize("which", ["lam", "mu"])
+    def test_couplings_must_be_finite_positive_reals(self, which, bad):
+        # NaN and inf couplings once built a non-finite H; True was taken as 1
+        couplings = {"lam": 1.0, "mu": 1.0, which: bad}
+        with pytest.raises(ConfigError, match=f"^{which} must be a finite positive number"):
+            build_dm_model(**couplings)
+
+    def test_couplings_are_kept_as_floats(self):
+        model = build_dm_model(2, np.float64(0.5))
+        assert (type(model.lam), type(model.mu)) == (float, float)
+        assert np.array_equal(model.h, build_dm_model(2.0, 0.5).h)
+
     def test_initial_states_are_not_eigenvectors(self):
         for lam, mu in ((0.5, 0.5), (1.0, 1.0), (3.0, 2.0)):
             model = build_dm_model(lam, mu)

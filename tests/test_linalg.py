@@ -390,6 +390,25 @@ class TestCheckTolerance:
         with pytest.raises(ConfigError, match=f"^{name} must be a finite positive number"):
             run(bad)
 
+    @pytest.mark.parametrize("bad", [np.nan, -1.0, True])
+    @pytest.mark.parametrize("call", ["classify_ensemble", "weak_identity_report"])
+    def test_a_bad_tolerance_raises_before_any_trajectory(self, monkeypatch, call, bad):
+        name, run = _tolerance_calls()[call]
+        trajectories = []
+        for module in (nhdyn.flow, nhdyn.eigenstate):
+            step = module.exact_trajectory
+            monkeypatch.setattr(
+                module, "exact_trajectory",
+                lambda *a, _step=step: trajectories.append(1) or _step(*a),
+            )
+        _expm_exact.cache_clear()
+        with pytest.raises(ConfigError, match=f"^{name} must be a finite positive number"):
+            run(bad)
+        assert trajectories == []
+        assert _expm_exact.cache_info().misses == 0
+        run(1e-9)  # the counters see the work of a good tolerance
+        assert trajectories and _expm_exact.cache_info().misses > 0
+
     @pytest.mark.parametrize("call", TOLERANCE_CALLS)
     def test_every_tolerance_takes_a_numpy_float(self, call):
         _tolerance_calls()[call][1](np.float64(1e-9))

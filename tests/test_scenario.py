@@ -226,6 +226,15 @@ class TestValidation:
         assert main(["validate", "--config", str(write_config(tmp_path, doc))]) == 2
         assert capsys.readouterr().err == f"nhdyn: config error: {message}\n"
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -1.0, True, "1"])
+    @pytest.mark.parametrize("key", ["lambda", "mu"])
+    def test_couplings_follow_the_model_rule(self, key, bad):
+        # build_dm_model owns the rule; the config keeps its own error text
+        doc = dict(MINIMAL_FERMION, hamiltonian={"fermion_dm": {key: bad}})
+        with pytest.raises(ConfigError) as raised:
+            parse_config(doc)
+        assert str(raised.value) == "hamiltonian.fermion_dm lambda and mu must be finite and > 0"
+
     def test_dimension_cap_from_environment(self, monkeypatch):
         # the cap is the fixed desk scale; no environment variable raises it
         monkeypatch.setenv("NHDYN_MAX_DIM", "100")
@@ -738,6 +747,36 @@ class TestCli:
             [sys.executable, "-m", "nhdyn.cli", command, "--config", str(cfg), *out],
             capture_output=True, text=True, env=env, timeout=120,
         )
+
+    def test_outputs_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        # at N = 64 OpenBLAS may split the products, eigensolves and SVDs over threads;
+        # every file a run writes must still be the same bytes
+        rng = np.random.default_rng(64)
+        h = random_hamiltonian(64, rng, kind="complex_spectrum", basis_stretch=2.0)
+        doc = {
+            "hamiltonian": complex_to_json(h),
+            "initial_state": complex_to_json(random_unit_vector(64, rng)),
+            "observables": ["identity", "H"],
+            "time": {"t_end": 10.0, "points": 51},
+            "tasks": ["trajectory", "classify", "biortho", "eigenstate_case"],
+        }
+        cfg = write_config(tmp_path, doc)
+        src = str(Path(nhdyn.__file__).resolve().parents[1])
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"out-{threads}"
+            env = dict(
+                os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads
+            )
+            argv = ["run", "--config", str(cfg), "--out-dir", str(out)]
+            done = subprocess.run(
+                [sys.executable, "-m", "nhdyn.cli", *argv],
+                capture_output=True, text=True, env=env, timeout=120,
+            )
+            assert done.returncode == 0, done.stderr
+            outputs.append({path.name: path.read_bytes() for path in sorted(out.iterdir())})
+        assert set(outputs[0]) == {"report.json", "trajectory.csv", "hamiltonian.npy"}
+        assert outputs[0] == outputs[1]
 
     def test_complex_spectrum_run_leaves_stderr_empty(self, tmp_path):
         # the report records the complex spectrum; the process writes
