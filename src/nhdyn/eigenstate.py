@@ -18,12 +18,10 @@ route through the biorthogonal machinery.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
 from .flow import exact_trajectory
 from .gamma import (
     DEFAULT_TOL_TRUNC,
@@ -33,7 +31,9 @@ from .gamma import (
     gamma_series_at,
     gamma_t,
 )
-from .linalg import Spectrum, as_square_matrix, check_tolerance, eig_general, frob, op_norm
+from .linalg import (
+    Spectrum, as_square_matrix, check_integer, check_tolerance, eig_general, frob, op_norm,
+)
 
 ORBIT_RANGE = 300.0  # bound on |Im lambda| max|t| that keeps exp(+-2 Im lambda t) in float range
 
@@ -56,17 +56,15 @@ def eigenstate_context(h, k0: int | None = None) -> EigenstateContext:
     """Select eigenpair ``k0`` of ``h`` (sorted by real, then imaginary part), a
     Hamiltonian or its ``Spectrum``, whose eigensolve is then reused.
 
-    With ``k0=None`` the eigenvalue of largest |imaginary part| is
-    chosen, the most instructive case; ties resolve to the lowest index.
+    ``k0`` is an integer in [0, N - 1]. With ``k0=None`` the eigenvalue of
+    largest |imaginary part| is chosen, the most instructive case; ties
+    resolve to the lowest index.
     """
     decomp = h if isinstance(h, Spectrum) else eig_general(as_square_matrix(h, "hamiltonian"))
     n = decomp.matrix.shape[0]
     if k0 is None:
         k0 = int(np.argmax(np.abs(decomp.eigenvalues.imag)))
-    elif isinstance(k0, bool) or not isinstance(k0, numbers.Integral):
-        raise ConfigError("k0 must be an integer")
-    if not 0 <= k0 < n:
-        raise ConfigError(f"k0 must lie in [0, {n - 1}], got {k0}")
+    k0 = check_integer(k0, "k0", 0, n - 1)
     e = complex(decomp.eigenvalues[k0])
     shifted = gamma_context(decomp.matrix - e * np.eye(n, dtype=complex))
     return EigenstateContext(k0, e, decomp.right_vectors[:, k0], shifted, decomp)

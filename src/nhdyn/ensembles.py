@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError
+from .linalg import check_integer, check_tolerance
 
 
 def random_unit_vector(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -46,13 +47,16 @@ def random_hamiltonian(
 ) -> np.ndarray:
     """Random Hamiltonian of one of the three spectral regimes.
 
-    ``kind`` is one of ``hermitian``, ``real_spectrum`` (non-Hermitian
-    with distinct real eigenvalues) or ``complex_spectrum``.
+    ``dim`` is an integer >= 2. ``kind`` is one of ``hermitian``,
+    ``real_spectrum`` (non-Hermitian with distinct real eigenvalues) or
+    ``complex_spectrum``. ``scale`` bounds the eigenvalues' parts and
     ``basis_stretch`` sets the diagonal stretch of the eigenbasis, hence
-    roughly its condition number; it is ignored for ``hermitian``.
+    roughly its condition number (a stretch s < 1 spreads as 1/s does); it
+    is ignored for ``hermitian``. Both are finite numbers > 0 (``check_tolerance``).
     """
-    if dim < 2:
-        raise ConfigError("dim must be >= 2")
+    dim = check_integer(dim, "dim", 2)
+    scale = check_tolerance(scale, "scale")
+    basis_stretch = check_tolerance(basis_stretch, "basis_stretch")
     if kind == "hermitian":
         values = _distinct_reals(dim, rng, scale)
         u = haar_unitary(dim, rng)
@@ -67,6 +71,7 @@ def random_hamiltonian(
     else:
         raise ConfigError(f"unknown Hamiltonian kind {kind!r}")
 
-    stretch = np.exp(rng.uniform(0.0, np.log(basis_stretch), size=dim))
+    # log s * U rather than uniform(0, log s), which refuses s < 1; same bits for s >= 1
+    stretch = np.exp(np.log(basis_stretch) * rng.uniform(0.0, 1.0, size=dim))
     v = haar_unitary(dim, rng) @ np.diag(stretch) @ haar_unitary(dim, rng)
     return v @ np.diag(values) @ np.linalg.inv(v)

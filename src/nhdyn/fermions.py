@@ -35,7 +35,7 @@ import numpy as np
 from .errors import ConfigError
 from .flow import StateTrajectory, exact_trajectory
 from .gamma import delta_gamma, gamma_context
-from .linalg import as_complex_matrix, check_tolerance, frob, mean_values
+from .linalg import as_complex_matrix, check_integer, check_tolerance, frob, mean_values
 
 MAX_MODES = 10
 
@@ -63,6 +63,8 @@ class CarAlgebra:
 
 
 def parse_occupation_label(label, n_modes: int) -> tuple[int, ...]:
+    """A string of ``n_modes`` characters 0/1, or a list or tuple of ``n_modes`` bits,
+    each an integer in [0, 1] (``check_integer``), as a tuple of ints."""
     if isinstance(label, str):
         bits = label.strip()
         if len(bits) != n_modes or any(c not in "01" for c in bits):
@@ -71,16 +73,15 @@ def parse_occupation_label(label, n_modes: int) -> tuple[int, ...]:
                 f"got {label!r}"
             )
         return tuple(int(c) for c in bits)
-    occ = tuple(int(b) for b in label)
-    if len(occ) != n_modes or any(b not in (0, 1) for b in occ):
-        raise ConfigError(f"occupation label {label!r} is not valid")
-    return occ
+    if not isinstance(label, (list, tuple)) or len(label) != n_modes:
+        raise ConfigError(f"occupation label must be a string or {n_modes} bits, got {label!r}")
+    return tuple(check_integer(b, "occupation label bit", 0, 1) for b in label)
 
 
 def build_car(n_modes: int) -> CarAlgebra:
-    """Construct the mode matrices with the standard sign-string convention."""
-    if not 1 <= n_modes <= MAX_MODES:
-        raise ConfigError(f"n_modes must lie in [1, {MAX_MODES}], got {n_modes}")
+    """Construct the mode matrices with the standard sign-string convention;
+    ``n_modes`` is an integer in [1, MAX_MODES]."""
+    n_modes = check_integer(n_modes, "n_modes", 1, MAX_MODES)
     sz = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
     low = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
     eye2 = np.eye(2, dtype=complex)

@@ -25,7 +25,6 @@ integral but an operator-level integral only for Hermitian H.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import NamedTuple
@@ -36,8 +35,8 @@ from .ensembles import random_unit_vector
 from .errors import CertificationError, ConfigError, InstabilityError, NumericRangeError
 from .gamma import delta_gamma, gamma_context
 from .linalg import (
-    Spectrum, as_complex_matrix, as_square_matrix, as_state_vector, check_tolerance, expm,
-    mean_values, op_norm,
+    Spectrum, as_complex_matrix, as_square_matrix, as_state_vector, check_integer,
+    check_tolerance, expm, mean_values, op_norm,
 )
 
 DEFAULT_TOL_CLASS = 1e-8
@@ -72,12 +71,6 @@ def _unit_vector(v, dim: int | None, tol: float, name: str) -> np.ndarray:
     if abs(nrm - 1.0) > tol:
         raise ConfigError(f"{name} must be normalized, |{name}| = {nrm:.12g}")
     return w
-
-
-def _check_count(value, name: str) -> None:
-    """An integer >= 1; bool is an ``Integral`` but not a count."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-        raise ConfigError(f"{name} must be an integer >= 1")
 
 
 def _trajectory_from_states(t, states, gap=0.0, fallbacks=0, route="expm") -> StateTrajectory:
@@ -202,9 +195,10 @@ def integrate_nonlinear(
 ) -> tuple[StateTrajectory, float]:
     """Integrate the nonlinear equation with the classical 4th-order stepper.
 
-    The nonlinear scalar is re-evaluated at every stage. The normalized
-    state is never re-normalized mid-run, so norm drift stays visible as
-    an integrator diagnostic. Each substep takes one product of the
+    Each step of the uniform grid splits into ``substeps`` RK4 steps, an
+    integer >= 1. The nonlinear scalar is re-evaluated at every stage.
+    The normalized state is never re-normalized mid-run, so norm drift
+    stays visible as an integrator diagnostic. Each substep takes one product of the
     precomputed stack [M, ..., M^4, b, bM, bM^2, bM^3] (M = -i dt H, b as
     in ``_rk4_weights``) with v and one 4x4 real Gram matrix; the stages
     are then scalar arithmetic on the coefficients of v, ..., M^4 v. All
@@ -222,7 +216,7 @@ def integrate_nonlinear(
     step = _uniform_step(t)
     if step is None:
         raise ConfigError("t_grid must be uniform")
-    _check_count(substeps, "substeps")
+    substeps = check_integer(substeps, "substeps", 1)
 
     n = hm.shape[0]
     dt = step / substeps
@@ -361,13 +355,14 @@ def classify_ensemble(
     """Worst-case classification over an ensemble of random initial states.
 
     Membership in the state-dependent classes is relative to a
-    trajectory; this re-tests over ``n_states`` Haar-like random unit
-    vectors, propagated one call each and classified as one set of rows.
+    trajectory; this re-tests over ``n_states`` (an integer >= 1) Haar-like
+    random unit vectors, propagated one call each and classified as one set
+    of rows.
     Each residual is a maximum over rows, so it is the worst state's (the
     strong one to roundoff, which decides it when a_t is roundoff itself).
     """
     hm = as_square_matrix(h, "hamiltonian")
-    _check_count(n_states, "n_states")
+    n_states = check_integer(n_states, "n_states", 1)
     check_tolerance(tol_class, "tol_class")  # before the trajectories
     states = [random_unit_vector(hm.shape[0], rng) for _ in range(n_states)]
     rows = np.concatenate([exact_trajectory(hm, v, t_grid).psi_hat for v in states])

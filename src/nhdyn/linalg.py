@@ -42,6 +42,16 @@ def check_tolerance(value, name: str, below_one: bool = False) -> float:
     return float(value)
 
 
+def check_integer(value, name: str, low: int, high: int | None = None) -> int:
+    """A non-bool ``Integral`` in [low, high] as a plain int, else ``ConfigError``: the
+    rule for every count, index, size and seed (numpy integers pass, floats do not)."""
+    integral = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    if not (integral and low <= value and (high is None or value <= high)):
+        bound = f">= {low}" if high is None else f"in [{low}, {high}]"
+        raise ConfigError(f"{name} must be an integer {bound}")
+    return int(value)
+
+
 def as_complex_matrix(a, name: str = "matrix", cols: int | None = None) -> np.ndarray:
     """Validate and promote ``a`` to a 2-D complex128 array.
 

@@ -54,8 +54,8 @@ from .gamma import (
     similar_norm_preserving,
 )
 from .linalg import (
-    DEFAULT_RANK_TOL, MAX_DIM, Spectrum, as_square_matrix, check_tolerance, eig_general, frob,
-    mean_values,
+    DEFAULT_RANK_TOL, MAX_DIM, Spectrum, as_square_matrix, check_integer, check_tolerance,
+    eig_general, frob, mean_values,
 )
 
 DEFAULT_TOLERANCES = {
@@ -235,12 +235,7 @@ def _validate_time(raw, echo: dict) -> np.ndarray:
     t_start, t_end, points = merged["t_start"], merged["t_end"], merged["points"]
     if not (_is_finite_number(t_start) and _is_finite_number(t_end)):
         raise _fail("time", "fields must be finite numbers")
-    if not isinstance(points, int) or isinstance(points, bool):
-        raise _fail("time.points", "must be an integer")
-    if points < 2:
-        raise _fail("time.points", "must be >= 2")
-    if points > MAX_POINTS:
-        raise _fail("time.points", f"must be <= {MAX_POINTS}")
+    points = check_integer(points, "time.points", 2, MAX_POINTS)
     if not t_end > t_start:
         raise _fail("time.t_end", "must be greater than time.t_start")
     if not np.isfinite(float(t_end) - float(t_start)):  # linspace would overflow
@@ -320,15 +315,12 @@ def _validate_initial_state(raw, echo: dict, h: np.ndarray, model: fermions.DmMo
     return vec, None
 
 
-def _seed(value) -> int:
-    """The config's ``seed`` or ``run``'s override: an int >= 0, not a bool."""
-    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-        raise _fail("seed", "must be a non-negative integer")
-    return value
-
-
 def parse_config(doc: dict) -> ScenarioConfig:
-    """Validate a raw config document and materialize defaults."""
+    """Validate a raw config document and materialize defaults.
+
+    ``time.points``, ``seed`` and ``eigenstate_k0`` follow ``check_integer``, the
+    tolerances and couplings ``check_tolerance``: numpy scalars pass, bools do not.
+    """
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object")
     fields = _fields(doc, "config", DEFAULT_CONFIG)
@@ -353,13 +345,11 @@ def parse_config(doc: dict) -> ScenarioConfig:
             tasks.append(task)
     echo["tasks"] = tasks
 
-    echo["seed"] = seed = _seed(fields["seed"])
+    echo["seed"] = seed = check_integer(fields["seed"], "seed", 0)
 
     k0 = fields["eigenstate_k0"]
-    if k0 is not None and (not isinstance(k0, int) or isinstance(k0, bool)):
-        raise _fail("eigenstate_k0", "must be an integer")
-    if k0 is not None and not 0 <= k0 < h.shape[0]:
-        raise _fail("eigenstate_k0", f"must lie in [0, {h.shape[0] - 1}]")
+    if k0 is not None:
+        k0 = check_integer(k0, "eigenstate_k0", 0, h.shape[0] - 1)
     echo["eigenstate_k0"] = k0
 
     needs_state = STATE_TASKS & set(tasks)
@@ -544,11 +534,11 @@ KNOWN_TASKS = tuple(TASKS)
 def run(cfg: ScenarioConfig, out_dir, seed: int | None = None) -> RunReport:
     """Execute the requested tasks and write their artifacts plus report.json.
 
-    ``seed`` overrides the config seed, under the same rule, for the random
+    ``seed``, an integer >= 0 like the config's, overrides it for the random
     ingredients (eigenstate-case probes). Artifact paths in the report are relative
     to ``out_dir``. No file is written before the report has serialized.
     """
-    effective_seed = cfg.seed if seed is None else _seed(seed)
+    effective_seed = cfg.seed if seed is None else check_integer(seed, "seed", 0)
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)

@@ -44,18 +44,6 @@ def test_context_explicit_index_and_shift():
         eigenstate_context(DIAG_1_I, k0=5)
 
 
-@pytest.mark.parametrize("k0", [True, 1.0])
-def test_context_index_must_be_an_integer(k0):
-    # bool is an Integral, yet never an index; a float is no index at all
-    with pytest.raises(ConfigError, match="k0 must be an integer"):
-        eigenstate_context(DIAG_1_I, k0)
-
-
-def test_context_takes_a_numpy_integer_index():
-    ctx = eigenstate_context(DIAG_1_I, np.int64(1))
-    assert (ctx.k0, ctx.e_value) == (1, eigenstate_context(DIAG_1_I, 1).e_value)
-
-
 def test_real_eigenvalue_reduces_to_gamma_derivation():
     rng = np.random.default_rng(71)
     h = random_hamiltonian(4, rng, kind="real_spectrum")

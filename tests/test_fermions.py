@@ -84,12 +84,6 @@ class TestCarConstruction:
         values = [mean_value(n, v).real for n in car3.number_ops]
         assert values == pytest.approx([1.0, 1.0, 0.0])
 
-    def test_mode_range_guard(self):
-        with pytest.raises(ConfigError):
-            build_car(0)
-        with pytest.raises(ConfigError):
-            build_car(11)
-
 
 class TestModel:
     def test_hamiltonian_assembly(self, car3):

@@ -1,6 +1,9 @@
+import ast
 import dataclasses
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -17,6 +20,7 @@ from nhdyn import (
     DimensionError,
     NumericRangeError,
     build_biorthogonal,
+    build_car,
     build_dm_model,
     classify,
     classify_ensemble,
@@ -26,13 +30,16 @@ from nhdyn import (
     expm,
     gamma_context,
     gamma_series,
+    integrate_nonlinear,
     nullspace,
     op_norm,
     weak_identity_report,
 )
 from nhdyn.ensembles import random_hamiltonian, random_unit_vector
 from nhdyn.errors import ConfigError
-from nhdyn.linalg import MAX_DIM, _expm_exact, check_tolerance, schur
+from nhdyn.fermions import parse_occupation_label
+from nhdyn.linalg import MAX_DIM, _expm_exact, check_integer, check_tolerance, schur
+from nhdyn.scenario import parse_config, run
 
 
 def _norm1(a: np.ndarray) -> float:
@@ -370,12 +377,19 @@ def _tolerance_calls():
         ),
         "build_biorthogonal": ("tol_distinct", lambda tol: build_biorthogonal(UPPER, tol)),
         "nullspace": ("rank_tol_rel", lambda tol: nullspace(UPPER, tol)),
+        "random_hamiltonian-scale": (
+            "scale", lambda v: random_hamiltonian(2, rng, "complex_spectrum", scale=v)
+        ),
+        "random_hamiltonian-basis_stretch": (
+            "basis_stretch",
+            lambda v: random_hamiltonian(2, rng, "complex_spectrum", basis_stretch=v),
+        ),
     }
 
 
 TOLERANCE_CALLS = [
     "build_biorthogonal", "classify", "classify_ensemble", "gamma_series", "nullspace",
-    "weak_identity_report",
+    "random_hamiltonian-basis_stretch", "random_hamiltonian-scale", "weak_identity_report",
 ]
 
 
@@ -420,6 +434,102 @@ class TestCheckTolerance:
             check_tolerance(1, "tol", below_one=True)
         with pytest.raises(ConfigError, match="finite positive"):
             check_tolerance(10**400, "tol")
+
+
+def _integer_calls(tmp_path):
+    """Each integer parameter's call of a value -> what the callee keeps of it, or None."""
+    model = build_dm_model(1.0, 1.0)
+    grid = [0.0, 0.1]
+
+    def rk4(v):
+        integrate_nonlinear(model.h, model.algebra.basis_state("011"), grid, v)
+
+    def ensemble(v):
+        classify_ensemble(UPPER, np.eye(2), grid, v, np.random.default_rng(0))
+
+    def config(**change):
+        doc = {"hamiltonian": UPPER.tolist(), "time": {"t_end": 1.0, "points": 3}}
+        return parse_config({**doc, "tasks": ["eigenstate_case"], **change})
+
+    return {
+        "integrate_nonlinear": rk4,
+        "classify_ensemble": ensemble,
+        "eigenstate_context": lambda v: eigenstate_context(UPPER, v).k0,
+        "build_car": lambda v: build_car(v).n_modes,
+        "random_hamiltonian": lambda v: random_hamiltonian(v, np.random.default_rng(0)).shape[0],
+        "parse_config-seed": lambda v: config(seed=v).seed,
+        "run-seed": lambda v: run(config(), tmp_path / "out", seed=v).config_echo["seed"],
+        "parse_config-time.points": lambda v: config(time={"points": v}).echo["time"]["points"],
+        "parse_config-eigenstate_k0": lambda v: config(eigenstate_k0=v).eigenstate_k0,
+        "parse_occupation_label": lambda v: parse_occupation_label((0, v, 1), 3)[1],
+    }
+
+
+# call -> (name in the message, low, high or None, whether None is the default, a good value)
+INTEGER_RULES = {
+    "integrate_nonlinear": ("substeps", 1, None, False, 3),
+    "classify_ensemble": ("n_states", 1, None, False, 2),
+    "eigenstate_context": ("k0", 0, 1, True, 1),
+    "build_car": ("n_modes", 1, 10, False, 2),
+    "random_hamiltonian": ("dim", 2, None, False, 3),
+    "parse_config-seed": ("seed", 0, None, False, 3),
+    "run-seed": ("seed", 0, None, True, 3),
+    "parse_config-time.points": ("time.points", 2, 100_000, False, 5),
+    "parse_config-eigenstate_k0": ("eigenstate_k0", 0, 1, True, 1),
+    "parse_occupation_label": ("occupation label bit", 0, 1, False, 1),
+}
+
+
+def _bad_integers():
+    for call, (_, low, high, none_is_default, _) in INTEGER_RULES.items():
+        bad = [2.0, 2.5, math.nan, True, "1", low - 1]
+        bad += ([] if high is None else [high + 1]) + ([] if none_is_default else [None])
+        yield from (pytest.param(call, v, id=f"{call}-{v!r}") for v in bad)
+
+
+class TestCheckInteger:
+    # before one checker: build_car(True) built one mode and build_car(2.0) raised a
+    # bare TypeError, (0, 1.9, 1) and (0, True, 1) both read as (0, 1, 1), and
+    # np.int64 passed eigenstate_context but not run's seed
+    @pytest.mark.parametrize("call, bad", _bad_integers())
+    def test_every_integer_rejects_what_is_not_an_integer_in_range(self, tmp_path, call, bad):
+        name, low, high = INTEGER_RULES[call][:3]
+        bound = f">= {low}" if high is None else f"in [{low}, {high}]"
+        message = re.escape(f"{name} must be an integer {bound}")
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            _integer_calls(tmp_path)[call](bad)
+
+    @pytest.mark.parametrize("call", INTEGER_RULES)
+    def test_every_integer_takes_a_numpy_integer_as_an_int(self, tmp_path, call):
+        good = INTEGER_RULES[call][-1]
+        kept = _integer_calls(tmp_path)[call](np.int64(good))
+        assert kept is None or (type(kept) is int and kept == good)
+
+    @pytest.mark.parametrize("label", [5, None, (0, 1), [0, 1, 1, 0], {0, 1}, np.array([0, 1, 1])])
+    def test_a_label_is_a_string_or_a_list_of_bits(self, label):
+        with pytest.raises(ConfigError, match="^occupation label must be a string or 3 bits"):
+            parse_occupation_label(label, 3)
+        assert parse_occupation_label([0, 1, 1], 3) == parse_occupation_label("011", 3)
+
+    def test_the_bounds_are_inclusive(self):
+        assert check_integer(2, "n", 2, 2) == 2
+        assert check_integer(10**30, "n", 0) == 10**30
+
+
+def test_only_linalg_names_the_numbers_module():
+    # the number rules have one owner: no other module imports or names ``numbers``
+    users = set()
+    for path in sorted(Path(nhdyn.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                names = [node.id] if isinstance(node, ast.Name) else []
+            if any(n == "numbers" or n.startswith("numbers.") for n in names):
+                users.add(path.stem)
+    assert users == {"linalg"}
 
 
 class TestSchur:
