@@ -32,7 +32,8 @@ from .gamma import (
     gamma_t,
 )
 from .linalg import (
-    Spectrum, as_square_matrix, check_integer, check_tolerance, eig_general, frob, op_norm,
+    Spectrum, as_square_matrix, check_integer, check_times, check_tolerance, eig_general, frob,
+    op_norm,
 )
 
 ORBIT_RANGE = 300.0  # bound on |Im lambda| max|t| that keeps exp(+-2 Im lambda t) in float range
@@ -112,8 +113,8 @@ def weak_identity_report(
     shifted = ctx.shifted
     n = shifted.dim
     phi = ctx.phi_k0
-    t = np.asarray(t_grid, dtype=float)
-    # <phi, g_t(1) phi> = |exp(-i H_k0 t) phi|^2; an empty grid raises in exact_trajectory
+    t = check_times(t_grid, "t_grid")[0]
+    # <phi, g_t(1) phi> = |exp(-i H_k0 t) phi|^2
     reach = np.max(np.abs(ctx.spectrum.eigenvalues.imag)) * np.max(np.abs(t), initial=0.0)
     if reach <= ORBIT_RANGE:
         orbit = exact_trajectory(ctx.spectrum, phi, t)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, NumericRangeError
 from .linalg import check_integer, check_tolerance
 
 
@@ -32,7 +32,9 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def _distinct_reals(dim: int, rng: np.random.Generator, scale: float) -> np.ndarray:
-    # uniform with a guaranteed gap of scale/(4 dim)
+    # uniform with a guaranteed gap of scale/(4 dim), over a span 2 scale that must be finite
+    if not 2.0 * scale < np.inf:
+        raise NumericRangeError(f"scale {scale:.3e} puts the spectrum past the float range")
     base = np.linspace(-scale, scale, dim)
     jitter = rng.uniform(-0.1, 0.1, size=dim) * (2 * scale / max(dim - 1, 1))
     return np.sort(base + jitter)
@@ -52,7 +54,8 @@ def random_hamiltonian(
     ``complex_spectrum``. ``scale`` bounds the eigenvalues' parts and
     ``basis_stretch`` sets the diagonal stretch of the eigenbasis, hence
     roughly its condition number (a stretch s < 1 spreads as 1/s does); it
-    is ignored for ``hermitian``. Both are finite numbers > 0 (``check_tolerance``).
+    is ignored for ``hermitian``. Both are finite numbers > 0 (``check_tolerance``); an H
+    they put past the float range raises ``NumericRangeError``.
     """
     dim = check_integer(dim, "dim", 2)
     scale = check_tolerance(scale, "scale")
@@ -74,4 +77,8 @@ def random_hamiltonian(
     # log s * U rather than uniform(0, log s), which refuses s < 1; same bits for s >= 1
     stretch = np.exp(np.log(basis_stretch) * rng.uniform(0.0, 1.0, size=dim))
     v = haar_unitary(dim, rng) @ np.diag(stretch) @ haar_unitary(dim, rng)
-    return v @ np.diag(values) @ np.linalg.inv(v)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite H raises below
+        h = v @ np.diag(values) @ np.linalg.inv(v)
+    if not np.isfinite(h).all():
+        raise NumericRangeError(f"scale {scale:.3e} and basis_stretch put H past the float range")
+    return h

@@ -35,7 +35,8 @@ import numpy as np
 from .errors import ConfigError
 from .flow import StateTrajectory, exact_trajectory
 from .gamma import delta_gamma, gamma_context
-from .linalg import as_complex_matrix, check_integer, check_tolerance, frob, mean_values
+from .linalg import as_complex_matrix, check_integer, check_times, check_tolerance, frob
+from .linalg import mean_values
 
 MAX_MODES = 10
 
@@ -139,12 +140,12 @@ _CLOSED_FORM_LABELS = {(0, 1, 1), (0, 1, 0)}
 
 
 def _solved(model: DmModel, initial, t):
-    """The label, ``t`` as floats, l^2, m^2, the label's rate s (l^2 + m^2 for
-    011, l^2 for 010) and D = 1 + s t^2; a label with no closed form raises."""
+    """The label, ``t`` as floats of any shape (each one a time), l^2, m^2, the label's rate
+    s (l^2 + m^2 for 011, l^2 for 010) and D = 1 + s t^2; a label with no closed form raises."""
     occ = parse_occupation_label(initial, 3)
     if occ not in _CLOSED_FORM_LABELS:
         raise ConfigError(f"no closed form for initial state {occ}; use simulate_occupations")
-    tt = np.asarray(t, dtype=float)
+    tt = check_times(np.ravel(t), "t", 0)[0].reshape(np.shape(t))
     l2, m2 = np.square([model.lam, model.mu])  # numpy: overflow gives inf, not OverflowError
     rate = l2 + m2 if occ == (0, 1, 1) else l2
     return occ, tt, l2, m2, rate, 1.0 + rate * tt**2

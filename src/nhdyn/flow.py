@@ -35,8 +35,8 @@ from .ensembles import random_unit_vector
 from .errors import CertificationError, ConfigError, InstabilityError, NumericRangeError
 from .gamma import delta_gamma, gamma_context
 from .linalg import (
-    Spectrum, as_complex_matrix, as_square_matrix, as_state_vector, check_integer,
-    check_tolerance, expm, mean_values, op_norm,
+    Spectrum, as_complex_matrix, as_square_matrix, as_state_vector, as_unit_vector,
+    check_integer, check_times, check_tolerance, expm, mean_values, op_norm,
 )
 
 DEFAULT_TOL_CLASS = 1e-8
@@ -65,14 +65,6 @@ class StateTrajectory:
     anchor_route: str = "expm"
 
 
-def _unit_vector(v, dim: int | None, tol: float, name: str) -> np.ndarray:
-    w = as_state_vector(v, dim, name)
-    nrm = np.linalg.norm(w)
-    if abs(nrm - 1.0) > tol:
-        raise ConfigError(f"{name} must be normalized, |{name}| = {nrm:.12g}")
-    return w
-
-
 def _trajectory_from_states(t, states, gap=0.0, fallbacks=0, route="expm") -> StateTrajectory:
     norms = np.linalg.norm(states, axis=1)  # unscaled: inf from |psi| ~ 1e154 on
     if not np.isfinite(norms).all():
@@ -80,13 +72,6 @@ def _trajectory_from_states(t, states, gap=0.0, fallbacks=0, route="expm") -> St
     if np.any(norms == 0.0):
         raise InstabilityError("state norm vanished along the trajectory")
     return StateTrajectory(t, states, states / norms[:, None], norms**2, gap, fallbacks, route)
-
-
-def _uniform_step(t: np.ndarray) -> float | None:
-    """The common step of ``t``, or None if steps differ by > 1e-12 max(|dt|, 1)."""
-    steps = np.diff(t)
-    ok = steps.size and np.max(np.abs(steps - steps[0])) <= 1e-12 * max(abs(steps[0]), 1.0)
-    return float(steps[0]) if ok else None
 
 
 def exact_trajectory(h, psi0, t_grid) -> StateTrajectory:
@@ -103,13 +88,11 @@ def exact_trajectory(h, psi0, t_grid) -> StateTrajectory:
     """
     hm = as_square_matrix(h.matrix if isinstance(h, Spectrum) else h, "hamiltonian")
     n = hm.shape[0]
-    v0 = _unit_vector(psi0, n, 1e-12, "psi0")
-    t = np.asarray(t_grid, dtype=float).reshape(-1)
-    if t.size == 0:
-        raise ConfigError("t_grid is empty")
-    dt = _uniform_step(t)
+    v0 = as_unit_vector(psi0, n, 1e-12, "psi0")
+    t, dt = check_times(t_grid, "t_grid")
     # below three points every point is an anchor and there is nothing to step
-    step = None if dt is None or t.size < 3 else expm(-1j * hm * dt)
+    with np.errstate(over="ignore", invalid="ignore"):  # a product past the range raises in expm
+        step = None if dt is None or t.size < 3 else expm(-1j * hm * dt)
     eig = step is not None and isinstance(h, Spectrum) and h.condition_estimate <= EIG_COND_MAX
     c = np.linalg.solve(h.right_vectors, v0) if eig else None
     states = np.empty((t.size, n), dtype=complex)
@@ -154,7 +137,7 @@ def h_nl(h, psi_hat) -> np.ndarray:
     state.
     """
     hm = as_square_matrix(h, "hamiltonian")
-    v = _unit_vector(psi_hat, hm.shape[0], UNIT_NORM_TOL, "psi_hat")
+    v = as_unit_vector(psi_hat, hm.shape[0], UNIT_NORM_TOL, "psi_hat")
     scalar = nonhermiticity_scalar(hm, v)
     return hm + 0.5 * scalar * np.eye(hm.shape[0], dtype=complex)
 
@@ -195,9 +178,9 @@ def integrate_nonlinear(
 ) -> tuple[StateTrajectory, float]:
     """Integrate the nonlinear equation with the classical 4th-order stepper.
 
-    Each step of the uniform grid splits into ``substeps`` RK4 steps, an
-    integer >= 1. The nonlinear scalar is re-evaluated at every stage.
-    The normalized state is never re-normalized mid-run, so norm drift
+    ``psi_hat0`` is the state at ``t_grid[0]``; each step of the uniform grid splits
+    into ``substeps`` RK4 steps, an integer >= 1. The nonlinear scalar is re-evaluated
+    at every stage. The normalized state is never re-normalized mid-run, so norm drift
     stays visible as an integrator diagnostic. Each substep takes one product of the
     precomputed stack [M, ..., M^4, b, bM, bM^2, bM^3] (M = -i dt H, b as
     in ``_rk4_weights``) with v and one 4x4 real Gram matrix; the stages
@@ -209,21 +192,14 @@ def integrate_nonlinear(
     that left the float range, raises ``InstabilityError``.
     """
     hm = as_square_matrix(h, "hamiltonian")
-    v0 = _unit_vector(psi_hat0, hm.shape[0], 1e-12, "psi_hat0")
-    t = np.asarray(t_grid, dtype=float).reshape(-1)
-    if t.size < 2:
-        raise ConfigError("t_grid needs at least two points")
-    step = _uniform_step(t)
+    v0 = as_unit_vector(psi_hat0, hm.shape[0], 1e-12, "psi_hat0")
+    t, step = check_times(t_grid, "t_grid", 2)
     if step is None:
         raise ConfigError("t_grid must be uniform")
     substeps = check_integer(substeps, "substeps", 1)
+    reference = exact_trajectory(hm, v0, t - t[0])  # psi_hat0 is the state at t[0]
 
     n = hm.shape[0]
-    dt = step / substeps
-    m = -1j * dt * hm
-    b = -0.5j * dt * (hm.conj().T - hm)
-    powers = list(accumulate([m] * 4, np.matmul))  # M, ..., M^4
-    stack = np.vstack(powers + [b] + [b @ p for p in powers[:3]])
     rows = np.empty((9, n), dtype=complex)  # v, Mv, ..., M^4 v, bv, ..., bM^3 v
     products, krylov = rows[1:].reshape(-1), rows[:5]
     # (left @ right)[j, k] = Re <M^j v, b M^k v>: real and imaginary parts side by side
@@ -231,8 +207,12 @@ def integrate_nonlinear(
     gram, weights = np.empty((4, 4)), np.empty(5, dtype=complex)
     states = np.empty((t.size, n), dtype=complex)
     states[0] = rows[0] = v0
-    reference = exact_trajectory(hm, v0, t)
+    dt = step / substeps
     with np.errstate(over="ignore", invalid="ignore"):  # a diverging run raises below
+        m = -1j * dt * hm
+        b = -0.5j * dt * (hm.conj().T - hm)
+        powers = list(accumulate([m] * 4, np.matmul))  # M, ..., M^4
+        stack = np.vstack(powers + [b] + [b @ p for p in powers[:3]])
         for j in range(1, t.size):
             for _ in range(substeps):
                 stack.dot(rows[0], out=products)
@@ -264,7 +244,7 @@ def delta_psi_hat(h, x, psi_hat) -> np.ndarray:
     """
     hm = as_square_matrix(h, "hamiltonian")
     xm = as_square_matrix(x, "observable", hm.shape[0])
-    v = _unit_vector(psi_hat, hm.shape[0], UNIT_NORM_TOL, "psi_hat")
+    v = as_unit_vector(psi_hat, hm.shape[0], UNIT_NORM_TOL, "psi_hat")
     scalar = nonhermiticity_scalar(hm, v)
     return 1j * (hm.conj().T @ xm - xm @ hm) - 1j * scalar * xm
 
@@ -363,9 +343,10 @@ def classify_ensemble(
     """
     hm = as_square_matrix(h, "hamiltonian")
     n_states = check_integer(n_states, "n_states", 1)
+    t = check_times(t_grid, "t_grid")[0]  # before the states are drawn
     check_tolerance(tol_class, "tol_class")  # before the trajectories
     states = [random_unit_vector(hm.shape[0], rng) for _ in range(n_states)]
-    rows = np.concatenate([exact_trajectory(hm, v, t_grid).psi_hat for v in states])
+    rows = np.concatenate([exact_trajectory(hm, v, t).psi_hat for v in states])
     return _classify_rows(hm, x, rows, tol_class, name)
 
 

@@ -35,6 +35,7 @@ from .linalg import (
     DEFAULT_RANK_TOL,
     as_square_matrix,
     as_state_vector,
+    check_times,
     check_tolerance,
     expm,
     frob,
@@ -77,10 +78,12 @@ def gamma_t(ctx: GammaContext, x, t: float) -> np.ndarray:
     """Evolve an observable: exp(i H^† t) X exp(-i H t) = U^† X U.
 
     One exponential: exp(i H^† t) is exactly the adjoint of U = exp(-i H t).
-    Calls at one t share U through the ``expm`` memo.
+    Calls at one t share U through the ``expm`` memo; ``t`` follows the time rule.
     """
     xm = as_square_matrix(x, "observable", ctx.dim)
-    u = expm(-1j * ctx.h * t)
+    t = check_times((t,), "t")[0][0]
+    with np.errstate(over="ignore", invalid="ignore"):  # expm raises on a non-finite product
+        u = expm(-1j * ctx.h * t)
     return u.conj().T @ xm @ u
 
 
@@ -95,7 +98,8 @@ def gamma_series(
 ) -> tuple[np.ndarray, int]:
     """Evaluate the exponential series sum_k t^k delta^k(X) / k!: the one-time case of
     ``gamma_series_at``. Returns the partial sum and the number of terms summed."""
-    sums, counts = gamma_series_at(ctx, x, (t,), tol_trunc)
+    times = check_times((t,), "t")[0].tolist()  # checked here to name the caller's t
+    sums, counts = gamma_series_at(ctx, x, times, tol_trunc)
     return sums[0], int(counts[0])
 
 
@@ -120,15 +124,12 @@ def gamma_series_at(
     """
     xm = as_square_matrix(x, "observable", ctx.dim)
     check_tolerance(tol_trunc, "tol_trunc")
-    times = tuple(times)
-    if not times:
-        raise ConfigError("times must hold at least one time")
+    times = check_times(times, "times")[0].tolist()
     rates = [ctx.delta_bound * abs(s) for s in times]
-    for rate in rates:
-        if not rate < MAX_SERIES_TERMS:  # a NaN rate raises too
-            raise TruncationError(f"series rate {rate:.3e} keeps q >= 1 up to the term cap")
     top = max(range(len(times)), key=lambda i: abs(times[i]))
-    t, rate = times[top], rates[top]
+    t, rate = times[top], rates[top]  # the largest rate
+    if not rate < MAX_SERIES_TERMS:
+        raise TruncationError(f"series rate {rate:.3e} keeps q >= 1 up to the term cap")
 
     h, hd = ctx.h, ctx.h.conj().T
     sums = np.repeat(xm[None], len(times), axis=0)
@@ -172,12 +173,13 @@ def identity_norm_evolution(ctx: GammaContext, psi0, t_grid) -> np.ndarray:
 
     Returns an array with rows ``(t, I(t), residual)`` where
     I(t) = |exp(-iHt) psi0|^2 and the residual compares the second-order
-    finite-difference derivative of I against the identity
+    finite-difference derivative of I on ``t_grid`` (two or more times) against the identity
     dI/dt = i <psi(t), (H^† - H) psi(t)>; it shrinks as O(dt^2). A psi0
     whose I(t) leaves the float range raises ``NumericRangeError``.
     """
     from .flow import exact_trajectory  # flow imports this module
 
+    t_grid = check_times(t_grid, "t_grid", 2)[0]  # a derivative needs two points
     v0 = as_state_vector(psi0, ctx.dim, "psi0")
     top = np.abs(v0).max()
     if top == 0.0:
@@ -194,10 +196,7 @@ def identity_norm_evolution(ctx: GammaContext, psi0, t_grid) -> np.ndarray:
         t, states, norms = traj.t_grid, scale * traj.psi, scale**2 * traj.norm_sq
         anti = ctx.h.conj().T - ctx.h
         exact_rate = (1j * mean_values(anti, states)).real
-        if t.size == 1:
-            fd_rate = exact_rate  # nothing to difference against
-        else:
-            fd_rate = np.gradient(norms, t, edge_order=min(t.size - 1, 2))
+        fd_rate = np.gradient(norms, t, edge_order=min(t.size - 1, 2))
         rows = np.column_stack([t, norms, np.abs(fd_rate - exact_rate)])
     if not (np.isfinite(rows).all() and norms.min() > 0.0):
         raise NumericRangeError(f"I(t) leaves the float range for |psi0| = {scale:.3e}")

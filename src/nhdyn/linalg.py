@@ -52,6 +52,24 @@ def check_integer(value, name: str, low: int, high: int | None = None) -> int:
     return int(value)
 
 
+def check_times(value, name: str, min_points: int = 1) -> tuple[np.ndarray, float | None]:
+    """>= ``min_points`` finite non-bool real times in a 1-D float array and their common step
+    (None if steps differ by > 1e-12 max(|dt|, 1)), else ``ConfigError``: the time rule."""
+    try:
+        t = np.asarray(value)
+    except ValueError:  # a ragged nest
+        t = np.asarray(None)
+    listed = value if isinstance(value, (list, tuple)) else ()  # [0.0, True] reads as floats
+    real = t.dtype.kind in "iuf" and not any(isinstance(v, (bool, np.bool_)) for v in listed)
+    if not (real and t.ndim == 1 and t.size >= min_points and np.isfinite(t).all()):
+        raise ConfigError(f"{name} must be finite real times in a 1-D array of >= {min_points}")
+    t = t.astype(float, copy=False)
+    with np.errstate(over="ignore", invalid="ignore"):  # a step past the range is no step
+        steps = t[1:] - t[:-1]
+        ok = steps.size and abs(steps - steps[0]).max() <= 1e-12 * max(abs(steps[0]), 1.0)
+    return t, float(steps[0]) if ok else None
+
+
 def as_complex_matrix(a, name: str = "matrix", cols: int | None = None) -> np.ndarray:
     """Validate and promote ``a`` to a 2-D complex128 array.
 
@@ -86,6 +104,15 @@ def as_state_vector(v, dim: int | None = None, name: str = "vector") -> np.ndarr
         raise NumericRangeError(f"{name} contains non-finite entries")
     if dim is not None and w.size != dim:
         raise DimensionError(f"{name} has dim {w.size}, expected {dim}")
+    return w
+
+
+def as_unit_vector(v, dim: int | None, tol: float, name: str) -> np.ndarray:
+    """``as_state_vector`` of a state whose norm is within ``tol`` of 1, else ``ConfigError``."""
+    w = as_state_vector(v, dim, name)
+    nrm = np.linalg.norm(w)
+    if abs(nrm - 1.0) > tol:
+        raise ConfigError(f"{name} must be normalized, |{name}| = {nrm:.12g}")
     return w
 
 

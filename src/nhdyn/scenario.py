@@ -54,8 +54,8 @@ from .gamma import (
     similar_norm_preserving,
 )
 from .linalg import (
-    DEFAULT_RANK_TOL, MAX_DIM, Spectrum, as_square_matrix, check_integer, check_tolerance,
-    eig_general, frob, mean_values,
+    DEFAULT_RANK_TOL, MAX_DIM, Spectrum, as_square_matrix, as_unit_vector, check_integer,
+    check_tolerance, eig_general, frob, mean_values,
 )
 
 DEFAULT_TOLERANCES = {
@@ -308,9 +308,7 @@ def _validate_initial_state(raw, echo: dict, h: np.ndarray, model: fermions.DmMo
         occ = fermions.parse_occupation_label(raw, model.algebra.n_modes)
         echo["initial_state"] = "".join(str(b) for b in occ)
         return model.algebra.basis_state(occ), echo["initial_state"]
-    vec = flow._unit_vector(
-        _parse_vector(raw, "initial_state"), h.shape[0], 1e-12, "initial_state"
-    )
+    vec = as_unit_vector(_parse_vector(raw, "initial_state"), h.shape[0], 1e-12, "initial_state")
     echo["initial_state"] = complex_to_json(vec)
     return vec, None
 

@@ -249,7 +249,8 @@ def test_h_orbit_route_matches_the_stepped_shifted_orbit(monkeypatch, kind, dim)
 
 
 def test_an_empty_grid_is_a_config_error():
-    with pytest.raises(ConfigError, match="t_grid is empty"):
+    message = "^t_grid must be finite real times in a 1-D array of >= 1$"
+    with pytest.raises(ConfigError, match=message):
         weak_identity_report(eigenstate_context(DIAG_1_I), [])
 
 

@@ -312,6 +312,17 @@ class TestIntegrateNonlinear:
         with pytest.raises(InstabilityError, match="substeps"):
             integrate_nonlinear(h, np.array([1.0, 0.0]), np.linspace(0, 5, 6))
 
+    @pytest.mark.parametrize("start", [0.5, -2.0, 3.0])
+    def test_psi_hat0_is_the_state_at_the_first_grid_point(self, start):
+        # the reference once took psi_hat0 as the state at t = 0: from 0.5 it deviated by 0.346
+        rng = np.random.default_rng(1)
+        h, v0 = random_hamiltonian(4, rng, "real_spectrum"), random_unit_vector(4, rng)
+        t = np.linspace(start, start + 1.0, 41)
+        traj, dev = integrate_nonlinear(h, v0, t, substeps=4)
+        from_zero, _ = integrate_nonlinear(h, v0, t - start, substeps=4)
+        assert dev <= 1e-10 and np.array_equal(traj.t_grid, t)
+        assert np.abs(traj.psi_hat - from_zero.psi_hat).max() <= 1e-12
+
     def test_requires_uniform_grid(self, dm_unit):
         with pytest.raises(ConfigError, match="uniform"):
             integrate_nonlinear(

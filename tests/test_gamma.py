@@ -251,7 +251,7 @@ class TestGammaSeries:
         gamma_series(ctx, np.eye(2), 0.5)
         assert products  # one per summed term
         products.clear()
-        with pytest.raises(TruncationError):
+        with pytest.raises(ConfigError, match="^t must be finite real times in a 1-D array"):
             gamma_series(ctx, np.eye(2), float("nan"))
         assert products == []
 
@@ -345,9 +345,10 @@ class TestSeriesAtTimes:
 
     def test_bad_times_raise(self):
         ctx = gamma_context(NILPOTENT)
-        with pytest.raises(ConfigError, match="times must hold at least one time"):
+        message = r"^times must be finite real times in a 1-D array of >= 1$"
+        with pytest.raises(ConfigError, match=message):
             gamma_series_at(ctx, np.eye(2), [])
-        with pytest.raises(TruncationError, match="keeps q >= 1"):
+        with pytest.raises(ConfigError, match=message):
             gamma_series_at(ctx, np.eye(2), (0.5, float("nan")))
         with pytest.raises(TruncationError, match="keeps q >= 1"):
             gamma_series_at(ctx, np.eye(2), (0.5, 1e6))

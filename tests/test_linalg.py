@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import inspect
 import json
 import math
 import os
@@ -24,21 +25,29 @@ from nhdyn import (
     build_dm_model,
     classify,
     classify_ensemble,
+    closed_form_occupations,
+    closed_form_scalar,
     eig_general,
     eigenstate_context,
     exact_trajectory,
     expm,
     gamma_context,
     gamma_series,
+    gamma_series_at,
+    gamma_t,
+    identity_norm_evolution,
     integrate_nonlinear,
     nullspace,
     op_norm,
+    simulate_occupations,
     weak_identity_report,
 )
 from nhdyn.ensembles import random_hamiltonian, random_unit_vector
 from nhdyn.errors import ConfigError
 from nhdyn.fermions import parse_occupation_label
-from nhdyn.linalg import MAX_DIM, _expm_exact, check_integer, check_tolerance, schur
+from nhdyn.linalg import (
+    MAX_DIM, _expm_exact, check_integer, check_times, check_tolerance, schur,
+)
 from nhdyn.scenario import parse_config, run
 
 
@@ -436,6 +445,16 @@ class TestCheckTolerance:
             check_tolerance(10**400, "tol")
 
 
+@pytest.mark.parametrize(
+    "kind, scale, stretch",
+    [("hermitian", 1e308, 2.0), ("complex_spectrum", 1e308, 2.0), ("real_spectrum", 8e307, 10.0)],
+)
+def test_a_hamiltonian_past_the_float_range_is_a_range_error(kind, scale, stretch):
+    # a finite scale once gave a non-finite H after an overflow warning
+    with pytest.raises(NumericRangeError, match=re.escape(f"scale {scale:.3e} ")):
+        random_hamiltonian(3, np.random.default_rng(0), kind, scale=scale, basis_stretch=stretch)
+
+
 def _integer_calls(tmp_path):
     """Each integer parameter's call of a value -> what the callee keeps of it, or None."""
     model = build_dm_model(1.0, 1.0)
@@ -530,6 +549,122 @@ def test_only_linalg_names_the_numbers_module():
             if any(n == "numbers" or n.startswith("numbers.") for n in names):
                 users.add(path.stem)
     assert users == {"linalg"}
+
+
+def _time_calls():
+    """Each public call that takes a time or a time grid: its id -> (name in the message,
+    call of the value)."""
+    model, ctx = build_dm_model(1.0, 1.0), gamma_context(UPPER)
+    psi, rng = np.array([0.6, 0.8]), np.random.default_rng(0)
+    return {
+        "exact_trajectory": ("t_grid", lambda t: exact_trajectory(UPPER, psi, t)),
+        "integrate_nonlinear": ("t_grid", lambda t: integrate_nonlinear(UPPER, psi, t)),
+        "classify_ensemble": (
+            "t_grid", lambda t: classify_ensemble(UPPER, np.eye(2), t, 2, rng)
+        ),
+        "weak_identity_report": (
+            "t_grid", lambda t: weak_identity_report(eigenstate_context(UPPER), t, rng)
+        ),
+        "identity_norm_evolution": ("t_grid", lambda t: identity_norm_evolution(ctx, psi, t)),
+        "simulate_occupations": ("t_grid", lambda t: simulate_occupations(model, "011", t)),
+        "gamma_t": ("t", lambda t: gamma_t(ctx, np.eye(2), t)),
+        "gamma_series": ("t", lambda t: gamma_series(ctx, np.eye(2), t)),
+        "gamma_series_at": ("times", lambda t: gamma_series_at(ctx, np.eye(2), (0.5, t))),
+        "closed_form_occupations": ("t", lambda t: closed_form_occupations(model, "011", t)),
+        "closed_form_scalar": ("t", lambda t: closed_form_scalar(model, "011", t)),
+    }
+
+
+GRID_CALLS = [
+    "classify_ensemble", "exact_trajectory", "identity_norm_evolution", "integrate_nonlinear",
+    "simulate_occupations", "weak_identity_report",
+]
+SCALAR_CALLS = [
+    "closed_form_occupations", "closed_form_scalar", "gamma_series", "gamma_series_at", "gamma_t",
+]
+BAD_TIMES = [math.nan, math.inf, -math.inf, "1", None, True, np.True_]
+BAD_GRIDS = BAD_TIMES + [[True, False], [0.0, True], [[0, 1], [2, 3]], [], [[0.0, 1.0], [2.0]]]
+
+
+def _bad_times():
+    for call in GRID_CALLS + SCALAR_CALLS:
+        for bad in BAD_GRIDS if call in GRID_CALLS else BAD_TIMES:
+            yield pytest.param(call, bad, id=f"{call}-{bad!r}")
+
+
+class TestCheckTimes:
+    # before one checker: NaN in a grid was exit 3 from four functions, a TruncationError
+    # from the series and "t_grid must be uniform" from the integrator; inf warned, strings
+    # raised bare ValueError or UFuncTypeError, 2-D grids were flattened, bools were times
+    @pytest.mark.parametrize("call, bad", _bad_times())
+    def test_every_time_rejects_what_is_not_finite_real_times(self, call, bad):
+        name, run = _time_calls()[call]
+        with pytest.raises(ConfigError, match=f"^{name} must be finite real times in a 1-D"):
+            run(bad)
+
+    @pytest.mark.parametrize("call", ["identity_norm_evolution", "integrate_nonlinear"])
+    def test_a_derivative_or_a_step_needs_two_points(self, call):
+        message = r"^t_grid must be finite real times in a 1-D array of >= 2$"
+        with pytest.raises(ConfigError, match=message):
+            _time_calls()[call][1]([0.5])
+
+    @pytest.mark.parametrize("call", GRID_CALLS + SCALAR_CALLS)
+    def test_every_time_takes_numpy_and_integer_times(self, call):
+        grids = ([0, np.float64(0.01)], np.linspace(0, 0.02, 3, dtype=np.float32))
+        goods = grids if call in GRID_CALLS else (1, np.float64(0.5), np.float32(0.5))
+        for good in goods:
+            _time_calls()[call][1](good)
+
+    @pytest.mark.parametrize("bad", BAD_GRIDS, ids=repr)
+    def test_classify_ensemble_checks_its_grid_before_it_draws_a_state(self, monkeypatch, bad):
+        trajectories = []
+        monkeypatch.setattr(nhdyn.flow, "exact_trajectory", lambda *a: trajectories.append(a))
+        rng = np.random.default_rng(3)
+        state = rng.bit_generator.state
+        with pytest.raises(ConfigError, match="^t_grid must be finite real times"):
+            classify_ensemble(UPPER, np.eye(2), bad, 2, rng)
+        assert trajectories == [] and rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("shape", [(), (0,), (3,), (2, 3), (2, 1, 2)])
+    def test_the_closed_forms_keep_any_shape(self, shape):
+        model = build_dm_model(1.0, 2.0)
+        t = np.linspace(0.0, 2.0, math.prod(shape)).reshape(shape)
+        n1, n2, n3 = closed_form_occupations(model, "011", t)
+        scalar = closed_form_scalar(model, "010", t)
+        assert n1.shape == n2.shape == n3.shape == np.shape(scalar) == shape
+        flat = closed_form_occupations(model, "011", t.reshape(-1))
+        assert all(np.array_equal(a.reshape(-1), b) for a, b in zip((n1, n2, n3), flat))
+
+    @pytest.mark.parametrize("call", ["exact_trajectory", "integrate_nonlinear", "gamma_t"])
+    def test_a_time_whose_product_with_h_overflows_is_a_range_error(self, call):
+        # finite times with t H past the float range: the product warned before expm raised
+        h = 100.0 * UPPER
+        runs = {
+            "exact_trajectory": lambda: exact_trajectory(h, [1.0, 0.0], [0.0, 1e307, 2e307]),
+            "integrate_nonlinear": lambda: integrate_nonlinear(h, [1.0, 0.0], [0.0, 1e307]),
+            "gamma_t": lambda: gamma_t(gamma_context(h), np.eye(2), 1e307),
+        }
+        with pytest.raises(NumericRangeError, match="^expm argument contains non-finite"):
+            runs[call]()
+
+    def test_the_step_is_the_common_step_or_none(self):
+        t, step = check_times([0, 1, 2], "t")
+        assert t.dtype == float and t.tolist() == [0.0, 1.0, 2.0] and step == 1.0
+        assert check_times([0.0, 1.0, 3.0], "t")[1] is None
+        assert check_times([2.0], "t")[1] is None
+        assert check_times([-1e308, 1e308], "t")[1] is None  # the step is past the range
+        grid = np.linspace(0.0, 1.0, 11)
+        assert check_times(grid, "t")[0] is grid  # a float grid is not copied
+
+
+def test_every_time_parameter_is_in_the_bad_time_table():
+    # a new public time parameter must join _time_calls, so it cannot skip the time rule
+    takers = {
+        name for name in nhdyn.__all__
+        if inspect.isfunction(getattr(nhdyn, name))
+        and {"t", "t_grid", "times"} & set(inspect.signature(getattr(nhdyn, name)).parameters)
+    }
+    assert takers == set(_time_calls()) == set(GRID_CALLS + SCALAR_CALLS)
 
 
 class TestSchur:
