@@ -141,35 +141,43 @@ _CLOSED_FORM_LABELS = {(0, 1, 1), (0, 1, 0)}
 
 def _solved(model: DmModel, initial, t):
     """The label, ``t`` as floats of any shape (each one a time), l^2, m^2, the label's rate
-    s (l^2 + m^2 for 011, l^2 for 010) and D = 1 + s t^2; a label with no closed form raises."""
+    s (l^2 + m^2 for 011, l^2 for 010), D = 1 + s t^2 and where D overflows at a finite s
+    (where the callers return limits); a label with no closed form raises."""
     occ = parse_occupation_label(initial, 3)
     if occ not in _CLOSED_FORM_LABELS:
         raise ConfigError(f"no closed form for initial state {occ}; use simulate_occupations")
     tt = check_times(np.ravel(t), "t", 0)[0].reshape(np.shape(t))
     l2, m2 = np.square([model.lam, model.mu])  # numpy: overflow gives inf, not OverflowError
     rate = l2 + m2 if occ == (0, 1, 1) else l2
-    return occ, tt, l2, m2, rate, 1.0 + rate * tt**2
+    with np.errstate(over="ignore"):
+        den = 1.0 + rate * tt**2
+    return occ, tt, l2, m2, rate, den, np.isinf(den) & np.isfinite(rate)
 
 
 def closed_form_occupations(model: DmModel, initial, t):
     """Closed-form (n1, n2, n3) for the two analytically solved initial states.
 
-    ``t`` may be a scalar or an array. Unsupported labels raise
-    ``ConfigError``; the simulator covers them numerically instead.
+    ``t`` may be a scalar or an array. Where D = 1 + s t^2 overflows (|t| past about
+    1e154 at unit couplings) while s is finite, each value is its limit as t -> inf,
+    exact to within 1/D. Unsupported labels raise ``ConfigError``; the simulator covers
+    them numerically instead.
     """
-    occ, tt, l2, m2, rate, den = _solved(model, initial, t)
-    n1 = rate * tt**2 / den
-    if occ == (0, 1, 1):
-        return n1, (1.0 + m2 * tt**2) / den, (1.0 + l2 * tt**2) / den
+    occ, tt, l2, m2, rate, den, far = _solved(model, initial, t)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf / inf where far or s = inf
+        n1 = np.where(far, 1.0, rate * tt**2 / den)[()]
+        if occ == (0, 1, 1):
+            n2 = np.where(far, m2 / rate, (1.0 + m2 * tt**2) / den)[()]
+            return n1, n2, np.where(far, l2 / rate, (1.0 + l2 * tt**2) / den)[()]
     return n1, 1.0 / den, np.zeros_like(tt)
 
 
 def closed_form_scalar(model: DmModel, initial, t):
     """Closed-form nonlinear scalar <psi_hat,(H^†-H)psi_hat> on the two
     solved trajectories (purely imaginary; see the module docstring for
-    why the numerator carries the sum of squared couplings)."""
-    _, tt, _, _, rate, den = _solved(model, initial, t)
-    return -2j * tt * rate / den
+    why the numerator carries the sum of squared couplings); -2i/t where D overflows."""
+    _, tt, _, _, rate, den, far = _solved(model, initial, t)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # masked by far
+        return np.where(far, -2j / tt, -2j * tt * rate / den)[()]
 
 
 @dataclass(frozen=True)

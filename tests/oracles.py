@@ -10,7 +10,8 @@ per-grid-point routes that the fast trajectory and classification
 replace, the stage-by-stage RK4 loop that the nonlinear integrator's
 Krylov-coordinate stages replace, those stages' own loop with allocating
 products and the weights as a quadratic form, the a-priori truncated gamma series
-with its plain rate 2|H||t|, the standard library's indenting JSON
+with its plain rate 2|H||t|, the gamma-symmetry column recursion on stacked
+partial solutions that the one-array recursion replaces, the standard library's indenting JSON
 encoder for the report writer, and per-value formatting for the CSV
 writer.
 """
@@ -232,6 +233,58 @@ def intertwiner_kernel_brute(h: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     _, sigma, vh = np.linalg.svd(system)
     keep = sigma <= tol * max(sigma[0], 1e-300)
     return vh[keep, :].conj().T
+
+
+def symmetry_basis_reference(h: np.ndarray, rank_tol_rel: float = 1e-10):
+    """The gamma-symmetry basis by the column recursion on stacked partial solutions.
+
+    The route ``gamma.gamma_symmetry_basis`` took before it kept the partial solutions
+    in one 2-D array: each step matrix by ``hstack`` and ``tensordot``, each re-mix a
+    batched product and a ``concatenate``. The kernel of a step matrix is that of
+    ``linalg.nullspace``, and the chain closure is counted by the same Arnoldi chain.
+    Returns the (d, N, N) generators, their residuals |H^† X - X H|_F and the chain
+    closure dimension.
+    """
+    h = np.asarray(h, dtype=complex)
+    n = h.shape[0]
+
+    def nullspace(m):
+        cols = m.shape[1]
+        _, sigma, vh = np.linalg.svd(m, full_matrices=True)
+        sigma = np.concatenate([sigma, np.zeros(cols - sigma.size)])
+        if sigma[0] == 0.0:
+            return np.eye(cols, dtype=complex)
+        keep = sigma <= rank_tol_rel * sigma[0]
+        return vh[keep, :].conj().T.reshape(cols, -1)
+
+    t, q = scipy.linalg.schur(h, output="complex")
+    w = np.zeros((0, n, 0), dtype=complex)  # w[i][:, j]: column i of solution j
+    for k in range(n):
+        step = np.hstack(
+            [t.conj().T - t[k, k] * np.eye(n), -np.tensordot(t[:k, k], w, axes=1)]
+        )
+        kernel = nullspace(step)
+        w = np.concatenate([w @ kernel[n:], kernel[None, :n]])
+    gens = q @ w.transpose(2, 1, 0) @ q.conj().T
+    residuals = np.linalg.norm(h.conj().T @ gens - gens @ h, axis=(1, 2))
+
+    chain_dim = 0
+    if len(gens):
+        member = gens.sum(axis=0)
+        chain = np.empty((n, n * n), dtype=complex)
+        chain[0] = member.ravel() / np.linalg.norm(member)
+        chain_dim = 1
+        while chain_dim < n:
+            w = (chain[chain_dim - 1].reshape(n, n) @ h).ravel()
+            q = chain[:chain_dim]
+            for _ in range(2):
+                w -= (q @ w.conj()).conj() @ q
+            size = np.linalg.norm(w)
+            if size <= rank_tol_rel * np.linalg.norm(h, 2):
+                break
+            chain[chain_dim] = w / size
+            chain_dim += 1
+    return gens, residuals, chain_dim
 
 
 def dual_family_by_adjoint_eig(

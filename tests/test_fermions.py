@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -157,6 +158,30 @@ class TestClosedForms:
         model = build_dm_model(1.0, 1.0)
         with pytest.raises(ConfigError, match="closed form"):
             closed_form_occupations(model, "111", 1.0)
+
+    @pytest.mark.parametrize("label", ["011", "010"])
+    def test_a_time_past_the_float_range_gives_the_limits_without_a_warning(self, label):
+        # 1 + s t^2 overflows: the values as t -> inf, exact to within 1 / (1 + s t^2)
+        lam, mu = 1.5, 0.5
+        model = build_dm_model(lam, mu)
+        s = lam**2 + mu**2 if label == "011" else lam**2
+        limits = (1.0, mu**2 / s, lam**2 / s) if label == "011" else (1.0, 0.0, 0.0)
+        t = np.array([-1e300, -1e200, 1e154, 1e200, np.finfo(float).max])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = closed_form_occupations(model, label, t)
+            scalar = closed_form_scalar(model, label, t)
+            one = (
+                closed_form_occupations(model, label, 1e200),
+                closed_form_scalar(model, label, 1e200),
+            )
+        for value, limit in zip(values, limits):
+            assert np.array_equal(value, np.full(t.shape, limit))
+        np.testing.assert_allclose(scalar, -2j / t, rtol=1e-15)
+        assert one == (tuple(v[3] for v in values), scalar[3])
+        # just inside the range the closed forms themselves are at the limits
+        near = closed_form_occupations(model, label, 1e150)
+        np.testing.assert_allclose(near, limits, rtol=1e-15, atol=1e-290)
 
     def test_overflowing_coupling_gives_non_finite_values_not_an_exception(self):
         # lam^2 overflows: numpy returns inf where a Python float raised OverflowError

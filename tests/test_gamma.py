@@ -9,9 +9,11 @@ from oracles import (
     gamma_t_two_exponentials,
     intertwiner_kernel_brute,
     projector_onto,
+    symmetry_basis_reference,
     vec_by_loops,
 )
 
+import nhdyn.flow
 import nhdyn.gamma
 from nhdyn import (
     ConfigError,
@@ -405,6 +407,32 @@ class TestIdentityNormEvolution:
         with pytest.raises(ConfigError):
             identity_norm_evolution(ctx, np.array([1.0, 0.0]), [])
 
+    @pytest.mark.parametrize(
+        "grid",
+        [[0.0, 0.0, 1.0], [0.0, 1.0, 0.0], [0.0, 0.0], [0.0, 1.0, 2.0, 2.0], [1.0, 1e20, 2.0]],
+    )
+    def test_a_grid_the_derivative_divides_by_zero_on_is_a_config_error(self, grid, monkeypatch):
+        # t[i+1] == t[i] or t[i+1] == t[i-1] (as the spacings round): raised before any
+        # propagation, with no warning
+        def no_propagation(*args, **kwargs):
+            raise AssertionError("propagated")
+
+        monkeypatch.setattr(nhdyn.flow, "exact_trajectory", no_propagation)
+        ctx = gamma_context(np.array([[1.0, 2.0], [0.0, 3.0]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match="t_grid must hold no time equal"):
+                identity_norm_evolution(ctx, np.array([1.0, 0.0]), grid)
+
+    @pytest.mark.parametrize("grid", [[0.0, 1.0, 0.5], [2.0, 1.0, 0.0], [3.0, 0.0, -0.5, -2.0]])
+    def test_a_grid_that_turns_or_falls_is_taken(self, grid):
+        ctx = gamma_context(np.array([[1.0, 2.0], [0.0, 3.0]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = identity_norm_evolution(ctx, np.array([1.0, 0.0]), grid)
+        assert np.array_equal(rows[:, 0], grid)
+        assert np.isfinite(rows).all()
+
     @pytest.mark.parametrize("c", [1e-200, 1e200])
     def test_norm_outside_the_float_range_is_a_range_error(self, c):
         # |psi0| itself is in range, its square is not: no warning, no misleading ConfigError
@@ -476,6 +504,61 @@ class TestSymmetryBasis:
         basis = gamma_symmetry_basis(gamma_context(h))
         assert basis.generators.shape == (0, 2, 2)
         assert basis.chain_closure_dim == 0
+
+
+def _structured(kind, n, rng):
+    """A Hamiltonian V J V^-1 with the spectral structure named by ``kind``."""
+    if kind == "hermitian":
+        return random_hamiltonian(n, rng, kind="hermitian")
+    if kind == "real":
+        return random_hamiltonian(n, rng, kind="real_spectrum")
+    # neighbours at least 1.6 / (n - 1) apart, so no two blocks nearly share an eigenvalue
+    reals = np.linspace(-1.0, 1.0, n) + rng.uniform(-0.2, 0.2, size=n) / (n - 1)
+    j = np.zeros((n, n), dtype=complex)
+    if kind == "conj_closed":  # every eigenvalue beside its conjugate
+        half = reals[: n // 2] + 1j * rng.uniform(0.2, 1.0, size=n // 2)
+        j[np.diag_indices(n)] = np.concatenate([half, half.conj()])
+    elif kind == "generic_complex":  # no conjugate pair: no symmetry at all
+        j[np.diag_indices(n)] = reals + 1j * rng.uniform(0.2, 1.0, size=n)
+    else:  # n / 2 Jordan blocks of size 2 on distinct real eigenvalues
+        j[np.diag_indices(n)] = np.repeat(reals[: n // 2], 2)
+        j[np.arange(0, n - 1, 2), np.arange(1, n, 2)] = 0.5
+    v = haar_unitary(n, rng) @ np.diag(np.exp(rng.uniform(0.0, 0.7, size=n))) @ haar_unitary(n, rng)
+    return v @ j @ np.linalg.inv(v)
+
+
+class TestSymmetryBasisMatchesTheStackedRoute:
+    """The one-array recursion spans the space of ``oracles.symmetry_basis_reference``."""
+
+    CASES = [
+        *[(kind, n) for kind in ("hermitian", "real", "conj_closed", "generic_complex", "jordan")
+          for n in (8, 16, 24)],
+        ("identity", 6),
+        ("repeated_diagonal", 6),
+        ("repeated_rotated", 6),
+    ]
+
+    @pytest.mark.parametrize("kind, n", CASES, ids=[f"{k}-{n}" for k, n in CASES])
+    def test_same_space_and_chain_as_the_reference(self, kind, n):
+        rng = np.random.default_rng(n)
+        if kind == "identity":
+            h = 1.5 * np.eye(n, dtype=complex)
+        elif kind.startswith("repeated"):  # a chain of 3 < N: the projections show
+            h = np.diag([1.0, 1.0, 1.0, 2.0, 3.0, 3.0]).astype(complex)
+            if kind == "repeated_rotated":
+                u = haar_unitary(n, rng)
+                h = u @ h @ u.conj().T
+        else:
+            h = _structured(kind, n, rng)
+        ctx = gamma_context(h)
+        basis = gamma_symmetry_basis(ctx)
+        gens, _, chain_dim = symmetry_basis_reference(h)
+        assert len(basis.generators) == len(gens)
+        assert basis.chain_closure_dim == chain_dim
+        new, old = (g.reshape(len(g), n * n).T for g in (basis.generators, gens))
+        gap = new @ new.conj().T - old @ old.conj().T
+        assert np.linalg.norm(gap, 2) <= 1e-12
+        assert max(basis.residuals, default=0.0) <= 1e-8 * ctx.h_norm
 
 
 class TestProductRule:

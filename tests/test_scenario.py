@@ -736,18 +736,9 @@ class TestCli:
             capture_output=True, text=True, env=env, timeout=120,
         )
 
-    def test_outputs_do_not_depend_on_the_blas_thread_count(self, tmp_path):
-        # at N = 64 OpenBLAS may split the products, eigensolves and SVDs over threads;
-        # every file a run writes must still be the same bytes
-        rng = np.random.default_rng(64)
-        h = random_hamiltonian(64, rng, kind="complex_spectrum", basis_stretch=2.0)
-        doc = {
-            "hamiltonian": complex_to_json(h),
-            "initial_state": complex_to_json(random_unit_vector(64, rng)),
-            "observables": ["identity", "H"],
-            "time": {"t_end": 10.0, "points": 51},
-            "tasks": ["trajectory", "classify", "biortho", "eigenstate_case"],
-        }
+    @staticmethod
+    def outputs_at_one_and_two_threads(tmp_path, doc):
+        """The bytes of every file ``run`` writes, at OpenBLAS thread counts 1 and 2."""
         cfg = write_config(tmp_path, doc)
         src = str(Path(nhdyn.__file__).resolve().parents[1])
         outputs = []
@@ -763,7 +754,31 @@ class TestCli:
             )
             assert done.returncode == 0, done.stderr
             outputs.append({path.name: path.read_bytes() for path in sorted(out.iterdir())})
+        return outputs
+
+    def test_outputs_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        # at N = 64 OpenBLAS may split the products, eigensolves and SVDs over threads;
+        # every file a run writes must still be the same bytes
+        rng = np.random.default_rng(64)
+        h = random_hamiltonian(64, rng, kind="complex_spectrum", basis_stretch=2.0)
+        doc = {
+            "hamiltonian": complex_to_json(h),
+            "initial_state": complex_to_json(random_unit_vector(64, rng)),
+            "observables": ["identity", "H"],
+            "time": {"t_end": 10.0, "points": 51},
+            "tasks": ["trajectory", "classify", "biortho", "eigenstate_case"],
+        }
+        outputs = self.outputs_at_one_and_two_threads(tmp_path, doc)
         assert set(outputs[0]) == {"report.json", "trajectory.csv", "hamiltonian.npy"}
+        assert outputs[0] == outputs[1]
+
+    def test_symmetry_outputs_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        # the column recursion's SVDs and re-mix products, at d = N = 24
+        h = random_hamiltonian(24, np.random.default_rng(24), kind="hermitian")
+        doc = {"hamiltonian": complex_to_json(h), "tasks": ["symmetries"]}
+        outputs = self.outputs_at_one_and_two_threads(tmp_path, doc)
+        assert set(outputs[0]) == {"report.json", "symmetries.npy", "hamiltonian.npy"}
+        assert np.load(tmp_path / "out-1" / "symmetries.npy").shape == (24, 24, 24)
         assert outputs[0] == outputs[1]
 
     def test_complex_spectrum_run_leaves_stderr_empty(self, tmp_path):
