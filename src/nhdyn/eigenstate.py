@@ -18,7 +18,7 @@ route through the biorthogonal machinery.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -35,8 +35,6 @@ from .linalg import (
     Spectrum, as_square_matrix, check_integer, check_times, check_tolerance, eig_general, frob,
     op_norm,
 )
-
-ORBIT_RANGE = 300.0  # bound on |Im lambda| max|t| that keeps exp(+-2 Im lambda t) in float range
 
 
 @dataclass(frozen=True)
@@ -79,15 +77,13 @@ class WeakIdentityReport:
     ``identity_mean_residual`` is max_t |<phi, g_t(1) phi> - 1| and
     ``delta_mean_residual`` is |<phi, d(1) phi>|; both vanish even
     though neither g_t(1) = 1 nor d(1) = 0 holds at operator level. The
-    identity mean is read as |exp(-i H_k0 t) phi|^2, off the orbit of phi that
-    ``weak_identity_report`` picks: the entries of g_t(1) grow with t on a
-    complex spectrum and would cancel in the mean. The witness reports
-    |<phi, g_t(XY) phi> - <phi, g_t(X) g_t(Y) phi>| at the last grid point
-    for one random pair: the map fails to be multiplicative even weakly
-    once H is not Hermitian. ``series_vs_conjugation`` is the largest
-    |S_t(P) - g_t(P)|_2 over three random probes P at t = 0.5 and at the
-    last grid point, S_t the exponential series of d summed by
-    ``gamma_series_at``.
+    identity mean is read as |exp(-i H_k0 t) phi|^2, off phi's H_k0-orbit: the
+    entries of g_t(1) grow with t on a complex spectrum and would cancel in the
+    mean. The witness reports |<phi, g_t(XY) phi> - <phi, g_t(X) g_t(Y) phi>|
+    at the last grid point for one random pair: the map fails to be
+    multiplicative even weakly once H is not Hermitian. ``series_vs_conjugation``
+    is the largest |S_t(P) - g_t(P)|_2 over three random probes P at t = 0.5 and
+    at the last grid point, S_t the exponential series of d summed by ``gamma_series_at``.
     """
 
     identity_mean_residual: float
@@ -99,33 +95,25 @@ class WeakIdentityReport:
 def weak_identity_report(
     ctx: EigenstateContext, t_grid, rng=None, tol_trunc: float = DEFAULT_TOL_TRUNC
 ) -> WeakIdentityReport:
-    """The weak identities of ``ctx`` on the time grid ``t_grid``. While |Im lambda| max|t|
-    <= ``ORBIT_RANGE`` over the spectrum, the identity mean is read off phi's H-orbit,
-    anchored on ``ctx.spectrum`` and stepped with the U the ``expm`` memo shares with other
-    trajectories of H on this grid, as |exp(-i H_k0 t) phi|^2 = e^{-2 Im E t} |exp(-iHt) phi|^2;
-    beyond it phi's H_k0-orbit is stepped on ``expm`` anchors. ``rng`` draws X, Y, then the
+    """The weak identities of ``ctx`` on the time grid ``t_grid``. The identity mean is read
+    off phi's H_k0-orbit, anchored on H_k0's ``Spectrum``: ``ctx.spectrum``'s eigenvectors
+    and their conditioning, with the eigenvalues shifted by -E. ``rng`` draws X, Y, then the
     three probes; ``gamma_t`` conjugates one matrix per call, and its calls at one time share
     their exponential through the ``expm`` memo. Each probe's series terms are formed once,
     at the larger of |t_last| and 0.5, and summed at both times by ``gamma_series_at``;
     ``tol_trunc``, checked before any work, bounds each sum's tail. A difference whose
     Frobenius norm is below the largest 2-norm so far cannot raise it and takes no SVD."""
     check_tolerance(tol_trunc, "tol_trunc")
-    shifted = ctx.shifted
-    n = shifted.dim
-    phi = ctx.phi_k0
+    shifted, phi, n = ctx.shifted, ctx.phi_k0, ctx.shifted.dim
     t = check_times(t_grid, "t_grid")[0]
-    # <phi, g_t(1) phi> = |exp(-i H_k0 t) phi|^2
-    reach = np.max(np.abs(ctx.spectrum.eigenvalues.imag)) * np.max(np.abs(t), initial=0.0)
-    if reach <= ORBIT_RANGE:
-        orbit = exact_trajectory(ctx.spectrum, phi, t)
-        scale = np.exp(-2 * ctx.e_value.imag * orbit.t_grid)
-    else:
-        orbit, scale = exact_trajectory(shifted.h, phi, t), 1.0
-    identity_mean = np.max(np.abs(scale * orbit.norm_sq - 1.0))
+    # <phi, g_t(1) phi> = |exp(-i H_k0 t) phi|^2; H_k0 = H - E has H's eigenvectors
+    h_k0 = replace(ctx.spectrum, eigenvalues=ctx.spectrum.eigenvalues - ctx.e_value,
+                   matrix=shifted.h, norm=shifted.h_norm)
+    orbit = exact_trajectory(h_k0, phi, t)
+    identity_mean = np.max(np.abs(orbit.norm_sq - 1.0))
     delta_mean = abs(np.vdot(phi, delta_gamma(shifted, np.eye(n)) @ phi))
 
-    if rng is None:
-        rng = np.random.default_rng(42)
+    rng = np.random.default_rng(42) if rng is None else rng
     x, y, *probes = (
         rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)) for _ in range(5)
     )

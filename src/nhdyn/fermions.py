@@ -140,34 +140,39 @@ _CLOSED_FORM_LABELS = {(0, 1, 1), (0, 1, 0)}
 
 
 def _solved(model: DmModel, initial, t):
-    """The label, ``t`` as floats of any shape (each one a time), l^2, m^2, the label's rate
-    s (l^2 + m^2 for 011, l^2 for 010), D = 1 + s t^2 and where D overflows at a finite s
-    (where the callers return limits); a label with no closed form raises."""
+    """The label, ``t`` as floats of any shape (each one a time), then t c, l^2, m^2, the
+    label's rate s (l^2 + m^2 for 011, l^2 for 010) and D = 1 + s t^2 for the couplings over
+    the power of two c that brings the label's larger one into [1, 2), where D overflows
+    (where the callers return limits) and c. The values depend on l t and m t alone, s is
+    finite, and each product keeps its bits wherever it is normal with and without c; a
+    label with no closed form raises."""
     occ = parse_occupation_label(initial, 3)
     if occ not in _CLOSED_FORM_LABELS:
         raise ConfigError(f"no closed form for initial state {occ}; use simulate_occupations")
     tt = check_times(np.ravel(t), "t", 0)[0].reshape(np.shape(t))
-    l2, m2 = np.square([model.lam, model.mu])  # numpy: overflow gives inf, not OverflowError
-    rate = l2 + m2 if occ == (0, 1, 1) else l2
-    with np.errstate(over="ignore"):
-        den = 1.0 + rate * tt**2
-    return occ, tt, l2, m2, rate, den, np.isinf(den) & np.isfinite(rate)
+    top = max(model.lam, model.mu) if occ == (0, 1, 1) else model.lam
+    c = np.ldexp(1.0, np.frexp(top)[1] - 1)  # top / c lies in [1, 2)
+    with np.errstate(over="ignore"):  # m / c of a label that leaves m out, or D
+        l2, m2 = np.square(np.divide([model.lam, model.mu], c))
+        rate = l2 + m2 if occ == (0, 1, 1) else l2
+        ts = c * tt
+        den = 1.0 + rate * ts**2
+    return occ, tt, ts, l2, m2, rate, den, np.isinf(den), c
 
 
 def closed_form_occupations(model: DmModel, initial, t):
     """Closed-form (n1, n2, n3) for the two analytically solved initial states.
 
     ``t`` may be a scalar or an array. Where D = 1 + s t^2 overflows (|t| past about
-    1e154 at unit couplings) while s is finite, each value is its limit as t -> inf,
-    exact to within 1/D. Unsupported labels raise ``ConfigError``; the simulator covers
-    them numerically instead.
+    1e154 at unit couplings), each value is its limit as t -> inf, exact to within 1/D.
+    Unsupported labels raise ``ConfigError``; the simulator covers them numerically instead.
     """
-    occ, tt, l2, m2, rate, den, far = _solved(model, initial, t)
-    with np.errstate(over="ignore", invalid="ignore"):  # inf / inf where far or s = inf
-        n1 = np.where(far, 1.0, rate * tt**2 / den)[()]
+    occ, tt, ts, l2, m2, rate, den, far, _ = _solved(model, initial, t)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf / inf where far
+        n1 = np.where(far, 1.0, rate * ts**2 / den)[()]
         if occ == (0, 1, 1):
-            n2 = np.where(far, m2 / rate, (1.0 + m2 * tt**2) / den)[()]
-            return n1, n2, np.where(far, l2 / rate, (1.0 + l2 * tt**2) / den)[()]
+            n2 = np.where(far, m2 / rate, (1.0 + m2 * ts**2) / den)[()]
+            return n1, n2, np.where(far, l2 / rate, (1.0 + l2 * ts**2) / den)[()]
     return n1, 1.0 / den, np.zeros_like(tt)
 
 
@@ -175,9 +180,9 @@ def closed_form_scalar(model: DmModel, initial, t):
     """Closed-form nonlinear scalar <psi_hat,(H^†-H)psi_hat> on the two
     solved trajectories (purely imaginary; see the module docstring for
     why the numerator carries the sum of squared couplings); -2i/t where D overflows."""
-    _, tt, _, _, rate, den, far = _solved(model, initial, t)
+    _, tt, ts, _, _, rate, den, far, c = _solved(model, initial, t)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # masked by far
-        return np.where(far, -2j / tt, -2j * tt * rate / den)[()]
+        return np.where(far, -2j / tt, -2j * ts * rate / den * c)[()]
 
 
 @dataclass(frozen=True)

@@ -186,10 +186,11 @@ def test_growing_orbit_is_stepped_not_recomputed():
 
 
 def test_scenario_steps_the_eigenstate_orbit_with_the_trajectory(tmp_path):
-    # the growing orbit above beside the trajectory task: phi_k0's H-orbit and the
-    # initial state's trajectory take their anchors from the scenario's eigenvectors
-    # past t = 0 and share the step and expm(0) through the expm memo (1 + 9 each
-    # by expm alone), then one exponential per gamma_t time
+    # the growing orbit above beside the trajectory task: the initial state's trajectory
+    # and phi_k0's H_k0-orbit take their anchors past t = 0 from the scenario's
+    # eigenvectors (1 + 9 each by expm alone). Each takes its own step and expm(0): the
+    # H_k0 step, and exp(0 H_k0), I with no Pade step, whose argument has other signed
+    # zeros than -i H * 0. Then one exponential per gamma_t time
     rng = np.random.default_rng(0)
     h = random_hamiltonian(16, rng, "complex_spectrum", basis_stretch=10.0)
     doc = {
@@ -199,53 +200,51 @@ def test_scenario_steps_the_eigenstate_orbit_with_the_trajectory(tmp_path):
         "eigenstate_k0": int(np.argmin(eig_general(h).eigenvalues.imag)),
     }
     report = run(parse_config(doc), tmp_path)
-    assert _expm_exact.cache_info().misses == 1 + 1 + 2
+    assert _expm_exact.cache_info().misses == (1 + 1) + (1 + 1) + 2
     assert report.tasks["trajectory"]["fallback_segments"] == 0
     assert report.tasks["trajectory"]["anchor_route"] == "eig"
     # the grid route reads 1.7e-8 here: the orbit's roundoff grows like e^{Im(E_j - E) t}
     assert report.tasks["eigenstate_case"]["identity_mean_residual"] <= 1e-7
 
 
-@pytest.mark.parametrize("t_end, shared", [(0.5, True), (1.0, False)])
-def test_h_trajectory_stands_in_for_the_shifted_orbit_inside_the_range(
-    monkeypatch, t_end, shared
-):
-    # E = 320i: |Im E| t_end is 160 or 320 against ORBIT_RANGE = 300. The H-orbit of
-    # phi_k0 (|psi|^2 = e^{640 t}) is finite on both grids; inside the range the report
-    # reads it, beyond the range it steps the shifted orbit, as it always does once
-    # ORBIT_RANGE admits no grid at all
-    h = np.diag([319.0j, 320.0j])
+def test_identity_mean_is_read_off_one_orbit_on_the_shifted_spectrum(monkeypatch):
+    # one exact_trajectory call, on the Spectrum of H_k0 = H - E: H's eigenvectors and their
+    # conditioning, the shifted eigenvalues, H_k0 itself and its 2-norm
+    h = random_hamiltonian(6, np.random.default_rng(4), "complex_spectrum", basis_stretch=10.0)
     ctx = eigenstate_context(h)
-    t = np.linspace(0.0, t_end, 11)
-    from_grid = weak_identity_report(ctx, t, np.random.default_rng(3))
-    monkeypatch.setattr(nhdyn.eigenstate, "ORBIT_RANGE", -np.inf)
-    stepped = weak_identity_report(ctx, t, np.random.default_rng(3))
-    assert from_grid.identity_mean_residual <= 1e-12
-    if shared:
-        assert from_grid.identity_mean_residual != stepped.identity_mean_residual
-        assert replace(from_grid, identity_mean_residual=0.0) == replace(
-            stepped, identity_mean_residual=0.0
-        )
-    else:
-        assert from_grid == stepped
+    calls = []
 
+    def recording(spectrum, psi0, t_grid):
+        calls.append(spectrum)
+        return exact_trajectory(spectrum, psi0, t_grid)
 
-@pytest.mark.parametrize("dim", [2, 5, 16])
-@pytest.mark.parametrize("kind", ["hermitian", "real_spectrum", "complex_spectrum"])
-def test_h_orbit_route_matches_the_stepped_shifted_orbit(monkeypatch, kind, dim):
-    # inside the range the identity mean is read off the H-orbit; every other field is
-    # the stepped route's bit for bit, and both identity means stay within 1e-6
-    h = random_hamiltonian(dim, np.random.default_rng(dim), kind=kind, basis_stretch=10.0)
-    ctx = eigenstate_context(h)
+    monkeypatch.setattr(nhdyn.eigenstate, "exact_trajectory", recording)
     t = np.linspace(0.0, 10.0, 201)
-    assert np.max(np.abs(ctx.spectrum.eigenvalues.imag)) * 10.0 <= nhdyn.eigenstate.ORBIT_RANGE
-    from_h = weak_identity_report(ctx, t, np.random.default_rng(9))
-    monkeypatch.setattr(nhdyn.eigenstate, "ORBIT_RANGE", -np.inf)
-    stepped = weak_identity_report(ctx, t, np.random.default_rng(9))
-    assert max(from_h.identity_mean_residual, stepped.identity_mean_residual) <= 1e-6
-    assert replace(from_h, identity_mean_residual=0.0) == replace(
-        stepped, identity_mean_residual=0.0
-    )
+    report = weak_identity_report(ctx, t, np.random.default_rng(9))
+    (spectrum,) = calls
+    assert spectrum.matrix is ctx.shifted.h
+    assert spectrum.norm == op_norm(ctx.shifted.h)
+    assert np.array_equal(spectrum.eigenvalues, ctx.spectrum.eigenvalues - ctx.e_value)
+    assert spectrum.right_vectors is ctx.spectrum.right_vectors
+    assert spectrum.condition_estimate == ctx.spectrum.condition_estimate
+    v, lam = spectrum.right_vectors, spectrum.eigenvalues
+    assert op_norm(ctx.shifted.h @ v - v * lam) <= 1e-12 * spectrum.norm
+    orbit = exact_trajectory(spectrum, ctx.phi_k0, t)
+    assert orbit.anchor_route == "eig" and orbit.fallback_segments == 0
+    assert report.identity_mean_residual == np.max(np.abs(orbit.norm_sq - 1.0))
+
+
+@pytest.mark.parametrize("stretch", [2.0, 10.0])
+@pytest.mark.parametrize("kind", ["hermitian", "real_spectrum", "complex_spectrum"])
+def test_identity_mean_of_a_bounded_orbit_is_at_roundoff(kind, stretch):
+    # top Im E: no mode of phi's H_k0-orbit grows, and |exp(-i H_k0 t) phi|^2 stays at 1
+    # to roundoff over the scenario grid
+    for seed in range(3):
+        h = random_hamiltonian(16, np.random.default_rng(seed), kind, basis_stretch=stretch)
+        ctx = eigenstate_context(h, int(np.argmax(eig_general(h).eigenvalues.imag)))
+        assert ctx.spectrum.eigenvalues.imag.max() <= ctx.e_value.imag
+        report = weak_identity_report(ctx, np.linspace(0.0, 10.0, 201))
+        assert report.identity_mean_residual <= 1e-12
 
 
 def test_an_empty_grid_is_a_config_error():
@@ -260,7 +259,7 @@ def test_an_empty_grid_is_a_config_error():
         (random_hamiltonian(6, np.random.default_rng(4), "complex_spectrum"), 10.0),
         (np.diag([-360.0j, -380.0j]), 1.0),
     ],
-    ids=["in-range", "beyond-range"],
+    ids=["complex-spectrum", "far-imaginary-spectrum"],
 )
 def test_scenario_section_is_the_api_report(tmp_path, hamiltonian, t_end):
     doc = {

@@ -183,12 +183,41 @@ class TestClosedForms:
         near = closed_form_occupations(model, label, 1e150)
         np.testing.assert_allclose(near, limits, rtol=1e-15, atol=1e-290)
 
-    def test_overflowing_coupling_gives_non_finite_values_not_an_exception(self):
-        # lam^2 overflows: numpy returns inf where a Python float raised OverflowError
+    @pytest.mark.parametrize("label", ["011", "010"])
+    def test_a_coupling_whose_square_overflows_gives_the_finite_values(self, label):
+        # lam^2 = 1e320 overflows, but the values depend on x = lam t and y = mu t alone
+        t = np.array([0.0, 1e-170, 1e-160, 1e-150])
+        x, y = 1e160 * t, t if label == "011" else 0.0 * t
+        d = 1.0 + x * x + y * y
         model = build_dm_model(1e160, 1.0)
-        with np.errstate(over="ignore", invalid="ignore"):
-            n1, _, _ = closed_form_occupations(model, "011", 1e-10)
-        assert not np.isfinite(n1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = closed_form_occupations(model, label, t)
+            scalar = closed_form_scalar(model, label, t)
+            far = closed_form_occupations(model, label, 1e300)
+        n3 = (1 + x * x) / d if label == "011" else 0 * d
+        expected = ((x * x + y * y) / d, (1 + y * y) / d, n3)
+        for value, want in zip(values, expected):
+            np.testing.assert_allclose(value, want, rtol=1e-15)
+        assert scalar[0] == 0.0
+        np.testing.assert_allclose(scalar[1:], -2j * (x * x + y * y)[1:] / (t * d)[1:], rtol=1e-15)
+        assert far == ((1.0, 1e-320, 1.0) if label == "011" else (1.0, 0.0, 0.0))
+
+    @pytest.mark.parametrize("label", ["011", "010"])
+    def test_couplings_scaled_by_a_power_of_two_give_the_same_bits(self, label):
+        # couplings 2^600 larger at times 2^600 smaller: the same occupations, bit for bit,
+        # and a scalar 2^600 larger
+        t = np.linspace(0.0, 4.0, 9)
+        big, small = build_dm_model(2.0**600, 0.7 * 2.0**600), build_dm_model(1.0, 0.7)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for a, b in zip(
+                closed_form_occupations(big, label, 2.0**-600 * t),
+                closed_form_occupations(small, label, t),
+            ):
+                assert np.array_equal(a, b)
+            scalar = closed_form_scalar(big, label, 2.0**-600 * t)
+        assert np.array_equal(scalar, 2.0**600 * closed_form_scalar(small, label, t))
 
 
 class TestSimulation:

@@ -21,6 +21,7 @@ from nhdyn import (
     TruncationError,
     build_dm_model,
     delta_gamma,
+    exact_trajectory,
     gamma_context,
     gamma_series,
     gamma_series_at,
@@ -37,6 +38,7 @@ from nhdyn.ensembles import (
     random_unit_vector,
 )
 from nhdyn.gamma import DEFAULT_TOL_TRUNC
+from nhdyn.linalg import mean_values
 
 NILPOTENT = np.array([[0.0, 1.0], [0.0, 0.0]])
 # (1 + iH^†)(1 - iH) for the nilpotent block, multiplied out by hand
@@ -409,11 +411,15 @@ class TestIdentityNormEvolution:
 
     @pytest.mark.parametrize(
         "grid",
-        [[0.0, 0.0, 1.0], [0.0, 1.0, 0.0], [0.0, 0.0], [0.0, 1.0, 2.0, 2.0], [1.0, 1e20, 2.0]],
+        [
+            [0.0, 0.0, 1.0], [0.0, 1.0, 0.0], [0.0, 0.0], [0.0, 1.0, 2.0, 2.0], [1.0, 1e20, 2.0],
+            [0.0, 1e-200, 2e-200, 1.0],
+        ],
     )
     def test_a_grid_the_derivative_divides_by_zero_on_is_a_config_error(self, grid, monkeypatch):
-        # t[i+1] == t[i] or t[i+1] == t[i-1] (as the spacings round): raised before any
-        # propagation, with no warning
+        # t[i+1] == t[i] or t[i+1] == t[i-1] (as the spacings round), or two spacings whose
+        # product underflows though the largest spacing is 1: raised before any propagation,
+        # with no warning
         def no_propagation(*args, **kwargs):
             raise AssertionError("propagated")
 
@@ -421,8 +427,35 @@ class TestIdentityNormEvolution:
         ctx = gamma_context(np.array([[1.0, 2.0], [0.0, 3.0]]))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ConfigError, match="t_grid must hold no time equal"):
+            with pytest.raises(ConfigError, match="t_grid must hold no time at or too near"):
                 identity_norm_evolution(ctx, np.array([1.0, 0.0]), grid)
+
+    @pytest.mark.parametrize(
+        "grid", [[0.0, 1e-200, 3e-200], [0.0, 1e-170, 3e-170], [0.0, 5e-324, 1e-323]]
+    )
+    def test_a_grid_whose_spacing_products_underflow_gives_finite_rows(self, grid):
+        # np.gradient divides by products of spacings that underflow to 0 here; on the
+        # grid scaled by a power of two they do not
+        ctx = gamma_context(np.array([[1.0, 2.0], [0.0, 3.0]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = identity_norm_evolution(ctx, np.array([1.0, 0.0]), grid)
+        assert np.array_equal(rows[:, 0], grid)
+        assert np.array_equal(rows[:, 1], np.ones(len(grid)))
+        assert np.isfinite(rows).all()
+
+    @pytest.mark.parametrize(
+        "grid", [np.linspace(0.0, 1.0, 51), [0.0, 0.3, 0.35, 1.0, 1.1], [0.0, 1e-100, 3e-100]]
+    )
+    def test_a_grid_with_normal_spacing_products_keeps_the_derivative_bits(self, grid):
+        # the scaled grid's derivative is the unscaled one's, bit for bit
+        ctx = gamma_context(np.diag([1.0j, -1.0j]) + np.array([[0, 0.5], [0, 0]]))
+        psi0 = np.array([1.0, 0.0])
+        rows = identity_norm_evolution(ctx, psi0, grid)
+        traj = exact_trajectory(ctx.h, psi0, grid)
+        exact_rate = (1j * mean_values(ctx.h.conj().T - ctx.h, traj.psi)).real
+        fd_rate = np.gradient(traj.norm_sq, np.asarray(grid), edge_order=2)
+        assert np.array_equal(rows[:, 2], np.abs(fd_rate - exact_rate))
 
     @pytest.mark.parametrize("grid", [[0.0, 1.0, 0.5], [2.0, 1.0, 0.0], [3.0, 0.0, -0.5, -2.0]])
     def test_a_grid_that_turns_or_falls_is_taken(self, grid):

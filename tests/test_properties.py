@@ -32,6 +32,7 @@ from nhdyn import (
     gamma_symmetry_decay_check,
     h_nl,
     op_norm,
+    weak_identity_report,
 )
 from nhdyn.ensembles import random_hamiltonian, random_matrix, random_unit_vector
 from nhdyn.flow import ANCHOR, STEP_TOL
@@ -119,6 +120,25 @@ def test_growing_orbit_segments_stay_within_the_scaled_guard(seed, n, stretch, p
         u = scipy.linalg.expm(-1j * ctx.shifted.h * t[b])
         cond = max(1.0, np.linalg.norm(u) / np.sqrt(n)) / np.linalg.norm(u @ ctx.phi_k0)
         assert gap[a + 1 : b + 1].max() <= STEP_TOL * cond
+
+
+@properties
+@given(
+    seed=seeds,
+    n=st.integers(2, 6),
+    k0=st.integers(0, 5),
+    t_end=st.sampled_from([0.5, 1.0, 2.0]),
+    reach=st.floats(0.0, 700.0),
+)
+def test_identity_mean_does_not_move_with_an_imaginary_shift(seed, n, k0, t_end, reach):
+    # H = A + i c 1 has the H_k0 = H - E of A, so the identity mean stays at roundoff for
+    # every c t_end from 0 to 700: past about 355 |exp(-iHt) phi|^2 = e^{2 Im E t} overflows
+    a, _, _ = _draw(seed, n, "complex_spectrum")
+    t = np.linspace(0.0, t_end, 21)
+    for ct in (0.0, 299.0, 301.0, reach, 700.0):
+        ctx = eigenstate_context(a + 1j * (ct / t_end) * np.eye(n), k0 % n)
+        report = weak_identity_report(ctx, t, np.random.default_rng(seed))
+        assert report.identity_mean_residual <= 1e-11
 
 
 @properties

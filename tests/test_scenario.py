@@ -11,7 +11,6 @@ import pytest
 from oracles import csv_text_per_value
 
 import nhdyn.cli
-import nhdyn.eigenstate
 import nhdyn.errors
 import nhdyn.fermions
 import nhdyn.flow
@@ -535,14 +534,26 @@ class TestRunner:
 
     def test_eigenstate_case_forms_one_exponential_per_time(self, tmp_path):
         # the witness and the probes share t_end; the probes alone take 0.5. Beside
-        # them, phi_k0's H-orbit takes the step and expm(0) of the default grid, and
-        # its other 8 anchors from the eigenvectors
+        # them, phi_k0's H_k0-orbit takes the H_k0 step and exp(0 H_k0) of the default
+        # grid, and its other 8 anchors from the eigenvectors
         doc = {
             "hamiltonian": [[[1.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [0.5, 1.0]]],
             "tasks": ["eigenstate_case"],
         }
         run(parse_config(doc), tmp_path)
         assert _expm_exact.cache_info().misses == 1 + 1 + 2
+
+    def test_fermion_eigenstate_orbit_takes_no_exponential_of_its_own(self, tmp_path):
+        # the transfer model's E is exactly 0, so H_k0 keeps H's bytes, and its cond(V)
+        # sends both orbits to expm anchors: phi_k0's orbit finds the trajectory's step
+        # and 9 anchors in the memo, and gamma_t at t_end finds the last one. Only the
+        # probes' 0.5, between anchors of the default grid, is new
+        alone = dict(MINIMAL_FERMION, tasks=["fermion_demo"])
+        run(parse_config(alone), tmp_path / "a")
+        assert _expm_exact.cache_info().misses == 1 + 9
+        _expm_exact.cache_clear()
+        run(parse_config(dict(alone, tasks=["fermion_demo", "eigenstate_case"])), tmp_path / "b")
+        assert _expm_exact.cache_info().misses == 1 + 9 + 1
 
     @pytest.mark.parametrize("kind", ["hermitian", "real_spectrum", "complex_spectrum"])
     def test_eigenstate_section_does_not_depend_on_the_other_tasks(self, tmp_path, kind):
@@ -645,19 +656,19 @@ class TestCli:
         assert "collide" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "hamiltonian, t_end, shared",
+        "hamiltonian, t_end, misses",
         [
-            # E = -380i: |Im E| t_end = 380 is past ORBIT_RANGE, and |psi|^2 of phi_k0's
-            # H-orbit, e^{-760 t}, would underflow to 0 (exit 3 if it were read)
-            ([[[0, -360], [0, 0]], [[0, 0], [0, -380]]], 1.0, False),
-            # bottom E = -3i of a non-normal H, |Im E| t_end = 15: the orbit grows
-            # relative to E, and phi_k0's H-orbit shares the trajectory's exponentials
-            ([[[0, 0], [1, 0]], [[0, 0], [0, -3]]], 5.0, True),
+            # E = -380i: |psi|^2 of phi_k0's H-orbit, e^{-760 t}, would underflow to 0;
+            # its H_k0-orbit grows by at most e^{40 t}. gamma_t takes t_end and 0.5
+            ([[[0, -360], [0, 0]], [[0, 0], [0, -380]]], 1.0, 2 + 2 + 2),
+            # bottom E = -3i of a non-normal H, |Im E| t_end = 15: the orbit grows relative
+            # to E; the step is dt = 0.5, which gamma_t finds in the memo
+            ([[[0, 0], [1, 0]], [[0, 0], [0, -3]]], 5.0, 2 + 2 + 1),
         ],
-        ids=["beyond-range", "growing-orbit"],
+        ids=["decaying-eigenvalue", "growing-orbit"],
     )
     def test_eigenstate_orbit_shares_the_propagation_inside_the_float_range(
-        self, tmp_path, capsys, monkeypatch, hamiltonian, t_end, shared
+        self, tmp_path, capsys, hamiltonian, t_end, misses
     ):
         doc = {
             "hamiltonian": hamiltonian,
@@ -666,34 +677,16 @@ class TestCli:
             "tasks": ["trajectory", "eigenstate_case"],
         }
         cfg = write_config(tmp_path, doc)
-        assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "a")]) == 0
+        assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 0
         # the trajectory's step and expm(0), its last anchor taken from the eigenvectors;
-        # phi_k0's H-orbit finds both in the memo and takes its last anchor from them too,
-        # then gamma_t at t_end and at 0.5. The shifted orbit stepped on the grid is a
-        # matrix: it takes its own step and both anchors by expm (-i H_k0 * 0 has other
-        # signed zeros than -i H * 0), and gamma_t finds its last anchor and, where the
-        # step is dt = 0.5 (t_end = 5), its step as well
-        stepped = 5 if shared else 6
-        assert _expm_exact.cache_info().misses == (4 if shared else stepped)
-        monkeypatch.setattr(nhdyn.eigenstate, "ORBIT_RANGE", -np.inf)  # always step
-        _expm_exact.cache_clear()
-        assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "b")]) == 0
-        assert _expm_exact.cache_info().misses == stepped
-        a, b = (json.loads((tmp_path / d / "report.json").read_bytes()) for d in "ab")
-        case_a, case_b = a["tasks"].pop("eigenstate_case"), b["tasks"].pop("eigenstate_case")
-        assert a == b
-        assert (tmp_path / "a" / "trajectory.csv").read_bytes() == (
-            tmp_path / "b" / "trajectory.csv"
-        ).read_bytes()
-        if shared:
-            # the same orbit's roundoff, grown by e^{3 t} either way
-            residuals = [case.pop("identity_mean_residual") for case in (case_a, case_b)]
-            assert max(residuals) <= 1e-9
-            assert case_a == case_b
-        else:
-            assert (tmp_path / "a" / "report.json").read_bytes() == (
-                tmp_path / "b" / "report.json"
-            ).read_bytes()
+        # phi_k0's H_k0-orbit takes the H_k0 step and exp(0 H_k0), I with no Pade step
+        # (-i H_k0 * 0 has other signed zeros than -i H * 0), and its last anchor from the
+        # same eigenvectors; then gamma_t at t_end and at 0.5
+        assert _expm_exact.cache_info().misses == misses
+        report = json.loads((tmp_path / "report.json").read_bytes())
+        assert report["tasks"]["trajectory"]["anchor_route"] == "eig"
+        # the orbit's roundoff, grown by e^{40 t} or e^{3 t}
+        assert report["tasks"]["eigenstate_case"]["identity_mean_residual"] <= 1e-9
 
     def test_top_of_the_float_range_never_exits_one(self, tmp_path, capsys):
         # |H t| = 1e307: the nilpotent H has exp(-iHt) = 1 - iHt, finite, but a Pade term
@@ -851,7 +844,7 @@ class TestCli:
                     "tasks": ["fermion_demo"],
                 },
                 0,
-                3,
+                0,
             ),
             (
                 {
@@ -870,7 +863,8 @@ class TestCli:
         self, tmp_path, capsys, doc, validate_status, run_status
     ):
         # finite input whose intermediate norms or squares overflow: validate and
-        # run agree on exit 2, and a run that fails numerically exits 3 and writes nothing
+        # run agree on exit 2, a run that fails numerically exits 3 and writes nothing,
+        # and the closed forms, which scale a coupling whose square overflows, run through
         cfg = write_config(tmp_path, doc)
         out = tmp_path / "out"
         assert main(["validate", "--config", str(cfg)]) == validate_status
@@ -879,7 +873,11 @@ class TestCli:
         assert "Traceback" not in err
         if run_status == 3:
             assert "non-finite" in err
-        assert not out.exists() or list(out.iterdir()) == []
+        if run_status == 0:
+            section = json.loads((out / "report.json").read_bytes())["tasks"]["fermion_demo"]
+            assert section["closed_form_residual"] <= 1e-15
+        else:
+            assert not out.exists() or list(out.iterdir()) == []
 
     def test_validate_prints_materialized_echo(self, tmp_path, capsys):
         cfg = write_config(tmp_path, MINIMAL_FERMION)
