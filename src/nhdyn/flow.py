@@ -35,7 +35,7 @@ from .ensembles import random_unit_vector
 from .errors import CertificationError, ConfigError, InstabilityError, NumericRangeError
 from .gamma import delta_gamma, gamma_context
 from .linalg import (
-    Spectrum, as_complex_matrix, as_square_matrix, as_state_vector, as_unit_vector,
+    EIG_COND_MAX, Spectrum, as_complex_matrix, as_square_matrix, as_state_vector, as_unit_vector,
     check_integer, check_times, check_tolerance, expm, mean_values, op_norm,
 )
 
@@ -43,7 +43,6 @@ DEFAULT_TOL_CLASS = 1e-8
 UNIT_NORM_TOL = 1e-10
 ANCHOR = 25  # grid points per stepped segment of exact_trajectory
 STEP_TOL = 1e-12  # relative anchor gap per unit of anchor cond that forces a recompute
-EIG_COND_MAX = 1e4  # largest cond(V) at which exact_trajectory takes its anchors from V
 
 
 @dataclass(frozen=True)

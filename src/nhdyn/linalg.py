@@ -29,6 +29,7 @@ from .errors import (
 DEFAULT_RANK_TOL = 1e-10
 DEFAULT_EIG_TOL = 1e-10
 MAX_DIM = 64  # the desk scale: the largest scenario H and the largest memoized expm
+EIG_COND_MAX = 1e4  # largest cond(V) at which a Spectrum's eigenvectors V are built on
 
 
 def check_tolerance(value, name: str, below_one: bool = False) -> float:
@@ -338,12 +339,13 @@ def eig_general(a) -> Spectrum:
     return Spectrum(values, vectors, cond, m, scale)
 
 
-def nullspace(l, rank_tol_rel: float = DEFAULT_RANK_TOL) -> np.ndarray:
+def nullspace(l, rank_tol_rel: float = DEFAULT_RANK_TOL, scale: float = 0.0) -> np.ndarray:
     """Orthonormal basis of the numerical kernel of a rectangular matrix.
 
     Returns the right singular vectors whose singular values fall below
-    ``rank_tol_rel * sigma_max``, as columns; a full-rank input yields a
-    matrix with zero columns.
+    ``rank_tol_rel * max(sigma_max, scale)``, as columns; a full-rank input yields a
+    matrix with zero columns. ``scale`` is the size of the matrix's roundoff where it
+    exceeds its own: |H| for a step of the symmetry recursion.
     """
     m = as_complex_matrix(l, "nullspace argument")
     check_tolerance(rank_tol_rel, "rank_tol_rel", below_one=True)
@@ -353,6 +355,6 @@ def nullspace(l, rank_tol_rel: float = DEFAULT_RANK_TOL) -> np.ndarray:
     sigma = np.concatenate([sigma, np.zeros(cols - sigma.size)])
     if sigma[0] == 0.0:
         return np.eye(cols, dtype=complex)
-    keep = sigma <= rank_tol_rel * sigma[0]
+    keep = sigma <= rank_tol_rel * max(sigma[0], scale)
     return vh[keep, :].conj().T.reshape(cols, -1)
 

@@ -459,9 +459,11 @@ def _task_biortho(cfg: ScenarioConfig, artifacts: dict, rng) -> dict:
 
 
 def _task_symmetries(cfg: ScenarioConfig, artifacts: dict, rng) -> dict:
-    basis = gamma_symmetry_basis(
-        gamma_context(cfg.hamiltonian), cfg.tolerances["rank_tol_rel"]
-    )
+    try:
+        ctx = gamma_context(cfg.spectrum)
+    except EigensolverError:  # raised by eig_general only: take the Schur route
+        ctx = gamma_context(cfg.hamiltonian)
+    basis = gamma_symmetry_basis(ctx, cfg.tolerances["rank_tol_rel"])
     stack = basis.generators  # (d, N, N), also for d = 0
     if not np.isfinite(stack).all():
         raise NumericRangeError("symmetry generators hold a non-finite number")
@@ -470,6 +472,7 @@ def _task_symmetries(cfg: ScenarioConfig, artifacts: dict, rng) -> dict:
         "dimension": len(stack),
         "chain_closure_dim": basis.chain_closure_dim,
         "residuals": basis.residuals,
+        "route": basis.route,
         "npy": "symmetries.npy",
     }
 

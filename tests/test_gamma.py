@@ -38,7 +38,7 @@ from nhdyn.ensembles import (
     random_unit_vector,
 )
 from nhdyn.gamma import DEFAULT_TOL_TRUNC
-from nhdyn.linalg import mean_values
+from nhdyn.linalg import eig_general, mean_values
 
 NILPOTENT = np.array([[0.0, 1.0], [0.0, 0.0]])
 # (1 + iH^†)(1 - iH) for the nilpotent block, multiplied out by hand
@@ -560,8 +560,47 @@ def _structured(kind, n, rng):
     return v @ j @ np.linalg.inv(v)
 
 
+def _jordan_similar() -> np.ndarray:
+    # V J V^{-1} with two 2-blocks, on eigenvalues 1 and 2
+    rng = np.random.default_rng(7)
+    v = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    j = np.diag([1.0, 1.0, 2.0, 2.0]).astype(complex)
+    j[0, 1] = j[2, 3] = 1.0
+    return v @ j @ np.linalg.inv(v)
+
+
+def _case(kind: str, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """A case's H, and the H0 with the same symmetries whose reference basis it is compared to:
+    a real shift or a positive scale leaves H^† X = X H alone."""
+    rng = np.random.default_rng(n)
+    if kind == "identity":
+        h = 1.5 * np.eye(n, dtype=complex)
+    elif kind == "repeated_similar":  # two 8-fold eigenvalues in a non-unitary frame: d = 128
+        v = haar_unitary(n, rng) @ np.diag(np.exp(rng.uniform(0.0, 0.7, n))) @ haar_unitary(n, rng)
+        h = v @ np.diag(np.repeat([1.0, 2.0], n // 2)) @ np.linalg.inv(v)
+    elif kind.startswith("repeated"):  # a chain of 3 < N: the projections show
+        h = np.diag([1.0, 1.0, 1.0, 2.0, 3.0, 3.0]).astype(complex)
+        if kind == "repeated_rotated":
+            u = haar_unitary(n, rng)
+            h = u @ h @ u.conj().T
+    elif kind == "jordan_similar":
+        h = _jordan_similar()
+    elif kind == "fermion_dm":
+        h = build_dm_model(1.0, 1.0).h
+    elif kind in ("nilpotent", "zero", "diag_1_2"):
+        fixed = {"nilpotent": NILPOTENT, "zero": np.zeros((n, n)), "diag_1_2": np.diag([1.0, 2.0])}
+        h = fixed[kind].astype(complex)
+    elif kind.endswith("shifted"):  # shift 100, or scale 1e6 and shift 1e8: |c| = 100 s |H0|
+        h0 = _structured(kind.removesuffix("_shifted").removesuffix("_scaled"), n, rng)
+        s, c = (1e6, 1e8) if "scaled" in kind else (1.0, 1e2)
+        return s * h0 + c * np.eye(n), h0
+    else:
+        h = _structured(kind, n, rng)
+    return h, h
+
+
 class TestSymmetryBasisMatchesTheStackedRoute:
-    """The one-array recursion spans the space of ``oracles.symmetry_basis_reference``."""
+    """Both routes span the space of ``oracles.symmetry_basis_reference``, with its chain."""
 
     CASES = [
         *[(kind, n) for kind in ("hermitian", "real", "conj_closed", "generic_complex", "jordan")
@@ -569,29 +608,48 @@ class TestSymmetryBasisMatchesTheStackedRoute:
         ("identity", 6),
         ("repeated_diagonal", 6),
         ("repeated_rotated", 6),
+        ("repeated_similar", 16),
+        ("jordan_similar", 4),
+        ("nilpotent", 2),
+        ("fermion_dm", 8),
+        ("zero", 3),
+        ("diag_1_2", 2),
+        *[(f"{kind}_shifted", 8) for kind in ("hermitian", "real", "conj_closed")],
+        ("hermitian_scaled_shifted", 8),
+        ("real_scaled_shifted", 8),
     ]
+    DEFECTIVE = ("jordan", "jordan_similar", "nilpotent", "fermion_dm")  # cond(V) > EIG_COND_MAX
 
-    @pytest.mark.parametrize("kind, n", CASES, ids=[f"{k}-{n}" for k, n in CASES])
-    def test_same_space_and_chain_as_the_reference(self, kind, n):
-        rng = np.random.default_rng(n)
-        if kind == "identity":
-            h = 1.5 * np.eye(n, dtype=complex)
-        elif kind.startswith("repeated"):  # a chain of 3 < N: the projections show
-            h = np.diag([1.0, 1.0, 1.0, 2.0, 3.0, 3.0]).astype(complex)
-            if kind == "repeated_rotated":
-                u = haar_unitary(n, rng)
-                h = u @ h @ u.conj().T
-        else:
-            h = _structured(kind, n, rng)
-        ctx = gamma_context(h)
-        basis = gamma_symmetry_basis(ctx)
-        gens, _, chain_dim = symmetry_basis_reference(h)
+    @staticmethod
+    def assert_matches_the_reference(basis, ctx, h0):
+        n = ctx.dim
+        gens, _, chain_dim = symmetry_basis_reference(h0)
         assert len(basis.generators) == len(gens)
         assert basis.chain_closure_dim == chain_dim
         new, old = (g.reshape(len(g), n * n).T for g in (basis.generators, gens))
         gap = new @ new.conj().T - old @ old.conj().T
         assert np.linalg.norm(gap, 2) <= 1e-12
+        assert np.abs(new.conj().T @ new - np.eye(len(gens))).max(initial=0.0) <= 1e-12
         assert max(basis.residuals, default=0.0) <= 1e-8 * ctx.h_norm
+        g, h = basis.generators, ctx.h
+        direct = np.linalg.norm(h.conj().T @ g - g @ h, axis=(1, 2))  # closed forms agree
+        assert np.abs(direct - basis.residuals).max(initial=0.0) <= 1e-12 * ctx.h_norm
+
+    @pytest.mark.parametrize("kind, n", CASES, ids=[f"{k}-{n}" for k, n in CASES])
+    def test_same_space_and_chain_as_the_reference(self, kind, n):
+        h, h0 = _case(kind, n)
+        ctx = gamma_context(h)
+        basis = gamma_symmetry_basis(ctx)
+        assert basis.route == "schur"  # a context without a spectrum
+        self.assert_matches_the_reference(basis, ctx, h0)
+
+    @pytest.mark.parametrize("kind, n", CASES, ids=[f"{k}-{n}" for k, n in CASES])
+    def test_eigenvector_route_where_v_is_well_conditioned(self, kind, n):
+        h, h0 = _case(kind, n)
+        ctx = gamma_context(eig_general(h))
+        basis = gamma_symmetry_basis(ctx)
+        assert basis.route == ("schur" if kind in self.DEFECTIVE else "eig")
+        self.assert_matches_the_reference(basis, ctx, h0)
 
 
 class TestProductRule:

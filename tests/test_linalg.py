@@ -248,7 +248,13 @@ def _run_in_fresh_interpreter(tmp_path, doc) -> tuple[int, list[str]]:
     return status, loaded
 
 
-def test_only_the_symmetries_task_loads_scipy(tmp_path):
+def _symmetry_route(tmp_path) -> str:
+    report = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
+    return report["tasks"]["symmetries"]["route"]
+
+
+def test_only_the_schur_route_loads_scipy(tmp_path):
+    # every task on a diagonalizable H, the symmetries on its eigenvectors, is numpy alone
     rng = np.random.default_rng(5)
     h = random_hamiltonian(6, rng, kind="complex_spectrum")
     psi0 = random_unit_vector(6, rng)
@@ -258,12 +264,16 @@ def test_only_the_symmetries_task_loads_scipy(tmp_path):
         "initial_state": pairs(psi0),
         "observables": ["identity", "H"],
         "time": {"t_start": 0.0, "t_end": 2.0, "points": 41},
-        "tasks": ["trajectory", "classify", "biortho", "eigenstate_case"],
+        "tasks": ["trajectory", "classify", "biortho", "eigenstate_case", "symmetries"],
     }
     assert _run_in_fresh_interpreter(tmp_path, doc) == (0, [])
-    status, loaded = _run_in_fresh_interpreter(tmp_path, dict(doc, tasks=["symmetries"]))
+    assert _symmetry_route(tmp_path) == "eig"
+    # a defective H takes the Schur form, which loads scipy on first use
+    defective = {"hamiltonian": [[0, 1], [0, 0]], "tasks": ["symmetries"]}
+    status, loaded = _run_in_fresh_interpreter(tmp_path, defective)
     assert status == 0
     assert "scipy.linalg" in loaded
+    assert _symmetry_route(tmp_path) == "schur"
 
 
 class TestEigGeneral:

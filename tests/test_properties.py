@@ -9,7 +9,7 @@ The draws are derandomized, so every run checks the same examples.
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -252,6 +252,65 @@ def test_symmetry_basis_spans_the_kronecker_kernel(seed, n, kind, stretch):
 )
 def test_symmetry_basis_on_degenerate_and_defective_cases(h):
     _assert_symmetries_match_oracle(h)
+
+
+def _basis(h: np.ndarray, spectrum: bool):
+    """The symmetry basis on the Schur route, or on a context built on H's ``Spectrum``."""
+    return gamma_symmetry_basis(gamma_context(eig_general(h) if spectrum else h))
+
+
+@properties
+@given(
+    seed=seeds,
+    n=st.integers(2, 12),
+    kind=st.sampled_from(KINDS[:2]),
+    log_s=st.floats(-3.0, 6.0),
+    shift=st.floats(-1.0, 1.0),
+    spectrum=st.booleans(),
+)
+def test_symmetry_dimension_ignores_real_shifts_and_units(seed, n, kind, log_s, shift, spectrum):
+    # H^† X = X H is unchanged by a real shift c and a scale s > 0; the rank cut is
+    # relative to |H|, the size of the roundoff, so d follows once the gaps stand above it
+    h, _, _ = _draw(seed, n, kind)
+    size = op_norm(h)
+    lam = np.linalg.eigvals(h)
+    assume(np.abs(lam[:, None] - lam[None, :])[~np.eye(n, dtype=bool)].min() >= 1e-3 * size)
+    s = 10.0**log_s
+    shifted = s * h + shift * 1e7 * s * size * np.eye(n)
+    assert len(_basis(shifted, spectrum).generators) == len(_basis(h, False).generators) == n
+
+
+@properties
+@given(
+    seed=seeds,
+    n=st.integers(2, 12),
+    log_s=st.floats(-3.0, 6.0),
+    shift=st.floats(-1.0, 1.0),
+    spectrum=st.booleans(),
+)
+def test_a_hermitian_h_has_the_identity_among_n_or_more_symmetries(
+    seed, n, log_s, shift, spectrum
+):
+    h, _, _ = _draw(seed, n, "hermitian")
+    s = 10.0**log_s
+    shifted = s * h + shift * 1e7 * s * op_norm(h) * np.eye(n)
+    gens = _basis(shifted, spectrum).generators
+    assert len(gens) >= n
+    q = gens.reshape(len(gens), n * n).T
+    one = np.eye(n).ravel() / np.sqrt(n)
+    assert np.linalg.norm(one - q @ (q.conj().T @ one)) <= 1e-8
+
+
+@pytest.mark.parametrize("spectrum", [False, True], ids=["schur", "spectrum"])
+@pytest.mark.parametrize("eps", [0.0, 1e-16, 1e-14, 1e-12, 1e-6, 1e-4])
+def test_a_near_multiple_of_the_identity(eps, spectrum):
+    # 1.5 + eps E: within the cut every operator is a symmetry, beyond it the N powers of H
+    n = 12
+    rng = np.random.default_rng(12)
+    e = random_hamiltonian(n, rng, kind="hermitian")
+    e = (e + e.conj().T) / 2  # exactly Hermitian
+    h = 1.5 * np.eye(n) + eps * e / op_norm(e)
+    assert len(_basis(h, spectrum).generators) == (n * n if eps <= 1e-12 else n)
 
 
 @properties

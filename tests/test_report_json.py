@@ -129,7 +129,8 @@ SIMILAR_REPORT = """\
       "residuals": [
         0.0,
         0.0
-      ]
+      ],
+      "route": "eig"
     }
   }
 }

@@ -765,13 +765,29 @@ class TestCli:
         assert set(outputs[0]) == {"report.json", "trajectory.csv", "hamiltonian.npy"}
         assert outputs[0] == outputs[1]
 
-    def test_symmetry_outputs_do_not_depend_on_the_blas_thread_count(self, tmp_path):
-        # the column recursion's SVDs and re-mix products, at d = N = 24
-        h = random_hamiltonian(24, np.random.default_rng(24), kind="hermitian")
+    @pytest.mark.parametrize(
+        "n, kind, route",
+        [(64, "hermitian", "eig"), (64, "real_spectrum", "eig"), (24, "jordan", "schur")],
+    )
+    def test_symmetry_outputs_do_not_depend_on_the_blas_thread_count(
+        self, tmp_path, n, kind, route
+    ):
+        # the eigenvector route's Grams, eigh and products at d = N = 64, where the Schur
+        # route's SVDs split over threads; that route's SVDs and re-mix products at N = 24
+        rng = np.random.default_rng(n)
+        if kind == "jordan":  # 12 Jordan 2-blocks in a unitary frame: defective, d = N
+            j = np.diag(np.repeat(np.linspace(-1.0, 1.0, n // 2), 2)).astype(complex)
+            j[np.arange(0, n, 2), np.arange(1, n, 2)] = 0.5
+            u = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
+            h = u @ j @ u.conj().T
+        else:
+            h = random_hamiltonian(n, rng, kind=kind)
         doc = {"hamiltonian": complex_to_json(h), "tasks": ["symmetries"]}
         outputs = self.outputs_at_one_and_two_threads(tmp_path, doc)
         assert set(outputs[0]) == {"report.json", "symmetries.npy", "hamiltonian.npy"}
-        assert np.load(tmp_path / "out-1" / "symmetries.npy").shape == (24, 24, 24)
+        assert np.load(tmp_path / "out-1" / "symmetries.npy").shape == (n, n, n)
+        report = json.loads(outputs[0]["report.json"])
+        assert report["tasks"]["symmetries"]["route"] == route
         assert outputs[0] == outputs[1]
 
     def test_complex_spectrum_run_leaves_stderr_empty(self, tmp_path):
