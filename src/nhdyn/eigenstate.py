@@ -41,14 +41,14 @@ from .linalg import (
 class EigenstateContext:
     """A Hamiltonian with one selected unit eigenvector.
 
-    ``shifted`` is the gamma context of H_k0 = H - E, ``spectrum`` the eigensolve of H.
+    ``shifted`` is the gamma context of H_k0 = H - E, built on H_k0's ``Spectrum``: H's
+    eigenvectors and their conditioning, the eigenvalues shifted by -E, and |H - E|_2.
     """
 
     k0: int
     e_value: complex
     phi_k0: np.ndarray
     shifted: GammaContext
-    spectrum: Spectrum
 
 
 def eigenstate_context(h, k0: int | None = None) -> EigenstateContext:
@@ -65,8 +65,9 @@ def eigenstate_context(h, k0: int | None = None) -> EigenstateContext:
         k0 = int(np.argmax(np.abs(decomp.eigenvalues.imag)))
     k0 = check_integer(k0, "k0", 0, n - 1)
     e = complex(decomp.eigenvalues[k0])
-    shifted = gamma_context(decomp.matrix - e * np.eye(n, dtype=complex))
-    return EigenstateContext(k0, e, decomp.right_vectors[:, k0], shifted, decomp)
+    h_k0 = decomp.matrix - e * np.eye(n, dtype=complex)
+    shifted = replace(decomp, eigenvalues=decomp.eigenvalues - e, matrix=h_k0, norm=op_norm(h_k0))
+    return EigenstateContext(k0, e, decomp.right_vectors[:, k0], gamma_context(shifted))
 
 
 @dataclass(frozen=True)
@@ -96,20 +97,18 @@ def weak_identity_report(
     ctx: EigenstateContext, t_grid, rng=None, tol_trunc: float = DEFAULT_TOL_TRUNC
 ) -> WeakIdentityReport:
     """The weak identities of ``ctx`` on the time grid ``t_grid``. The identity mean is read
-    off phi's H_k0-orbit, anchored on H_k0's ``Spectrum``: ``ctx.spectrum``'s eigenvectors
-    and their conditioning, with the eigenvalues shifted by -E. ``rng`` draws X, Y, then the
-    three probes; ``gamma_t`` conjugates one matrix per call, and its calls at one time share
-    their exponential through the ``expm`` memo. Each probe's series terms are formed once,
-    at the larger of |t_last| and 0.5, and summed at both times by ``gamma_series_at``;
-    ``tol_trunc``, checked before any work, bounds each sum's tail. A difference whose
-    Frobenius norm is below the largest 2-norm so far cannot raise it and takes no SVD."""
+    off phi's H_k0-orbit, anchored on ``ctx.shifted.spectrum`` (on H_k0 itself for a context
+    built without one). ``rng`` draws X, Y, then the three probes; ``gamma_t`` conjugates
+    one matrix per call, and its calls at one time share their exponential through the
+    ``expm`` memo. Each probe's series terms are formed once, at the larger of |t_last| and
+    0.5, and summed at both times by ``gamma_series_at``; ``tol_trunc``, checked before any
+    work, bounds each sum's tail. A difference whose Frobenius norm is below the largest
+    2-norm so far cannot raise it and takes no SVD."""
     check_tolerance(tol_trunc, "tol_trunc")
     shifted, phi, n = ctx.shifted, ctx.phi_k0, ctx.shifted.dim
     t = check_times(t_grid, "t_grid")[0]
-    # <phi, g_t(1) phi> = |exp(-i H_k0 t) phi|^2; H_k0 = H - E has H's eigenvectors
-    h_k0 = replace(ctx.spectrum, eigenvalues=ctx.spectrum.eigenvalues - ctx.e_value,
-                   matrix=shifted.h, norm=shifted.h_norm)
-    orbit = exact_trajectory(h_k0, phi, t)
+    # <phi, g_t(1) phi> = |exp(-i H_k0 t) phi|^2
+    orbit = exact_trajectory(shifted.h if shifted.spectrum is None else shifted.spectrum, phi, t)
     identity_mean = np.max(np.abs(orbit.norm_sq - 1.0))
     delta_mean = abs(np.vdot(phi, delta_gamma(shifted, np.eye(n)) @ phi))
 

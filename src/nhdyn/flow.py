@@ -36,7 +36,7 @@ from .errors import CertificationError, ConfigError, InstabilityError, NumericRa
 from .gamma import delta_gamma, gamma_context
 from .linalg import (
     EIG_COND_MAX, Spectrum, as_complex_matrix, as_square_matrix, as_state_vector, as_unit_vector,
-    check_integer, check_times, check_tolerance, expm, mean_values, op_norm,
+    check_integer, check_number, check_times, check_tolerance, expm, mean_values, op_norm,
 )
 
 DEFAULT_TOL_CLASS = 1e-8
@@ -391,8 +391,9 @@ def necessary_condition_residual(
     Both sides use the un-normalized states. The identity is necessary
     for X to be a weak integral with constant mean ``x0``; the premise,
     ``classify``'s weak residual within ``DEFAULT_TOL_CLASS``, is re-verified
-    from means alone and reported rather than assumed.
+    from means alone and reported rather than assumed. ``x0`` is a finite number.
     """
+    x0 = check_number(x0, "x0")
     _, dg, anti, _, premise = _weak_residual(h, x, trajectory.psi_hat)
     gap = mean_values(dg, trajectory.psi) - 1j * x0 * mean_values(anti, trajectory.psi)
     return NecessaryConditionResult(

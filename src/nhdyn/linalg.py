@@ -43,6 +43,21 @@ def check_tolerance(value, name: str, below_one: bool = False) -> float:
     return float(value)
 
 
+def check_number(value, name: str, nonnegative: bool = False) -> complex | float:
+    """A finite non-bool number as a complex, or if ``nonnegative`` a real >= 0 as a float,
+    else ``ConfigError``: the rule for every number that is no tolerance, count or time."""
+    kind, what = (numbers.Real, "real number >= 0") if nonnegative else (numbers.Complex, "number")
+    try:  # isfinite is False for NaN, raises past the float range and casts no float32
+        ok = (isinstance(value, kind) and not isinstance(value, bool)
+              and math.isfinite(value.real) and math.isfinite(value.imag)
+              and (not nonnegative or value >= 0))
+    except OverflowError:
+        ok = False
+    if not ok:
+        raise ConfigError(f"{name} must be a finite {what}")
+    return float(value) if nonnegative else complex(value)
+
+
 def check_integer(value, name: str, low: int, high: int | None = None) -> int:
     """A non-bool ``Integral`` in [low, high] as a plain int, else ``ConfigError``: the
     rule for every count, index, size and seed (numpy integers pass, floats do not)."""
@@ -345,10 +360,11 @@ def nullspace(l, rank_tol_rel: float = DEFAULT_RANK_TOL, scale: float = 0.0) -> 
     Returns the right singular vectors whose singular values fall below
     ``rank_tol_rel * max(sigma_max, scale)``, as columns; a full-rank input yields a
     matrix with zero columns. ``scale`` is the size of the matrix's roundoff where it
-    exceeds its own: |H| for a step of the symmetry recursion.
+    exceeds its own: |H| for a step of the symmetry recursion, a finite real >= 0.
     """
     m = as_complex_matrix(l, "nullspace argument")
     check_tolerance(rank_tol_rel, "rank_tol_rel", below_one=True)
+    scale = check_number(scale, "scale", nonnegative=True)
     cols = m.shape[1]
     _, sigma, vh = np.linalg.svd(m, full_matrices=True)
     # pad so every right singular vector has a singular value (0 beyond rank)

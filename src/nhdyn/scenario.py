@@ -149,7 +149,7 @@ def complex_to_json(a) -> list:
 
 @dataclass
 class ScenarioConfig:
-    """A validated scenario with all defaults materialized."""
+    """A validated scenario with all defaults materialized; every task reads H as ``spectrum``."""
 
     hamiltonian: np.ndarray
     initial_state: np.ndarray | None
@@ -167,15 +167,16 @@ class ScenarioConfig:
     @cached_property
     def trajectory(self) -> flow.StateTrajectory:
         """The initial state evolved once and shared read-only, anchored on ``spectrum``."""
-        try:
-            return flow.exact_trajectory(self.spectrum, self.initial_state, self.t_grid)
-        except EigensolverError:  # raised by eig_general only: take the expm anchors
-            return flow.exact_trajectory(self.hamiltonian, self.initial_state, self.t_grid)
+        return flow.exact_trajectory(self.spectrum, self.initial_state, self.t_grid)
 
     @cached_property
-    def spectrum(self) -> Spectrum:
-        """The Hamiltonian diagonalized once; tasks share it read-only."""
-        return eig_general(self.hamiltonian)
+    def spectrum(self) -> Spectrum | np.ndarray:
+        """H diagonalized once, or H where that fails: biortho and eigenstate_case then solve
+        again and raise; trajectory and symmetries take expm and Schur."""
+        try:
+            return eig_general(self.hamiltonian)
+        except EigensolverError:
+            return self.hamiltonian
 
 
 def _validate_hamiltonian(raw, echo: dict):
@@ -459,11 +460,7 @@ def _task_biortho(cfg: ScenarioConfig, artifacts: dict, rng) -> dict:
 
 
 def _task_symmetries(cfg: ScenarioConfig, artifacts: dict, rng) -> dict:
-    try:
-        ctx = gamma_context(cfg.spectrum)
-    except EigensolverError:  # raised by eig_general only: take the Schur route
-        ctx = gamma_context(cfg.hamiltonian)
-    basis = gamma_symmetry_basis(ctx, cfg.tolerances["rank_tol_rel"])
+    basis = gamma_symmetry_basis(gamma_context(cfg.spectrum), cfg.tolerances["rank_tol_rel"])
     stack = basis.generators  # (d, N, N), also for d = 0
     if not np.isfinite(stack).all():
         raise NumericRangeError("symmetry generators hold a non-finite number")

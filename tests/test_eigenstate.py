@@ -15,6 +15,7 @@ from nhdyn import (
     gamma_context,
     gamma_series,
     gamma_series_at,
+    gamma_symmetry_basis,
     gamma_t,
     mean_derivative,
     op_norm,
@@ -208,10 +209,11 @@ def test_scenario_steps_the_eigenstate_orbit_with_the_trajectory(tmp_path):
 
 
 def test_identity_mean_is_read_off_one_orbit_on_the_shifted_spectrum(monkeypatch):
-    # one exact_trajectory call, on the Spectrum of H_k0 = H - E: H's eigenvectors and their
-    # conditioning, the shifted eigenvalues, H_k0 itself and its 2-norm
+    # one exact_trajectory call, on ctx.shifted.spectrum, the Spectrum of H_k0 = H - E: H's
+    # eigenvectors and their conditioning, the shifted eigenvalues, H_k0 itself and its 2-norm
     h = random_hamiltonian(6, np.random.default_rng(4), "complex_spectrum", basis_stretch=10.0)
-    ctx = eigenstate_context(h)
+    h_spectrum = eig_general(h)
+    ctx = eigenstate_context(h_spectrum)
     calls = []
 
     def recording(spectrum, psi0, t_grid):
@@ -222,11 +224,12 @@ def test_identity_mean_is_read_off_one_orbit_on_the_shifted_spectrum(monkeypatch
     t = np.linspace(0.0, 10.0, 201)
     report = weak_identity_report(ctx, t, np.random.default_rng(9))
     (spectrum,) = calls
+    assert spectrum is ctx.shifted.spectrum
     assert spectrum.matrix is ctx.shifted.h
     assert spectrum.norm == op_norm(ctx.shifted.h)
-    assert np.array_equal(spectrum.eigenvalues, ctx.spectrum.eigenvalues - ctx.e_value)
-    assert spectrum.right_vectors is ctx.spectrum.right_vectors
-    assert spectrum.condition_estimate == ctx.spectrum.condition_estimate
+    assert np.array_equal(spectrum.eigenvalues, h_spectrum.eigenvalues - ctx.e_value)
+    assert spectrum.right_vectors is h_spectrum.right_vectors
+    assert spectrum.condition_estimate == h_spectrum.condition_estimate
     v, lam = spectrum.right_vectors, spectrum.eigenvalues
     assert op_norm(ctx.shifted.h @ v - v * lam) <= 1e-12 * spectrum.norm
     orbit = exact_trajectory(spectrum, ctx.phi_k0, t)
@@ -242,9 +245,22 @@ def test_identity_mean_of_a_bounded_orbit_is_at_roundoff(kind, stretch):
     for seed in range(3):
         h = random_hamiltonian(16, np.random.default_rng(seed), kind, basis_stretch=stretch)
         ctx = eigenstate_context(h, int(np.argmax(eig_general(h).eigenvalues.imag)))
-        assert ctx.spectrum.eigenvalues.imag.max() <= ctx.e_value.imag
+        assert ctx.shifted.spectrum.eigenvalues.imag.max() <= 0.0
         report = weak_identity_report(ctx, np.linspace(0.0, 10.0, 201))
         assert report.identity_mean_residual <= 1e-12
+
+
+@pytest.mark.parametrize("kind", ["hermitian", "real_spectrum", "complex_spectrum"])
+def test_the_shifted_context_gives_the_symmetries_by_eigenvectors(kind):
+    # ctx.shifted holds H_k0's Spectrum, so the symmetries of H_k0 take the eigenvector
+    # route and span what the Schur route on H_k0 alone spans
+    ctx = eigenstate_context(random_hamiltonian(6, np.random.default_rng(3), kind))
+    eig = gamma_symmetry_basis(ctx.shifted)
+    schur = gamma_symmetry_basis(gamma_context(ctx.shifted.h))
+    assert (eig.route, schur.route) == ("eig", "schur")
+    spans = [np.linalg.qr(b.generators.reshape(len(b.generators), -1).T)[0] for b in (eig, schur)]
+    assert spans[0].shape == spans[1].shape
+    assert op_norm(spans[0] @ spans[0].conj().T - spans[1] @ spans[1].conj().T) <= 1e-8
 
 
 def test_an_empty_grid_is_a_config_error():

@@ -34,9 +34,11 @@ from nhdyn import (
     gamma_context,
     gamma_series,
     gamma_series_at,
+    gamma_symmetry_basis,
     gamma_t,
     identity_norm_evolution,
     integrate_nonlinear,
+    necessary_condition_residual,
     nullspace,
     op_norm,
     simulate_occupations,
@@ -46,7 +48,7 @@ from nhdyn.ensembles import random_hamiltonian, random_unit_vector
 from nhdyn.errors import ConfigError
 from nhdyn.fermions import parse_occupation_label
 from nhdyn.linalg import (
-    MAX_DIM, _expm_exact, check_integer, check_times, check_tolerance, schur,
+    MAX_DIM, _expm_exact, check_integer, check_number, check_times, check_tolerance, schur,
 )
 from nhdyn.scenario import parse_config, run
 
@@ -374,6 +376,16 @@ class TestNullspace:
         with pytest.raises(ConfigError):
             nullspace(np.eye(2), rank_tol_rel=1.5)
 
+    @pytest.mark.parametrize("scale, dim", [(0, 1), (2.0, 1), (1e5, 1), (1e8, 2), (1e11, 3)])
+    def test_the_cut_is_relative_to_the_larger_of_sigma_max_and_scale(self, scale, dim):
+        # sigma = 4, 1e-3, 1e-12: the kernel holds the singular values at or below
+        # rank_tol_rel * max(4, scale), so a scale below sigma_max leaves the cut alone
+        l = np.diag([4.0, 1e-3, 1e-12])
+        basis = nullspace(l, 1e-10, scale)
+        assert basis.shape == (3, dim)
+        assert op_norm(l @ basis) <= 1e-10 * max(4.0, scale)
+        assert np.abs(basis.conj().T @ basis - np.eye(dim)).max() < 1e-14
+
 
 UPPER = np.array([[1.0, 2.0], [0.0, 3.0]])
 
@@ -395,6 +407,12 @@ def _tolerance_calls():
             lambda tol: classify_ensemble(UPPER, np.eye(2), [0.0, 1.0], 2, rng, tol),
         ),
         "build_biorthogonal": ("tol_distinct", lambda tol: build_biorthogonal(UPPER, tol)),
+        "gamma_series_at": (
+            "tol_trunc", lambda tol: gamma_series_at(ctx, np.eye(2), (0.5, 1.0), tol)
+        ),
+        "gamma_symmetry_basis": ("rank_tol_rel", lambda tol: gamma_symmetry_basis(ctx, tol)),
+        "build_dm_model-lam": ("lam", lambda v: build_dm_model(v, 1.0)),
+        "build_dm_model-mu": ("mu", lambda v: build_dm_model(1.0, v)),
         "nullspace": ("rank_tol_rel", lambda tol: nullspace(UPPER, tol)),
         "random_hamiltonian-scale": (
             "scale", lambda v: random_hamiltonian(2, rng, "complex_spectrum", scale=v)
@@ -407,7 +425,8 @@ def _tolerance_calls():
 
 
 TOLERANCE_CALLS = [
-    "build_biorthogonal", "classify", "classify_ensemble", "gamma_series", "nullspace",
+    "build_biorthogonal", "build_dm_model-lam", "build_dm_model-mu", "classify",
+    "classify_ensemble", "gamma_series", "gamma_series_at", "gamma_symmetry_basis", "nullspace",
     "random_hamiltonian-basis_stretch", "random_hamiltonian-scale", "weak_identity_report",
 ]
 
@@ -453,6 +472,48 @@ class TestCheckTolerance:
             check_tolerance(1, "tol", below_one=True)
         with pytest.raises(ConfigError, match="finite positive"):
             check_tolerance(10**400, "tol")
+
+
+def _number_calls():
+    """Each public number that is no tolerance, count or time: its id -> (parameter, the
+    rest of the message, call of the value)."""
+    traj = exact_trajectory(UPPER, np.array([0.6, 0.8]), np.linspace(0.0, 1.0, 5))
+    return {
+        "nullspace": ("scale", "real number >= 0", lambda v: nullspace(UPPER, scale=v)),
+        "necessary_condition_residual": (
+            "x0", "number", lambda v: necessary_condition_residual(UPPER, np.eye(2), traj, v)
+        ),
+    }
+
+
+BAD_NUMBERS = [math.nan, math.inf, -math.inf, complex(0.0, math.inf), "x", None, True, 10**400]
+
+
+def _bad_numbers():
+    for call in _number_calls():
+        real = [-1.0, -1e-300, 1j, np.float32(math.nan)] if call == "nullspace" else []
+        yield from (pytest.param(call, v, id=f"{call}-{v!r}") for v in BAD_NUMBERS + real)
+
+
+class TestCheckNumber:
+    # before one rule: scale=inf called all of C^3 the kernel of the identity, "x" raised
+    # numpy's UFuncTypeError, NaN and -1 were ignored; x0=nan gave a NaN residual with
+    # premise_ok True, inf warned, "x" and None raised a bare TypeError, True read as 1
+    @pytest.mark.parametrize("call, bad", _bad_numbers())
+    def test_every_number_rejects_what_is_not_finite(self, monkeypatch, call, bad):
+        name, what, run = _number_calls()[call]
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: pytest.fail("an SVD ran"))
+        with pytest.raises(ConfigError, match=f"^{re.escape(f'{name} must be a finite {what}')}$"):
+            run(bad)
+
+    @pytest.mark.parametrize(
+        "good", [0, 2, np.float64(0.5), np.float32(2.0), np.int64(3), 10**300], ids=repr
+    )
+    def test_every_number_takes_a_numpy_or_integer_number(self, good):
+        for _, _, run in _number_calls().values():
+            run(good)
+        assert type(check_number(good, "scale", nonnegative=True)) is float
+        assert check_number(np.complex64(2j), "x0") == 2j
 
 
 @pytest.mark.parametrize(
@@ -675,6 +736,23 @@ def test_every_time_parameter_is_in_the_bad_time_table():
         and {"t", "t_grid", "times"} & set(inspect.signature(getattr(nhdyn, name)).parameters)
     }
     assert takers == set(_time_calls()) == set(GRID_CALLS + SCALAR_CALLS)
+
+
+def test_every_number_parameter_is_in_a_rule_table():
+    # a new public float, int or complex parameter must join the tolerance, integer, time
+    # or number table, so it cannot skip its rule
+    covered = {(call.split("-")[0], rule[0]) for call, rule in INTEGER_RULES.items()}
+    for table in (_tolerance_calls(), _time_calls(), _number_calls()):
+        covered |= {(call.split("-")[0], entry[0]) for call, entry in table.items()}
+    takers = {
+        (name, param)
+        for name in nhdyn.__all__ if inspect.isfunction(getattr(nhdyn, name))
+        for param, p in inspect.signature(getattr(nhdyn, name)).parameters.items()
+        if str(getattr(p.annotation, "__name__", p.annotation)).removesuffix(" | None")
+        in {"float", "int", "complex"}
+    }
+    assert {("nullspace", "scale"), ("necessary_condition_residual", "x0")} <= takers
+    assert takers - covered == set()
 
 
 class TestSchur:

@@ -622,6 +622,54 @@ class TestRunner:
         traj = nhdyn.flow.exact_trajectory(h, psi0, np.linspace(0.0, 10.0, 201))
         assert report["tasks"]["trajectory"]["norm_sq_final"] == float(traj.norm_sq[-1])
 
+    @pytest.mark.parametrize(
+        "task, key, route",
+        [("trajectory", "anchor_route", "expm"), ("symmetries", "route", "schur"),
+         ("biortho", None, None), ("eigenstate_case", None, None)],
+    )
+    def test_failed_eigensolve_reaches_every_task_that_reads_it(
+        self, tmp_path, monkeypatch, capsys, task, key, route
+    ):
+        # the scenario solves once; trajectory and symmetries fall back on the matrix,
+        # while biortho and eigenstate_case solve again and exit 3 with the message
+        message = "eigenpair residual 1.000e-03 exceeds 1.0e-10 * |A| = 1.000e-10"
+        original = nhdyn.linalg.eig_general
+
+        def fail(_):
+            raise nhdyn.errors.EigensolverError(message)
+
+        rng = np.random.default_rng(6)
+        h = random_hamiltonian(6, rng, kind="real_spectrum")
+        doc = {
+            "hamiltonian": complex_to_json(h),
+            "initial_state": complex_to_json(random_unit_vector(6, rng)),
+            "tasks": [task],
+        }
+        cfg = write_config(tmp_path, doc)
+        argv = ["run", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]
+        assert main(argv) == 0  # with the eigensolve, trajectory and symmetries take "eig"
+        if key is not None:
+            report = json.loads((tmp_path / "out" / "report.json").read_bytes())
+            assert report["tasks"][task][key] == "eig"
+        capsys.readouterr()
+
+        bound = [
+            m for name, m in sys.modules.items()
+            if name.split(".")[0] == "nhdyn" and getattr(m, "eig_general", None) is original
+        ]
+        assert {m.__name__ for m in bound} >= {"nhdyn.biortho", "nhdyn.eigenstate", "nhdyn.scenario"}
+        for module in bound:
+            monkeypatch.setattr(module, "eig_general", fail)
+        argv[-1] = str(tmp_path / "failed")
+        if key is None:
+            assert main(argv) == 3
+            assert capsys.readouterr().err == f"nhdyn: numerical failure: {message}\n"
+            assert not (tmp_path / "failed" / "report.json").exists()
+        else:
+            assert main(argv) == 0
+            report = json.loads((tmp_path / "failed" / "report.json").read_bytes())
+            assert report["tasks"][task][key] == route
+
     def test_seed_override_changes_random_sections(self, tmp_path):
         doc = {
             "hamiltonian": [[[1.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [0.5, 1.0]]],
