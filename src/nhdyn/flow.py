@@ -52,7 +52,8 @@ class StateTrajectory:
     ``psi`` and ``psi_hat`` have one state per row; ``norm_sq[j]`` equals
     ``|psi[j]|^2`` and ``psi_hat[j] = psi[j] / |psi[j]|`` to 1e-12.
     ``anchor_gap``, ``fallback_segments`` and ``anchor_route`` (``"eig"`` or ``"expm"``)
-    record the path ``exact_trajectory`` took (0, 0, ``"expm"`` where it did not step).
+    record the path ``exact_trajectory`` took (0, 0, ``"expm"`` where it did not step);
+    ``integrate_nonlinear`` records ``"rk4"``, and its ``norm_sq`` is the drift of psi_hat.
     """
 
     t_grid: np.ndarray
@@ -225,7 +226,7 @@ def integrate_nonlinear(
             f"nonlinear integration deviates by {deviation:.3g}; "
             f"increase substeps (current {substeps})"
         )
-    return _trajectory_from_states(t, states), deviation
+    return _trajectory_from_states(t, states, route="rk4"), deviation
 
 
 def mean_value(x, psi_hat) -> complex:
@@ -344,19 +345,22 @@ def classify_ensemble(
     n_states = check_integer(n_states, "n_states", 1)
     t = check_times(t_grid, "t_grid")[0]  # before the states are drawn
     check_tolerance(tol_class, "tol_class")  # before the trajectories
+    xm = as_square_matrix(x, "observable", hm.shape[0])  # the observable too
     states = [random_unit_vector(hm.shape[0], rng) for _ in range(n_states)]
     rows = np.concatenate([exact_trajectory(hm, v, t).psi_hat for v in states])
-    return _classify_rows(hm, x, rows, tol_class, name)
+    return _classify_rows(hm, xm, rows, tol_class, name)
 
 
 def gamma_symmetry_decay_check(h, x, trajectory: StateTrajectory) -> float:
     """Check the decay law x(t) = x(0) / |psi(t)|^2 for a gamma-symmetry.
 
-    The mean value of a symmetry on the normalized trajectory is fully
-    determined by the initial mean and the norm history. Requires the
-    trajectory to start normalized and ``x`` to be a symmetry to 1e-9
+    The mean value of a symmetry on the normalized trajectory is fully determined by the
+    initial mean and the norm history, which ``integrate_nonlinear``'s lacks (``ConfigError``).
+    Requires the trajectory to start normalized and ``x`` to be a symmetry to 1e-9
     relative to |H| |X|; otherwise raises ``CertificationError``.
     """
+    if trajectory.anchor_route == "rk4":
+        raise ConfigError("trajectory of integrate_nonlinear has no |psi(t)|^2 to decay by")
     ctx = gamma_context(h)
     xm = as_square_matrix(x, "observable")
     v = as_complex_matrix(trajectory.psi_hat, "psi_hat", ctx.dim)

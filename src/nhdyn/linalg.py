@@ -32,11 +32,20 @@ MAX_DIM = 64  # the desk scale: the largest scenario H and the largest memoized 
 EIG_COND_MAX = 1e4  # largest cond(V) at which a Spectrum's eigenvectors V are built on
 
 
+def is_number(value, real: bool = False) -> bool:
+    """Whether ``value`` is a number: a non-bool real (or, unless ``real``, complex) value whose
+    parts are finite floats, or an int or Fraction no larger than the largest float; numpy
+    scalars count. No bound is cast to the value's type, so a float32 never warns."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real if real else numbers.Complex):
+        return False
+    if isinstance(value, numbers.Rational):  # exact, where float() would round int(max) + 1 in
+        return -sys.float_info.max <= value <= sys.float_info.max
+    return math.isfinite(value.real) and math.isfinite(value.imag)
+
+
 def check_tolerance(value, name: str, below_one: bool = False) -> float:
-    """A finite non-bool real > 0 (and < 1 if ``below_one``) as a float, else ``ConfigError``:
-    the rule for every tolerance and for the fermion couplings."""
-    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-    if not (real and 0 < value <= sys.float_info.max):  # NaN and ints past the range fail
+    """A number > 0 (< 1 if ``below_one``) as a float, else ``ConfigError``: the tolerance rule."""
+    if not (is_number(value, real=True) and value > 0):
         raise ConfigError(f"{name} must be a finite positive number")
     if below_one and not value < 1:
         raise ConfigError(f"{name} must be below 1")
@@ -44,16 +53,10 @@ def check_tolerance(value, name: str, below_one: bool = False) -> float:
 
 
 def check_number(value, name: str, nonnegative: bool = False) -> complex | float:
-    """A finite non-bool number as a complex, or if ``nonnegative`` a real >= 0 as a float,
-    else ``ConfigError``: the rule for every number that is no tolerance, count or time."""
-    kind, what = (numbers.Real, "real number >= 0") if nonnegative else (numbers.Complex, "number")
-    try:  # isfinite is False for NaN, raises past the float range and casts no float32
-        ok = (isinstance(value, kind) and not isinstance(value, bool)
-              and math.isfinite(value.real) and math.isfinite(value.imag)
-              and (not nonnegative or value >= 0))
-    except OverflowError:
-        ok = False
-    if not ok:
+    """A number as a complex, or if ``nonnegative`` a real >= 0 as a float, else
+    ``ConfigError``: the rule for every number that is no tolerance, count or time."""
+    what = "real number >= 0" if nonnegative else "number"
+    if not (is_number(value, real=nonnegative) and (not nonnegative or value >= 0)):
         raise ConfigError(f"{name} must be a finite {what}")
     return float(value) if nonnegative else complex(value)
 
@@ -68,37 +71,48 @@ def check_integer(value, name: str, low: int, high: int | None = None) -> int:
     return int(value)
 
 
-def check_times(value, name: str, min_points: int = 1) -> tuple[np.ndarray, float | None]:
-    """>= ``min_points`` finite non-bool real times in a 1-D float array and their common step
-    (None if steps differ by > 1e-12 max(|dt|, 1)), else ``ConfigError``: the time rule."""
+def _as_numbers(a, real: bool = False) -> np.ndarray | None:
+    """``a`` as a float (if ``real``) or complex array, or None if it is ragged or holds what
+    is no number: bools, strings, bytes, or objects that fail ``is_number``."""
     try:
-        t = np.asarray(value)
+        m = np.asarray(a)
     except ValueError:  # a ragged nest
-        t = np.asarray(None)
+        return None
+    kind, kinds = m.dtype.kind, "iuf" if real else "iufc"
+    if kind in kinds or kind == "O" and all(is_number(v, real) for v in m.flat):
+        return m.astype(float if real else complex, copy=False)
+    return None
+
+
+def check_times(value, name: str, min_points: int = 1) -> tuple[np.ndarray, float | None]:
+    """>= ``min_points`` real times in a 1-D float array and their common step (None if steps
+    differ by > 1e-12 max(|dt|, 1)), else ``ConfigError``: the time rule."""
+    t = _as_numbers(value, real=True)
     listed = value if isinstance(value, (list, tuple)) else ()  # [0.0, True] reads as floats
-    real = t.dtype.kind in "iuf" and not any(isinstance(v, (bool, np.bool_)) for v in listed)
-    if not (real and t.ndim == 1 and t.size >= min_points and np.isfinite(t).all()):
+    bools = any(isinstance(v, (bool, np.bool_)) for v in listed)
+    if t is None or bools or not (t.ndim == 1 and t.size >= min_points and np.isfinite(t).all()):
         raise ConfigError(f"{name} must be finite real times in a 1-D array of >= {min_points}")
-    t = t.astype(float, copy=False)
     with np.errstate(over="ignore", invalid="ignore"):  # a step past the range is no step
         steps = t[1:] - t[:-1]
         ok = steps.size and abs(steps - steps[0]).max() <= 1e-12 * max(abs(steps[0]), 1.0)
     return t, float(steps[0]) if ok else None
 
 
-def as_complex_matrix(a, name: str = "matrix", cols: int | None = None) -> np.ndarray:
-    """Validate and promote ``a`` to a 2-D complex128 array.
-
-    Raises ``DimensionError`` for non-2-D input or, given ``cols``, another
-    column count, and ``NumericRangeError`` if any entry is NaN or infinite.
-    """
-    m = np.asarray(a, dtype=complex)
-    if m.ndim != 2:
-        raise DimensionError(f"{name} must be 2-D, got ndim={m.ndim}")
+def as_complex_matrix(a, name: str = "matrix", dim: int | None = None, ndim: int = 2) -> np.ndarray:
+    """``a`` as a complex128 array of ``ndim`` axes (2 for a matrix, 1 for a state), the last of
+    ``dim`` entries if given: ``ConfigError`` if it holds no numbers (``_as_numbers``),
+    ``DimensionError`` for another shape or an empty state, ``NumericRangeError`` for NaN or inf."""
+    m = _as_numbers(a)
+    if m is None:
+        raise ConfigError(f"{name} must be an array of numbers")
+    if m.ndim != ndim:
+        raise DimensionError(f"{name} must be {ndim}-D, got ndim={m.ndim}")
+    if ndim == 1 and m.size == 0:
+        raise DimensionError(f"{name} is empty")
     if m.size and not np.isfinite(m).all():
         raise NumericRangeError(f"{name} contains non-finite entries")
-    if cols is not None and m.shape[1] != cols:
-        raise DimensionError(f"{name} has dim {m.shape[1]}, expected {cols}")
+    if dim is not None and m.shape[-1] != dim:
+        raise DimensionError(f"{name} has dim {m.shape[-1]}, expected {dim}")
     return m
 
 
@@ -110,17 +124,8 @@ def as_square_matrix(a, name: str = "matrix", dim: int | None = None) -> np.ndar
 
 
 def as_state_vector(v, dim: int | None = None, name: str = "vector") -> np.ndarray:
-    """Validate ``v`` as a 1-D complex128 array; a stack or a column is not one state."""
-    w = np.asarray(v, dtype=complex)
-    if w.ndim != 1:
-        raise DimensionError(f"{name} must be 1-D, got ndim={w.ndim}")
-    if w.size == 0:
-        raise DimensionError(f"{name} is empty")
-    if not np.isfinite(w).all():
-        raise NumericRangeError(f"{name} contains non-finite entries")
-    if dim is not None and w.size != dim:
-        raise DimensionError(f"{name} has dim {w.size}, expected {dim}")
-    return w
+    """``as_complex_matrix`` of one state: a stack or a column is not one state."""
+    return as_complex_matrix(v, name, dim, ndim=1)
 
 
 def as_unit_vector(v, dim: int | None, tol: float, name: str) -> np.ndarray:
@@ -135,9 +140,7 @@ def as_unit_vector(v, dim: int | None, tol: float, name: str) -> np.ndarray:
 def op_norm(a) -> float:
     """Induced 2-norm (largest singular value)."""
     m = as_complex_matrix(a)
-    if m.size == 0:
-        return 0.0
-    return float(np.linalg.norm(m, 2))
+    return float(np.linalg.norm(m, 2)) if m.size else 0.0
 
 
 def mean_values(op: np.ndarray, states: np.ndarray) -> np.ndarray:
@@ -321,24 +324,25 @@ class Spectrum:
 def eig_general(a) -> Spectrum:
     """Eigenvalues and unit right eigenvectors of a general complex matrix.
 
-    Each pair satisfies ``|A v - l v| <= DEFAULT_EIG_TOL |A| |v|``; violations
-    raise ``EigensolverError`` with the worst residual. Defective inputs
-    are not rejected, they surface through ``condition_estimate``.
+    Each pair satisfies ``|A v - l v| <= DEFAULT_EIG_TOL |A| |v|``; violations raise
+    ``EigensolverError`` with the worst residual. Defective inputs are not rejected, they
+    surface through ``condition_estimate``; an empty one raises ``DimensionError``.
     """
     m = as_square_matrix(a, "eig_general argument")
+    if not m.size:
+        raise DimensionError("eig_general argument is empty")
     try:
         values, vectors = np.linalg.eig(m)
     except np.linalg.LinAlgError as exc:
         raise EigensolverError(f"eigendecomposition failed: {exc}") from exc
 
     order = np.lexsort((values.imag, values.real))
-    values = values[order]
-    vectors = vectors[:, order]
+    values, vectors = values[order], vectors[:, order]
     vectors = vectors / np.linalg.norm(vectors, axis=0, keepdims=True)
 
     scale = op_norm(m)
     residuals = np.linalg.norm(m @ vectors - vectors * values, axis=0)
-    worst = float(residuals.max()) if residuals.size else 0.0
+    worst = float(residuals.max())
     if worst > DEFAULT_EIG_TOL * max(scale, 1e-300):
         raise EigensolverError(
             f"eigenpair residual {worst:.3e} exceeds {DEFAULT_EIG_TOL:.1e} * |A| = "
@@ -369,7 +373,7 @@ def nullspace(l, rank_tol_rel: float = DEFAULT_RANK_TOL, scale: float = 0.0) -> 
     _, sigma, vh = np.linalg.svd(m, full_matrices=True)
     # pad so every right singular vector has a singular value (0 beyond rank)
     sigma = np.concatenate([sigma, np.zeros(cols - sigma.size)])
-    if sigma[0] == 0.0:
+    if not sigma[:1].any():  # the zero map, also from C^0, has all of its domain as kernel
         return np.eye(cols, dtype=complex)
     keep = sigma <= rank_tol_rel * max(sigma[0], scale)
     return vh[keep, :].conj().T.reshape(cols, -1)

@@ -55,7 +55,7 @@ from .gamma import (
 )
 from .linalg import (
     DEFAULT_RANK_TOL, MAX_DIM, Spectrum, as_square_matrix, as_unit_vector, check_integer,
-    check_tolerance, eig_general, frob, mean_values,
+    check_tolerance, eig_general, frob, is_number, mean_values,
 )
 
 DEFAULT_TOLERANCES = {
@@ -81,24 +81,11 @@ def _fail(path: str, message: str) -> ConfigError:
     return ConfigError(f"{path} {message}")
 
 
-def _is_finite_number(value) -> bool:
-    return (
-        isinstance(value, (int, float))
-        and not isinstance(value, bool)
-        and abs(value) <= sys.float_info.max  # false for NaN, inf and huge ints
-    )
-
-
 def _parse_entry(value, path: str, j: int) -> complex:
-    """One complex entry; the error path ``path[j]`` is built only on failure."""
-    if _is_finite_number(value):
-        return complex(value)
-    if (
-        isinstance(value, (list, tuple))
-        and len(value) == 2
-        and all(_is_finite_number(v) for v in value)
-    ):
-        return complex(value[0], value[1])
+    """One complex entry, a real or an [re, im] pair; ``path[j]`` is built only on failure."""
+    pair = value if isinstance(value, (list, tuple)) and len(value) == 2 else (value, 0)
+    if all(is_number(v, real=True) for v in pair):
+        return complex(*pair)
     raise _fail(f"{path}[{j}]", "must be a finite real number or an [re, im] pair")
 
 
@@ -234,7 +221,7 @@ def _fields(raw, path: str, defaults: dict) -> dict:
 def _validate_time(raw, echo: dict) -> np.ndarray:
     merged = _fields(raw, "time", DEFAULT_TIME)
     t_start, t_end, points = merged["t_start"], merged["t_end"], merged["points"]
-    if not (_is_finite_number(t_start) and _is_finite_number(t_end)):
+    if not (is_number(t_start, real=True) and is_number(t_end, real=True)):
         raise _fail("time", "fields must be finite numbers")
     points = check_integer(points, "time.points", 2, MAX_POINTS)
     if not t_end > t_start:
@@ -318,7 +305,9 @@ def parse_config(doc: dict) -> ScenarioConfig:
     """Validate a raw config document and materialize defaults.
 
     ``time.points``, ``seed`` and ``eigenstate_k0`` follow ``check_integer``, the
-    tolerances and couplings ``check_tolerance``: numpy scalars pass, bools do not.
+    tolerances and couplings ``check_tolerance``, and the other ``time`` fields and every
+    matrix and state entry (or part of an [re, im] pair) ``is_number`` with ``real=True``:
+    numpy scalars pass, bools and strings do not.
     """
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object")

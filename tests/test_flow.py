@@ -15,6 +15,7 @@ from nhdyn import (
     DimensionError,
     InstabilityError,
     NumericRangeError,
+    build_biorthogonal,
     build_dm_model,
     classify,
     classify_ensemble,
@@ -785,6 +786,19 @@ class TestDecayLaw:
             gamma_symmetry_decay_check(
                 dm_unit.h, dm_unit.algebra.number_ops[0], phi011_trajectory
             )
+
+    def test_an_rk4_trajectory_has_no_norm_history_to_check(self):
+        # S_psi is an exact gamma-symmetry; the RK4 trajectory's norm_sq is its drift,
+        # 1 +- 3e-11, not |psi(t)|^2 (0.81 to 1.01), and the check once read it as such: 0.223
+        h = random_hamiltonian(4, np.random.default_rng(3), "real_spectrum")
+        x, psi0, t = build_biorthogonal(h).s_psi, np.full(4, 0.5), np.linspace(0.0, 2.0, 41)
+        exact = exact_trajectory(h, psi0, t)
+        assert exact.anchor_route == "expm"
+        assert gamma_symmetry_decay_check(h, x, exact) <= 1e-13
+        rk4, deviation = integrate_nonlinear(h, psi0, t, substeps=4)
+        assert rk4.anchor_route == "rk4" and deviation <= 1e-9
+        with pytest.raises(ConfigError, match="^trajectory of integrate_nonlinear has no"):
+            gamma_symmetry_decay_check(h, x, rk4)
 
 
     def test_operands_of_another_dimension_are_rejected(self, dm_unit, phi011_trajectory):

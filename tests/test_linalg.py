@@ -7,6 +7,8 @@ import os
 import re
 import subprocess
 import sys
+import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import mpmath
@@ -19,6 +21,7 @@ from oracles import rotation_2x2, scaled_taylor_expm, taylor_expm
 import nhdyn
 from nhdyn import (
     DimensionError,
+    NhdynError,
     NumericRangeError,
     build_biorthogonal,
     build_car,
@@ -48,7 +51,8 @@ from nhdyn.ensembles import random_hamiltonian, random_unit_vector
 from nhdyn.errors import ConfigError
 from nhdyn.fermions import parse_occupation_label
 from nhdyn.linalg import (
-    MAX_DIM, _expm_exact, check_integer, check_number, check_times, check_tolerance, schur,
+    MAX_DIM, _expm_exact, as_state_vector, check_integer, check_number, check_times,
+    check_tolerance, is_number, schur,
 )
 from nhdyn.scenario import parse_config, run
 
@@ -319,6 +323,13 @@ class TestEigGeneral:
             )
             assert np.linalg.norm(rebuilt - a) / np.linalg.norm(a) < 1e-10
 
+    @pytest.mark.parametrize("solve", [eig_general, build_biorthogonal, eigenstate_context])
+    def test_an_empty_matrix_has_no_eigendecomposition(self, solve):
+        # eig_general returned a 0x0 Spectrum with condition_estimate 4.5e15, on which
+        # build_biorthogonal and eigenstate_context raised numpy's empty argmin and argmax
+        with pytest.raises(DimensionError, match="^eig_general argument is empty$"):
+            solve(np.zeros((0, 0)))
+
 
 def assert_same_bits(a, b):
     """Field by field, bit for bit, through nested dataclasses."""
@@ -353,6 +364,12 @@ class TestNullspace:
         basis = nullspace(np.zeros((2, 3)))
         assert basis.shape == (3, 3)
         assert np.allclose(basis.conj().T @ basis, np.eye(3), atol=1e-12)
+
+    def test_a_map_from_or_to_nothing(self):
+        # the kernel of a map from C^0 is {0}, with a (0, 0) basis (this raised IndexError);
+        # a map from C^3 to C^0 has all of C^3 as its kernel
+        assert nullspace(np.zeros((3, 0))).shape == (0, 0)
+        assert np.array_equal(nullspace(np.zeros((0, 3))), np.eye(3))
 
     def test_coordinate_kernel(self):
         basis = nullspace(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
@@ -463,7 +480,18 @@ class TestCheckTolerance:
 
     @pytest.mark.parametrize("call", TOLERANCE_CALLS)
     def test_every_tolerance_takes_a_numpy_float(self, call):
-        _tolerance_calls()[call][1](np.float64(1e-9))
+        # a float32 tolerance once warned "overflow encountered in cast" against the float
+        # range; an int64 1 passes the rule, then rank_tol_rel refuses it as no fraction
+        # below one and tol_distinct = 1 |H| calls UPPER's eigenvalues 1 and 3 a collision
+        name, run = _tolerance_calls()[call]
+        run(np.float64(1e-9))
+        run(np.float32(1e-9))
+        refusals = {"rank_tol_rel": ConfigError, "tol_distinct": nhdyn.DegenerateSpectrumError}
+        if name in refusals:
+            with pytest.raises(refusals[name], match="below 1|collide"):
+                run(np.int64(1))
+        else:
+            run(np.int64(1))
 
     def test_a_fraction_must_lie_below_one(self):
         assert check_tolerance(1, "tol") == 1.0
@@ -486,7 +514,10 @@ def _number_calls():
     }
 
 
-BAD_NUMBERS = [math.nan, math.inf, -math.inf, complex(0.0, math.inf), "x", None, True, 10**400]
+BAD_NUMBERS = [
+    math.nan, math.inf, -math.inf, complex(0.0, math.inf), "x", None, True, 10**400,
+    int(sys.float_info.max) + 1,
+]
 
 
 def _bad_numbers():
@@ -604,6 +635,79 @@ class TestCheckInteger:
     def test_the_bounds_are_inclusive(self):
         assert check_integer(2, "n", 2, 2) == 2
         assert check_integer(10**30, "n", 0) == 10**30
+
+
+ACCEPTED = [np.float32(0.5), np.int64(2), Fraction(1, 2), 2**70]
+REFUSED = [
+    int(sys.float_info.max) + 1, 10**400, True, np.True_, "1", None, math.nan, math.inf,
+]
+
+
+def _number_rules():
+    """Every rule that reads one number: its id -> call of the value."""
+    def config(**change):
+        doc = {"hamiltonian": [[1.0, 0.0], [0.0, 2.0]], "tasks": ["biortho"]}
+        return parse_config({**doc, **change})
+
+    return {
+        "check_tolerance": lambda v: check_tolerance(v, "tol"),
+        "check_number": lambda v: check_number(v, "x0"),
+        "check_number-nonnegative": lambda v: check_number(v, "scale", nonnegative=True),
+        "check_times": lambda v: check_times((v,), "t"),
+        "config-entry": lambda v: config(hamiltonian=[[v, 0.0], [0.0, 2.0]]),
+        "config-t_end": lambda v: config(time={"t_end": v}),
+        "as_state_vector": lambda v: as_state_vector([v]),
+    }
+
+
+class TestOneNumberRule:
+    # before one predicate the rules disagreed: a float32 tolerance warned, Fraction and
+    # 2**70 failed the time rule, numpy scalars failed config entries, check_number took
+    # int(max) + 1 as 1.8e308, and as_state_vector read True and "1" as 1, None as NaN
+    # and raised OverflowError on 10**400
+    @pytest.mark.parametrize("rule", list(_number_rules()))
+    @pytest.mark.parametrize("good", ACCEPTED, ids=repr)
+    def test_every_rule_takes_a_number(self, rule, good):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _number_rules()[rule](good)
+
+    @pytest.mark.parametrize("rule", list(_number_rules()))
+    @pytest.mark.parametrize("bad", REFUSED, ids=lambda v: repr(v)[:12])
+    def test_every_rule_refuses_what_is_no_number(self, rule, bad):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NhdynError):
+                _number_rules()[rule](bad)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(1.0, -math.inf)], ids=repr)
+    def test_a_non_finite_float_entry_is_a_range_error(self, bad):
+        with pytest.raises(NumericRangeError, match="^psi0 contains non-finite entries$"):
+            exact_trajectory(np.eye(2), np.array([bad, 0.0]), [0.0, 1.0])
+        with pytest.raises(NumericRangeError, match="^matrix contains non-finite entries$"):
+            op_norm([[1.0, bad]])
+
+    @pytest.mark.parametrize(
+        "bad", [[True, False], ["1", "0"], [b"1", b"0"], [None, 1.0], [Fraction(1), 10**400]],
+        ids=repr,
+    )
+    def test_an_array_of_what_is_no_number_is_a_config_error(self, bad):
+        with pytest.raises(ConfigError, match="^vector must be an array of numbers$"):
+            as_state_vector(bad)
+        with pytest.raises(ConfigError, match="^matrix must be an array of numbers$"):
+            op_norm([bad])
+
+    def test_a_rational_is_compared_with_the_float_range_exactly(self):
+        # float() rounds int(max) + 1 and its Fraction down to max, and raises on 10**400
+        for big in (int(sys.float_info.max) + 1, Fraction(int(sys.float_info.max) + 1),
+                    Fraction(-(10**400), 3)):
+            assert not is_number(big) and not is_number(big, real=True)
+        assert is_number(Fraction(int(sys.float_info.max))) and is_number(-(2**1023))
+
+    def test_an_object_array_of_numbers_is_read_as_complex(self):
+        v = as_state_vector([Fraction(1, 2), 2**70, np.float32(0.25)])
+        assert v.dtype == complex and v.tolist() == [0.5, 2.0**70, 0.25]
+        assert check_times([Fraction(1, 4), 2**70], "t")[0].tolist() == [0.25, 2.0**70]
 
 
 def test_only_linalg_names_the_numbers_module():
@@ -807,6 +911,100 @@ def _operand_of_another_dimension():
             lambda: nhdyn.identity_norm_evolution(ctx, psi3, [0.0, 1.0]), "psi0", 3
         ),
     }
+
+
+OPERAND_PARAMETERS = {"h", "x", "a", "l", "h0", "r", "psi0", "psi_hat", "psi_hat0"}
+
+
+def _operand_calls():
+    """Each public (function, matrix or state parameter) -> call of a value in that place,
+    with every other argument good and built before the call."""
+    h2, x2, psi2, grid = np.diag([1.0, 2.0]), np.eye(2), np.array([1.0, 0.0]), [0.0, 0.5, 1.0]
+    ctx, system = gamma_context(h2), build_biorthogonal(h2)
+    traj, rng = exact_trajectory(h2, psi2, grid), np.random.default_rng(0)
+    return {
+        ("build_biorthogonal", "h"): lambda v: build_biorthogonal(v),
+        ("classify", "h"): lambda v: classify(v, x2, traj),
+        ("classify", "x"): lambda v: classify(h2, v, traj),
+        ("classify_ensemble", "h"): lambda v: classify_ensemble(v, x2, grid, 2, rng),
+        ("classify_ensemble", "x"): lambda v: classify_ensemble(h2, v, grid, 2, rng),
+        ("delta_gamma", "x"): lambda v: nhdyn.delta_gamma(ctx, v),
+        ("delta_psi_hat", "h"): lambda v: nhdyn.delta_psi_hat(v, x2, psi2),
+        ("delta_psi_hat", "x"): lambda v: nhdyn.delta_psi_hat(h2, v, psi2),
+        ("delta_psi_hat", "psi_hat"): lambda v: nhdyn.delta_psi_hat(h2, x2, v),
+        ("eig_general", "a"): lambda v: eig_general(v),
+        ("eigenstate_context", "h"): lambda v: eigenstate_context(v),
+        ("exact_trajectory", "h"): lambda v: exact_trajectory(v, psi2, grid),
+        ("exact_trajectory", "psi0"): lambda v: exact_trajectory(h2, v, grid),
+        ("expm", "a"): lambda v: expm(v),
+        ("gamma_context", "h"): lambda v: gamma_context(v),
+        ("gamma_series", "x"): lambda v: gamma_series(ctx, v, 0.5),
+        ("gamma_series_at", "x"): lambda v: gamma_series_at(ctx, v, grid),
+        ("gamma_symmetry_decay_check", "h"): (
+            lambda v: nhdyn.gamma_symmetry_decay_check(v, x2, traj)
+        ),
+        ("gamma_symmetry_decay_check", "x"): (
+            lambda v: nhdyn.gamma_symmetry_decay_check(h2, v, traj)
+        ),
+        ("gamma_t", "x"): lambda v: gamma_t(ctx, v, 0.5),
+        ("h_nl", "h"): lambda v: nhdyn.h_nl(v, psi2),
+        ("h_nl", "psi_hat"): lambda v: nhdyn.h_nl(h2, v),
+        ("identity_norm_evolution", "psi0"): lambda v: identity_norm_evolution(ctx, v, grid),
+        ("integrate_nonlinear", "h"): lambda v: integrate_nonlinear(v, psi2, grid),
+        ("integrate_nonlinear", "psi_hat0"): lambda v: integrate_nonlinear(h2, v, grid),
+        ("mean_derivative", "h"): lambda v: nhdyn.mean_derivative(v, x2, psi2),
+        ("mean_derivative", "x"): lambda v: nhdyn.mean_derivative(h2, v, psi2),
+        ("mean_derivative", "psi_hat"): lambda v: nhdyn.mean_derivative(h2, x2, v),
+        ("mean_value", "x"): lambda v: nhdyn.mean_value(v, psi2),
+        ("mean_value", "psi_hat"): lambda v: nhdyn.mean_value(x2, v),
+        ("necessary_condition_residual", "h"): (
+            lambda v: necessary_condition_residual(v, x2, traj, 1.0)
+        ),
+        ("necessary_condition_residual", "x"): (
+            lambda v: necessary_condition_residual(h2, v, traj, 1.0)
+        ),
+        ("nonhermiticity_scalar", "h"): lambda v: nhdyn.nonhermiticity_scalar(v, psi2),
+        ("nonhermiticity_scalar", "psi_hat"): lambda v: nhdyn.nonhermiticity_scalar(h2, v),
+        ("nullspace", "l"): lambda v: nullspace(v),
+        ("op_norm", "a"): lambda v: op_norm(v),
+        ("similar_norm_preserving", "h0"): lambda v: nhdyn.similar_norm_preserving(v, x2),
+        ("similar_norm_preserving", "r"): lambda v: nhdyn.similar_norm_preserving(h2, v),
+        ("verify_intertwining", "h"): lambda v: nhdyn.verify_intertwining(system, v),
+    }
+
+
+def test_every_operand_parameter_is_in_the_operand_table():
+    # a new public matrix or state parameter must join _operand_calls, so it cannot skip
+    # the number rule of the array validator
+    takers = {
+        (name, param)
+        for name in nhdyn.__all__ if inspect.isfunction(getattr(nhdyn, name))
+        for param in inspect.signature(getattr(nhdyn, name)).parameters
+        if param in OPERAND_PARAMETERS
+    }
+    assert takers == set(_operand_calls())
+
+
+def _fail_on_numerics(monkeypatch):
+    for name in ("svd", "eig", "norm"):
+        monkeypatch.setattr(np.linalg, name, lambda *a, _n=name, **k: pytest.fail(f"{_n} ran"))
+    monkeypatch.setattr(nhdyn.linalg, "_expm_exact", lambda *a: pytest.fail("expm ran"))
+
+
+@pytest.mark.parametrize("kind", ["bool", "str"])
+@pytest.mark.parametrize("entry", list(_operand_calls()), ids="-".join)
+def test_an_operand_of_bools_or_strings_is_a_config_error(monkeypatch, entry, kind):
+    # a bool H and state ran exact_trajectory, classify called a string observable
+    # conserved, and integrate_nonlinear stepped the string state ["1", "0"]
+    state = entry[1].startswith("psi")
+    value = {
+        ("bool", False): [[True, False], [False, True]], ("bool", True): [True, False],
+        ("str", False): [["1", "0"], ["0", "1"]], ("str", True): ["1", "0"],
+    }[kind, state]
+    run = _operand_calls()[entry]
+    _fail_on_numerics(monkeypatch)
+    with pytest.raises(ConfigError, match="must be an array of numbers$"):
+        run(value)
 
 
 @pytest.mark.parametrize("entry", list(_operand_of_another_dimension()))
