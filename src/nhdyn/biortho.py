@@ -87,7 +87,7 @@ def build_biorthogonal(h, tol_distinct: float = DEFAULT_TOL_DISTINCT) -> Biortho
 
     # the dual family is unique once phi is fixed: psi^† phi = 1
     try:
-        psi = np.linalg.inv(phi).conj().T
+        psi = decomp.left_vectors.conj().T
     except np.linalg.LinAlgError as exc:
         raise BiorthogonalityError(
             f"eigenvector matrix is singular; eigenbasis condition "

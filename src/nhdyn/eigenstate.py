@@ -84,13 +84,15 @@ class WeakIdentityReport:
     at the last grid point for one random pair: the map fails to be
     multiplicative even weakly once H is not Hermitian. ``series_vs_conjugation``
     is the largest |S_t(P) - g_t(P)|_2 over three random probes P at t = 0.5 and
-    at the last grid point, S_t the exponential series of d summed by ``gamma_series_at``.
+    at the last grid point, S_t the exponential series of d summed by ``gamma_series_at``
+    on the route ``series_route`` names: "eig" or "terms".
     """
 
     identity_mean_residual: float
     delta_mean_residual: float
     automorphism_witness: float
     series_vs_conjugation: float
+    series_route: str
 
 
 def weak_identity_report(
@@ -100,9 +102,10 @@ def weak_identity_report(
     off phi's H_k0-orbit, anchored on ``ctx.shifted.spectrum`` (on H_k0 itself for a context
     built without one). ``rng`` draws X, Y, then the three probes; ``gamma_t`` conjugates
     one matrix per call, and its calls at one time share their exponential through the
-    ``expm`` memo. Each probe's series terms are formed once, at the larger of |t_last| and
-    0.5, and summed at both times by ``gamma_series_at``; ``tol_trunc``, checked before any
-    work, bounds each sum's tail. A difference whose Frobenius norm is below the largest
+    ``expm`` memo. ``gamma_series_at`` sums each probe at both times: on the term route from
+    terms formed once, at the larger of |t_last| and 0.5, on the eig route (H_k0's spectrum
+    well conditioned) each time alone in delta's eigenbasis; ``tol_trunc``, checked before
+    any work, bounds each sum's tail. A difference whose Frobenius norm is below the largest
     2-norm so far cannot raise it and takes no SVD."""
     check_tolerance(tol_trunc, "tol_trunc")
     shifted, phi, n = ctx.shifted, ctx.phi_k0, ctx.shifted.dim
@@ -136,4 +139,5 @@ def weak_identity_report(
         delta_mean_residual=float(delta_mean),
         automorphism_witness=float(witness),
         series_vs_conjugation=float(gap),
+        series_route=shifted.series_route(tol_trunc),
     )

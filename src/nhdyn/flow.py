@@ -35,7 +35,7 @@ from .ensembles import random_unit_vector
 from .errors import CertificationError, ConfigError, InstabilityError, NumericRangeError
 from .gamma import delta_gamma, gamma_context
 from .linalg import (
-    EIG_COND_MAX, Spectrum, as_complex_matrix, as_square_matrix, as_state_vector, as_unit_vector,
+    Spectrum, as_complex_matrix, as_square_matrix, as_state_vector, as_unit_vector,
     check_integer, check_number, check_times, check_tolerance, expm, mean_values, op_norm,
 )
 
@@ -93,7 +93,7 @@ def exact_trajectory(h, psi0, t_grid) -> StateTrajectory:
     # below three points every point is an anchor and there is nothing to step
     with np.errstate(over="ignore", invalid="ignore"):  # a product past the range raises in expm
         step = None if dt is None or t.size < 3 else expm(-1j * hm * dt)
-    eig = step is not None and isinstance(h, Spectrum) and h.condition_estimate <= EIG_COND_MAX
+    eig = step is not None and isinstance(h, Spectrum) and h.well_conditioned
     c = np.linalg.solve(h.right_vectors, v0) if eig else None
     states = np.empty((t.size, n), dtype=complex)
     worst, fallbacks, start = 0.0, 0, 0

@@ -10,7 +10,9 @@ and its generator, the gamma-derivation
     delta_gamma(X) = i (H^† X - X H).
 
 Its exponential series, ``gamma_series``, stops on one certificate computed
-from its own terms, under a cap of ``MAX_SERIES_TERMS`` checked up front.
+from its own terms, under a cap of ``MAX_SERIES_TERMS`` checked up front; on a
+context that holds H's spectrum with well-conditioned eigenvectors it is summed
+entry by entry in the derivation's eigenbasis, on a certificate taken before any term.
 Operators fixed by the dynamics (equivalently annihilated by the
 derivation, equivalently satisfying the intertwining relation
 H^† X = X H) are gamma-symmetries; they form a linear space that this
@@ -50,6 +52,7 @@ from .linalg import (
 
 MAX_SERIES_TERMS = 500
 DEFAULT_TOL_TRUNC = 1e-12
+EPS = float(np.finfo(float).eps)
 GRAY_BAND = 1e2  # a pair gap within this factor of the rank cut is too near to call by eig
 
 
@@ -68,6 +71,14 @@ class GammaContext:
     @cached_property
     def h_norm(self) -> float:
         return op_norm(self.h) if self.spectrum is None else self.spectrum.norm
+
+    def series_route(self, tol_trunc: float) -> str:
+        """How ``gamma_series_at`` sums to ``tol_trunc``: "eig" on a spectrum that passes the
+        eigenvector guard and whose change of basis rounds within it, eps cond(V)^2 <= tol_trunc;
+        else "terms"."""
+        spec = self.spectrum
+        eig = spec is not None and spec.well_conditioned
+        return "eig" if eig and EPS * spec.condition_estimate**2 <= tol_trunc else "terms"
 
     @cached_property
     def delta_bound(self) -> float:
@@ -131,6 +142,18 @@ def gamma_series_at(
     certificate reads |T_{k-1}(s)|_F as |s/t|^{k-1} |T_{k-1}|_F; it is never above t's, so
     each sum at s has stopped by the time t's does. Returns the (len(times), N, N) stack of
     partial sums and the number of terms each summed.
+
+    Route "eig" (``ctx.series_route(tol_trunc)``: a context on H's ``Spectrum`` whose
+    guard holds and whose eps cond(V)^2 is at most ``tol_trunc``) sums in delta's
+    eigenbasis instead. With H = V diag(lam) V^-1 and X = V^-† Y V^-1, delta acts entry by
+    entry as Y_ab -> d_ab Y_ab, d_ab = i (conj(lam_a) - lam_b), so the sum at s is
+    V^-† (e_K(s d) o Y) V^-1 with e_K(z) = sum_{k<K} z^k / k! by Horner: O(N^2) per term
+    and four products per time, each time alone. K is the least count whose scalar
+    certificate cond(V)^2 |Y|_F z^(K-1) / (K-1)! q / (1 - q), z = |s| max|d_ab| and
+    q = z / K < 1, is below ``tol_trunc``, and K = 1 (s = 0) returns X itself; past
+    ``MAX_SERIES_TERMS`` it raises ``TruncationError`` as the term loop does. V^-1 is the
+    spectrum's, taken once. The change of basis rounds like eps cond(V)^2 |X|, where the
+    term loop rounds like eps |X| at small rates: hence the second condition of the route.
     """
     xm = as_square_matrix(x, "observable", ctx.dim)
     check_tolerance(tol_trunc, "tol_trunc")
@@ -140,6 +163,8 @@ def gamma_series_at(
     t, rate = times[top], rates[top]  # the largest rate
     if not rate < MAX_SERIES_TERMS:
         raise TruncationError(f"series rate {rate:.3e} keeps q >= 1 up to the term cap")
+    if ctx.series_route(tol_trunc) == "eig":
+        return _eig_series(ctx.spectrum, xm, times, tol_trunc)
 
     h, hd = ctx.h, ctx.h.conj().T
     sums = np.repeat(xm[None], len(times), axis=0)
@@ -175,6 +200,38 @@ def gamma_series_at(
             f"series needs more than {MAX_SERIES_TERMS} terms at rate {rate:.3e}"
         )
     counts[counts == 0] = k  # t's count, and that of each sum a zero term stopped
+    return sums, counts
+
+
+def _eig_series(spec: Spectrum, x: np.ndarray, times: list, tol_trunc: float):
+    """``gamma_series_at`` in the eigenbasis of delta: Y = V^† X V, e_k(s d) o Y, back by V^-1."""
+    v, w, lam = spec.right_vectors, spec.left_vectors, spec.eigenvalues
+    y = v.conj().T @ x @ v
+    d = 1j * (lam.conj()[:, None] - lam[None, :])  # delta(X) <-> d o Y
+    span = float(np.abs(d).max())
+    # |V^-1|_2 <= cond(V) for unit columns, and |c o Y|_F <= max|c| |Y|_F
+    bound = spec.condition_estimate**2 * np.linalg.norm(y)
+    sums = np.empty((len(times),) + x.shape, dtype=complex)
+    counts = np.empty(len(times), dtype=int)
+    for i, s in enumerate(times):
+        z_max, size, k = span * abs(s), bound, 1  # size = bound z_max^(k-1) / (k-1)!
+        while size and not ((q := z_max / k) < 1.0 and size * q / (1.0 - q) < tol_trunc):
+            if k == MAX_SERIES_TERMS:
+                raise TruncationError(
+                    f"series needs more than {MAX_SERIES_TERMS} terms at rate {z_max:.3e}"
+                )
+            size *= z_max / k
+            k += 1
+        counts[i] = k
+        if k == 1:  # e_1 = 1: the sum is X itself, as on the term route
+            sums[i] = x
+            continue
+        z, c = s * d, np.ones_like(d)
+        for j in range(k - 1, 0, -1):  # Horner: e_k(z) = 1 + z (1 + z/2 (1 + ... z/(k-1)))
+            c *= z
+            c *= 1.0 / j
+            c += 1.0
+        sums[i] = w.conj().T @ (c * y) @ w
     return sums, counts
 
 
@@ -255,7 +312,7 @@ def _inverse_root(gram: np.ndarray) -> np.ndarray | None:
 def _eig_generators(ctx: GammaContext, cut: float):
     """The generators and residuals from H = V diag(lam) V^-1, or None where the guard fails."""
     spec, h, n = ctx.spectrum, ctx.h, ctx.dim
-    if not spec.condition_estimate <= EIG_COND_MAX:
+    if not spec.well_conditioned:
         return None
     gaps = np.abs(spec.eigenvalues.conj()[:, None] - spec.eigenvalues[None, :])
     if np.any((gaps > cut / GRAY_BAND) & (gaps <= cut * GRAY_BAND)):
@@ -264,8 +321,7 @@ def _eig_generators(ctx: GammaContext, cut: float):
     a, b = np.nonzero(resonant)
     if not len(a):
         return np.zeros((0, n, n), dtype=complex), np.zeros(0)
-    w = np.linalg.inv(spec.right_vectors)
-    w /= np.linalg.norm(w, axis=1, keepdims=True)  # unit left eigenvectors as rows
+    w = spec.left_vectors / np.linalg.norm(spec.left_vectors, axis=1, keepdims=True)  # unit rows
     # rows with one partner set share one eigenvalue: Loewdin-orthonormalize each such cluster
     partners, cluster, size = np.unique(resonant, axis=0, return_inverse=True, return_counts=True)
     for c in np.flatnonzero((size > 1) & partners.any(axis=1)):

@@ -320,6 +320,17 @@ class Spectrum:
     matrix: np.ndarray
     norm: float
 
+    @property
+    def well_conditioned(self) -> bool:
+        """cond(V) <= ``EIG_COND_MAX``: the guard of every route built on the eigenvectors."""
+        return self.condition_estimate <= EIG_COND_MAX
+
+    @functools.cached_property
+    def left_vectors(self) -> np.ndarray:
+        """V^-1, whose rows are left eigenvectors: inverted once, on first use, and shared
+        (a reader that scales it copies it first)."""
+        return np.linalg.inv(self.right_vectors)
+
 
 def eig_general(a) -> Spectrum:
     """Eigenvalues and unit right eigenvectors of a general complex matrix.

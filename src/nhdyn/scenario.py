@@ -224,12 +224,13 @@ def _validate_time(raw, echo: dict) -> np.ndarray:
     if not (is_number(t_start, real=True) and is_number(t_end, real=True)):
         raise _fail("time", "fields must be finite numbers")
     points = check_integer(points, "time.points", 2, MAX_POINTS)
-    if not t_end > t_start:
+    t_start, t_end = float(t_start), float(t_end)  # the grid's ends: ints beyond int64 too
+    if not t_end > t_start:  # on the floats: 2**53 + 1 rounds to 2**53
         raise _fail("time.t_end", "must be greater than time.t_start")
-    if not np.isfinite(float(t_end) - float(t_start)):  # linspace would overflow
+    if not np.isfinite(t_end - t_start):  # linspace would overflow
         raise _fail("time", "span t_end - t_start must be finite")
-    echo["time"] = {"t_start": float(t_start), "t_end": float(t_end), "points": points}
-    return np.linspace(float(t_start), float(t_end), points)  # ints beyond int64 too
+    echo["time"] = {"t_start": t_start, "t_end": t_end, "points": points}
+    return np.linspace(t_start, t_end, points)
 
 
 def _validate_tolerances(raw, echo: dict) -> dict[str, float]:

@@ -13,12 +13,13 @@ products and the weights as a quadratic form, the a-priori truncated gamma serie
 with its plain rate 2|H||t|, the gamma-symmetry column recursion on stacked
 partial solutions that the one-array recursion replaces, the standard library's indenting JSON
 encoder for the report writer, and per-value formatting for the CSV
-writer.
+writer, and the observable dynamics in 40-digit arithmetic.
 """
 
 import json
 from itertools import accumulate
 
+import mpmath
 import numpy as np
 import scipy.linalg
 
@@ -57,6 +58,14 @@ def gamma_t_two_exponentials(h: np.ndarray, x: np.ndarray, t: float) -> np.ndarr
     h = np.asarray(h, dtype=complex)
     left = scaled_taylor_expm(1j * h.conj().T * t)
     return left @ np.asarray(x, dtype=complex) @ scaled_taylor_expm(-1j * h * t)
+
+
+def gamma_t_exact(h: np.ndarray, x: np.ndarray, t: float, dps: int = 40) -> np.ndarray:
+    """U^† X U with U = exp(-i H t) by mpmath at ``dps`` digits, on the exact float inputs."""
+    with mpmath.workdps(dps):
+        u = mpmath.expm(-1j * mpmath.mpf(t) * mpmath.matrix(np.asarray(h, complex).tolist()))
+        g = u.transpose_conj() * mpmath.matrix(np.asarray(x, complex).tolist()) * u
+        return np.array(g.tolist(), dtype=complex)
 
 
 def gamma_series_reference(

@@ -352,9 +352,10 @@ class CountingMatrix(np.ndarray):
 @pytest.mark.parametrize("kind", ["hermitian", "complex_spectrum"])
 def test_terms_are_formed_once_per_probe(monkeypatch, kind, t_end):
     # each probe forms its terms at the larger of t_last and 0.5 alone, where the
-    # separate sums formed them at both times
+    # separate sums formed them at both times; a context without a spectrum sums by terms
     h = random_hamiltonian(5, np.random.default_rng(8), kind=kind, scale=0.8)
     ctx = eigenstate_context(h)
+    ctx = replace(ctx, shifted=gamma_context(ctx.shifted.h))
     counting = nhdyn.eigenstate.GammaContext(ctx.shifted.h.view(CountingMatrix))
     counted = replace(ctx, shifted=counting)
     monkeypatch.setattr(CountingMatrix, "products", 0)
@@ -377,9 +378,10 @@ def test_terms_are_formed_once_per_probe(monkeypatch, kind, t_end):
 def test_screened_gap_is_the_largest_two_norm(monkeypatch, kind, t_end):
     # the reported gap is the largest 2-norm of all six differences bit for bit,
     # though a difference whose Frobenius norm lies below the running maximum
-    # takes no SVD
+    # takes no SVD; on the term route, as a context without a spectrum sums
     h = random_hamiltonian(16, np.random.default_rng(16), kind=kind, scale=0.8)
     ctx = eigenstate_context(h)
+    ctx = replace(ctx, shifted=gamma_context(ctx.shifted.h))
     svds = []
     monkeypatch.setattr(nhdyn.eigenstate, "op_norm", lambda a: svds.append(1) or op_norm(a))
     report = weak_identity_report(ctx, np.linspace(0.0, t_end, 11), np.random.default_rng(5))
@@ -394,3 +396,24 @@ def test_screened_gap_is_the_largest_two_norm(monkeypatch, kind, t_end):
     ]
     assert report.series_vs_conjugation == max(op_norm(d) for d in diffs)
     assert len(svds) <= 3  # here no smaller time's difference takes an SVD
+
+
+@pytest.mark.parametrize("t_end", [0.25, 0.5, 10.0])
+@pytest.mark.parametrize("kind", ["hermitian", "real_spectrum", "complex_spectrum"])
+def test_screened_gap_is_the_largest_two_norm_on_the_eig_route(kind, t_end):
+    # the context on H - E's spectrum sums in delta's eigenbasis, and the screen
+    # still reports the largest 2-norm of all six differences bit for bit
+    h = random_hamiltonian(16, np.random.default_rng(16), kind=kind, scale=0.8)
+    ctx = eigenstate_context(h)
+    report = weak_identity_report(ctx, np.linspace(0.0, t_end, 11), np.random.default_rng(5))
+    assert report.series_route == ctx.shifted.series_route(1e-12) == "eig"
+
+    rng = np.random.default_rng(5)
+    probes = [rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16)) for _ in range(5)][2:]
+    times = (t_end, 0.5)
+    diffs = [
+        series - gamma_t(ctx.shifted, p, t)
+        for p in probes
+        for series, t in zip(gamma_series_at(ctx.shifted, p, times)[0], times)
+    ]
+    assert report.series_vs_conjugation == max(op_norm(d) for d in diffs)

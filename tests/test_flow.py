@@ -36,8 +36,8 @@ from nhdyn import (
     op_norm,
 )
 from nhdyn.ensembles import random_hamiltonian, random_matrix, random_unit_vector
-from nhdyn.flow import ANCHOR, EIG_COND_MAX, STEP_TOL, _rk4_weights
-from nhdyn.linalg import _expm_exact, as_square_matrix, as_state_vector, eig_general, expm
+from nhdyn.flow import ANCHOR, STEP_TOL, _rk4_weights
+from nhdyn.linalg import EIG_COND_MAX, _expm_exact, as_square_matrix, as_state_vector, eig_general, expm
 
 from oracles import (
     classify_per_point,

@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -6,6 +7,7 @@ import pytest
 
 from oracles import (
     gamma_series_reference,
+    gamma_t_exact,
     gamma_t_two_exponentials,
     intertwiner_kernel_brute,
     projector_onto,
@@ -19,8 +21,10 @@ from nhdyn import (
     ConfigError,
     NumericRangeError,
     TruncationError,
+    build_biorthogonal,
     build_dm_model,
     delta_gamma,
+    eigenstate_context,
     exact_trajectory,
     gamma_context,
     gamma_series,
@@ -37,8 +41,8 @@ from nhdyn.ensembles import (
     random_matrix,
     random_unit_vector,
 )
-from nhdyn.gamma import DEFAULT_TOL_TRUNC
-from nhdyn.linalg import eig_general, mean_values
+from nhdyn.gamma import DEFAULT_TOL_TRUNC, EPS
+from nhdyn.linalg import EIG_COND_MAX, eig_general, mean_values
 
 NILPOTENT = np.array([[0.0, 1.0], [0.0, 0.0]])
 # (1 + iH^†)(1 - iH) for the nilpotent block, multiplied out by hand
@@ -356,6 +360,136 @@ class TestSeriesAtTimes:
             gamma_series_at(ctx, np.eye(2), (0.5, float("nan")))
         with pytest.raises(TruncationError, match="keeps q >= 1"):
             gamma_series_at(ctx, np.eye(2), (0.5, 1e6))
+
+
+KINDS = ("hermitian", "real_spectrum", "complex_spectrum")
+
+
+def _errors_against_40_digits(h, x, t, tol_trunc=DEFAULT_TOL_TRUNC):
+    """The eigenstate context's H - E on its spectrum, the 2-norm errors of its series and
+    of the term loop on H - E alone against g_t at 40 digits, and |g_t|_2."""
+    shifted = eigenstate_context(h).shifted
+    exact = gamma_t_exact(shifted.h, x, t)
+    eig = gamma_series(shifted, x, t, tol_trunc)[0]
+    terms = gamma_series(gamma_context(shifted.h), x, t, tol_trunc)[0]
+    return shifted, op_norm(eig - exact), op_norm(terms - exact), op_norm(exact)
+
+
+class TestSeriesInTheEigenbasis:
+    """Route "eig" of ``gamma_series_at``: a context on a well-conditioned ``Spectrum``."""
+
+    def test_route_follows_the_guard_and_the_rounding_floor(self):
+        h = random_hamiltonian(6, np.random.default_rng(50), kind="complex_spectrum")
+        assert gamma_context(h).series_route(1e-12) == "terms"  # no spectrum
+        assert gamma_context(eig_general(h)).series_route(1e-12) == "eig"
+        for defective in (NILPOTENT, build_dm_model(1.0, 1.0).h):
+            assert gamma_context(eig_general(defective)).series_route(1e-12) == "terms"
+
+        def spectrum_at(cond):  # H = V diag(1, 2) V^-1 with cond(V) near ``cond``
+            v = np.diag([1.0, 1.0 / cond]) @ haar_unitary(2, np.random.default_rng(51))
+            return eig_general(v @ np.diag([1.0, 2.0]) @ np.linalg.inv(v))
+
+        spec = spectrum_at(1e2)  # eps cond(V)^2 lies between 1e-12 and 1e-10
+        assert 1e-12 < EPS * spec.condition_estimate**2 < 1e-10
+        assert gamma_context(spec).series_route(1e-12) == "terms"
+        assert gamma_context(spec).series_route(1e-10) == "eig"
+        spec = spectrum_at(1e5)  # the floor passes at 0.5, the guard does not
+        assert not spec.well_conditioned and EPS * spec.condition_estimate**2 < 0.5
+        assert gamma_context(spec).series_route(0.5) == "terms"
+
+    @pytest.mark.parametrize("stretch", [1.0, 5.0])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_no_less_accurate_than_the_term_loop_against_40_digits(self, kind, stretch):
+        # 27 cases each: where both routes lose digits to cancellation (complex spectra at
+        # |t| = 9.5) the eig route stays within 2x the term loop's error, else within 1e-12
+        for seed, n in itertools.product(range(3), (2, 4, 6)):
+            rng = np.random.default_rng(seed)
+            h = random_hamiltonian(n, rng, kind=kind, basis_stretch=stretch)
+            x = random_matrix(n, rng)
+            for t in (-7.0, 2.0, 9.5):
+                shifted, eig, terms, size = _errors_against_40_digits(h, x, t)
+                assert shifted.series_route(DEFAULT_TOL_TRUNC) == "eig"
+                assert eig <= 2.0 * terms or eig <= 1e-12 * max(1.0, size)
+
+    @pytest.mark.parametrize("cond", [1e1, 1e2, 1e3, 1e4])
+    def test_cond_sweep_up_to_the_guard(self, cond):
+        # V with singular values from 1 down to 1 / cond and |H|_2 = 1, at |t| <= 2: at
+        # tol_trunc 1e-12 the route turns to the term loop once eps cond(V)^2 passes it; at
+        # 1e-6 the eig route runs up to the guard and keeps the tolerance
+        for seed, kind in itertools.product(range(2), KINDS[1:]):
+            rng = np.random.default_rng(seed)
+            values = np.sort(rng.uniform(-1.0, 1.0, 5)).astype(complex)
+            if kind == "complex_spectrum":
+                values += 1j * rng.uniform(-1.0, 1.0, 5)
+            v = haar_unitary(5, rng) @ np.diag(np.geomspace(1.0, 1.0 / cond, 5))
+            v = v @ haar_unitary(5, rng)
+            h = v @ np.diag(values) @ np.linalg.inv(v)
+            shifted = eigenstate_context(h / op_norm(h)).shifted
+            x = random_matrix(5, rng)
+            cond_v = shifted.spectrum.condition_estimate
+            for t in (-2.0, 0.5, 2.0):
+                exact = gamma_t_exact(shifted.h, x, t)
+                for tol in (1e-12, 1e-6):
+                    eig_route = cond_v <= EIG_COND_MAX and EPS * cond_v**2 <= tol
+                    assert shifted.series_route(tol) == ("eig" if eig_route else "terms")
+                    eig = op_norm(gamma_series(shifted, x, t, tol)[0] - exact)
+                    terms = op_norm(gamma_series(gamma_context(shifted.h), x, t, tol)[0] - exact)
+                    assert eig <= 2.0 * terms or eig <= max(1e-12, tol) * max(1.0, op_norm(exact))
+
+    @pytest.mark.parametrize("times", SERIES_TIME_SETS)
+    def test_each_time_is_summed_alone(self, times):
+        # every time takes its own count and polynomial, so a stack of times holds the
+        # bits of the one-time sums; one term (t = 0) returns X itself
+        rng = np.random.default_rng(52)
+        ctx = eigenstate_context(random_hamiltonian(6, rng, kind="complex_spectrum")).shifted
+        x = random_matrix(6, rng)
+        sums, counts = gamma_series_at(ctx, x, times)
+        for s, total, terms in zip(times, sums, counts):
+            alone, alone_terms = gamma_series(ctx, x, s)
+            assert terms == alone_terms and np.array_equal(total, alone)
+            assert (terms == 1) == (s == 0.0)
+            if s == 0.0:
+                assert np.array_equal(total, x)
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-10, 1e-12])
+    @pytest.mark.parametrize("t", [1.0, 5.0, 20.0, -5.0])
+    def test_stop_holds_where_the_growth_bound_is_tight(self, tol, t):
+        # TestGammaSeries' case on H's spectrum: V = 1, and d_11 = 2a is the largest |d_ab|,
+        # so the certificate is as tight as the term loop's
+        a, r = 0.5, round(abs(t))
+        ctx = gamma_context(eig_general(np.diag([1j * a, -1j * a])))
+        assert ctx.series_route(tol) == "eig"
+        scale = 0.9 * tol * math.factorial(r) / r**r
+        x = np.array([[scale, 0.0], [0.0, 0.0]])
+        total, _ = gamma_series(ctx, x, t, tol)
+        roundoff = 64 * np.finfo(float).eps * scale * np.exp(r)
+        assert op_norm(total - np.exp(2 * a * t) * x) <= tol + roundoff
+
+    def test_cap_raises_as_the_term_loop_does(self):
+        # H - E = diag(18, 0): rate 180 passes the up-front test, but e^180 needs more
+        # than 500 terms on both routes; rate 540 fails it on both
+        ctx = gamma_context(eig_general(np.diag([18.0, 0.0])))
+        x = random_matrix(2, np.random.default_rng(53))
+        for context in (ctx, gamma_context(ctx.h)):
+            with pytest.raises(TruncationError, match="needs more than 500 terms at rate 1.800e"):
+                gamma_series(context, x, 10.0)
+            with pytest.raises(TruncationError, match="keeps q >= 1"):
+                gamma_series(context, x, 30.0)
+
+    def test_v_inverse_is_taken_once_per_spectrum(self, monkeypatch):
+        # three probes, the symmetry basis and the biorthogonal system share one V^-1,
+        # which the basis copies before it scales its rows
+        spec = eig_general(random_hamiltonian(5, np.random.default_rng(54), kind="real_spectrum"))
+        inverses = []
+        original = np.linalg.inv
+        monkeypatch.setattr(np.linalg, "inv", lambda a: inverses.append(1) or original(a))
+        ctx = gamma_context(spec)
+        for seed in range(3):
+            gamma_series_at(ctx, random_matrix(5, np.random.default_rng(seed)), (2.0, 0.5))
+        assert gamma_symmetry_basis(ctx).route == "eig"
+        assert np.array_equal(build_biorthogonal(spec).psi, original(spec.right_vectors).conj().T)
+        assert len(inverses) == 1
+        assert np.array_equal(spec.left_vectors, original(spec.right_vectors))
 
 
 class TestIdentityNormEvolution:

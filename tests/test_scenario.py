@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -57,6 +58,14 @@ class TestValidation:
     def test_time_ordering(self):
         doc = dict(MINIMAL_FERMION, time={"t_start": 2.0, "t_end": 1.0})
         with pytest.raises(ConfigError, match="t_end"):
+            parse_config(doc)
+
+    @pytest.mark.parametrize("t_start, t_end", [(2**53, 2**53 + 1), (1.0, 1 + Fraction(1, 2**60))])
+    def test_time_range_that_rounds_to_one_float(self, t_start, t_end):
+        # the grid is built from the floats, and both ends round to one: no range is left
+        assert t_end > t_start and float(t_end) == float(t_start)
+        doc = dict(MINIMAL_FERMION, time={"t_start": t_start, "t_end": t_end, "points": 3})
+        with pytest.raises(ConfigError, match=r"^time\.t_end must be greater than time\.t_start$"):
             parse_config(doc)
 
     def test_unknown_top_level_field(self):
@@ -920,8 +929,21 @@ class TestCli:
                 2,
                 2,
             ),
+            (
+                {
+                    "hamiltonian": [[1, 0], [0, 2]],
+                    "initial_state": [1, 0],
+                    "time": {"t_start": 2**53, "t_end": 2**53 + 1, "points": 3},
+                    "tasks": ["trajectory"],
+                },
+                2,
+                2,
+            ),
         ],
-        ids=["state-norm", "fermion-state-norm", "closed-form-coupling", "non-hermitian-seed"],
+        ids=[
+            "state-norm", "fermion-state-norm", "closed-form-coupling", "non-hermitian-seed",
+            "time-range-of-one-float",
+        ],
     )
     def test_overflowing_input_keeps_the_exit_contract(
         self, tmp_path, capsys, doc, validate_status, run_status
