@@ -63,7 +63,6 @@ from .gamma import (
     delta_gamma,
     gamma_context,
     gamma_series,
-    gamma_series_at,
     gamma_symmetry_basis,
     gamma_t,
     identity_norm_evolution,
@@ -120,7 +119,6 @@ __all__ = [
     "expm",
     "gamma_context",
     "gamma_series",
-    "gamma_series_at",
     "gamma_symmetry_basis",
     "gamma_symmetry_decay_check",
     "gamma_t",

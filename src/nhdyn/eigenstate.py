@@ -18,7 +18,7 @@ route through the biorthogonal machinery.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from .gamma import (
     GammaContext,
     delta_gamma,
     gamma_context,
-    gamma_series_at,
+    gamma_series,
     gamma_t,
 )
 from .linalg import (
@@ -42,7 +42,8 @@ class EigenstateContext:
     """A Hamiltonian with one selected unit eigenvector.
 
     ``shifted`` is the gamma context of H_k0 = H - E, built on H_k0's ``Spectrum``: H's
-    eigenvectors and their conditioning, the eigenvalues shifted by -E, and |H - E|_2.
+    eigenvectors, their conditioning and their inverse, the eigenvalues shifted by -E, and
+    |H - E|_2.
     """
 
     k0: int
@@ -65,9 +66,7 @@ def eigenstate_context(h, k0: int | None = None) -> EigenstateContext:
         k0 = int(np.argmax(np.abs(decomp.eigenvalues.imag)))
     k0 = check_integer(k0, "k0", 0, n - 1)
     e = complex(decomp.eigenvalues[k0])
-    h_k0 = decomp.matrix - e * np.eye(n, dtype=complex)
-    shifted = replace(decomp, eigenvalues=decomp.eigenvalues - e, matrix=h_k0, norm=op_norm(h_k0))
-    return EigenstateContext(k0, e, decomp.right_vectors[:, k0], gamma_context(shifted))
+    return EigenstateContext(k0, e, decomp.right_vectors[:, k0], gamma_context(decomp.shifted(e)))
 
 
 @dataclass(frozen=True)
@@ -84,7 +83,7 @@ class WeakIdentityReport:
     at the last grid point for one random pair: the map fails to be
     multiplicative even weakly once H is not Hermitian. ``series_vs_conjugation``
     is the largest |S_t(P) - g_t(P)|_2 over three random probes P at t = 0.5 and
-    at the last grid point, S_t the exponential series of d summed by ``gamma_series_at``
+    at the last grid point, S_t the exponential series of d summed by ``gamma_series``
     on the route ``series_route`` names: "eig" or "terms".
     """
 
@@ -102,11 +101,10 @@ def weak_identity_report(
     off phi's H_k0-orbit, anchored on ``ctx.shifted.spectrum`` (on H_k0 itself for a context
     built without one). ``rng`` draws X, Y, then the three probes; ``gamma_t`` conjugates
     one matrix per call, and its calls at one time share their exponential through the
-    ``expm`` memo. ``gamma_series_at`` sums each probe at both times: on the term route from
-    terms formed once, at the larger of |t_last| and 0.5, on the eig route (H_k0's spectrum
-    well conditioned) each time alone in delta's eigenbasis; ``tol_trunc``, checked before
-    any work, bounds each sum's tail. A difference whose Frobenius norm is below the largest
-    2-norm so far cannot raise it and takes no SVD."""
+    ``expm`` memo. ``gamma_series`` sums each probe once per time, the larger time first: by
+    terms, or on the eig route (H_k0's spectrum well conditioned) in slices in delta's
+    eigenbasis; ``tol_trunc``, checked before any work, bounds each sum's tail. A difference
+    whose Frobenius norm is below the largest 2-norm so far cannot raise it and takes no SVD."""
     check_tolerance(tol_trunc, "tol_trunc")
     shifted, phi, n = ctx.shifted, ctx.phi_k0, ctx.shifted.dim
     t = check_times(t_grid, "t_grid")[0]
@@ -127,9 +125,8 @@ def weak_identity_report(
     times = tuple(dict.fromkeys(sorted((t_last, 0.5), key=abs, reverse=True)))
     gap = 0.0
     for p in probes:
-        conj = [gamma_t(shifted, p, t) for t in times]
-        for series, g in zip(gamma_series_at(shifted, p, times, tol_trunc)[0], conj):
-            diff = series - g
+        for t in times:
+            diff = gamma_series(shifted, p, t, tol_trunc)[0] - gamma_t(shifted, p, t)
             # |D|_2 <= |D|_F; the margin covers the rounding of both norms
             if frob(diff) * (1.0 + 1e-8) >= gap:
                 gap = max(gap, op_norm(diff))

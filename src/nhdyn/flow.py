@@ -79,12 +79,12 @@ def exact_trajectory(h, psi0, t_grid) -> StateTrajectory:
 
     A uniform grid is stepped with one U = expm(-i H dt) between anchors, every ``ANCHOR``-th
     and the last point: V (e^{-i lam t_j} V^-1 psi0) at O(N^2) given H's ``Spectrum``
-    V diag(lam) V^-1 with cond(V) <= ``EIG_COND_MAX`` (route "eig"; at N = 64 the eigensolve
-    costs four to five ``expm`` anchors), else expm(-i H t_j) psi0 (route "expm"), which calls
-    on one H and grid share through the ``expm`` memo. A stepped state off its anchor by more
-    than ``STEP_TOL * max(1, scale)``, scale = cond(V) max|e^{-i lam t_j}| or |U_j|_F / sqrt(N)
-    (the anchor's roundoff), has its segment and anchor redone by ``expm``, so a bad V cannot
-    certify itself; the first point (t = 0 gives psi0) and a non-uniform grid take ``expm``.
+    V diag(lam) V^-1 with cond(V) <= ``EIG_COND_MAX`` (route "eig"), else expm(-i H t_j) psi0
+    (route "expm"), which calls on one H and grid share through the ``expm`` memo. A stepped
+    state off its anchor by more than ``STEP_TOL * max(1, scale)``, scale = cond(V)
+    max|e^{-i lam t_j}| or |U_j|_F / sqrt(N) (the anchor's roundoff), has its segment and
+    anchor redone by ``expm``, so a bad V cannot certify itself; the first point (t = 0 gives
+    psi0) and a non-uniform grid take ``expm``.
     """
     hm = as_square_matrix(h.matrix if isinstance(h, Spectrum) else h, "hamiltonian")
     n = hm.shape[0]

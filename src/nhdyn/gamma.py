@@ -9,10 +9,10 @@ and its generator, the gamma-derivation
 
     delta_gamma(X) = i (H^† X - X H).
 
-Its exponential series, ``gamma_series``, stops on one certificate computed
-from its own terms, under a cap of ``MAX_SERIES_TERMS`` checked up front; on a
-context that holds H's spectrum with well-conditioned eigenvectors it is summed
-entry by entry in the derivation's eigenbasis, on a certificate taken before any term.
+Its exponential series, ``gamma_series``, is one sum at one time: term by term
+up to a certificate read off its own terms, or, on a context that holds H's
+spectrum with well-conditioned eigenvectors, entry by entry in the derivation's
+eigenbasis, where a Taylor polynomial of t / 2^j is squared j times.
 Operators fixed by the dynamics (equivalently annihilated by the
 derivation, equivalently satisfying the intertwining relation
 H^† X = X H) are gamma-symmetries; they form a linear space that this
@@ -50,7 +50,9 @@ from .linalg import (
     schur,
 )
 
-MAX_SERIES_TERMS = 500
+MAX_SERIES_TERMS = 500  # route "terms": a rate of 500 or more keeps q >= 1 up to the cap
+MAX_SERIES_HALVINGS = 52  # route "eig": a rate past 2^52 = 1/eps leaves t d no digit of phase
+LOG_MAX = math.log(np.finfo(float).max)  # e^LOG_MAX is the largest float
 DEFAULT_TOL_TRUNC = 1e-12
 EPS = float(np.finfo(float).eps)
 GRAY_BAND = 1e2  # a pair gap within this factor of the rank cut is too near to call by eig
@@ -73,7 +75,7 @@ class GammaContext:
         return op_norm(self.h) if self.spectrum is None else self.spectrum.norm
 
     def series_route(self, tol_trunc: float) -> str:
-        """How ``gamma_series_at`` sums to ``tol_trunc``: "eig" on a spectrum that passes the
+        """How ``gamma_series`` sums to ``tol_trunc``: "eig" on a spectrum that passes the
         eigenvector guard and whose change of basis rounds within it, eps cond(V)^2 <= tol_trunc;
         else "terms"."""
         spec = self.spectrum
@@ -117,72 +119,48 @@ def delta_gamma(ctx: GammaContext, x) -> np.ndarray:
 def gamma_series(
     ctx: GammaContext, x, t: float, tol_trunc: float = DEFAULT_TOL_TRUNC
 ) -> tuple[np.ndarray, int]:
-    """Evaluate the exponential series sum_k t^k delta^k(X) / k!: the one-time case of
-    ``gamma_series_at``. Returns the partial sum and the number of terms summed."""
-    times = check_times((t,), "t")[0].tolist()  # checked here to name the caller's t
-    sums, counts = gamma_series_at(ctx, x, times, tol_trunc)
-    return sums[0], int(counts[0])
+    """Evaluate the exponential series sum_k t^k delta^k(X) / k! at the time ``t``. Returns the
+    partial sum and the number of terms summed, on route "eig" the terms of one slice.
 
+    Route "terms": |delta(Y)| <= ``ctx.delta_bound`` |Y| bounds the 2-norm of the tail after
+    term T_k by |T_k|_F q / (1 - q) once q = delta_bound |t| / (k + 1) < 1. The sum returns
+    once that certificate is below ``tol_trunc``, tested from T_0 = X on, or at a term that is
+    exactly zero (delta is linear, so every later term is zero; H^2 = 0 leaves three terms).
+    ``TruncationError`` is raised before any product when q >= 1 up to ``MAX_SERIES_TERMS``
+    terms, and after them if no term certified the rest. Each term is formed in place on a
+    copy of X from two ``ndarray.dot`` products into buffers allocated once.
 
-def gamma_series_at(
-    ctx: GammaContext, x, times, tol_trunc: float = DEFAULT_TOL_TRUNC
-) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate the exponential series sum_k s^k delta^k(X) / k! at every time s in ``times``.
-
-    |delta(Y)| <= ``ctx.delta_bound`` |Y| bounds the 2-norm of the tail after term T_k
-    by |T_k|_F q / (1 - q) once q = delta_bound |s| / (k + 1) < 1. Each sum returns once
-    that certificate is below ``tol_trunc``, tested from T_0 = X on, or at a term that is
-    exactly zero (delta is linear, so every later term is zero; H^2 = 0 leaves three
-    terms). ``TruncationError`` is raised before any work when q >= 1 up to
-    ``MAX_SERIES_TERMS`` terms, and after them if no term certified the rest.
-
-    The terms are formed once, at the first time t of largest |t|: each in place on a
-    copy of X from two ``ndarray.dot`` products into buffers allocated once, so the sum at
-    t has the bits of a sum at t alone. Every other time s sums (s/t)^k T_k, and its
-    certificate reads |T_{k-1}(s)|_F as |s/t|^{k-1} |T_{k-1}|_F; it is never above t's, so
-    each sum at s has stopped by the time t's does. Returns the (len(times), N, N) stack of
-    partial sums and the number of terms each summed.
-
-    Route "eig" (``ctx.series_route(tol_trunc)``: a context on H's ``Spectrum`` whose
-    guard holds and whose eps cond(V)^2 is at most ``tol_trunc``) sums in delta's
-    eigenbasis instead. With H = V diag(lam) V^-1 and X = V^-† Y V^-1, delta acts entry by
-    entry as Y_ab -> d_ab Y_ab, d_ab = i (conj(lam_a) - lam_b), so the sum at s is
-    V^-† (e_K(s d) o Y) V^-1 with e_K(z) = sum_{k<K} z^k / k! by Horner: O(N^2) per term
-    and four products per time, each time alone. K is the least count whose scalar
-    certificate cond(V)^2 |Y|_F z^(K-1) / (K-1)! q / (1 - q), z = |s| max|d_ab| and
-    q = z / K < 1, is below ``tol_trunc``, and K = 1 (s = 0) returns X itself; past
-    ``MAX_SERIES_TERMS`` it raises ``TruncationError`` as the term loop does. V^-1 is the
-    spectrum's, taken once. The change of basis rounds like eps cond(V)^2 |X|, where the
-    term loop rounds like eps |X| at small rates: hence the second condition of the route.
+    Route "eig" (``ctx.series_route(tol_trunc)``: a context on H's ``Spectrum`` whose guard
+    holds and whose eps cond(V)^2 is at most ``tol_trunc``) sums in delta's eigenbasis. With
+    H = V diag(lam) V^-1 and X = V^-† Y V^-1, delta acts entry by entry as Y_ab -> d_ab Y_ab,
+    d_ab = i (conj(lam_a) - lam_b), so the sum is V^-† (e^(t d) o Y) V^-1, four N^3 products.
+    The exponential is taken in slices, e^(t d) = e_K(t d / 2^j)^(2^j) (the scaling and
+    squaring of Al-Mohy & Higham, SISC 33(2), 2011): j is the fewest halvings that bring
+    z = |t| max|d_ab| to at most 1, and e_K(w) = sum_{k<K} w^k / k! is evaluated by Horner,
+    then squared j times in place, O(N^2) per term and per squaring. K is the least count
+    whose scalar certificate cond(V)^2 |Y|_F u^(K-1) / (K-1)! q / (1 - q), u = z / 2^j and
+    q = u / K < 1, is below ``tol_trunc`` / (2^j G), G = max(1, max|e^(t d_ab)|): the
+    squarings multiply a slice's error by at most 2^j G. K = 1 (t = 0) returns X itself.
+    Past z = 2^``MAX_SERIES_HALVINGS`` = 1/eps, where t d_ab holds no correct digit of its
+    phase, ``TruncationError`` is raised; where an entry of e^(t d) or the sum leaves the
+    float range, ``NumericRangeError``. V^-1 is the spectrum's, taken once. The change of
+    basis rounds like eps cond(V)^2 |X|, where the term loop rounds like eps |X| at small
+    rates: hence the second condition of the route.
     """
+    t = float(check_times((t,), "t")[0][0])
     xm = as_square_matrix(x, "observable", ctx.dim)
     check_tolerance(tol_trunc, "tol_trunc")
-    times = check_times(times, "times")[0].tolist()
-    rates = [ctx.delta_bound * abs(s) for s in times]
-    top = max(range(len(times)), key=lambda i: abs(times[i]))
-    t, rate = times[top], rates[top]  # the largest rate
+    if ctx.series_route(tol_trunc) == "eig":
+        return _eig_series(ctx.spectrum, xm, t, tol_trunc)
+    rate = ctx.delta_bound * abs(t)
     if not rate < MAX_SERIES_TERMS:
         raise TruncationError(f"series rate {rate:.3e} keeps q >= 1 up to the term cap")
-    if ctx.series_route(tol_trunc) == "eig":
-        return _eig_series(ctx.spectrum, xm, times, tol_trunc)
 
     h, hd = ctx.h, ctx.h.conj().T
-    sums = np.repeat(xm[None], len(times), axis=0)
-    counts = np.zeros(len(times), dtype=int)
-    # every other time s: [index, s / t, (s / t)^(k-1), its rate]; t = 0 makes each s 0
-    scaled = [[i, s / t if t else 0.0, 1.0, rates[i]] for i, s in enumerate(times) if i != top]
-    total, term = sums[top], xm.copy()
+    total, term = xm.copy(), xm.copy()
     a, b = np.empty_like(term), np.empty_like(term)
     for k in range(1, MAX_SERIES_TERMS + 1):  # total = T_0 + ... + T_{k-1}
         q = rate / k  # |T_{k-1+j}| <= q^j |T_{k-1}|
-        if scaled:
-            size = np.linalg.norm(term)
-            for entry in list(scaled):
-                i, _, power, rate_s = entry
-                qs = rate_s / k
-                if qs < 1.0 and abs(power) * size * qs / (1.0 - qs) < tol_trunc:
-                    counts[i] = k
-                    scaled.remove(entry)
         if q < 1.0 and np.linalg.norm(term) * q / (1.0 - q) < tol_trunc:
             break
         hd.dot(term, out=a)
@@ -192,47 +170,52 @@ def gamma_series_at(
         if not term.any():
             break
         total += term
-        for entry in scaled:
-            entry[2] *= entry[1]
-            sums[entry[0]] += np.multiply(term, entry[2], out=a)
     else:
         raise TruncationError(
             f"series needs more than {MAX_SERIES_TERMS} terms at rate {rate:.3e}"
         )
-    counts[counts == 0] = k  # t's count, and that of each sum a zero term stopped
-    return sums, counts
+    return total, k
 
 
-def _eig_series(spec: Spectrum, x: np.ndarray, times: list, tol_trunc: float):
-    """``gamma_series_at`` in the eigenbasis of delta: Y = V^† X V, e_k(s d) o Y, back by V^-1."""
+def _eig_series(spec: Spectrum, x: np.ndarray, t: float, tol_trunc: float):
+    """``gamma_series`` in the eigenbasis of delta: Y = V^† X V, e^(t d) o Y, back by V^-1."""
     v, w, lam = spec.right_vectors, spec.left_vectors, spec.eigenvalues
-    y = v.conj().T @ x @ v
     d = 1j * (lam.conj()[:, None] - lam[None, :])  # delta(X) <-> d o Y
-    span = float(np.abs(d).max())
+    z = float(np.abs(d).max()) * abs(t)
+    if not z <= 2.0**MAX_SERIES_HALVINGS:
+        raise TruncationError(
+            f"series rate {z:.3e} needs more than {MAX_SERIES_HALVINGS} halvings"
+        )
+    frac, j = math.frexp(z)
+    j = max(j - (frac == 0.5), 0)  # the fewest halvings that bring z / 2^j to at most 1
+    y = v.conj().T @ x @ v
     # |V^-1|_2 <= cond(V) for unit columns, and |c o Y|_F <= max|c| |Y|_F
-    bound = spec.condition_estimate**2 * np.linalg.norm(y)
-    sums = np.empty((len(times),) + x.shape, dtype=complex)
-    counts = np.empty(len(times), dtype=int)
-    for i, s in enumerate(times):
-        z_max, size, k = span * abs(s), bound, 1  # size = bound z_max^(k-1) / (k-1)!
-        while size and not ((q := z_max / k) < 1.0 and size * q / (1.0 - q) < tol_trunc):
-            if k == MAX_SERIES_TERMS:
-                raise TruncationError(
-                    f"series needs more than {MAX_SERIES_TERMS} terms at rate {z_max:.3e}"
-                )
-            size *= z_max / k
-            k += 1
-        counts[i] = k
-        if k == 1:  # e_1 = 1: the sum is X itself, as on the term route
-            sums[i] = x
-            continue
-        z, c = s * d, np.ones_like(d)
-        for j in range(k - 1, 0, -1):  # Horner: e_k(z) = 1 + z (1 + z/2 (1 + ... z/(k-1)))
-            c *= z
-            c *= 1.0 / j
-            c += 1.0
-        sums[i] = w.conj().T @ (c * y) @ w
-    return sums, counts
+    size = spec.condition_estimate**2 * float(np.linalg.norm(y))
+    grow = 2.0 * float((t * lam.imag).max())  # max Re(t d_ab), Re d_ab = Im lam_a + Im lam_b
+    if not (grow <= LOG_MAX and size < math.inf):
+        raise NumericRangeError(
+            f"series leaves the float range at rate {z:.3e}: |e^(t d)| up to e^{grow:.3e}, "
+            f"|V^† X V|_F {size:.3e}"
+        )
+    tol = math.ldexp(tol_trunc * math.exp(-max(grow, 0.0)), -j)  # can only underflow
+    u, k = math.ldexp(z, -j), 1  # size = cond(V)^2 |Y|_F u^(k-1) / (k-1)!
+    while size and not ((q := u / k) < 1.0 and size * q / (1.0 - q) < tol):
+        size *= u / k
+        k += 1
+    if k == 1:  # e_1 = 1: the sum is X itself, as on the term route
+        return x.copy(), 1
+    arg, c = math.ldexp(t, -j) * d, np.ones_like(d)
+    for i in range(k - 1, 0, -1):  # Horner: e_k(w) = 1 + w (1 + w/2 (1 + ... w/(k-1)))
+        c *= arg
+        c *= 1.0 / i
+        c += 1.0
+    with np.errstate(over="ignore", invalid="ignore"):  # past the range raises below
+        for _ in range(j):
+            c *= c
+        total = w.conj().T @ (c * y) @ w
+    if not np.isfinite(total).all():
+        raise NumericRangeError(f"series sum leaves the float range at rate {z:.3e}")
+    return total, k
 
 
 def identity_norm_evolution(ctx: GammaContext, psi0, t_grid) -> np.ndarray:
@@ -398,10 +381,7 @@ def gamma_symmetry_basis(
     condition of each Gram it inverts are at most ``EIG_COND_MAX``, no pair
     gap lies in (cut / ``GRAY_BAND``, cut * ``GRAY_BAND``], and every
     residual is at most the cut; else the Schur route runs, and nothing is
-    raised. At one BLAS thread on a 2-core host a scan input at N = 32 with
-    d = N takes 2.6-3.6 ms this way against 15 ms by Schur, 1.5 * 1 at
-    N = 32 (d = N^2) 0.02 s at a 50 MB process peak, and at N = 64 0.3 s,
-    most of it writing the 268 MB output.
+    raised.
 
     Route "schur": with the complex Schur form H = Q T Q^† the relation
     reads T^† Y = Y T for Y = Q^† X Q. T is upper triangular, so column k
@@ -420,8 +400,7 @@ def gamma_symmetry_basis(
 
     An empty basis is a valid result. A multiple of the identity, d = N^2,
     is the costly input on the Schur route: every step keeps all N + d
-    columns. N = 32 takes about 1.7 s there at a 126 MB process peak and
-    N = 40 about 6.5 s at 223 MB, most of it in the SVDs of the step matrices.
+    columns, most of the time going to the SVDs of the step matrices.
     """
     check_tolerance(rank_tol_rel, "rank_tol_rel", below_one=True)
     found = None if ctx.spectrum is None else _eig_generators(ctx, rank_tol_rel * ctx.h_norm)

@@ -331,6 +331,16 @@ class Spectrum:
         (a reader that scales it copies it first)."""
         return np.linalg.inv(self.right_vectors)
 
+    def shifted(self, e: complex) -> Spectrum:
+        """The spectrum of A - e: A's eigenvectors, every eigenvalue shifted by -e. Where the
+        guard holds, every route on the shift reads V^-1, so it is A's, taken once."""
+        m = self.matrix - e * np.eye(self.matrix.shape[0], dtype=complex)
+        values, cond = self.eigenvalues - e, self.condition_estimate
+        out = Spectrum(values, self.right_vectors, cond, m, op_norm(m))
+        if self.well_conditioned:
+            out.__dict__["left_vectors"] = self.left_vectors
+        return out
+
 
 def eig_general(a) -> Spectrum:
     """Eigenvalues and unit right eigenvectors of a general complex matrix.

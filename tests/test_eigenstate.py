@@ -14,7 +14,6 @@ from nhdyn import (
     exact_trajectory,
     gamma_context,
     gamma_series,
-    gamma_series_at,
     gamma_symmetry_basis,
     gamma_t,
     mean_derivative,
@@ -339,7 +338,7 @@ def test_shared_stack_keeps_witness_and_series_gap(kind, dim, t_end):
 
 
 class CountingMatrix(np.ndarray):
-    """Counts ``dot`` calls on H^†: ``gamma_series_at`` forms each term with one."""
+    """Counts ``dot`` calls on H^†: ``gamma_series`` forms each term with one."""
 
     products = 0
 
@@ -350,9 +349,9 @@ class CountingMatrix(np.ndarray):
 
 @pytest.mark.parametrize("t_end", [0.25, 0.5, 10.0])
 @pytest.mark.parametrize("kind", ["hermitian", "complex_spectrum"])
-def test_terms_are_formed_once_per_probe(monkeypatch, kind, t_end):
-    # each probe forms its terms at the larger of t_last and 0.5 alone, where the
-    # separate sums formed them at both times; a context without a spectrum sums by terms
+def test_terms_are_formed_once_per_probe_and_time(monkeypatch, kind, t_end):
+    # each probe forms the terms of one sum at each distinct time of t_last and 0.5, and
+    # no others; a context without a spectrum sums by terms
     h = random_hamiltonian(5, np.random.default_rng(8), kind=kind, scale=0.8)
     ctx = eigenstate_context(h)
     ctx = replace(ctx, shifted=gamma_context(ctx.shifted.h))
@@ -367,10 +366,8 @@ def test_terms_are_formed_once_per_probe(monkeypatch, kind, t_end):
     n = ctx.shifted.dim
     probes = [rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)) for _ in range(5)][2:]
     times = dict.fromkeys((t_end, 0.5))
-    counts = {t: [gamma_series(ctx.shifted, p, t)[1] for p in probes] for t in times}
-    formed = sum(c - 1 for c in counts[max(t_end, 0.5)])
-    assert CountingMatrix.products == formed
-    assert formed < sum(c - 1 for cs in counts.values() for c in cs) or t_end == 0.5
+    counts = [gamma_series(ctx.shifted, p, t)[1] for p in probes for t in times]
+    assert CountingMatrix.products == sum(c - 1 for c in counts)
 
 
 @pytest.mark.parametrize("t_end", [0.25, 0.5, 10.0])
@@ -388,11 +385,10 @@ def test_screened_gap_is_the_largest_two_norm(monkeypatch, kind, t_end):
 
     rng = np.random.default_rng(5)
     probes = [rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16)) for _ in range(5)][2:]
-    times = (t_end, 0.5)
     diffs = [
-        series - gamma_t(ctx.shifted, p, t)
+        gamma_series(ctx.shifted, p, t)[0] - gamma_t(ctx.shifted, p, t)
         for p in probes
-        for series, t in zip(gamma_series_at(ctx.shifted, p, times)[0], times)
+        for t in (t_end, 0.5)
     ]
     assert report.series_vs_conjugation == max(op_norm(d) for d in diffs)
     assert len(svds) <= 3  # here no smaller time's difference takes an SVD
@@ -410,10 +406,9 @@ def test_screened_gap_is_the_largest_two_norm_on_the_eig_route(kind, t_end):
 
     rng = np.random.default_rng(5)
     probes = [rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16)) for _ in range(5)][2:]
-    times = (t_end, 0.5)
     diffs = [
-        series - gamma_t(ctx.shifted, p, t)
+        gamma_series(ctx.shifted, p, t)[0] - gamma_t(ctx.shifted, p, t)
         for p in probes
-        for series, t in zip(gamma_series_at(ctx.shifted, p, times)[0], times)
+        for t in (t_end, 0.5)
     ]
     assert report.series_vs_conjugation == max(op_norm(d) for d in diffs)

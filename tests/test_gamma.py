@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import warnings
@@ -28,7 +29,6 @@ from nhdyn import (
     exact_trajectory,
     gamma_context,
     gamma_series,
-    gamma_series_at,
     gamma_symmetry_basis,
     gamma_t,
     identity_norm_evolution,
@@ -291,6 +291,27 @@ class TestGammaSeries:
         with pytest.raises(ConfigError):
             gamma_series(ctx, np.eye(2), 1.0, 0.0)
 
+    def test_a_zero_term_stops_at_every_time(self):
+        # H^2 = 0: T_3 is exactly zero, so every nonzero time stops at three terms
+        ctx = gamma_context(NILPOTENT)
+        x = random_matrix(2, np.random.default_rng(46))
+        d1 = delta_gamma(ctx, x)
+        d2 = delta_gamma(ctx, d1)
+        for t, count in ((10.0, 3), (0.5, 3), (-2.0, 3), (0.0, 1)):
+            total, terms = gamma_series(ctx, x, t)
+            assert terms == count
+            closed = x + t * d1 + t**2 / 2 * d2
+            assert np.abs(total - closed).max() <= 1e-15 * np.abs(closed).max()
+
+    def test_bad_times_raise(self):
+        ctx = gamma_context(NILPOTENT)
+        message = r"^t must be finite real times in a 1-D array of >= 1$"
+        for t in ([], float("nan"), (0.5, 1.0)):
+            with pytest.raises(ConfigError, match=message):
+                gamma_series(ctx, np.eye(2), t)
+        with pytest.raises(TruncationError, match="keeps q >= 1"):
+            gamma_series(ctx, np.eye(2), 1e6)
+
 
 SERIES_TIME_SETS = [(10.0, 0.5), (0.5, 10.0), (2.0, 0.5, -1.0, 0.0, 1e-3), (-5.0, 3.0, 5.0)]
 
@@ -305,61 +326,34 @@ def _term_mass(h, x, s, terms):
 
 
 class TestSeriesAtTimes:
+    """One context summed at several times, one ``gamma_series`` call per time."""
+
     @pytest.mark.parametrize("times", SERIES_TIME_SETS)
     @pytest.mark.parametrize("n", [2, 5, 16])
     @pytest.mark.parametrize("kind", ["hermitian", "real_spectrum", "complex_spectrum"])
     def test_sums_match_one_time_sums(self, kind, n, times):
-        # at the first time of largest |t| the sum and its count are gamma_series' bit for
-        # bit (-5 and 5 both: the terms are formed at -5, and (-1)^k is exact); at every
-        # other time the count is equal and the sum within 16 eps sum_k |T_k(s)|_F, where
-        # 1,080 seeded draws (N <= 32) peaked at 1.6 eps sum_k |T_k(s)|_F
+        # a context that has summed at other times (its delta bound, V^-1 and expm memo
+        # cached) sums each time with the bits and count of a fresh context; the term route
+        # is within tol_trunc + 16 eps sum_k |T_k|_F of g_t and the eig route within
+        # 1e-12 max(1, |g_t|_2), where these 36 cases peak at 0.63 and 0.33 of the bounds
         rng = np.random.default_rng(7 * n)
         h = random_hamiltonian(n, rng, kind=kind, scale=0.8)
-        ctx, x = gamma_context(h), random_matrix(n, rng)
-        sums, counts = gamma_series_at(ctx, x, times)
-        assert sums.shape == (len(times), n, n) and counts.shape == (len(times),)
-        top = max(abs(s) for s in times)
-        for s, total, terms in zip(times, sums, counts):
-            alone, alone_terms = gamma_series(ctx, x, s)
-            assert terms == alone_terms
-            if abs(s) == top:
-                assert np.array_equal(total, alone)
-            else:
-                bound = 16 * np.finfo(float).eps * _term_mass(h, x, s, terms)
-                assert np.linalg.norm(total - alone) <= bound
-
-    def test_terms_are_formed_once_at_the_largest_time(self):
-        class CountingMatrix(np.ndarray):
-            def dot(self, other, out=None):
-                products.append(1)
-                return np.asarray(self).dot(other, out=out)
-
-        products = []
-        rng = np.random.default_rng(45)
-        h = random_hamiltonian(6, rng, kind="complex_spectrum")
-        x = random_matrix(6, rng)
-        ctx = nhdyn.gamma.GammaContext(h.view(CountingMatrix))
-        _, counts = gamma_series_at(ctx, x, (0.5, 4.0, 1.0))
-        assert len(products) == counts.max() - 1 == gamma_series(gamma_context(h), x, 4.0)[1] - 1
-
-    def test_a_zero_term_stops_every_time(self):
-        # H^2 = 0: T_3 is exactly zero, so every time stops at three terms
-        ctx = gamma_context(NILPOTENT)
-        x = random_matrix(2, np.random.default_rng(46))
-        sums, counts = gamma_series_at(ctx, x, (10.0, 0.5, 0.0))
-        assert counts.tolist() == [3, 3, 1]
-        for s, total in zip((10.0, 0.5, 0.0), sums):
-            assert np.abs(total - gamma_series(ctx, x, s)[0]).max() <= 1e-15 * np.abs(x).max()
-
-    def test_bad_times_raise(self):
-        ctx = gamma_context(NILPOTENT)
-        message = r"^times must be finite real times in a 1-D array of >= 1$"
-        with pytest.raises(ConfigError, match=message):
-            gamma_series_at(ctx, np.eye(2), [])
-        with pytest.raises(ConfigError, match=message):
-            gamma_series_at(ctx, np.eye(2), (0.5, float("nan")))
-        with pytest.raises(TruncationError, match="keeps q >= 1"):
-            gamma_series_at(ctx, np.eye(2), (0.5, 1e6))
+        x = random_matrix(n, rng)
+        spec = eig_general(h)
+        for route, source in (("terms", h), ("eig", spec)):
+            fresh = functools.partial(gamma_context, source)
+            ctx = fresh()
+            assert ctx.series_route(DEFAULT_TOL_TRUNC) == route
+            for s in times:
+                total, terms = gamma_series(ctx, x, s)
+                alone, alone_terms = gamma_series(fresh(), x, s)
+                assert terms == alone_terms and np.array_equal(total, alone)
+                exact = gamma_t(ctx, x, s)
+                if route == "terms":
+                    bound = DEFAULT_TOL_TRUNC + 16 * EPS * _term_mass(h, x, s, terms)
+                else:
+                    bound = 1e-12 * max(1.0, op_norm(exact))
+                assert op_norm(total - exact) <= bound
 
 
 KINDS = ("hermitian", "real_spectrum", "complex_spectrum")
@@ -376,7 +370,7 @@ def _errors_against_40_digits(h, x, t, tol_trunc=DEFAULT_TOL_TRUNC):
 
 
 class TestSeriesInTheEigenbasis:
-    """Route "eig" of ``gamma_series_at``: a context on a well-conditioned ``Spectrum``."""
+    """Route "eig" of ``gamma_series``: a context on a well-conditioned ``Spectrum``."""
 
     def test_route_follows_the_guard_and_the_rounding_floor(self):
         h = random_hamiltonian(6, np.random.default_rng(50), kind="complex_spectrum")
@@ -436,20 +430,39 @@ class TestSeriesInTheEigenbasis:
                     terms = op_norm(gamma_series(gamma_context(shifted.h), x, t, tol)[0] - exact)
                     assert eig <= 2.0 * terms or eig <= max(1e-12, tol) * max(1.0, op_norm(exact))
 
-    @pytest.mark.parametrize("times", SERIES_TIME_SETS)
-    def test_each_time_is_summed_alone(self, times):
-        # every time takes its own count and polynomial, so a stack of times holds the
-        # bits of the one-time sums; one term (t = 0) returns X itself
+    @pytest.mark.parametrize("t", [0.0, 1e-3, -1.0, 10.0])
+    def test_one_term_only_at_time_zero(self, t):
+        # one term (t = 0) returns a copy of X itself; every other time takes more
         rng = np.random.default_rng(52)
         ctx = eigenstate_context(random_hamiltonian(6, rng, kind="complex_spectrum")).shifted
         x = random_matrix(6, rng)
-        sums, counts = gamma_series_at(ctx, x, times)
-        for s, total, terms in zip(times, sums, counts):
-            alone, alone_terms = gamma_series(ctx, x, s)
-            assert terms == alone_terms and np.array_equal(total, alone)
-            assert (terms == 1) == (s == 0.0)
-            if s == 0.0:
-                assert np.array_equal(total, x)
+        total, terms = gamma_series(ctx, x, t)
+        assert (terms == 1) == (t == 0.0)
+        if t == 0.0:
+            assert np.array_equal(total, x) and not np.shares_memory(total, x)
+
+    @pytest.mark.parametrize("rate", [20.0, 80.0, 200.0])
+    @pytest.mark.parametrize("orbit", ["hermitian", "real_spectrum", "decaying"])
+    def test_slices_hold_40_digits_on_bounded_and_decaying_orbits(self, orbit, rate):
+        # |t| max|d_ab| = rate, where one Taylor polynomial at the full rate cancels: the
+        # slices hold 1e-12 max(1, |g_t|_2) wherever no entry of e^(t d) grows (a complex
+        # spectrum moved below the real axis decays for t > 0)
+        kind = "complex_spectrum" if orbit == "decaying" else orbit
+        for seed, n in itertools.product(range(2), (2, 4, 6)):
+            rng = np.random.default_rng(seed)
+            h = random_hamiltonian(n, rng, kind=kind)
+            if orbit == "decaying":
+                h = h - 1j * np.linalg.eigvals(h).imag.max() * np.eye(n)
+            ctx = gamma_context(eig_general(h))
+            assert ctx.series_route(DEFAULT_TOL_TRUNC) == "eig"
+            lam = ctx.spectrum.eigenvalues
+            span = np.abs(lam.conj()[:, None] - lam[None, :]).max()
+            x = random_matrix(n, rng)
+            for sign in (1.0,) if orbit == "decaying" else (1.0, -1.0):
+                t = sign * rate / span
+                exact = gamma_t_exact(h, x, t)
+                total, _ = gamma_series(ctx, x, t)
+                assert op_norm(total - exact) <= 1e-12 * max(1.0, op_norm(exact))
 
     @pytest.mark.parametrize("tol", [1e-6, 1e-10, 1e-12])
     @pytest.mark.parametrize("t", [1.0, 5.0, 20.0, -5.0])
@@ -465,27 +478,62 @@ class TestSeriesInTheEigenbasis:
         roundoff = 64 * np.finfo(float).eps * scale * np.exp(r)
         assert op_norm(total - np.exp(2 * a * t) * x) <= tol + roundoff
 
-    def test_cap_raises_as_the_term_loop_does(self):
-        # H - E = diag(18, 0): rate 180 passes the up-front test, but e^180 needs more
-        # than 500 terms on both routes; rate 540 fails it on both
-        ctx = gamma_context(eig_general(np.diag([18.0, 0.0])))
+    def test_term_route_cap_raises(self):
+        # H - E = diag(18, 0) without its spectrum: rate 180 passes the up-front test, but
+        # e^180 needs more than 500 terms; rate 540 fails it
+        ctx = gamma_context(np.diag([18.0, 0.0]))
         x = random_matrix(2, np.random.default_rng(53))
-        for context in (ctx, gamma_context(ctx.h)):
-            with pytest.raises(TruncationError, match="needs more than 500 terms at rate 1.800e"):
-                gamma_series(context, x, 10.0)
-            with pytest.raises(TruncationError, match="keeps q >= 1"):
-                gamma_series(context, x, 30.0)
+        with pytest.raises(TruncationError, match="needs more than 500 terms at rate 1.800e"):
+            gamma_series(ctx, x, 10.0)
+        with pytest.raises(TruncationError, match="keeps q >= 1"):
+            gamma_series(ctx, x, 30.0)
+
+    @pytest.mark.parametrize("t", [10.0, 30.0])
+    def test_eig_route_sums_past_the_term_cap(self, t):
+        # the same H - E on its spectrum: 8 and 10 halvings, and the sum is g_t's
+        h = np.diag([18.0, 0.0])
+        x = random_matrix(2, np.random.default_rng(53))
+        total, terms = gamma_series(gamma_context(eig_general(h)), x, t)
+        exact = gamma_t_exact(h, x, t)
+        assert op_norm(total - exact) <= 1e-12 * max(1.0, op_norm(exact))
+        assert terms < 30
+
+    def test_growth_past_the_float_range_raises(self):
+        # H = diag(50i, 0): |e^(t d_11)| = e^(100 t) is finite up to t = 7.09, where the
+        # tolerance divided by e^(100 t) 2^j would pass through 1e308, and past the float
+        # range at 7.2, where the sum would hold inf
+        h = np.diag([50j, 0.0])
+        ctx = gamma_context(eig_general(h))
+        x = random_matrix(2, np.random.default_rng(55))
+        for t in (7.0, 7.05, 7.09):
+            total, _ = gamma_series(ctx, x, t)
+            grown = x * np.exp(t * np.array([[100.0, 50.0], [50.0, 0.0]]))
+            assert np.abs(total - grown).max() <= 1e-12 * np.abs(grown).max()
+        message = r"float range at rate 7\.200e\+02: .* e\^7\.200e\+02"
+        with pytest.raises(NumericRangeError, match=message):
+            gamma_series(ctx, x, 7.2)
+
+    def test_a_rate_past_the_halving_limit_raises(self):
+        # past a rate of 2^52 = 1/eps, t d_ab holds no digit of its phase
+        ctx = gamma_context(eig_general(np.diag([1.0, -1.0])))
+        gamma_series(ctx, np.eye(2), 2.0**50)
+        message = r"rate 9\.007e\+15 needs more than 52 halvings"
+        with pytest.raises(TruncationError, match=message):
+            gamma_series(ctx, np.eye(2), 2.0**52)
 
     def test_v_inverse_is_taken_once_per_spectrum(self, monkeypatch):
-        # three probes, the symmetry basis and the biorthogonal system share one V^-1,
-        # which the basis copies before it scales its rows
+        # three probes at two times, on the spectrum and on its shift by an eigenvalue, the
+        # symmetry basis and the biorthogonal system share one V^-1, which the basis copies
+        # before it scales its rows
         spec = eig_general(random_hamiltonian(5, np.random.default_rng(54), kind="real_spectrum"))
         inverses = []
         original = np.linalg.inv
         monkeypatch.setattr(np.linalg, "inv", lambda a: inverses.append(1) or original(a))
         ctx = gamma_context(spec)
-        for seed in range(3):
-            gamma_series_at(ctx, random_matrix(5, np.random.default_rng(seed)), (2.0, 0.5))
+        for seed, t in itertools.product(range(3), (2.0, 0.5)):
+            p = random_matrix(5, np.random.default_rng(seed))
+            gamma_series(ctx, p, t)
+            gamma_series(eigenstate_context(spec).shifted, p, t)
         assert gamma_symmetry_basis(ctx).route == "eig"
         assert np.array_equal(build_biorthogonal(spec).psi, original(spec.right_vectors).conj().T)
         assert len(inverses) == 1

@@ -36,7 +36,6 @@ from nhdyn import (
     expm,
     gamma_context,
     gamma_series,
-    gamma_series_at,
     gamma_symmetry_basis,
     gamma_t,
     identity_norm_evolution,
@@ -409,11 +408,14 @@ UPPER = np.array([[1.0, 2.0], [0.0, 3.0]])
 
 def _tolerance_calls():
     """Each public call that takes a tolerance: its id -> (parameter, call of the value)."""
-    ctx = gamma_context(UPPER)
+    ctx, on_spectrum = gamma_context(UPPER), gamma_context(eig_general(UPPER))
     traj = exact_trajectory(UPPER, np.array([0.6, 0.8]), np.linspace(0.0, 1.0, 5))
     rng = np.random.default_rng(0)
     return {
         "gamma_series": ("tol_trunc", lambda tol: gamma_series(ctx, np.eye(2), 1.0, tol)),
+        "gamma_series-eig": (
+            "tol_trunc", lambda tol: gamma_series(on_spectrum, np.eye(2), 1.0, tol)
+        ),
         "weak_identity_report": (
             "tol_trunc",
             lambda tol: weak_identity_report(eigenstate_context(UPPER), [0.0, 1.0], rng, tol),
@@ -424,9 +426,6 @@ def _tolerance_calls():
             lambda tol: classify_ensemble(UPPER, np.eye(2), [0.0, 1.0], 2, rng, tol),
         ),
         "build_biorthogonal": ("tol_distinct", lambda tol: build_biorthogonal(UPPER, tol)),
-        "gamma_series_at": (
-            "tol_trunc", lambda tol: gamma_series_at(ctx, np.eye(2), (0.5, 1.0), tol)
-        ),
         "gamma_symmetry_basis": ("rank_tol_rel", lambda tol: gamma_symmetry_basis(ctx, tol)),
         "build_dm_model-lam": ("lam", lambda v: build_dm_model(v, 1.0)),
         "build_dm_model-mu": ("mu", lambda v: build_dm_model(1.0, v)),
@@ -443,7 +442,7 @@ def _tolerance_calls():
 
 TOLERANCE_CALLS = [
     "build_biorthogonal", "build_dm_model-lam", "build_dm_model-mu", "classify",
-    "classify_ensemble", "gamma_series", "gamma_series_at", "gamma_symmetry_basis", "nullspace",
+    "classify_ensemble", "gamma_series", "gamma_series-eig", "gamma_symmetry_basis", "nullspace",
     "random_hamiltonian-basis_stretch", "random_hamiltonian-scale", "weak_identity_report",
 ]
 
@@ -744,7 +743,6 @@ def _time_calls():
         "simulate_occupations": ("t_grid", lambda t: simulate_occupations(model, "011", t)),
         "gamma_t": ("t", lambda t: gamma_t(ctx, np.eye(2), t)),
         "gamma_series": ("t", lambda t: gamma_series(ctx, np.eye(2), t)),
-        "gamma_series_at": ("times", lambda t: gamma_series_at(ctx, np.eye(2), (0.5, t))),
         "closed_form_occupations": ("t", lambda t: closed_form_occupations(model, "011", t)),
         "closed_form_scalar": ("t", lambda t: closed_form_scalar(model, "011", t)),
     }
@@ -755,7 +753,7 @@ GRID_CALLS = [
     "simulate_occupations", "weak_identity_report",
 ]
 SCALAR_CALLS = [
-    "closed_form_occupations", "closed_form_scalar", "gamma_series", "gamma_series_at", "gamma_t",
+    "closed_form_occupations", "closed_form_scalar", "gamma_series", "gamma_t",
 ]
 BAD_TIMES = [math.nan, math.inf, -math.inf, "1", None, True, np.True_]
 BAD_GRIDS = BAD_TIMES + [[True, False], [0.0, True], [[0, 1], [2, 3]], [], [[0.0, 1.0], [2.0]]]
@@ -776,6 +774,14 @@ class TestCheckTimes:
         name, run = _time_calls()[call]
         with pytest.raises(ConfigError, match=f"^{name} must be finite real times in a 1-D"):
             run(bad)
+
+    @pytest.mark.parametrize("bad", BAD_TIMES, ids=repr)
+    def test_the_series_checks_its_time_on_the_eig_route(self, bad):
+        # the eigenbasis sum takes its own rate from t, so t is checked before the route
+        ctx = gamma_context(eig_general(UPPER))
+        assert ctx.series_route(1e-12) == "eig"
+        with pytest.raises(ConfigError, match="^t must be finite real times in a 1-D"):
+            gamma_series(ctx, np.eye(2), bad)
 
     @pytest.mark.parametrize("call", ["identity_norm_evolution", "integrate_nonlinear"])
     def test_a_derivative_or_a_step_needs_two_points(self, call):
@@ -939,7 +945,6 @@ def _operand_calls():
         ("expm", "a"): lambda v: expm(v),
         ("gamma_context", "h"): lambda v: gamma_context(v),
         ("gamma_series", "x"): lambda v: gamma_series(ctx, v, 0.5),
-        ("gamma_series_at", "x"): lambda v: gamma_series_at(ctx, v, grid),
         ("gamma_symmetry_decay_check", "h"): (
             lambda v: nhdyn.gamma_symmetry_decay_check(v, x2, traj)
         ),
@@ -1005,6 +1010,18 @@ def test_an_operand_of_bools_or_strings_is_a_config_error(monkeypatch, entry, ki
     _fail_on_numerics(monkeypatch)
     with pytest.raises(ConfigError, match="must be an array of numbers$"):
         run(value)
+
+
+@pytest.mark.parametrize("kind", ["bool", "str"])
+def test_an_observable_of_bools_or_strings_is_a_config_error_on_the_eig_route(monkeypatch, kind):
+    # the eigenbasis sum must refuse X before it takes V^-1 or any product
+    ctx = gamma_context(eig_general(np.diag([1.0, 2.0])))
+    assert ctx.series_route(1e-12) == "eig"
+    value = {"bool": [[True, False], [False, True]], "str": [["1", "0"], ["0", "1"]]}[kind]
+    _fail_on_numerics(monkeypatch)
+    monkeypatch.setattr(np.linalg, "inv", lambda *a: pytest.fail("inv ran"))
+    with pytest.raises(ConfigError, match="must be an array of numbers$"):
+        gamma_series(ctx, value, 0.5)
 
 
 @pytest.mark.parametrize("entry", list(_operand_of_another_dimension()))

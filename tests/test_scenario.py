@@ -541,6 +541,21 @@ class TestRunner:
         assert len(calls) == 1
         assert first.tasks["biortho"] == second.tasks["biortho"]
 
+    @pytest.mark.parametrize(
+        "tasks", [["biortho", "eigenstate_case"], ["eigenstate_case", "biortho"]]
+    )
+    def test_biortho_and_eigenstate_case_share_one_v_inverse(self, tmp_path, monkeypatch, tasks):
+        # H - E keeps H's eigenvectors, so its spectrum shares H's V^-1 in either order
+        h = random_hamiltonian(8, np.random.default_rng(8), kind="complex_spectrum")
+        inverses = []
+        original = np.linalg.inv
+        monkeypatch.setattr(np.linalg, "inv", lambda a: inverses.append(1) or original(a))
+        cfg = parse_config({"hamiltonian": complex_to_json(h), "tasks": tasks})
+        assert cfg.spectrum.well_conditioned
+        report = run(cfg, tmp_path)
+        assert report.tasks["eigenstate_case"]["series_route"] == "eig"
+        assert len(inverses) == 1
+
     def test_eigenstate_case_forms_one_exponential_per_time(self, tmp_path):
         # the witness and the probes share t_end; the probes alone take 0.5. Beside
         # them, phi_k0's H_k0-orbit takes the H_k0 step and exp(0 H_k0) of the default
@@ -744,6 +759,42 @@ class TestCli:
         assert report["tasks"]["trajectory"]["anchor_route"] == "eig"
         # the orbit's roundoff, grown by e^{40 t} or e^{3 t}
         assert report["tasks"]["eigenstate_case"]["identity_mean_residual"] <= 1e-9
+
+    @pytest.mark.parametrize("a, t_end", [(5, 10.0), (8, 10.0), (9, 10.0), (10, 30.0)])
+    def test_eigenstate_series_holds_at_large_rates(self, tmp_path, a, t_end):
+        # H = diag(a, -a): the series runs at rate 2 a t_end, 100 to 600, where one Taylor
+        # polynomial gave 8.25e26 (a = 5) and 7.74e52 (a = 8) and the term cap exited 3
+        doc = {
+            "hamiltonian": [[[a, 0], [0, 0]], [[0, 0], [-a, 0]]],
+            "time": {"t_end": t_end, "points": 11},
+            "tasks": ["eigenstate_case"],
+        }
+        cfg = write_config(tmp_path, doc)
+        assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 0
+        section = json.loads((tmp_path / "report.json").read_text())["tasks"]["eigenstate_case"]
+        assert section["series_route"] == "eig"
+        assert section["series_vs_conjugation"] <= 1e-10
+
+    @pytest.mark.parametrize("a, message", [
+        (50, "series leaves the float range"),
+        (35.25, "report holds a non-finite number"),
+    ])
+    def test_eigenstate_series_past_the_float_range_exits_three(
+        self, tmp_path, capsys, a, message
+    ):
+        # H = diag(-a i, 0): E = -a i, and H - E = diag(0, a i) grows the series entry e^(t d)
+        # to e^(2 a t_end): e^1000 is past the float range; e^705 is inside it, where a
+        # tolerance divided by e^705 2^10 overflowed, and the report's residuals are not
+        doc = {
+            "hamiltonian": [[[0, -a], [0, 0]], [[0, 0], [0, 0]]],
+            "tasks": ["eigenstate_case"],
+        }
+        cfg = write_config(tmp_path, doc)
+        assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith(f"nhdyn: numerical failure: {message}")
+        assert not (tmp_path / "out" / "report.json").exists()
 
     def test_top_of_the_float_range_never_exits_one(self, tmp_path, capsys):
         # |H t| = 1e307: the nilpotent H has exp(-iHt) = 1 - iHt, finite, but a Pade term
