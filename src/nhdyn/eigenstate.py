@@ -102,8 +102,8 @@ def weak_identity_report(
     built without one). ``rng`` draws X, Y, then the three probes; ``gamma_t`` conjugates
     one matrix per call, and its calls at one time share their exponential through the
     ``expm`` memo. ``gamma_series`` sums each probe once per time, the larger time first: by
-    terms, or on the eig route (H_k0's spectrum well conditioned) in slices in delta's
-    eigenbasis; ``tol_trunc``, checked before any work, bounds each sum's tail. A difference
+    terms, or on the eig route (H_k0's spectrum well conditioned) in closed form in delta's
+    eigenbasis; ``tol_trunc``, checked first, picks the route and bounds its error. A difference
     whose Frobenius norm is below the largest 2-norm so far cannot raise it and takes no SVD."""
     check_tolerance(tol_trunc, "tol_trunc")
     shifted, phi, n = ctx.shifted, ctx.phi_k0, ctx.shifted.dim

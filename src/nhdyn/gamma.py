@@ -11,8 +11,8 @@ and its generator, the gamma-derivation
 
 Its exponential series, ``gamma_series``, is one sum at one time: term by term
 up to a certificate read off its own terms, or, on a context that holds H's
-spectrum with well-conditioned eigenvectors, entry by entry in the derivation's
-eigenbasis, where a Taylor polynomial of t / 2^j is squared j times.
+spectrum with well-conditioned eigenvectors, in closed form in the derivation's
+eigenbasis, where each entry is a scalar exponential.
 Operators fixed by the dynamics (equivalently annihilated by the
 derivation, equivalently satisfying the intertwining relation
 H^† X = X H) are gamma-symmetries; they form a linear space that this
@@ -51,7 +51,7 @@ from .linalg import (
 )
 
 MAX_SERIES_TERMS = 500  # route "terms": a rate of 500 or more keeps q >= 1 up to the cap
-MAX_SERIES_HALVINGS = 52  # route "eig": a rate past 2^52 = 1/eps leaves t d no digit of phase
+MAX_EIG_RATE = 2.0**52  # route "eig": past 1/eps, t d_ab keeps no digit of its phase
 LOG_MAX = math.log(np.finfo(float).max)  # e^LOG_MAX is the largest float
 DEFAULT_TOL_TRUNC = 1e-12
 EPS = float(np.finfo(float).eps)
@@ -101,13 +101,17 @@ def gamma_t(ctx: GammaContext, x, t: float) -> np.ndarray:
     """Evolve an observable: exp(i H^† t) X exp(-i H t) = U^† X U.
 
     One exponential: exp(i H^† t) is exactly the adjoint of U = exp(-i H t).
-    Calls at one t share U through the ``expm`` memo; ``t`` follows the time rule.
+    Calls at one t share U through the ``expm`` memo; ``t`` follows the time rule. Where U
+    or U^† X U leaves the float range, ``NumericRangeError`` is raised.
     """
     xm = as_square_matrix(x, "observable", ctx.dim)
     t = check_times((t,), "t")[0][0]
-    with np.errstate(over="ignore", invalid="ignore"):  # expm raises on a non-finite product
+    with np.errstate(over="ignore", invalid="ignore"):  # past the float range raises below
         u = expm(-1j * ctx.h * t)
-    return u.conj().T @ xm @ u
+        g = u.conj().T @ xm @ u
+    if not np.isfinite(g).all():
+        raise NumericRangeError(f"g_t(X) leaves the float range at t = {t:.3e}")
+    return g
 
 
 def delta_gamma(ctx: GammaContext, x) -> np.ndarray:
@@ -120,7 +124,7 @@ def gamma_series(
     ctx: GammaContext, x, t: float, tol_trunc: float = DEFAULT_TOL_TRUNC
 ) -> tuple[np.ndarray, int]:
     """Evaluate the exponential series sum_k t^k delta^k(X) / k! at the time ``t``. Returns the
-    partial sum and the number of terms summed, on route "eig" the terms of one slice.
+    partial sum and the number of terms summed: on route "eig" 1 at t = 0, else 0.
 
     Route "terms": |delta(Y)| <= ``ctx.delta_bound`` |Y| bounds the 2-norm of the tail after
     term T_k by |T_k|_F q / (1 - q) once q = delta_bound |t| / (k + 1) < 1. The sum returns
@@ -133,25 +137,20 @@ def gamma_series(
     Route "eig" (``ctx.series_route(tol_trunc)``: a context on H's ``Spectrum`` whose guard
     holds and whose eps cond(V)^2 is at most ``tol_trunc``) sums in delta's eigenbasis. With
     H = V diag(lam) V^-1 and X = V^-† Y V^-1, delta acts entry by entry as Y_ab -> d_ab Y_ab,
-    d_ab = i (conj(lam_a) - lam_b), so the sum is V^-† (e^(t d) o Y) V^-1, four N^3 products.
-    The exponential is taken in slices, e^(t d) = e_K(t d / 2^j)^(2^j) (the scaling and
-    squaring of Al-Mohy & Higham, SISC 33(2), 2011): j is the fewest halvings that bring
-    z = |t| max|d_ab| to at most 1, and e_K(w) = sum_{k<K} w^k / k! is evaluated by Horner,
-    then squared j times in place, O(N^2) per term and per squaring. K is the least count
-    whose scalar certificate cond(V)^2 |Y|_F u^(K-1) / (K-1)! q / (1 - q), u = z / 2^j and
-    q = u / K < 1, is below ``tol_trunc`` / (2^j G), G = max(1, max|e^(t d_ab)|): the
-    squarings multiply a slice's error by at most 2^j G. K = 1 (t = 0) returns X itself.
-    Past z = 2^``MAX_SERIES_HALVINGS`` = 1/eps, where t d_ab holds no correct digit of its
-    phase, ``TruncationError`` is raised; where an entry of e^(t d) or the sum leaves the
-    float range, ``NumericRangeError``. V^-1 is the spectrum's, taken once. The change of
-    basis rounds like eps cond(V)^2 |X|, where the term loop rounds like eps |X| at small
-    rates: hence the second condition of the route.
+    d_ab = i (conj(lam_a) - lam_b), so the sum is V^-† (e^(t d) o Y) V^-1, four N^3 products:
+    each entry's series is the scalar exponential, taken by ``np.exp`` with nothing
+    truncated. t = 0 returns X itself, one term. Past a rate |t| max|d_ab| of
+    ``MAX_EIG_RATE`` = 2^52 = 1/eps, where t d_ab keeps no digit of its phase,
+    ``TruncationError`` is raised; where an entry of e^(t d) or the sum leaves the float
+    range, ``NumericRangeError``. V^-1 is the spectrum's, taken once. The change of basis
+    rounds like eps cond(V)^2 |X|, where the term loop rounds like eps |X| at small rates:
+    hence the second condition of the route.
     """
     t = float(check_times((t,), "t")[0][0])
     xm = as_square_matrix(x, "observable", ctx.dim)
     check_tolerance(tol_trunc, "tol_trunc")
     if ctx.series_route(tol_trunc) == "eig":
-        return _eig_series(ctx.spectrum, xm, t, tol_trunc)
+        return _eig_series(ctx.spectrum, xm, t)
     rate = ctx.delta_bound * abs(t)
     if not rate < MAX_SERIES_TERMS:
         raise TruncationError(f"series rate {rate:.3e} keeps q >= 1 up to the term cap")
@@ -177,45 +176,27 @@ def gamma_series(
     return total, k
 
 
-def _eig_series(spec: Spectrum, x: np.ndarray, t: float, tol_trunc: float):
+def _eig_series(spec: Spectrum, x: np.ndarray, t: float):
     """``gamma_series`` in the eigenbasis of delta: Y = V^† X V, e^(t d) o Y, back by V^-1."""
+    if t == 0.0:  # one term, X itself, as on the term route
+        return x.copy(), 1
     v, w, lam = spec.right_vectors, spec.left_vectors, spec.eigenvalues
     d = 1j * (lam.conj()[:, None] - lam[None, :])  # delta(X) <-> d o Y
-    z = float(np.abs(d).max()) * abs(t)
-    if not z <= 2.0**MAX_SERIES_HALVINGS:
+    rate = float(np.abs(d).max()) * abs(t)
+    if not rate <= MAX_EIG_RATE:
         raise TruncationError(
-            f"series rate {z:.3e} needs more than {MAX_SERIES_HALVINGS} halvings"
+            f"series rate {rate:.3e} is past 2^52 = 1/eps, where t d keeps no digit of phase"
         )
-    frac, j = math.frexp(z)
-    j = max(j - (frac == 0.5), 0)  # the fewest halvings that bring z / 2^j to at most 1
-    y = v.conj().T @ x @ v
-    # |V^-1|_2 <= cond(V) for unit columns, and |c o Y|_F <= max|c| |Y|_F
-    size = spec.condition_estimate**2 * float(np.linalg.norm(y))
     grow = 2.0 * float((t * lam.imag).max())  # max Re(t d_ab), Re d_ab = Im lam_a + Im lam_b
-    if not (grow <= LOG_MAX and size < math.inf):
+    if not grow <= LOG_MAX:
         raise NumericRangeError(
-            f"series leaves the float range at rate {z:.3e}: |e^(t d)| up to e^{grow:.3e}, "
-            f"|V^† X V|_F {size:.3e}"
+            f"series leaves the float range at rate {rate:.3e}: |e^(t d)| up to e^{grow:.3e}"
         )
-    tol = math.ldexp(tol_trunc * math.exp(-max(grow, 0.0)), -j)  # can only underflow
-    u, k = math.ldexp(z, -j), 1  # size = cond(V)^2 |Y|_F u^(k-1) / (k-1)!
-    while size and not ((q := u / k) < 1.0 and size * q / (1.0 - q) < tol):
-        size *= u / k
-        k += 1
-    if k == 1:  # e_1 = 1: the sum is X itself, as on the term route
-        return x.copy(), 1
-    arg, c = math.ldexp(t, -j) * d, np.ones_like(d)
-    for i in range(k - 1, 0, -1):  # Horner: e_k(w) = 1 + w (1 + w/2 (1 + ... w/(k-1)))
-        c *= arg
-        c *= 1.0 / i
-        c += 1.0
     with np.errstate(over="ignore", invalid="ignore"):  # past the range raises below
-        for _ in range(j):
-            c *= c
-        total = w.conj().T @ (c * y) @ w
+        total = w.conj().T @ (np.exp(t * d) * (v.conj().T @ x @ v)) @ w
     if not np.isfinite(total).all():
-        raise NumericRangeError(f"series sum leaves the float range at rate {z:.3e}")
-    return total, k
+        raise NumericRangeError(f"series sum leaves the float range at rate {rate:.3e}")
+    return total, 0
 
 
 def identity_norm_evolution(ctx: GammaContext, psi0, t_grid) -> np.ndarray:

@@ -776,15 +776,16 @@ class TestCli:
         assert section["series_vs_conjugation"] <= 1e-10
 
     @pytest.mark.parametrize("a, message", [
-        (50, "series leaves the float range"),
+        (50, "g_t(X) leaves the float range"),
         (35.25, "report holds a non-finite number"),
     ])
     def test_eigenstate_series_past_the_float_range_exits_three(
         self, tmp_path, capsys, a, message
     ):
-        # H = diag(-a i, 0): E = -a i, and H - E = diag(0, a i) grows the series entry e^(t d)
-        # to e^(2 a t_end): e^1000 is past the float range; e^705 is inside it, where a
-        # tolerance divided by e^705 2^10 overflowed, and the report's residuals are not
+        # H = diag(-a i, 0): E = -a i, and H - E = diag(0, a i) grows an entry of g_t and of
+        # the series to e^(2 a t_end): e^1000 is past the float range, where g_t, which the
+        # witness takes before the series, stops; e^705 is inside it, where a tolerance
+        # divided by e^705 2^10 once overflowed, and the report's residuals are not
         doc = {
             "hamiltonian": [[[0, -a], [0, 0]], [[0, 0], [0, 0]]],
             "tasks": ["eigenstate_case"],
