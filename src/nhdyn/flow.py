@@ -25,6 +25,7 @@ integral but an operator-level integral only for Hermitian H.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import NamedTuple
@@ -32,11 +33,14 @@ from typing import NamedTuple
 import numpy as np
 
 from .ensembles import random_unit_vector
-from .errors import CertificationError, ConfigError, InstabilityError, NumericRangeError
+from .errors import (
+    CertificationError, ConfigError, EigensolverError, InstabilityError, NumericRangeError,
+)
 from .gamma import delta_gamma, gamma_context
 from .linalg import (
     Spectrum, as_complex_matrix, as_square_matrix, as_state_vector, as_unit_vector,
-    check_integer, check_number, check_times, check_tolerance, expm, mean_values, op_norm,
+    check_integer, check_number, check_times, check_tolerance, eig_general, expm, mean_values,
+    op_norm,
 )
 
 DEFAULT_TOL_CLASS = 1e-8
@@ -78,9 +82,10 @@ def exact_trajectory(h, psi0, t_grid) -> StateTrajectory:
     """Propagate a normalized state: ``psi[j] = expm(-i H t_j) psi0``.
 
     A uniform grid is stepped with one U = expm(-i H dt) between anchors, every ``ANCHOR``-th
-    and the last point: V (e^{-i lam t_j} V^-1 psi0) at O(N^2) given H's ``Spectrum``
-    V diag(lam) V^-1 with cond(V) <= ``EIG_COND_MAX`` (route "eig"), else expm(-i H t_j) psi0
-    (route "expm"), which calls on one H and grid share through the ``expm`` memo. A stepped
+    and the last point: V (e^{-i lam t_j} V^-1 psi0) at O(N^2) on H's ``Spectrum``
+    V diag(lam) V^-1 (``h``, or a matrix's from the ``eig_general`` memo, which calls on one H
+    share) with cond(V) <= ``EIG_COND_MAX`` (route "eig"), else, or where the eigensolve
+    raised, expm(-i H t_j) psi0 (route "expm"), shared through the ``expm`` memo. A stepped
     state off its anchor by more than ``STEP_TOL * max(1, scale)``, scale = cond(V)
     max|e^{-i lam t_j}| or |U_j|_F / sqrt(N) (the anchor's roundoff), has its segment and
     anchor redone by ``expm``, so a bad V cannot certify itself; the first point (t = 0 gives
@@ -93,6 +98,9 @@ def exact_trajectory(h, psi0, t_grid) -> StateTrajectory:
     # below three points every point is an anchor and there is nothing to step
     with np.errstate(over="ignore", invalid="ignore"):  # a product past the range raises in expm
         step = None if dt is None or t.size < 3 else expm(-1j * hm * dt)
+    if step is not None and not isinstance(h, Spectrum):
+        with contextlib.suppress(EigensolverError):  # a failed eigensolve keeps expm anchors
+            h = eig_general(hm)  # one eigensolve per H, through the memo
     eig = step is not None and isinstance(h, Spectrum) and h.well_conditioned
     c = np.linalg.solve(h.right_vectors, v0) if eig else None
     states = np.empty((t.size, n), dtype=complex)

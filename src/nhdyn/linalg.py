@@ -328,8 +328,10 @@ class Spectrum:
     @functools.cached_property
     def left_vectors(self) -> np.ndarray:
         """V^-1, whose rows are left eigenvectors: inverted once, on first use, and shared
-        (a reader that scales it copies it first)."""
-        return np.linalg.inv(self.right_vectors)
+        read-only (a reader that scales it copies it first)."""
+        inverse = np.linalg.inv(self.right_vectors)
+        inverse.setflags(write=False)
+        return inverse
 
     def shifted(self, e: complex) -> Spectrum:
         """The spectrum of A - e: A's eigenvectors, every eigenvalue shifted by -e. Where the
@@ -347,15 +349,31 @@ def eig_general(a) -> Spectrum:
 
     Each pair satisfies ``|A v - l v| <= DEFAULT_EIG_TOL |A| |v|``; violations raise
     ``EigensolverError`` with the worst residual. Defective inputs are not rejected, they
-    surface through ``condition_estimate``; an empty one raises ``DimensionError``.
+    surface through ``condition_estimate``; an empty one raises ``DimensionError``. The
+    outcome for the last argument with N <= ``MAX_DIM`` is kept, keyed by the exact bytes of
+    the validated complex128 argument, so every route of a study on one H shares one
+    eigensolve; a failure is kept and raised again. A kept ``Spectrum`` is shared, so its
+    arrays are read-only. The memo holds at most 3 MAX_DIM^2 + MAX_DIM complex128 values
+    (the key, V, V^-1 and the eigenvalues), 193 KiB, for any input.
     """
     m = as_square_matrix(a, "eig_general argument")
     if not m.size:
         raise DimensionError("eig_general argument is empty")
+    solve = _eig_exact if m.shape[0] <= MAX_DIM else _eig_exact.__wrapped__  # larger: not kept
+    spec = solve(m.shape[0], m.tobytes())
+    if isinstance(spec, str):
+        raise EigensolverError(spec)
+    return spec
+
+
+@functools.lru_cache(maxsize=1)
+def _eig_exact(n: int, data: bytes) -> Spectrum | str:
+    """``eig_general`` of the n x n complex128 matrix in ``data``, or the message it raises."""
+    m = np.frombuffer(data, dtype=complex).reshape(n, n)  # read-only, on the key's bytes
     try:
         values, vectors = np.linalg.eig(m)
     except np.linalg.LinAlgError as exc:
-        raise EigensolverError(f"eigendecomposition failed: {exc}") from exc
+        return f"eigendecomposition failed: {exc}"
 
     order = np.lexsort((values.imag, values.real))
     values, vectors = values[order], vectors[:, order]
@@ -365,7 +383,7 @@ def eig_general(a) -> Spectrum:
     residuals = np.linalg.norm(m @ vectors - vectors * values, axis=0)
     worst = float(residuals.max())
     if worst > DEFAULT_EIG_TOL * max(scale, 1e-300):
-        raise EigensolverError(
+        return (
             f"eigenpair residual {worst:.3e} exceeds {DEFAULT_EIG_TOL:.1e} * |A| = "
             f"{DEFAULT_EIG_TOL * scale:.3e}"
         )
@@ -376,6 +394,8 @@ def eig_general(a) -> Spectrum:
         cond = np.inf
     if not np.isfinite(cond):
         cond = float(1.0 / np.finfo(float).eps)
+    values.setflags(write=False)
+    vectors.setflags(write=False)
     return Spectrum(values, vectors, cond, m, scale)
 
 

@@ -158,8 +158,8 @@ class ScenarioConfig:
 
     @cached_property
     def spectrum(self) -> Spectrum | np.ndarray:
-        """H diagonalized once, or H where that fails: biortho and eigenstate_case then solve
-        again and raise; trajectory and symmetries take expm and Schur."""
+        """H diagonalized once, or H where that fails: biortho and eigenstate_case then raise
+        the failure the ``eig_general`` memo kept; trajectory and symmetries take expm and Schur."""
         try:
             return eig_general(self.hamiltonian)
         except EigensolverError:

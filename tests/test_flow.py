@@ -37,7 +37,9 @@ from nhdyn import (
 )
 from nhdyn.ensembles import random_hamiltonian, random_matrix, random_unit_vector
 from nhdyn.flow import ANCHOR, STEP_TOL, _rk4_weights
-from nhdyn.linalg import EIG_COND_MAX, _expm_exact, as_square_matrix, as_state_vector, eig_general, expm
+from nhdyn.linalg import (
+    EIG_COND_MAX, _eig_exact, _expm_exact, as_square_matrix, as_state_vector, eig_general, expm,
+)
 
 from oracles import (
     classify_per_point,
@@ -121,8 +123,8 @@ class TestExactTrajectory:
         assert traj.anchor_gap <= STEP_TOL
         assert traj.fallback_segments == 0
 
-    def test_guard_recomputes_segments_that_drift(self):
-        # a stretched eigenbasis makes stepping drift past STEP_TOL
+    def test_guard_recomputes_segments_that_drift(self, failing_eigensolver):
+        # a stretched eigenbasis makes stepping drift past STEP_TOL of the expm anchors
         rng = np.random.default_rng(32)
         h = random_hamiltonian(32, rng, kind="complex_spectrum", basis_stretch=1e3)
         psi0 = random_unit_vector(32, rng)
@@ -141,7 +143,7 @@ class TestExactTrajectory:
         # the segments left stepped passed the guard
         assert relative_gap(traj.psi, fresh).max() <= 10 * STEP_TOL
 
-    def test_guard_recomputes_a_segment_of_one_step(self):
+    def test_guard_recomputes_a_segment_of_one_step(self, failing_eigensolver):
         # 27 points: anchors at 0, 25 and 26, so the last segment is one step
         rng = np.random.default_rng(3)
         h = random_hamiltonian(8, rng, kind="complex_spectrum", basis_stretch=1e3)
@@ -173,7 +175,8 @@ class TestExactTrajectory:
 
 class TestEigenAnchors:
     """A ``Spectrum`` with cond(V) <= ``EIG_COND_MAX`` anchors a stepped trajectory at
-    V (e^{-i lam t} * V^-1 psi0); anything else takes today's ``expm`` anchors."""
+    V (e^{-i lam t} * V^-1 psi0); anything else takes today's ``expm`` anchors. A bare
+    matrix takes its spectrum from the ``eig_general`` memo, so it takes the same route."""
 
     @settings(derandomize=True, deadline=None, max_examples=60)
     @given(
@@ -185,7 +188,7 @@ class TestEigenAnchors:
         points=st.integers(3, 120),
         uniform=st.booleans(),
     )
-    def test_eigenvector_anchors_match_the_expm_anchors(
+    def test_eigenvector_anchors_match_the_per_point_exponentials(
         self, seed, n, kind, stretch, t_end, points, uniform
     ):
         rng = np.random.default_rng(seed)
@@ -193,23 +196,24 @@ class TestEigenAnchors:
         psi0 = random_unit_vector(n, rng)
         t = np.linspace(0.0, t_end, points) ** (1 if uniform else 2)
         spec = eig_general(h)
-        by_eig, by_expm = exact_trajectory(spec, psi0, t), exact_trajectory(h, psi0, t)
+        by_spec, by_matrix = exact_trajectory(spec, psi0, t), exact_trajectory(h, psi0, t)
+        fresh = fresh_exponentials(h, psi0, t)
         eig = uniform and spec.condition_estimate <= EIG_COND_MAX
-        assert by_eig.anchor_route == ("eig" if eig else "expm")
-        assert by_expm.anchor_route == "expm"
-        if not eig:  # a non-uniform grid or an ill-conditioned V: today's route, bit for bit
-            assert by_eig.psi.tobytes() == by_expm.psi.tobytes()
+        assert by_spec.anchor_route == by_matrix.anchor_route == ("eig" if eig else "expm")
+        assert by_spec.psi.tobytes() == by_matrix.psi.tobytes()
+        assert by_spec.psi[0].tobytes() == fresh[0].tobytes()  # the first point is expm's
+        if not uniform:  # nothing stepped: expm at every point, bit for bit
+            assert by_spec.psi.tobytes() == fresh.tobytes()
+        if not eig:
             return
         # relative bound: both routes' roundoff grows with |H| t_j, the eigenvector route's
         # also with cond(V), so the rows agree within 1e-13 cond(V) max(1, |H|_2 t_j) (1,500
-        # draws of this strategy peaked at 3.5e-15; at stretch 1e3 the expm anchors are
-        # the farther from an mpmath reference)
+        # random draws from these ranges on uniform grids peaked at 0.054 of it)
         bound = 1e-13 * spec.condition_estimate * np.maximum(1.0, spec.norm * t)
-        assert np.all(relative_gap(by_eig.psi, by_expm.psi) <= bound)
-        assert by_eig.psi[0].tobytes() == by_expm.psi[0].tobytes()  # the first point is expm's
+        assert np.all(relative_gap(by_matrix.psi, fresh) <= bound)
 
     @pytest.mark.parametrize("which", ["fermion_dm", "jordan"])
-    def test_defective_input_takes_the_expm_route_bit_for_bit(self, which, dm_unit):
+    def test_defective_input_takes_the_expm_route_bit_for_bit(self, which, dm_unit, request):
         if which == "fermion_dm":
             h, psi0 = dm_unit.h, dm_unit.algebra.basis_state("011")
         else:  # a 4 x 4 Jordan block
@@ -223,6 +227,10 @@ class TestEigenAnchors:
         assert (by_spec.anchor_gap, by_spec.fallback_segments, by_spec.anchor_route) == (
             by_matrix.anchor_gap, by_matrix.fallback_segments, "expm"
         )
+        # the route of a matrix with no spectrum at all, as where the eigensolve fails
+        request.getfixturevalue("failing_eigensolver")
+        _eig_exact.cache_clear()
+        assert exact_trajectory(h, psi0, t).psi.tobytes() == by_matrix.psi.tobytes()
 
     def test_perturbed_eigenvectors_trip_the_guard(self):
         # V off by 1e-6: every V anchor misses the stepped state, so every segment and
@@ -234,14 +242,12 @@ class TestEigenAnchors:
         noise = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
         bad = dataclasses.replace(spec, right_vectors=spec.right_vectors + 1e-6 * noise)
         t = np.linspace(0, 10, 201)
-        traj, by_matrix = exact_trajectory(bad, psi0, t), exact_trajectory(h, psi0, t)
+        traj = exact_trajectory(bad, psi0, t)
         assert traj.anchor_route == "eig"
         assert traj.fallback_segments == 8
         assert traj.anchor_gap > 1e-8
         assert np.array_equal(traj.psi, fresh_exponentials(h, psi0, t))
-        anchors = [*range(0, t.size, ANCHOR), t.size - 1]
-        assert np.array_equal(traj.psi[anchors], by_matrix.psi[anchors])
-        assert relative_gap(traj.psi, by_matrix.psi).max() <= 1e-13
+        assert relative_gap(traj.psi, trajectory_per_point(h, psi0, t)).max() <= 1e-13
 
     def test_a_v_anchor_past_the_float_range_falls_back_to_expm(self):
         # e^{-i lam t} overflows for lam = 800i at t = 1, so the V anchor is not finite:
@@ -793,7 +799,7 @@ class TestDecayLaw:
         h = random_hamiltonian(4, np.random.default_rng(3), "real_spectrum")
         x, psi0, t = build_biorthogonal(h).s_psi, np.full(4, 0.5), np.linspace(0.0, 2.0, 41)
         exact = exact_trajectory(h, psi0, t)
-        assert exact.anchor_route == "expm"
+        assert exact.anchor_route == "eig"
         assert gamma_symmetry_decay_check(h, x, exact) <= 1e-13
         rk4, deviation = integrate_nonlinear(h, psi0, t, substeps=4)
         assert rk4.anchor_route == "rk4" and deviation <= 1e-9
@@ -900,19 +906,26 @@ class TestSharedPropagators:
         (traj, deviation), ensemble, *arrays = out
         return [traj.psi_hat.tobytes(), deviation, ensemble, *(a.tobytes() for a in arrays)]
 
-    def test_api_study_takes_twelve_exponentials(self, monkeypatch):
+    def test_api_study_takes_four_exponentials_and_one_eigensolve(self, monkeypatch):
         rng = np.random.default_rng(41)
         h = random_hamiltonian(16, rng, kind="complex_spectrum")
         psi0, x = random_unit_vector(16, rng), random_matrix(16, rng)
         t = np.linspace(0.0, 10.0, 201)
-        calls = []
+        calls, solves = [], []
         for module in (nhdyn.flow, nhdyn.gamma):
             original = module.expm
             monkeypatch.setattr(module, "expm", lambda a, f=original: calls.append(1) or f(a))
+        eig = np.linalg.eig
+        monkeypatch.setattr(np.linalg, "eig", lambda a: solves.append(1) or eig(a))
         shared = self.run_study(h, psi0, x, t, lambda: None)
-        # five trajectories of 10 exponentials each (the step and 9 anchors) and two
-        # gamma_t times: 52 calls, of which the memo evaluates the 12 distinct ones
-        assert len(calls) == 5 * 10 + 2
-        assert _expm_exact.cache_info().misses == 12
-        fresh = self.run_study(h, psi0, x, t, _expm_exact.cache_clear)
+        # five trajectories of 2 exponentials each (the step and exp(0)), their 9 anchors
+        # from H's eigenvectors, and two gamma_t times: 12 calls, of which the memo
+        # evaluates the 4 distinct ones, and one eigensolve for all five trajectories
+        assert len(calls) == 5 * 2 + 2
+        assert _expm_exact.cache_info().misses == 4
+        assert len(solves) == 1
+        fresh = self.run_study(
+            h, psi0, x, t, lambda: (_expm_exact.cache_clear(), _eig_exact.cache_clear())
+        )
         assert shared == fresh
+        assert len(solves) == 1 + 3  # once per step of the study that takes trajectories

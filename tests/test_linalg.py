@@ -47,10 +47,10 @@ from nhdyn import (
     weak_identity_report,
 )
 from nhdyn.ensembles import random_hamiltonian, random_unit_vector
-from nhdyn.errors import ConfigError
+from nhdyn.errors import ConfigError, EigensolverError
 from nhdyn.fermions import parse_occupation_label
 from nhdyn.linalg import (
-    MAX_DIM, _expm_exact, as_state_vector, check_integer, check_number, check_times,
+    MAX_DIM, _eig_exact, _expm_exact, as_state_vector, check_integer, check_number, check_times,
     check_tolerance, is_number, schur,
 )
 from nhdyn.scenario import parse_config, run
@@ -211,9 +211,10 @@ class TestExpmMemo:
         assert _expm_exact.cache_info().currsize == 0
 
     def test_memo_stays_bounded_along_a_long_trajectory(self):
-        rng = np.random.default_rng(6)
-        h = random_hamiltonian(4, rng, kind="complex_spectrum")
-        exact_trajectory(0.01 * h, random_unit_vector(4, rng), np.linspace(0, 1, 1001))
+        # a 4 x 4 Jordan block: cond(V) past EIG_COND_MAX keeps the 41 anchors on expm
+        h = (0.5 - 0.2j) * np.eye(4) + np.eye(4, k=1)
+        traj = exact_trajectory(0.01 * h, np.full(4, 0.5), np.linspace(0, 1, 1001))
+        assert traj.anchor_route == "expm"
         info = _expm_exact.cache_info()
         assert info.misses > 16
         assert info.currsize <= 16
@@ -230,6 +231,54 @@ class TestExpmMemo:
         again = expm(large)
         assert again is not first and first.tobytes() == again.tobytes()
         assert first.tobytes() == _expm_exact.__wrapped__(80, large.tobytes()).tobytes()
+
+
+class TestEigMemo:
+    def test_repeated_call_shares_one_spectrum(self):
+        h = random_hamiltonian(8, np.random.default_rng(3), kind="complex_spectrum")
+        first, again = eig_general(h), eig_general(h.tolist())  # the same validated bytes
+        assert again is first
+        assert _eig_exact.cache_info()[:2] == (1, 1)  # hits, misses
+
+    def test_a_shared_spectrum_is_read_only(self):
+        spec = eig_general(random_hamiltonian(4, np.random.default_rng(4), kind="real_spectrum"))
+        arrays = (spec.eigenvalues, spec.right_vectors, spec.matrix, spec.left_vectors)
+        for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = np.nan
+        assert all(np.isfinite(a).all() for a in arrays)
+
+    def test_a_failed_eigensolve_is_solved_once(self, monkeypatch):
+        solves = []
+
+        def fail(_):
+            solves.append(1)
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eig", fail)
+        h = random_hamiltonian(6, np.random.default_rng(5), kind="complex_spectrum")
+        for _ in range(2):
+            with pytest.raises(EigensolverError, match="^eigendecomposition failed: Eigen"):
+                eig_general(h)
+        psi0 = random_unit_vector(6, np.random.default_rng(6))
+        assert exact_trajectory(h, psi0, np.linspace(0, 1, 11)).anchor_route == "expm"
+        assert len(solves) == 1
+
+    def test_memo_stays_bounded_past_the_desk_scale(self):
+        # a trajectory at N = 256 takes its anchors from its eigenvectors, and neither
+        # memo keeps an entry past MAX_DIM
+        rng = np.random.default_rng(6)
+        h = random_hamiltonian(256, rng, kind="complex_spectrum")
+        traj = exact_trajectory(h, random_unit_vector(256, rng), np.linspace(0, 1, 3))
+        assert traj.anchor_route == "eig"
+        assert eig_general(h) is not eig_general(h)
+        assert _eig_exact.cache_info().currsize == _expm_exact.cache_info().currsize == 0
+
+    def test_memo_keeps_one_entry(self):
+        rng = np.random.default_rng(7)
+        for _ in range(3):
+            eig_general(random_hamiltonian(MAX_DIM, rng, kind="hermitian"))
+        assert _eig_exact.cache_info()[1:] == (3, 1, 1)  # misses, maxsize, currsize
 
 
 RUN_AND_LIST_SCIPY = """

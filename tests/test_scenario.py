@@ -625,12 +625,8 @@ class TestRunner:
         assert (dirs[0] / "trajectory.csv").read_bytes() == (dirs[1] / "trajectory.csv").read_bytes()
 
     def test_failed_eigensolve_leaves_the_trajectory_on_expm_anchors(
-        self, tmp_path, monkeypatch
+        self, tmp_path, failing_eigensolver
     ):
-        def fail(_):
-            raise nhdyn.errors.EigensolverError("eigenpair residual too large")
-
-        monkeypatch.setattr(nhdyn.scenario, "eig_general", fail)
         rng = np.random.default_rng(6)
         h = random_hamiltonian(6, rng, kind="complex_spectrum")
         psi0 = random_unit_vector(6, rng)
@@ -644,6 +640,7 @@ class TestRunner:
         report = json.loads((tmp_path / "out" / "report.json").read_bytes())
         assert report["tasks"]["trajectory"]["anchor_route"] == "expm"
         traj = nhdyn.flow.exact_trajectory(h, psi0, np.linspace(0.0, 10.0, 201))
+        assert traj.anchor_route == "expm"
         assert report["tasks"]["trajectory"]["norm_sq_final"] == float(traj.norm_sq[-1])
 
     @pytest.mark.parametrize(
