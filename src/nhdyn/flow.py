@@ -81,15 +81,17 @@ def _trajectory_from_states(t, states, gap=0.0, fallbacks=0, route="expm") -> St
 def exact_trajectory(h, psi0, t_grid) -> StateTrajectory:
     """Propagate a normalized state: ``psi[j] = expm(-i H t_j) psi0``.
 
-    A uniform grid is stepped with one U = expm(-i H dt) between anchors, every ``ANCHOR``-th
-    and the last point: V (e^{-i lam t_j} V^-1 psi0) at O(N^2) on H's ``Spectrum``
-    V diag(lam) V^-1 (``h``, or a matrix's from the ``eig_general`` memo, which calls on one H
-    share) with cond(V) <= ``EIG_COND_MAX`` (route "eig"), else, or where the eigensolve
-    raised, expm(-i H t_j) psi0 (route "expm"), shared through the ``expm`` memo. A stepped
-    state off its anchor by more than ``STEP_TOL * max(1, scale)``, scale = cond(V)
-    max|e^{-i lam t_j}| or |U_j|_F / sqrt(N) (the anchor's roundoff), has its segment and
-    anchor redone by ``expm``, so a bad V cannot certify itself; the first point (t = 0 gives
-    psi0) and a non-uniform grid take ``expm``.
+    A uniform grid of at least three points is anchored at every ``ANCHOR``-th and the last
+    point and stepped between anchors with one U = expm(-i H dt), every segment at once: step i
+    is one product of U with the (i-1)-th points of all segments. Its anchors are V (e^{-i lam
+    t_j} V^-1 psi0), one product for all, on H's ``Spectrum`` V diag(lam) V^-1 (``h``, or a
+    matrix's from the ``eig_general`` memo, which calls on one H share) with cond(V) <=
+    ``EIG_COND_MAX`` (route "eig"), else, or where the eigensolve raised, expm(-i H t_j) psi0
+    (route "expm"), shared through the ``expm`` memo. A stepped state off its anchor by more
+    than ``STEP_TOL * max(1, scale)``, scale = cond(V) max|e^{-i lam t_j}| or |U_j|_F / sqrt(N)
+    (the anchor's roundoff), has its segment and anchor redone by ``expm``, so a bad V cannot
+    certify itself, and the next segment is stepped again from the redone anchor. The first
+    point (t = 0 gives psi0) and every point of a non-uniform grid take ``expm``.
     """
     hm = as_square_matrix(h.matrix if isinstance(h, Spectrum) else h, "hamiltonian")
     n = hm.shape[0]
@@ -101,34 +103,55 @@ def exact_trajectory(h, psi0, t_grid) -> StateTrajectory:
     if step is not None and not isinstance(h, Spectrum):
         with contextlib.suppress(EigensolverError):  # a failed eigensolve keeps expm anchors
             h = eig_general(hm)  # one eigensolve per H, through the memo
-    eig = step is not None and isinstance(h, Spectrum) and h.well_conditioned
-    c = np.linalg.solve(h.right_vectors, v0) if eig else None
+    spec = h if step is not None and isinstance(h, Spectrum) and h.well_conditioned else None
     states = np.empty((t.size, n), dtype=complex)
-    worst, fallbacks, start = 0.0, 0, 0
     with np.errstate(over="ignore", invalid="ignore"):  # a V anchor past range fails the guard
-        for j, tj in enumerate(t):
-            stepped = step is not None and j > 0
-            if stepped:
-                step.dot(states[j - 1], out=states[j])
-                if j % ANCHOR and j < t.size - 1:
-                    continue
-            if eig and stepped:
-                e = np.exp(-1j * h.eigenvalues * tj)
-                fresh, scale = h.right_vectors @ (e * c), h.condition_estimate * np.abs(e).max()
-            else:
-                fresh, scale = (u := expm(-1j * hm * tj)) @ v0, np.linalg.norm(u) / np.sqrt(n)
-            if stepped:
-                miss = np.linalg.norm(states[j] - fresh)
-                worst = max(worst, float(miss / np.linalg.norm(fresh)))
-                # gap <= STEP_TOL * cond, both sides times |anchor|; an infinite scale fails
-                if not miss <= STEP_TOL * max(1.0, scale) < np.inf:
-                    fallbacks += 1
-                    fresh = expm(-1j * hm * tj) @ v0
-                    for i in range(start + 1, j):
-                        states[i] = expm(-1j * hm * t[i]) @ v0
-            states[j] = fresh
-            start = j
-    return _trajectory_from_states(t, states, worst, fallbacks, "eig" if eig else "expm")
+        for j in range(1 if step is not None else t.size):  # the first point, or every point
+            states[j] = expm(-1j * hm * t[j]) @ v0
+        # the stepping's anchors are freed before psi_hat is allocated
+        guard = () if step is None else _step_segments(states, hm, spec, v0, t, step)
+    return _trajectory_from_states(t, states, *guard, route="expm" if spec is None else "eig")
+
+
+def _step_segments(states, hm, spec, v0, t, step) -> tuple[float, int]:
+    """Fill ``states[1:]`` of ``exact_trajectory`` from ``states[0]`` with the step U on V
+    anchors (``spec``) or on expm anchors (None); returns the worst relative anchor gap and the
+    number of segments redone. ``states[i::ANCHOR]`` are the i-th points of every segment, a
+    strided view, so no step copies or gathers, and a segment's last step, the short last
+    segment's too, lands on its closing anchor's row, where the guard reads it."""
+    ends = [*range(ANCHOR, t.size - 1, ANCHOR), t.size - 1]  # each segment's closing anchor
+
+    def fresh(tj):  # expm(-i H t_j) psi0 and its roundoff scale |U_j|_F / sqrt(N)
+        u = expm(-1j * hm * tj)
+        return u @ v0, np.linalg.norm(u) / np.sqrt(v0.size)
+
+    if spec is not None:
+        e = np.exp(-1j * np.outer(t[ends], spec.eigenvalues))
+        anchors = (e * np.linalg.solve(spec.right_vectors, v0)) @ spec.right_vectors.T
+        scales = spec.condition_estimate * np.abs(e).max(axis=1)
+    else:
+        anchors, scales = map(np.array, zip(*map(fresh, t[ends])))
+    states[ends[:-1]] = anchors[:-1]  # the opening anchors
+    for i in range(1, min(ANCHOR, t.size - 1) + 1):
+        rows = states[i::ANCHOR]
+        np.matmul(states[i - 1 :: ANCHOR][: len(rows)], step.T, out=rows)
+    misses, sizes = (np.linalg.norm(d, axis=1) for d in (states[ends] - anchors, anchors))
+    worst, fallbacks, redone = 0.0, 0, False
+    for k, (a, b) in enumerate(zip([0, *ends[:-1]], ends)):
+        if redone:  # this segment opens on a redone anchor, which the batch did not step from
+            for i in range(a + 1, b + 1):
+                step.dot(states[i - 1], out=states[i])
+            misses[k] = np.linalg.norm(states[b] - anchors[k])
+        worst = max(worst, float(misses[k] / sizes[k]))
+        # gap <= STEP_TOL * cond, both sides times |anchor|; an infinite scale fails
+        redone = not misses[k] <= STEP_TOL * max(1.0, scales[k]) < np.inf
+        if redone:
+            fallbacks += 1
+            states[b] = anchors[k] = fresh(t[b])[0]
+            for i in range(a + 1, b):
+                states[i] = fresh(t[i])[0]
+    states[ends] = anchors
+    return worst, fallbacks
 
 
 def nonhermiticity_scalar(h, psi_hat) -> complex:

@@ -7,7 +7,10 @@ dynamics), explicit index loops for the vec convention,
 brute-force solutions of small intertwining systems, the dual
 eigenvector family from an eigensolve of the adjoint, and the
 per-grid-point routes that the fast trajectory and classification
-replace, the stage-by-stage RK4 loop that the nonlinear integrator's
+replace, the one-product-per-point stepping loop that the trajectory's
+all-segments-at-once stepping replaces (the one oracle handed a library
+function, ``expm``, so its anchors are the library's bits), the
+stage-by-stage RK4 loop that the nonlinear integrator's
 Krylov-coordinate stages replace, those stages' own loop with allocating
 products and the weights as a quadratic form, the a-priori truncated gamma series
 with its plain rate 2|H||t|, the gamma-symmetry column recursion on stacked
@@ -103,6 +106,48 @@ def trajectory_per_point(h: np.ndarray, psi0: np.ndarray, t_grid) -> np.ndarray:
     """Rows psi(t_j) = expm(-i H t_j) psi0, one fresh exponential per grid point."""
     h = np.asarray(h, dtype=complex)
     return np.array([scipy.linalg.expm(-1j * h * t) @ psi0 for t in t_grid])
+
+
+def trajectory_stepped_per_point(expm, hm, v0, t, spectrum, anchor, step_tol):
+    """Rows of a uniform grid (>= 3 points) stepped one matrix-vector product per point.
+
+    ``exact_trajectory``'s stepping one state at a time, in grid order: U = expm(-i H dt)
+    between anchors, every ``anchor``-th and the last point, each V (e^{-i lam t_j} V^-1 psi0)
+    on ``spectrum``, or ``expm(-i H t_j) psi0`` where it is None; a stepped state off its
+    anchor by more than ``step_tol * max(1, scale)`` has its segment and anchor redone by
+    ``expm``. ``expm`` is handed in, so the anchors and the redone points are the caller's
+    bits. Returns the rows, the worst relative anchor gap and the number of redone segments.
+    """
+    n = hm.shape[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        step = expm(-1j * hm * (t[1] - t[0]))
+    c = None if spectrum is None else np.linalg.solve(spectrum.right_vectors, v0)
+    states = np.empty((t.size, n), dtype=complex)
+    worst, fallbacks, start = 0.0, 0, 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j, tj in enumerate(t):
+            stepped = j > 0
+            if stepped:
+                step.dot(states[j - 1], out=states[j])
+                if j % anchor and j < t.size - 1:
+                    continue
+            if spectrum is not None and stepped:
+                e = np.exp(-1j * spectrum.eigenvalues * tj)
+                fresh = spectrum.right_vectors @ (e * c)
+                scale = spectrum.condition_estimate * np.abs(e).max()
+            else:
+                fresh, scale = (u := expm(-1j * hm * tj)) @ v0, np.linalg.norm(u) / np.sqrt(n)
+            if stepped:
+                miss = np.linalg.norm(states[j] - fresh)
+                worst = max(worst, float(miss / np.linalg.norm(fresh)))
+                if not miss <= step_tol * max(1.0, scale) < np.inf:
+                    fallbacks += 1
+                    fresh = expm(-1j * hm * tj) @ v0
+                    for i in range(start + 1, j):
+                        states[i] = expm(-1j * hm * t[i]) @ v0
+            states[j] = fresh
+            start = j
+    return states, worst, fallbacks
 
 
 def linear_propagator_states(h: np.ndarray, psi0: np.ndarray, t_grid) -> np.ndarray:

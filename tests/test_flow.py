@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -162,6 +163,23 @@ class TestExactTrajectory:
         assert np.array_equal(traj.psi, fresh_exponentials(h, psi0, t))
         assert relative_gap(traj.psi, trajectory_per_point(h, psi0, t)).max() <= 1e-13
         assert (traj.anchor_gap, traj.fallback_segments) == (0.0, 0)
+
+    def test_a_long_grid_peaks_at_about_two_copies_of_its_states(self):
+        # psi and psi_hat are T x N each; the anchors and products of the stepping are O(K N),
+        # K = 800 segments, and are freed before psi_hat is allocated (with them alive the
+        # peak read 2.14 copies)
+        rng = np.random.default_rng(64)
+        h = random_hamiltonian(64, rng, kind="complex_spectrum")
+        psi0 = random_unit_vector(64, rng)
+        t = np.linspace(0, 10, 20_001)
+        tracemalloc.start()
+        try:
+            traj = exact_trajectory(h, psi0, t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert traj.anchor_route == "eig"
+        assert peak <= 2.05 * t.size * 64 * 16
 
     def test_stepped_trajectory_matches_the_nilpotent_propagator(self, dm_unit):
         # H^2 = 0, so exp(-iHt) = 1 - iHt exactly; 40 segments of stepping

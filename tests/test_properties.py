@@ -9,7 +9,7 @@ The draws are derandomized, so every run checks the same examples.
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -17,6 +17,7 @@ from oracles import (
     gamma_series_reference,
     intertwiner_kernel_brute,
     trajectory_per_point,
+    trajectory_stepped_per_point,
 )
 
 from nhdyn import (
@@ -120,6 +121,45 @@ def test_growing_orbit_segments_stay_within_the_scaled_guard(seed, n, stretch, p
         u = scipy.linalg.expm(-1j * ctx.shifted.h * t[b])
         cond = max(1.0, np.linalg.norm(u) / np.sqrt(n)) / np.linalg.norm(u @ ctx.phi_k0)
         assert gap[a + 1 : b + 1].max() <= STEP_TOL * cond
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(
+    seed=seeds,
+    n=st.integers(2, 16),
+    kind=st.sampled_from(KINDS),
+    stretch=st.sampled_from([1.0, 10.0, 1e2, 1e3]),
+    points=st.integers(3, 130),
+    t_start=st.floats(-5.0, 5.0).filter(bool),
+    length=st.floats(0.1, 20.0),
+    descending=st.booleans(),
+)
+# redone segments before a re-stepped one and a short last segment, run backwards or not
+@example(2542691317, 14, "complex_spectrum", 1e3, 117, -3.71, 9.39, True)  # 3 of 5 redone
+@example(2814845268, 7, "complex_spectrum", 1e3, 129, 4.08, 3.79, True)  # 5 of 6
+@example(439012204, 9, "complex_spectrum", 1e3, 69, -3.87, 5.72, False)  # 2 of 3
+def test_segments_stepped_at_once_equal_the_per_point_loop(
+    seed, n, kind, stretch, points, t_start, length, descending
+):
+    # grids shorter than ANCHOR and short last segments, off t = 0 and run backwards. A
+    # stretch of 1e3 makes the guard redo segments, so the chained redo is compared too.
+    # Stretch 1e4 stays out: there a stepped state can sit on the guard's threshold, and
+    # the two summation orders then decide it either way (3 redone segments against 5
+    # were seen), both within the guard
+    h, psi0, _ = _draw(seed, n, kind, stretch)
+    t = np.linspace(t_start, t_start - length if descending else t_start + length, points)
+    spec = eig_general(h)
+    traj = exact_trajectory(h, psi0, t)
+    loop, _, fallbacks = trajectory_stepped_per_point(
+        expm, h, psi0, t, spec if spec.well_conditioned else None, ANCHOR, STEP_TOL
+    )
+    assert traj.anchor_route == ("eig" if spec.well_conditioned else "expm")
+    assert traj.fallback_segments == fallbacks
+    assert traj.psi[0].tobytes() == loop[0].tobytes()
+    # one segment's products in one order or the other: 1,000 draws of these ranges peaked
+    # at 0.23 of this bound
+    gap = np.linalg.norm(traj.psi - loop, axis=1) / np.linalg.norm(loop, axis=1)
+    assert gap.max() <= STEP_TOL * max(1.0, spec.condition_estimate)
 
 
 @properties

@@ -864,7 +864,7 @@ class TestCli:
             "hamiltonian": complex_to_json(h),
             "initial_state": complex_to_json(random_unit_vector(64, rng)),
             "observables": ["identity", "H"],
-            "time": {"t_end": 10.0, "points": 51},
+            "time": {"t_end": 10.0, "points": 230},  # 9 segments of 25 steps and one of 4
             "tasks": ["trajectory", "classify", "biortho", "eigenstate_case"],
         }
         outputs = self.outputs_at_one_and_two_threads(tmp_path, doc)
