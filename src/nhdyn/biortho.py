@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BiorthogonalityError, DegenerateSpectrumError
-from .linalg import Spectrum, as_square_matrix, check_tolerance, eig_general
+from .linalg import as_square_matrix, check_tolerance, eig_general
 
 DEFAULT_TOL_DISTINCT = 1e-8
 DEFAULT_TOL_BIORTHO = 1e-10
@@ -53,8 +53,8 @@ class BiorthogonalSystem:
 
 
 def build_biorthogonal(h, tol_distinct: float = DEFAULT_TOL_DISTINCT) -> BiorthogonalSystem:
-    """Construct the biorthogonal eigensystem and metric operators of ``h``, a
-    Hamiltonian or its ``Spectrum``, whose eigensolve and 2-norm |H| are reused.
+    """Construct the biorthogonal eigensystem and metric operators of the Hamiltonian ``h``
+    on its ``Spectrum``, whose eigensolve and |H| come from the ``eig_general`` memo.
 
     Eigenvalues must be pairwise separated by ``tol_distinct * |H|``;
     collisions raise ``DegenerateSpectrumError`` naming the first pair
@@ -69,7 +69,7 @@ def build_biorthogonal(h, tol_distinct: float = DEFAULT_TOL_DISTINCT) -> Biortho
     happens only for severely ill-conditioned eigenbases.
     """
     check_tolerance(tol_distinct, "tol_distinct")
-    decomp = h if isinstance(h, Spectrum) else eig_general(as_square_matrix(h, "hamiltonian"))
+    decomp = eig_general(as_square_matrix(h, "hamiltonian"))
     n = decomp.matrix.shape[0]
     scale = max(decomp.norm, np.finfo(float).tiny)
     values, phi = decomp.eigenvalues, decomp.right_vectors

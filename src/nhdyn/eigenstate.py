@@ -32,8 +32,7 @@ from .gamma import (
     gamma_t,
 )
 from .linalg import (
-    Spectrum, as_square_matrix, check_integer, check_times, check_tolerance, eig_general, frob,
-    op_norm,
+    as_square_matrix, check_integer, check_times, check_tolerance, eig_general, frob, op_norm,
 )
 
 
@@ -53,18 +52,17 @@ class EigenstateContext:
 
 
 def eigenstate_context(h, k0: int | None = None) -> EigenstateContext:
-    """Select eigenpair ``k0`` of ``h`` (sorted by real, then imaginary part), a
-    Hamiltonian or its ``Spectrum``, whose eigensolve is then reused.
+    """Select eigenpair ``k0`` of the Hamiltonian ``h`` (sorted by real, then imaginary part)
+    on H's ``Spectrum`` in the ``eig_general`` memo; ``shifted`` is built on ``Spectrum.shifted``.
 
     ``k0`` is an integer in [0, N - 1]. With ``k0=None`` the eigenvalue of
     largest |imaginary part| is chosen, the most instructive case; ties
     resolve to the lowest index.
     """
-    decomp = h if isinstance(h, Spectrum) else eig_general(as_square_matrix(h, "hamiltonian"))
-    n = decomp.matrix.shape[0]
+    decomp = eig_general(as_square_matrix(h, "hamiltonian"))
     if k0 is None:
         k0 = int(np.argmax(np.abs(decomp.eigenvalues.imag)))
-    k0 = check_integer(k0, "k0", 0, n - 1)
+    k0 = check_integer(k0, "k0", 0, len(decomp.eigenvalues) - 1)
     e = complex(decomp.eigenvalues[k0])
     return EigenstateContext(k0, e, decomp.right_vectors[:, k0], gamma_context(decomp.shifted(e)))
 
@@ -98,18 +96,18 @@ def weak_identity_report(
     ctx: EigenstateContext, t_grid, rng=None, tol_trunc: float = DEFAULT_TOL_TRUNC
 ) -> WeakIdentityReport:
     """The weak identities of ``ctx`` on the time grid ``t_grid``. The identity mean is read
-    off phi's H_k0-orbit, anchored on ``ctx.shifted.spectrum`` (on H_k0 itself for a context
-    built without one). ``rng`` draws X, Y, then the three probes; ``gamma_t`` conjugates
-    one matrix per call, and its calls at one time share their exponential through the
-    ``expm`` memo. ``gamma_series`` sums each probe once per time, the larger time first: by
-    terms, or on the eig route (H_k0's spectrum well conditioned) in closed form in delta's
-    eigenbasis; ``tol_trunc``, checked first, picks the route and bounds its error. A difference
-    whose Frobenius norm is below the largest 2-norm so far cannot raise it and takes no SVD."""
+    off phi's H_k0-orbit, anchored on the spectrum of ``ctx.shifted``. ``rng`` draws X, Y,
+    then the three probes; ``gamma_t`` conjugates one matrix per call, and its calls at one
+    time share their exponential through the ``expm`` memo. ``gamma_series`` sums each probe
+    once per time, the larger time first: by terms, or on the eig route (H_k0's spectrum well
+    conditioned) in closed form in delta's eigenbasis; ``tol_trunc``, checked first, picks the
+    route and bounds its error. A difference whose Frobenius norm is below the largest 2-norm
+    so far cannot raise it and takes no SVD."""
     check_tolerance(tol_trunc, "tol_trunc")
     shifted, phi, n = ctx.shifted, ctx.phi_k0, ctx.shifted.dim
     t = check_times(t_grid, "t_grid")[0]
     # <phi, g_t(1) phi> = |exp(-i H_k0 t) phi|^2
-    orbit = exact_trajectory(shifted.h if shifted.spectrum is None else shifted.spectrum, phi, t)
+    orbit = exact_trajectory(shifted, phi, t)
     identity_mean = np.max(np.abs(orbit.norm_sq - 1.0))
     delta_mean = abs(np.vdot(phi, delta_gamma(shifted, np.eye(n)) @ phi))
 

@@ -25,7 +25,6 @@ integral but an operator-level integral only for Hermitian H.
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import NamedTuple
@@ -33,14 +32,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .ensembles import random_unit_vector
-from .errors import (
-    CertificationError, ConfigError, EigensolverError, InstabilityError, NumericRangeError,
-)
+from .errors import CertificationError, ConfigError, InstabilityError, NumericRangeError
 from .gamma import delta_gamma, gamma_context
 from .linalg import (
-    Spectrum, as_complex_matrix, as_square_matrix, as_state_vector, as_unit_vector,
-    check_integer, check_number, check_times, check_tolerance, eig_general, expm, mean_values,
-    op_norm,
+    as_complex_matrix, as_square_matrix, as_state_vector, as_unit_vector, check_integer,
+    check_number, check_times, check_tolerance, expm, mean_values, op_norm,
 )
 
 DEFAULT_TOL_CLASS = 1e-8
@@ -84,26 +80,25 @@ def exact_trajectory(h, psi0, t_grid) -> StateTrajectory:
     A uniform grid of at least three points is anchored at every ``ANCHOR``-th and the last
     point and stepped between anchors with one U = expm(-i H dt), every segment at once: step i
     is one product of U with the (i-1)-th points of all segments. Its anchors are V (e^{-i lam
-    t_j} V^-1 psi0), one product for all, on H's ``Spectrum`` V diag(lam) V^-1 (``h``, or a
-    matrix's from the ``eig_general`` memo, which calls on one H share) with cond(V) <=
-    ``EIG_COND_MAX`` (route "eig"), else, or where the eigensolve raised, expm(-i H t_j) psi0
-    (route "expm"), shared through the ``expm`` memo. A stepped state off its anchor by more
-    than ``STEP_TOL * max(1, scale)``, scale = cond(V) max|e^{-i lam t_j}| or |U_j|_F / sqrt(N)
-    (the anchor's roundoff), has its segment and anchor redone by ``expm``, so a bad V cannot
-    certify itself, and the next segment is stepped again from the redone anchor. The first
-    point (t = 0 gives psi0) and every point of a non-uniform grid take ``expm``.
+    t_j} V^-1 psi0), one product for all, on the ``Spectrum`` V diag(lam) V^-1 of
+    ``gamma_context(h)`` (a matrix's from the ``eig_general`` memo, which calls on one H share)
+    with cond(V) <= ``EIG_COND_MAX`` (route "eig"), else, or where the eigensolve raised,
+    expm(-i H t_j) psi0 (route "expm"), shared through the ``expm`` memo. A stepped state off
+    its anchor by more than ``STEP_TOL * max(1, scale)``, scale = cond(V) max|e^{-i lam t_j}|
+    or |U_j|_F / sqrt(N) (the anchor's roundoff), has its segment and anchor redone by
+    ``expm``, so a bad V cannot certify itself, and the next segment is stepped again from the
+    redone anchor. The first point (t = 0 gives psi0) and every point of a non-uniform grid
+    take ``expm``.
     """
-    hm = as_square_matrix(h.matrix if isinstance(h, Spectrum) else h, "hamiltonian")
-    n = hm.shape[0]
+    ctx = gamma_context(h)
+    hm, n = ctx.h, ctx.dim
     v0 = as_unit_vector(psi0, n, 1e-12, "psi0")
     t, dt = check_times(t_grid, "t_grid")
     # below three points every point is an anchor and there is nothing to step
     with np.errstate(over="ignore", invalid="ignore"):  # a product past the range raises in expm
         step = None if dt is None or t.size < 3 else expm(-1j * hm * dt)
-    if step is not None and not isinstance(h, Spectrum):
-        with contextlib.suppress(EigensolverError):  # a failed eigensolve keeps expm anchors
-            h = eig_general(hm)  # one eigensolve per H, through the memo
-    spec = h if step is not None and isinstance(h, Spectrum) and h.well_conditioned else None
+    eig = step is not None and ctx.spectrum is not None and ctx.spectrum.well_conditioned
+    spec = ctx.spectrum if eig else None
     states = np.empty((t.size, n), dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):  # a V anchor past range fails the guard
         for j in range(1 if step is not None else t.size):  # the first point, or every point

@@ -10,9 +10,10 @@ and its generator, the gamma-derivation
     delta_gamma(X) = i (H^† X - X H).
 
 Its exponential series, ``gamma_series``, is one sum at one time: term by term
-up to a certificate read off its own terms, or, on a context that holds H's
-spectrum with well-conditioned eigenvectors, in closed form in the derivation's
-eigenbasis, where each entry is a scalar exponential.
+up to a certificate read off its own terms, or, where H's spectrum has
+well-conditioned eigenvectors, in closed form in the derivation's eigenbasis,
+where each entry is a scalar exponential. Every route reads H's spectrum from
+the ``eig_general`` memo, so the route depends on H alone.
 Operators fixed by the dynamics (equivalently annihilated by the
 derivation, equivalently satisfying the intertwining relation
 H^† X = X H) are gamma-symmetries; they form a linear space that this
@@ -33,7 +34,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError, NumericRangeError, TruncationError
+from .errors import (
+    ConfigError, EigensolverError, NumericalError, NumericRangeError, TruncationError,
+)
 from .linalg import (
     DEFAULT_RANK_TOL,
     EIG_COND_MAX,
@@ -42,6 +45,7 @@ from .linalg import (
     as_state_vector,
     check_times,
     check_tolerance,
+    eig_general,
     expm,
     frob,
     mean_values,
@@ -60,24 +64,31 @@ GRAY_BAND = 1e2  # a pair gap within this factor of the rank cut is too near to 
 
 @dataclass(frozen=True)
 class GammaContext:
-    """A validated Hamiltonian and, if given, its ``Spectrum``; its operator norm is the
-    spectrum's, or taken on first use."""
+    """A validated Hamiltonian; its ``Spectrum``, from the ``eig_general`` memo, and its
+    operator norm, the spectrum's if there is one, are taken on first use."""
 
     h: np.ndarray
-    spectrum: Spectrum | None = None
 
     @property
     def dim(self) -> int:
         return self.h.shape[0]
 
     @cached_property
+    def spectrum(self) -> Spectrum | None:
+        """H's ``Spectrum``: None for an empty H or where ``EigensolverError`` is raised."""
+        try:
+            return eig_general(self.h) if self.dim else None
+        except EigensolverError:
+            return None
+
+    @cached_property
     def h_norm(self) -> float:
         return op_norm(self.h) if self.spectrum is None else self.spectrum.norm
 
     def series_route(self, tol_trunc: float) -> str:
-        """How ``gamma_series`` sums to ``tol_trunc``: "eig" on a spectrum that passes the
-        eigenvector guard and whose change of basis rounds within it, eps cond(V)^2 <= tol_trunc;
-        else "terms"."""
+        """How ``gamma_series`` sums to ``tol_trunc``: "eig" where H's spectrum passes the
+        eigenvector guard and its change of basis rounds within it, eps cond(V)^2 <= tol_trunc;
+        else, or where the eigensolve raised, "terms"."""
         spec = self.spectrum
         eig = spec is not None and spec.well_conditioned
         return "eig" if eig and EPS * spec.condition_estimate**2 <= tol_trunc else "terms"
@@ -90,11 +101,15 @@ class GammaContext:
 
 
 def gamma_context(h) -> GammaContext:
-    """The context of a Hamiltonian or of its ``Spectrum``, whose eigensolve and 2-norm |H|
-    are then reused (the symmetry basis needs the spectrum for its eigenvector route)."""
-    if isinstance(h, Spectrum):
-        return GammaContext(as_square_matrix(h.matrix, "hamiltonian"), h)
-    return GammaContext(as_square_matrix(h, "hamiltonian"))
+    """The context of a Hamiltonian, of a context (itself), or of the ``Spectrum`` that
+    ``Spectrum.shifted`` builds for H - E, whose eigensolve and 2-norm are then reused."""
+    if isinstance(h, GammaContext):
+        return h
+    if not isinstance(h, Spectrum):
+        return GammaContext(as_square_matrix(h, "hamiltonian"))
+    ctx = GammaContext(as_square_matrix(h.matrix, "hamiltonian"))
+    ctx.__dict__["spectrum"] = h  # the cached property's slot: H - E is not solved again
+    return ctx
 
 
 def gamma_t(ctx: GammaContext, x, t: float) -> np.ndarray:
@@ -134,8 +149,8 @@ def gamma_series(
     terms, and after them if no term certified the rest. Each term is formed in place on a
     copy of X from two ``ndarray.dot`` products into buffers allocated once.
 
-    Route "eig" (``ctx.series_route(tol_trunc)``: a context on H's ``Spectrum`` whose guard
-    holds and whose eps cond(V)^2 is at most ``tol_trunc``) sums in delta's eigenbasis. With
+    Route "eig" (``ctx.series_route(tol_trunc)``: H's ``Spectrum``, whose guard holds and
+    whose eps cond(V)^2 is at most ``tol_trunc``) sums in delta's eigenbasis. With
     H = V diag(lam) V^-1 and X = V^-† Y V^-1, delta acts entry by entry as Y_ab -> d_ab Y_ab,
     d_ab = i (conj(lam_a) - lam_b), so the sum is V^-† (e^(t d) o Y) V^-1, four N^3 products:
     each entry's series is the scalar exponential, taken by ``np.exp`` with nothing
@@ -232,7 +247,7 @@ def identity_norm_evolution(ctx: GammaContext, psi0, t_grid) -> np.ndarray:
     w = v0 / m
     unit_norm = np.linalg.norm(w)
     # the propagator is linear: evolve the unit vector, then scale back
-    traj = exact_trajectory(ctx.h, w / unit_norm, t_grid)
+    traj = exact_trajectory(ctx, w / unit_norm, t_grid)
     with np.errstate(over="ignore", invalid="ignore"):  # out of range raises below
         scale = m * unit_norm
         t, states, norms = traj.t_grid, scale * traj.psi, scale**2 * traj.norm_sq
@@ -347,7 +362,7 @@ def gamma_symmetry_basis(
     Both routes cut at ``rank_tol_rel * |H|_2``, the size of the roundoff, so a
     real shift H + c 1 or a change of units leaves d alone up to that cut.
 
-    Route "eig", for a context built on H's ``Spectrum`` H = V diag(lam) V^-1:
+    Route "eig", on H's ``Spectrum`` H = V diag(lam) V^-1:
     with w_j row j of V^-1, w_j H = lam_j w_j, so X = w_a^† w_b has
     H^† X - X H = (conj(lam_a) - lam_b) X, and the outer products over the
     resonant pairs |conj(lam_a) - lam_b| <= cut span the solutions. Loewdin
@@ -361,8 +376,8 @@ def gamma_symmetry_basis(
     (checked at N = 64). The route is taken only when cond(V) and the
     condition of each Gram it inverts are at most ``EIG_COND_MAX``, no pair
     gap lies in (cut / ``GRAY_BAND``, cut * ``GRAY_BAND``], and every
-    residual is at most the cut; else the Schur route runs, and nothing is
-    raised.
+    residual is at most the cut; else, or where the eigensolve raised, the
+    Schur route runs, and nothing is raised.
 
     Route "schur": with the complex Schur form H = Q T Q^† the relation
     reads T^† Y = Y T for Y = Q^† X Q. T is upper triangular, so column k

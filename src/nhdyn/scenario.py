@@ -46,7 +46,7 @@ import numpy as np
 from . import fermions, flow
 from .biortho import DEFAULT_TOL_DISTINCT, build_biorthogonal, verify_intertwining
 from .eigenstate import eigenstate_context, weak_identity_report
-from .errors import ConfigError, EigensolverError, NumericalError, NumericRangeError
+from .errors import ConfigError, NumericalError, NumericRangeError
 from .gamma import (
     DEFAULT_TOL_TRUNC,
     gamma_context,
@@ -54,8 +54,8 @@ from .gamma import (
     similar_norm_preserving,
 )
 from .linalg import (
-    DEFAULT_RANK_TOL, MAX_DIM, Spectrum, as_square_matrix, as_unit_vector, check_integer,
-    check_tolerance, eig_general, frob, is_number, mean_values,
+    DEFAULT_RANK_TOL, MAX_DIM, as_square_matrix, as_unit_vector, check_integer, check_tolerance,
+    frob, is_number, mean_values,
 )
 
 DEFAULT_TOLERANCES = {
@@ -136,7 +136,7 @@ def complex_to_json(a) -> list:
 
 @dataclass
 class ScenarioConfig:
-    """A validated scenario with all defaults materialized; every task reads H as ``spectrum``."""
+    """A validated scenario with all defaults materialized; its tasks share H's one eigensolve."""
 
     hamiltonian: np.ndarray
     initial_state: np.ndarray | None
@@ -153,17 +153,8 @@ class ScenarioConfig:
 
     @cached_property
     def trajectory(self) -> flow.StateTrajectory:
-        """The initial state evolved once and shared read-only, anchored on ``spectrum``."""
-        return flow.exact_trajectory(self.spectrum, self.initial_state, self.t_grid)
-
-    @cached_property
-    def spectrum(self) -> Spectrum | np.ndarray:
-        """H diagonalized once, or H where that fails: biortho and eigenstate_case then raise
-        the failure the ``eig_general`` memo kept; trajectory and symmetries take expm and Schur."""
-        try:
-            return eig_general(self.hamiltonian)
-        except EigensolverError:
-            return self.hamiltonian
+        """The initial state evolved once and shared read-only."""
+        return flow.exact_trajectory(self.hamiltonian, self.initial_state, self.t_grid)
 
 
 def _validate_hamiltonian(raw, echo: dict):
@@ -438,7 +429,7 @@ def _task_trajectory(cfg: ScenarioConfig, artifacts: dict, rng) -> dict:
 
 
 def _task_biortho(cfg: ScenarioConfig, artifacts: dict, rng) -> dict:
-    system = build_biorthogonal(cfg.spectrum, tol_distinct=cfg.tolerances["tol_distinct"])
+    system = build_biorthogonal(cfg.hamiltonian, tol_distinct=cfg.tolerances["tol_distinct"])
     r_psi, r_phi = verify_intertwining(system, cfg.hamiltonian)
     return {
         "eigenvalues": complex_to_json(system.eigenvalues),
@@ -450,7 +441,7 @@ def _task_biortho(cfg: ScenarioConfig, artifacts: dict, rng) -> dict:
 
 
 def _task_symmetries(cfg: ScenarioConfig, artifacts: dict, rng) -> dict:
-    basis = gamma_symmetry_basis(gamma_context(cfg.spectrum), cfg.tolerances["rank_tol_rel"])
+    basis = gamma_symmetry_basis(gamma_context(cfg.hamiltonian), cfg.tolerances["rank_tol_rel"])
     stack = basis.generators  # (d, N, N), also for d = 0
     if not np.isfinite(stack).all():
         raise NumericRangeError("symmetry generators hold a non-finite number")
@@ -474,7 +465,7 @@ def _task_classify(cfg: ScenarioConfig, artifacts: dict, rng) -> dict:
 
 
 def _task_eigenstate(cfg: ScenarioConfig, artifacts: dict, rng) -> dict:
-    ctx = eigenstate_context(cfg.spectrum, cfg.eigenstate_k0)
+    ctx = eigenstate_context(cfg.hamiltonian, cfg.eigenstate_k0)
     report = weak_identity_report(ctx, cfg.t_grid, rng, cfg.tolerances["tol_trunc"])
     return {"k0": ctx.k0, "eigenvalue": complex_to_json(ctx.e_value), **asdict(report)}
 

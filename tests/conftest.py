@@ -7,6 +7,7 @@ value already set in the environment wins. Every test starts with empty
 exponentials or eigensolves.
 """
 
+import contextlib
 import os
 
 import pytest
@@ -25,13 +26,27 @@ def _fresh_memos():
     _eig_exact.cache_clear()
 
 
-@pytest.fixture
-def failing_eigensolver(monkeypatch):
-    """LAPACK's eigensolver fails from here on, so ``eig_general`` raises
-    ``EigensolverError`` (and its memo keeps that) and ``exact_trajectory`` on a bare
-    matrix takes ``expm`` anchors: the route a test of those anchors pins."""
+@contextlib.contextmanager
+def eigensolver_fails():
+    """Within the block LAPACK's eigensolver fails and the ``eig_general`` memo starts and
+    ends empty, so ``eig_general`` raises ``EigensolverError`` on every H. The one way to
+    pin the fallback routes on a well-conditioned H, since every route is picked from H
+    alone: ``exact_trajectory`` takes ``expm`` anchors, ``gamma_series`` the term route
+    and ``gamma_symmetry_basis`` the Schur route. A ``@given`` example enters it itself."""
 
     def fail(_):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-    monkeypatch.setattr(np.linalg, "eig", fail)
+    _eig_exact.cache_clear()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np.linalg, "eig", fail)
+        yield
+    _eig_exact.cache_clear()
+
+
+@pytest.fixture
+def failing_eigensolver():
+    """``eigensolver_fails`` from here on: taken as an argument, for the whole test; through
+    ``request.getfixturevalue``, from that line on, after the eigensolves the test needs."""
+    with eigensolver_fails():
+        yield

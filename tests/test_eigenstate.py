@@ -209,22 +209,23 @@ def test_scenario_steps_the_eigenstate_orbit_with_the_trajectory(tmp_path):
 
 
 def test_identity_mean_is_read_off_one_orbit_on_the_shifted_spectrum(monkeypatch):
-    # one exact_trajectory call, on ctx.shifted.spectrum, the Spectrum of H_k0 = H - E: H's
+    # one exact_trajectory call, on ctx.shifted, whose spectrum is that of H_k0 = H - E: H's
     # eigenvectors and their conditioning, the shifted eigenvalues, H_k0 itself and its 2-norm
     h = random_hamiltonian(6, np.random.default_rng(4), "complex_spectrum", basis_stretch=10.0)
     h_spectrum = eig_general(h)
-    ctx = eigenstate_context(h_spectrum)
+    ctx = eigenstate_context(h)
     calls = []
 
-    def recording(spectrum, psi0, t_grid):
-        calls.append(spectrum)
-        return exact_trajectory(spectrum, psi0, t_grid)
+    def recording(shifted, psi0, t_grid):
+        calls.append(shifted)
+        return exact_trajectory(shifted, psi0, t_grid)
 
     monkeypatch.setattr(nhdyn.eigenstate, "exact_trajectory", recording)
     t = np.linspace(0.0, 10.0, 201)
     report = weak_identity_report(ctx, t, np.random.default_rng(9))
-    (spectrum,) = calls
-    assert spectrum is ctx.shifted.spectrum
+    (shifted,) = calls
+    assert shifted is ctx.shifted
+    spectrum = shifted.spectrum
     assert spectrum.matrix is ctx.shifted.h
     assert spectrum.norm == op_norm(ctx.shifted.h)
     assert np.array_equal(spectrum.eigenvalues, h_spectrum.eigenvalues - ctx.e_value)
@@ -251,11 +252,12 @@ def test_identity_mean_of_a_bounded_orbit_is_at_roundoff(kind, stretch):
 
 
 @pytest.mark.parametrize("kind", ["hermitian", "real_spectrum", "complex_spectrum"])
-def test_the_shifted_context_gives_the_symmetries_by_eigenvectors(kind):
+def test_the_shifted_context_gives_the_symmetries_by_eigenvectors(kind, request):
     # ctx.shifted holds H_k0's Spectrum, so the symmetries of H_k0 take the eigenvector
     # route and span what the Schur route on H_k0 alone spans
     ctx = eigenstate_context(random_hamiltonian(6, np.random.default_rng(3), kind))
     eig = gamma_symmetry_basis(ctx.shifted)
+    request.getfixturevalue("failing_eigensolver")  # H_k0's own eigensolve fails
     schur = gamma_symmetry_basis(gamma_context(ctx.shifted.h))
     assert (eig.route, schur.route) == ("eig", "schur")
     spans = [np.linalg.qr(b.generators.reshape(len(b.generators), -1).T)[0] for b in (eig, schur)]
@@ -350,11 +352,12 @@ class CountingMatrix(np.ndarray):
 
 @pytest.mark.parametrize("t_end", [0.25, 0.5, 10.0])
 @pytest.mark.parametrize("kind", ["hermitian", "complex_spectrum"])
-def test_terms_are_formed_once_per_probe_and_time(monkeypatch, kind, t_end):
+def test_terms_are_formed_once_per_probe_and_time(monkeypatch, request, kind, t_end):
     # each probe forms the terms of one sum at each distinct time of t_last and 0.5, and
-    # no others; a context without a spectrum sums by terms
+    # no others; a context whose eigensolve failed sums by terms
     h = random_hamiltonian(5, np.random.default_rng(8), kind=kind, scale=0.8)
     ctx = eigenstate_context(h)
+    request.getfixturevalue("failing_eigensolver")
     ctx = replace(ctx, shifted=gamma_context(ctx.shifted.h))
     counting = nhdyn.eigenstate.GammaContext(ctx.shifted.h.view(CountingMatrix))
     counted = replace(ctx, shifted=counting)
@@ -373,12 +376,13 @@ def test_terms_are_formed_once_per_probe_and_time(monkeypatch, kind, t_end):
 
 @pytest.mark.parametrize("t_end", [0.25, 0.5, 10.0])
 @pytest.mark.parametrize("kind", ["hermitian", "real_spectrum", "complex_spectrum"])
-def test_screened_gap_is_the_largest_two_norm(monkeypatch, kind, t_end):
+def test_screened_gap_is_the_largest_two_norm(monkeypatch, request, kind, t_end):
     # the reported gap is the largest 2-norm of all six differences bit for bit,
     # though a difference whose Frobenius norm lies below the running maximum
-    # takes no SVD; on the term route, as a context without a spectrum sums
+    # takes no SVD; on the term route, as a context whose eigensolve failed sums
     h = random_hamiltonian(16, np.random.default_rng(16), kind=kind, scale=0.8)
     ctx = eigenstate_context(h)
+    request.getfixturevalue("failing_eigensolver")
     ctx = replace(ctx, shifted=gamma_context(ctx.shifted.h))
     svds = []
     monkeypatch.setattr(nhdyn.eigenstate, "op_norm", lambda a: svds.append(1) or op_norm(a))

@@ -160,7 +160,7 @@ class TestGammaSeries:
             assert op_norm(total - gamma_t(ctx, x, 1.3)) < tol + 1e-11
 
     @pytest.mark.parametrize("kind", ["hermitian", "real_spectrum", "complex_spectrum"])
-    def test_traceless_real_part_sums_like_the_reference(self, kind):
+    def test_traceless_real_part_sums_like_the_reference(self, kind, failing_eigensolver):
         # with Re tr H = 0 exactly the shift is 0 and the rate that of the
         # reference; the loop, stopped by its certificate, must reproduce the
         # reference loop cut at the same count bit for bit
@@ -180,7 +180,7 @@ class TestGammaSeries:
 
     @pytest.mark.parametrize("tol", [1e-6, 1e-10, 1e-12])
     @pytest.mark.parametrize("t", [1.0, 5.0, 20.0, -5.0])
-    def test_stop_holds_where_the_growth_bound_is_tight(self, tol, t):
+    def test_stop_holds_where_the_growth_bound_is_tight(self, tol, t, failing_eigensolver):
         # delta(E_11) = 2a E_11 for H = diag(ia, -ia): every term grows at the
         # full rate r = 2a|t| = delta_bound |t|, with one sign for t > 0, so the
         # tail after a stop is as large as its certificate allows. X is scaled
@@ -248,7 +248,7 @@ class TestGammaSeries:
         assert calls == []
 
     @pytest.mark.parametrize("x", [np.eye(2), np.diag([2.0, -3.0j]), np.zeros((2, 2))])
-    def test_symmetry_at_a_large_rate_sums_exactly(self, x):
+    def test_symmetry_at_a_large_rate_sums_exactly(self, x, failing_eigensolver):
         # delta(X) = 0 for diagonal X, so T_1 is exactly zero and the sum is X at
         # rate 200, where a term count fixed in advance exceeds MAX_SERIES_TERMS
         ctx = gamma_context(np.diag([10.0, -10.0]))
@@ -257,7 +257,7 @@ class TestGammaSeries:
         assert terms == 1
         assert np.array_equal(total, x)
 
-    def test_nan_time_raises_before_any_product(self):
+    def test_nan_time_raises_before_any_product(self, failing_eigensolver):
         class CountingMatrix(np.ndarray):
             def dot(self, other, out=None):
                 products.append(1)
@@ -273,7 +273,7 @@ class TestGammaSeries:
             gamma_series(ctx, np.eye(2), float("nan"))
         assert products == []
 
-    def test_first_term_can_certify_the_sum(self):
+    def test_first_term_can_certify_the_sum(self, failing_eigensolver):
         # |X|_F q / (1 - q) < tol_trunc already at T_0: no product is taken
         rng = np.random.default_rng(44)
         ctx = gamma_context(random_matrix(4, rng))
@@ -282,7 +282,7 @@ class TestGammaSeries:
         assert terms == 1
         assert np.array_equal(total, x)
 
-    def test_cap_without_a_certificate_raises_after_the_loop(self):
+    def test_cap_without_a_certificate_raises_after_the_loop(self, failing_eigensolver):
         # rate 300 is below the cap, but every term of exp(2t) E_11 up to the
         # cap is far above tol_trunc
         ctx = gamma_context(np.diag([1j, -1j]))
@@ -341,7 +341,7 @@ class TestSeriesAtTimes:
     @pytest.mark.parametrize("times", SERIES_TIME_SETS)
     @pytest.mark.parametrize("n", [2, 5, 16])
     @pytest.mark.parametrize("kind", ["hermitian", "real_spectrum", "complex_spectrum"])
-    def test_sums_match_one_time_sums(self, kind, n, times):
+    def test_sums_match_one_time_sums(self, kind, n, times, request):
         # a context that has summed at other times (its delta bound, V^-1 and expm memo
         # cached) sums each time with the bits and count of a fresh context; the term route
         # is within tol_trunc + 16 eps sum_k |T_k|_F of g_t and the eig route within
@@ -349,9 +349,10 @@ class TestSeriesAtTimes:
         rng = np.random.default_rng(7 * n)
         h = random_hamiltonian(n, rng, kind=kind, scale=0.8)
         x = random_matrix(n, rng)
-        spec = eig_general(h)
-        for route, source in (("terms", h), ("eig", spec)):
-            fresh = functools.partial(gamma_context, source)
+        for route in ("eig", "terms"):
+            if route == "terms":  # H's eigensolve fails from here on
+                request.getfixturevalue("failing_eigensolver")
+            fresh = functools.partial(gamma_context, h)
             ctx = fresh()
             assert ctx.series_route(DEFAULT_TOL_TRUNC) == route
             for s in times:
@@ -369,22 +370,22 @@ class TestSeriesAtTimes:
 KINDS = ("hermitian", "real_spectrum", "complex_spectrum")
 
 
-def _errors_against_40_digits(h, x, t, tol_trunc=DEFAULT_TOL_TRUNC):
-    """The eigenstate context's H - E on its spectrum, the 2-norm errors of its series and
-    of the term loop on H - E alone against g_t at 40 digits, and |g_t|_2."""
-    shifted = eigenstate_context(h).shifted
+def _errors_against_40_digits(shifted, x, t, tol_trunc=DEFAULT_TOL_TRUNC):
+    """The 2-norm errors against g_t at 40 digits of the series of an eigenstate context's
+    H - E on its spectrum and of the term loop on H - E alone, which a failed eigensolve
+    leaves it, and |g_t|_2."""
     exact = gamma_t_exact(shifted.h, x, t)
     eig = gamma_series(shifted, x, t, tol_trunc)[0]
     terms = gamma_series(gamma_context(shifted.h), x, t, tol_trunc)[0]
-    return shifted, op_norm(eig - exact), op_norm(terms - exact), op_norm(exact)
+    return op_norm(eig - exact), op_norm(terms - exact), op_norm(exact)
 
 
 class TestSeriesInTheEigenbasis:
     """Route "eig" of ``gamma_series``: a context on a well-conditioned ``Spectrum``."""
 
-    def test_route_follows_the_guard_and_the_rounding_floor(self):
+    def test_route_follows_the_guard_and_the_rounding_floor(self, request):
         h = random_hamiltonian(6, np.random.default_rng(50), kind="complex_spectrum")
-        assert gamma_context(h).series_route(1e-12) == "terms"  # no spectrum
+        assert gamma_context(h).series_route(1e-12) == "eig"  # a route is H's alone
         assert gamma_context(eig_general(h)).series_route(1e-12) == "eig"
         for defective in (NILPOTENT, build_dm_model(1.0, 1.0).h):
             assert gamma_context(eig_general(defective)).series_route(1e-12) == "terms"
@@ -400,26 +401,32 @@ class TestSeriesInTheEigenbasis:
         spec = spectrum_at(1e5)  # the floor passes at 0.5, the guard does not
         assert not spec.well_conditioned and EPS * spec.condition_estimate**2 < 0.5
         assert gamma_context(spec).series_route(0.5) == "terms"
+        request.getfixturevalue("failing_eigensolver")
+        assert gamma_context(h).series_route(1e-12) == "terms"  # no spectrum
 
     @pytest.mark.parametrize("stretch", [1.0, 5.0])
     @pytest.mark.parametrize("kind", KINDS)
-    def test_no_less_accurate_than_the_term_loop_against_40_digits(self, kind, stretch):
+    def test_no_less_accurate_than_the_term_loop_against_40_digits(self, kind, stretch, request):
         # 27 cases each: where both routes lose digits to cancellation (complex spectra at
         # |t| = 9.5) the eig route stays within 2x the term loop's error, else within 1e-12
+        cases = []
         for seed, n in itertools.product(range(3), (2, 4, 6)):
             rng = np.random.default_rng(seed)
             h = random_hamiltonian(n, rng, kind=kind, basis_stretch=stretch)
-            x = random_matrix(n, rng)
+            cases.append((eigenstate_context(h).shifted, random_matrix(n, rng)))
+        request.getfixturevalue("failing_eigensolver")  # the term loop on H - E alone
+        for shifted, x in cases:
             for t in (-7.0, 2.0, 9.5):
-                shifted, eig, terms, size = _errors_against_40_digits(h, x, t)
+                eig, terms, size = _errors_against_40_digits(shifted, x, t)
                 assert shifted.series_route(DEFAULT_TOL_TRUNC) == "eig"
                 assert eig <= 2.0 * terms or eig <= 1e-12 * max(1.0, size)
 
     @pytest.mark.parametrize("cond", [1e1, 1e2, 1e3, 1e4])
-    def test_cond_sweep_up_to_the_guard(self, cond):
+    def test_cond_sweep_up_to_the_guard(self, cond, request):
         # V with singular values from 1 down to 1 / cond and |H|_2 = 1, at |t| <= 2: at
         # tol_trunc 1e-12 the route turns to the term loop once eps cond(V)^2 passes it; at
         # 1e-6 the eig route runs up to the guard and keeps the tolerance
+        cases = []
         for seed, kind in itertools.product(range(2), KINDS[1:]):
             rng = np.random.default_rng(seed)
             values = np.sort(rng.uniform(-1.0, 1.0, 5)).astype(complex)
@@ -428,8 +435,9 @@ class TestSeriesInTheEigenbasis:
             v = haar_unitary(5, rng) @ np.diag(np.geomspace(1.0, 1.0 / cond, 5))
             v = v @ haar_unitary(5, rng)
             h = v @ np.diag(values) @ np.linalg.inv(v)
-            shifted = eigenstate_context(h / op_norm(h)).shifted
-            x = random_matrix(5, rng)
+            cases.append((eigenstate_context(h / op_norm(h)).shifted, random_matrix(5, rng)))
+        request.getfixturevalue("failing_eigensolver")  # the term loop on H - E alone
+        for shifted, x in cases:
             cond_v = shifted.spectrum.condition_estimate
             for t in (-2.0, 0.5, 2.0):
                 exact = gamma_t_exact(shifted.h, x, t)
@@ -491,7 +499,7 @@ class TestSeriesInTheEigenbasis:
         roundoff = 64 * np.finfo(float).eps * scale * np.exp(r)
         assert op_norm(total - np.exp(2 * a * t) * x) <= tol + roundoff
 
-    def test_term_route_cap_raises(self):
+    def test_term_route_cap_raises(self, failing_eigensolver):
         # H - E = diag(18, 0) without its spectrum: rate 180 passes the up-front test, but
         # e^180 needs more than 500 terms; rate 540 fails it
         ctx = gamma_context(np.diag([18.0, 0.0]))
@@ -539,7 +547,8 @@ class TestSeriesInTheEigenbasis:
         # three probes at two times, on the spectrum and on its shift by an eigenvalue, the
         # symmetry basis and the biorthogonal system share one V^-1, which the basis copies
         # before it scales its rows
-        spec = eig_general(random_hamiltonian(5, np.random.default_rng(54), kind="real_spectrum"))
+        h = random_hamiltonian(5, np.random.default_rng(54), kind="real_spectrum")
+        spec = eig_general(h)
         inverses = []
         original = np.linalg.inv
         monkeypatch.setattr(np.linalg, "inv", lambda a: inverses.append(1) or original(a))
@@ -547,9 +556,9 @@ class TestSeriesInTheEigenbasis:
         for seed, t in itertools.product(range(3), (2.0, 0.5)):
             p = random_matrix(5, np.random.default_rng(seed))
             gamma_series(ctx, p, t)
-            gamma_series(eigenstate_context(spec).shifted, p, t)
+            gamma_series(eigenstate_context(h).shifted, p, t)
         assert gamma_symmetry_basis(ctx).route == "eig"
-        assert np.array_equal(build_biorthogonal(spec).psi, original(spec.right_vectors).conj().T)
+        assert np.array_equal(build_biorthogonal(h).psi, original(spec.right_vectors).conj().T)
         assert len(inverses) == 1
         assert np.array_equal(spec.left_vectors, original(spec.right_vectors))
 
@@ -832,11 +841,11 @@ class TestSymmetryBasisMatchesTheStackedRoute:
         assert np.abs(direct - basis.residuals).max(initial=0.0) <= 1e-12 * ctx.h_norm
 
     @pytest.mark.parametrize("kind, n", CASES, ids=[f"{k}-{n}" for k, n in CASES])
-    def test_same_space_and_chain_as_the_reference(self, kind, n):
+    def test_same_space_and_chain_as_the_reference(self, kind, n, failing_eigensolver):
         h, h0 = _case(kind, n)
         ctx = gamma_context(h)
         basis = gamma_symmetry_basis(ctx)
-        assert basis.route == "schur"  # a context without a spectrum
+        assert basis.route == "schur"  # a failed eigensolve
         self.assert_matches_the_reference(basis, ctx, h0)
 
     @pytest.mark.parametrize("kind, n", CASES, ids=[f"{k}-{n}" for k, n in CASES])
@@ -846,6 +855,45 @@ class TestSymmetryBasisMatchesTheStackedRoute:
         basis = gamma_symmetry_basis(ctx)
         assert basis.route == ("schur" if kind in self.DEFECTIVE else "eig")
         self.assert_matches_the_reference(basis, ctx, h0)
+
+
+class TestRoutesAreHsAlone:
+    """Every route reads H's spectrum from the ``eig_general`` memo, so a context picks the
+    same route, and the same bits, whether it was built on H or on H's ``Spectrum``."""
+
+    CASES = [("hermitian", 4), ("real_spectrum", 6), ("complex_spectrum", 8), ("jordan", 5)]
+
+    @staticmethod
+    def hamiltonian(kind, n):
+        if kind == "jordan":  # defective: cond(V) past EIG_COND_MAX
+            return (0.5 - 0.2j) * np.eye(n) + np.eye(n, k=1)
+        return random_hamiltonian(n, np.random.default_rng(n), kind=kind)
+
+    @pytest.mark.parametrize("kind, n", CASES)
+    def test_a_matrix_and_its_spectrum_take_one_route(self, kind, n):
+        h = self.hamiltonian(kind, n)
+        x = random_matrix(n, np.random.default_rng(60))
+        contexts = gamma_context(h), gamma_context(eig_general(h))
+        routes = {c.series_route(DEFAULT_TOL_TRUNC) for c in contexts}
+        assert routes == {"terms" if kind == "jordan" else "eig"}
+        for t in (0.5, 2.0):
+            (a, ka), (b, kb) = (gamma_series(c, x, t) for c in contexts)
+            assert ka == kb and a.tobytes() == b.tobytes()
+        a, b = (gamma_symmetry_basis(c) for c in contexts)
+        assert a.route == b.route == ("schur" if kind == "jordan" else "eig")
+        assert a.generators.tobytes() == b.generators.tobytes()
+        assert (a.residuals, a.chain_closure_dim) == (b.residuals, b.chain_closure_dim)
+
+    @pytest.mark.parametrize("kind, n", CASES)
+    def test_delta_gamma_and_gamma_t_solve_nothing(self, kind, n, monkeypatch):
+        calls = []
+        original = np.linalg.eig
+        monkeypatch.setattr(np.linalg, "eig", lambda a: calls.append(1) or original(a))
+        ctx = gamma_context(self.hamiltonian(kind, n))
+        x = random_matrix(n, np.random.default_rng(61))
+        delta_gamma(ctx, x)
+        gamma_t(ctx, x, 0.5)
+        assert calls == []
 
 
 class TestProductRule:

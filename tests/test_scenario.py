@@ -12,7 +12,6 @@ import pytest
 from oracles import csv_text_per_value
 
 import nhdyn.cli
-import nhdyn.errors
 import nhdyn.fermions
 import nhdyn.flow
 import nhdyn.gamma
@@ -515,20 +514,8 @@ class TestRunner:
 
     def test_biortho_and_eigenstate_case_share_one_eigensolve(self, tmp_path, monkeypatch):
         calls = []
-        original = nhdyn.linalg.eig_general
-
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return original(*args, **kwargs)
-
-        # patch every nhdyn namespace that binds the eigensolver
-        bound = [
-            m for name, m in sys.modules.items()
-            if name.split(".")[0] == "nhdyn" and getattr(m, "eig_general", None) is original
-        ]
-        assert {m.__name__ for m in bound} >= {"nhdyn.biortho", "nhdyn.eigenstate", "nhdyn.scenario"}
-        for module in bound:
-            monkeypatch.setattr(module, "eig_general", counting)
+        original = np.linalg.eig
+        monkeypatch.setattr(np.linalg, "eig", lambda a: calls.append(1) or original(a))
         doc = {
             "hamiltonian": [[[1.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [0.5, 1.0]]],
             "tasks": ["biortho", "eigenstate_case"],
@@ -541,6 +528,29 @@ class TestRunner:
         assert len(calls) == 1
         assert first.tasks["biortho"] == second.tasks["biortho"]
 
+    @pytest.mark.parametrize("generic", [True, False], ids=["complex_spectrum", "fermion_dm"])
+    def test_a_scenario_with_every_task_solves_once(self, tmp_path, monkeypatch, generic):
+        # every task reads H's eigensolve through the eig_general memo: one LAPACK call for
+        # all of them (fermion_demo needs the defective fermion_dm H, where biortho raises)
+        calls = []
+        original = np.linalg.eig
+        monkeypatch.setattr(np.linalg, "eig", lambda a: calls.append(1) or original(a))
+        if generic:
+            rng = np.random.default_rng(3)
+            doc = {
+                "hamiltonian": complex_to_json(random_hamiltonian(8, rng, "complex_spectrum")),
+                "initial_state": complex_to_json(random_unit_vector(8, rng)),
+                "observables": ["identity", "H"],
+                "tasks": [t for t in nhdyn.scenario.KNOWN_TASKS if t != "fermion_demo"],
+            }
+        else:
+            tasks = [t for t in nhdyn.scenario.KNOWN_TASKS if t != "biortho"]
+            doc = dict(MINIMAL_FERMION, observables=["identity", "N"], tasks=tasks)
+        report = run(parse_config(doc), tmp_path)
+        assert len(calls) == 1
+        routes = report.tasks["trajectory"]["anchor_route"], report.tasks["symmetries"]["route"]
+        assert routes == (("eig", "eig") if generic else ("expm", "schur"))
+
     @pytest.mark.parametrize(
         "tasks", [["biortho", "eigenstate_case"], ["eigenstate_case", "biortho"]]
     )
@@ -551,7 +561,7 @@ class TestRunner:
         original = np.linalg.inv
         monkeypatch.setattr(np.linalg, "inv", lambda a: inverses.append(1) or original(a))
         cfg = parse_config({"hamiltonian": complex_to_json(h), "tasks": tasks})
-        assert cfg.spectrum.well_conditioned
+        assert nhdyn.linalg.eig_general(cfg.hamiltonian).well_conditioned
         report = run(cfg, tmp_path)
         assert report.tasks["eigenstate_case"]["series_route"] == "eig"
         assert len(inverses) == 1
@@ -649,16 +659,12 @@ class TestRunner:
          ("biortho", None, None), ("eigenstate_case", None, None)],
     )
     def test_failed_eigensolve_reaches_every_task_that_reads_it(
-        self, tmp_path, monkeypatch, capsys, task, key, route
+        self, tmp_path, request, capsys, task, key, route
     ):
-        # the scenario solves once; trajectory and symmetries fall back on the matrix,
-        # while biortho and eigenstate_case solve again and exit 3 with the message
-        message = "eigenpair residual 1.000e-03 exceeds 1.0e-10 * |A| = 1.000e-10"
-        original = nhdyn.linalg.eig_general
-
-        def fail(_):
-            raise nhdyn.errors.EigensolverError(message)
-
+        # the eig_general memo solves once; trajectory and symmetries fall back on the
+        # matrix, while biortho and eigenstate_case meet the kept failure and exit 3 with
+        # its message
+        message = "eigendecomposition failed: Eigenvalues did not converge"
         rng = np.random.default_rng(6)
         h = random_hamiltonian(6, rng, kind="real_spectrum")
         doc = {
@@ -674,13 +680,7 @@ class TestRunner:
             assert report["tasks"][task][key] == "eig"
         capsys.readouterr()
 
-        bound = [
-            m for name, m in sys.modules.items()
-            if name.split(".")[0] == "nhdyn" and getattr(m, "eig_general", None) is original
-        ]
-        assert {m.__name__ for m in bound} >= {"nhdyn.biortho", "nhdyn.eigenstate", "nhdyn.scenario"}
-        for module in bound:
-            monkeypatch.setattr(module, "eig_general", fail)
+        request.getfixturevalue("failing_eigensolver")
         argv[-1] = str(tmp_path / "failed")
         if key is None:
             assert main(argv) == 3
