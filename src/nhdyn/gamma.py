@@ -65,7 +65,7 @@ GRAY_BAND = 1e2  # a pair gap within this factor of the rank cut is too near to 
 @dataclass(frozen=True)
 class GammaContext:
     """A validated Hamiltonian; its ``Spectrum``, from the ``eig_general`` memo, and its
-    operator norm, the spectrum's if there is one, are taken on first use."""
+    operator norm, the spectrum's if one was already taken, are taken on first use."""
 
     h: np.ndarray
 
@@ -83,7 +83,8 @@ class GammaContext:
 
     @cached_property
     def h_norm(self) -> float:
-        return op_norm(self.h) if self.spectrum is None else self.spectrum.norm
+        spec = self.__dict__.get("spectrum")  # never an eigensolve for |H| alone
+        return op_norm(self.h) if spec is None else spec.norm
 
     def series_route(self, tol_trunc: float) -> str:
         """How ``gamma_series`` sums to ``tol_trunc``: "eig" where H's spectrum passes the
@@ -400,7 +401,6 @@ def gamma_symmetry_basis(
     """
     check_tolerance(rank_tol_rel, "rank_tol_rel", below_one=True)
     found = None if ctx.spectrum is None else _eig_generators(ctx, rank_tol_rel * ctx.h_norm)
-    route = "schur" if found is None else "eig"
     gens, residuals = _schur_generators(ctx, rank_tol_rel) if found is None else found
     n = ctx.dim
 
@@ -427,7 +427,7 @@ def gamma_symmetry_basis(
         generators=gens,
         residuals=residuals.tolist(),
         chain_closure_dim=chain_dim,
-        route=route,
+        route="schur" if found is None else "eig",
     )
 
 

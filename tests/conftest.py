@@ -50,3 +50,22 @@ def failing_eigensolver():
     ``request.getfixturevalue``, from that line on, after the eigensolves the test needs."""
     with eigensolver_fails():
         yield
+
+
+def _route(request, fallback: str) -> str:
+    if request.param == fallback:
+        request.getfixturevalue("failing_eigensolver")
+    return request.param
+
+
+@pytest.fixture(params=["eig", "terms"])
+def series_route(request):
+    """Each route of ``gamma_series`` on a well-conditioned H: "eig" as H gives it, "terms"
+    under ``failing_eigensolver``. The test asserts that the route it names is taken."""
+    return _route(request, "terms")
+
+
+@pytest.fixture(params=["eig", "schur"])
+def basis_route(request):
+    """Each route of ``gamma_symmetry_basis`` on a well-conditioned H, as ``series_route``."""
+    return _route(request, "schur")

@@ -460,9 +460,10 @@ class TestBuffersNeverAlias:
         for a in first:
             assert not any(np.shares_memory(a, b) for b in (*second, *inputs))
 
-    def test_gamma_series(self):
+    def test_gamma_series(self, series_route):
         h, _, x, _ = self.arguments()
         ctx = gamma_context(h)
+        assert ctx.series_route(nhdyn.gamma.DEFAULT_TOL_TRUNC) == series_route
         kept = [h.copy(), x.copy()]
         first, _ = nhdyn.gamma.gamma_series(ctx, x, 0.7)
         second, _ = nhdyn.gamma.gamma_series(ctx, x, 0.7)

@@ -145,17 +145,19 @@ class TestGammaSeries:
         total, _ = gamma_series(ctx, np.eye(2), 1.0, 1e-12)
         assert np.abs(total - GAMMA_ONE_NILPOTENT).max() < 1e-12
 
-    def test_matches_exponential_route(self, hermitian_ctx):
+    def test_matches_exponential_route(self, hermitian_ctx, series_route):
         rng = np.random.default_rng(36)
         x = random_matrix(3, rng)
+        assert hermitian_ctx.series_route(1e-12) == series_route
         total, _ = gamma_series(hermitian_ctx, x, 0.7, 1e-12)
         assert op_norm(total - gamma_t(hermitian_ctx, x, 0.7)) < 1e-11
 
-    def test_non_hermitian_agreement_within_certified_tolerance(self):
+    def test_non_hermitian_agreement_within_certified_tolerance(self, series_route):
         rng = np.random.default_rng(37)
         ctx = gamma_context(random_matrix(4, rng))
         x = random_matrix(4, rng)
         for tol in (1e-6, 1e-10):
+            assert ctx.series_route(tol) == series_route
             total, _ = gamma_series(ctx, x, 1.3, tol)
             assert op_norm(total - gamma_t(ctx, x, 1.3)) < tol + 1e-11
 
@@ -196,7 +198,7 @@ class TestGammaSeries:
         cut, _ = gamma_series_reference(ctx.h, x, t, terms=terms)
         assert np.array_equal(total, cut)
 
-    def test_ratio_of_exactly_one_waits_for_the_next_term(self):
+    def test_ratio_of_exactly_one_waits_for_the_next_term(self, failing_eigensolver):
         # rate delta_bound |t| = 5 exactly, so q = rate / (k + 1) is 1 at k = 4
         ctx = gamma_context(np.diag([0.5, -0.5]))
         assert ctx.delta_bound * 5.0 == 5.0
@@ -223,7 +225,7 @@ class TestGammaSeries:
             closed = x + t * d1 + t**2 / 2 * d2
             assert op_norm(total - closed) <= 1e-14 * op_norm(closed)
 
-    def test_real_shift_tightens_the_rate_not_the_sum(self):
+    def test_real_shift_tightens_the_rate_not_the_sum(self, failing_eigensolver):
         rng = np.random.default_rng(42)
         h = random_hamiltonian(6, rng, kind="hermitian")
         x = random_matrix(6, rng)
@@ -235,7 +237,7 @@ class TestGammaSeries:
         assert op_norm(total - ref) <= 2e-12
         assert op_norm(total - gamma_t(gamma_context(h), x, 0.5)) <= 1e-11
 
-    def test_cached_delta_bound_leaves_no_svd(self, monkeypatch):
+    def test_cached_delta_bound_leaves_no_svd(self, monkeypatch, failing_eigensolver):
         # the certificate reads Frobenius norms of computed terms, not |X|_2
         rng = np.random.default_rng(43)
         ctx = gamma_context(random_matrix(6, rng))
@@ -682,9 +684,10 @@ class TestIdentityNormEvolution:
 
 
 class TestSymmetryBasis:
-    def test_diagonal_hamiltonian_against_brute_force(self):
+    def test_diagonal_hamiltonian_against_brute_force(self, basis_route):
         h = np.diag([1.0, 2.0]).astype(complex)
         basis = gamma_symmetry_basis(gamma_context(h))
+        assert basis.route == basis_route
         assert len(basis.generators) == 2
         lib_span = np.column_stack([vec_by_loops(g) for g in basis.generators])
         brute = intertwiner_kernel_brute(h)
@@ -706,11 +709,12 @@ class TestSymmetryBasis:
         assert np.abs(gap).max() < 1e-12
         assert basis.chain_closure_dim <= 2
 
-    def test_generators_orthonormal_and_certified(self):
+    def test_generators_orthonormal_and_certified(self, basis_route):
         rng = np.random.default_rng(39)
         h = random_hamiltonian(4, rng, kind="real_spectrum")
         ctx = gamma_context(h)
         basis = gamma_symmetry_basis(ctx)
+        assert basis.route == basis_route
         assert len(basis.generators) == 4  # distinct spectrum: dim equals N
         gram = np.array(
             [
@@ -722,11 +726,12 @@ class TestSymmetryBasis:
         for g, r in zip(basis.generators, basis.residuals):
             assert r <= 1e-9 * ctx.h_norm * np.linalg.norm(g)
 
-    def test_chain_members_are_symmetries(self):
+    def test_chain_members_are_symmetries(self, basis_route):
         rng = np.random.default_rng(40)
         h = random_hamiltonian(4, rng, kind="real_spectrum")
         ctx = gamma_context(h)
         basis = gamma_symmetry_basis(ctx)
+        assert basis.route == basis_route
         x = basis.generators[0]
         power = np.eye(4, dtype=complex)
         for _ in range(4):
@@ -736,10 +741,11 @@ class TestSymmetryBasis:
                 assert op_norm(gamma_t(ctx, member, t) - member) <= 1e-8
             power = power @ h
 
-    def test_empty_kernel_is_valid(self):
+    def test_empty_kernel_is_valid(self, basis_route):
         # different diagonals for H and H^†: H^† X = X H forces X = 0
         h = np.diag([1.0j, 2.0j])
         basis = gamma_symmetry_basis(gamma_context(h))
+        assert basis.route == basis_route
         assert basis.generators.shape == (0, 2, 2)
         assert basis.chain_closure_dim == 0
 
@@ -894,6 +900,18 @@ class TestRoutesAreHsAlone:
         delta_gamma(ctx, x)
         gamma_t(ctx, x, 0.5)
         assert calls == []
+
+    @pytest.mark.parametrize("kind, n", CASES)
+    def test_the_operator_norm_solves_nothing(self, kind, n, monkeypatch):
+        # |H|_2 is the spectrum's where one was taken, else op_norm of the same bytes
+        h = self.hamiltonian(kind, n)
+        on_spectrum = gamma_context(eig_general(h))
+        calls = []
+        original = np.linalg.eig
+        monkeypatch.setattr(np.linalg, "eig", lambda a: calls.append(1) or original(a))
+        ctx = gamma_context(h)
+        assert (ctx.h_norm, ctx.delta_bound) == (on_spectrum.h_norm, on_spectrum.delta_bound)
+        assert calls == [] and "spectrum" not in ctx.__dict__
 
 
 class TestProductRule:

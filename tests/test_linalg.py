@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from conftest import eigensolver_fails
 from oracles import rotation_2x2, scaled_taylor_expm, taylor_expm
 
 import nhdyn
@@ -458,9 +459,18 @@ class TestNullspace:
 UPPER = np.array([[1.0, 2.0], [0.0, 3.0]])
 
 
+def _upper_without_a_spectrum():
+    """UPPER's context after a failed eigensolve: its series sums by terms, its symmetry
+    basis runs on the Schur route."""
+    with eigensolver_fails():
+        ctx = gamma_context(UPPER)
+        assert ctx.spectrum is None
+    return ctx
+
+
 def _tolerance_calls():
     """Each public call that takes a tolerance: its id -> (parameter, call of the value)."""
-    ctx, on_spectrum = gamma_context(UPPER), gamma_context(eig_general(UPPER))
+    ctx, on_spectrum = _upper_without_a_spectrum(), gamma_context(eig_general(UPPER))
     traj = exact_trajectory(UPPER, np.array([0.6, 0.8]), np.linspace(0.0, 1.0, 5))
     rng = np.random.default_rng(0)
     return {
@@ -781,6 +791,7 @@ def _time_calls():
     """Each public call that takes a time or a time grid: its id -> (name in the message,
     call of the value)."""
     model, ctx = build_dm_model(1.0, 1.0), gamma_context(UPPER)
+    on_terms = _upper_without_a_spectrum()
     psi, rng = np.array([0.6, 0.8]), np.random.default_rng(0)
     return {
         "exact_trajectory": ("t_grid", lambda t: exact_trajectory(UPPER, psi, t)),
@@ -794,7 +805,7 @@ def _time_calls():
         "identity_norm_evolution": ("t_grid", lambda t: identity_norm_evolution(ctx, psi, t)),
         "simulate_occupations": ("t_grid", lambda t: simulate_occupations(model, "011", t)),
         "gamma_t": ("t", lambda t: gamma_t(ctx, np.eye(2), t)),
-        "gamma_series": ("t", lambda t: gamma_series(ctx, np.eye(2), t)),
+        "gamma_series": ("t", lambda t: gamma_series(on_terms, np.eye(2), t)),
         "closed_form_occupations": ("t", lambda t: closed_form_occupations(model, "011", t)),
         "closed_form_scalar": ("t", lambda t: closed_form_scalar(model, "011", t)),
     }

@@ -51,6 +51,15 @@ def _draw(seed: int, n: int, kind: str, stretch: float = 2.0):
     return h, random_unit_vector(n, rng), rng
 
 
+def _basis(h: np.ndarray, spectrum: bool):
+    """The symmetry basis on the route H's ``Spectrum`` gives, or on the Schur route, which
+    a failed eigensolve leaves it."""
+    if spectrum:
+        return gamma_symmetry_basis(gamma_context(h))
+    with eigensolver_fails():
+        return gamma_symmetry_basis(gamma_context(h))
+
+
 @properties
 @given(seed=seeds, n=st.integers(2, 8), kind=st.sampled_from(KINDS))
 def test_nonlinear_hamiltonian_sum_rule(seed, n, kind):
@@ -67,12 +76,13 @@ def test_symmetry_means_follow_the_decay_law(seed, n, kind):
     # a real spectrum pairs every eigenvalue with its conjugate, so the
     # symmetry space is N-dimensional; mix its generators at random
     h, psi0, rng = _draw(seed, n, kind)
-    generators = gamma_symmetry_basis(gamma_context(h)).generators
-    assert len(generators) == n
     weights = rng.normal(size=n) + 1j * rng.normal(size=n)
-    x = sum(w * g for w, g in zip(weights, generators))
     traj = exact_trajectory(h, psi0, np.linspace(0.0, 2.0, 41))
-    assert gamma_symmetry_decay_check(h, x, traj) <= 1e-9
+    for spectrum in (False, True):
+        generators = _basis(h, spectrum).generators
+        assert len(generators) == n
+        x = sum(w * g for w, g in zip(weights, generators))
+        assert gamma_symmetry_decay_check(h, x, traj) <= 1e-9
 
 
 @properties
@@ -263,13 +273,14 @@ def _jordan_similar() -> np.ndarray:
 
 
 def _assert_symmetries_match_oracle(h: np.ndarray) -> None:
+    """On the Schur route and on the route H's spectrum gives, which may be Schur too."""
     n = h.shape[0]
-    basis = gamma_symmetry_basis(gamma_context(h))
     ref = intertwiner_kernel_brute(h)  # row-major unknowns, as in g.ravel()
-    q = np.reshape(basis.generators, (-1, n * n)).T
-    assert q.shape[1] == ref.shape[1]
-    assert np.abs(q.conj().T @ q - np.eye(q.shape[1])).max(initial=0.0) <= 1e-12
-    assert op_norm(ref - q @ (q.conj().T @ ref)) <= 1e-10
+    for spectrum in (False, True):
+        q = np.reshape(_basis(h, spectrum).generators, (-1, n * n)).T
+        assert q.shape[1] == ref.shape[1]
+        assert np.abs(q.conj().T @ q - np.eye(q.shape[1])).max(initial=0.0) <= 1e-12
+        assert op_norm(ref - q @ (q.conj().T @ ref)) <= 1e-10
 
 
 @properties
@@ -297,15 +308,6 @@ def test_symmetry_basis_spans_the_kronecker_kernel(seed, n, kind, stretch):
 )
 def test_symmetry_basis_on_degenerate_and_defective_cases(h):
     _assert_symmetries_match_oracle(h)
-
-
-def _basis(h: np.ndarray, spectrum: bool):
-    """The symmetry basis on H's ``Spectrum``, or on the Schur route, which a failed
-    eigensolve leaves it."""
-    if spectrum:
-        return gamma_symmetry_basis(gamma_context(h))
-    with eigensolver_fails():
-        return gamma_symmetry_basis(gamma_context(h))
 
 
 @properties
@@ -366,4 +368,4 @@ def test_a_near_multiple_of_the_identity(eps, spectrum):
 @given(seed=seeds, n=st.one_of(st.integers(2, 8), st.sampled_from([24, 32])))
 def test_chain_closes_on_distinct_hermitian_spectra(seed, n):
     h, _, _ = _draw(seed, n, "hermitian")
-    assert gamma_symmetry_basis(gamma_context(h)).chain_closure_dim == n
+    assert _basis(h, False).chain_closure_dim == _basis(h, True).chain_closure_dim == n
